@@ -76,6 +76,10 @@ class Algebra:
         self.mult.setflags(write=False)
         self.unit.setflags(write=False)
         self._generators = None
+        self._extra_generators = None
+        self._opposite = None
+        # data the module layer derives once per algebra (projectives, radical)
+        self._derived: dict = {}
         if _validate:
             self._validate()
 
@@ -101,6 +105,8 @@ class Algebra:
         return v
 
     def same_as(self, other: "Algebra") -> bool:
+        if other is self:
+            return True
         return (
             isinstance(other, Algebra)
             and self.field == other.field
@@ -185,6 +191,20 @@ class Algebra:
             raise AlgebraError("generator search failed to exhaust the algebra")
         self._generators = f.asarray(np.stack(gens)) if gens else f.zeros(0, self.dim)
         return self._generators
+
+    def generators_beyond_idempotents(self) -> np.ndarray:
+        """The generators (rows) outside the span of the distinguished
+        idempotents.  A linear map that commutes with every e_i commutes with
+        their whole span, unit included, so intertwining conditions need only
+        these."""
+        if self._extra_generators is None:
+            f = self.field
+            gens = self.generators()
+            if self.prim_idempotents:
+                r = rref(np.stack(self.prim_idempotents), f)
+                gens = [g for g in gens if not in_span(r.matrix[: r.rank], g, f)]
+            self._extra_generators = f.asarray(np.stack(gens)) if len(gens) else f.zeros(0, self.dim)
+        return self._extra_generators
 
     def _subalgebra_span(self, gens) -> np.ndarray:
         f = self.field
@@ -359,11 +379,16 @@ def algebra_from_quiver(q: QuiverPresentation, field: Field) -> Algebra:
 
 
 def opposite(a: Algebra) -> Algebra:
-    """Opposite algebra: c_op[i, j] = c[j, i]; unit and idempotents unchanged."""
-    op = Algebra(a.field, a.mult.transpose(1, 0, 2), a.unit, a.prim_idempotents, a.labels, _validate=False)
-    if getattr(a, "_generators", None) is not None:
+    """Opposite algebra: c_op[i, j] = c[j, i]; unit and idempotents unchanged.
+
+    Built once per algebra and linked both ways, so opposite(opposite(a)) is a.
+    """
+    if a._opposite is None:
+        op = Algebra(a.field, a.mult.transpose(1, 0, 2), a.unit, a.prim_idempotents, a.labels, _validate=False)
         op._generators = a._generators
-    return op
+        op._opposite = a
+        a._opposite = op
+    return a._opposite
 
 
 def _product_constants(a: Algebra, b: Algebra, op_right: bool) -> np.ndarray:
@@ -571,7 +596,8 @@ def _full_basis(base: Algebra) -> np.ndarray:
 def _check_two_sided_ideal(base: Algebra, ideal: np.ndarray):
     f = base.field
     rows = ideal.T  # ideal vectors as rows
-    span = rref(rows, f).matrix[: rref(rows, f).rank]
+    r = rref(rows, f)
+    span = r.matrix[: r.rank]
     for t in range(ideal.shape[1]):
         v = ideal[:, t]
         for i in range(base.dim):

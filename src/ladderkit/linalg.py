@@ -43,14 +43,31 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# Entries of F_p arrays are int64 in [0, p) and are reduced only after a whole
+# product.  The widest unreduced sums are the triple-product einsums
+# (Algebra.multiply, _subalgebra_span, corner, the quotient algebra and
+# projective_cover): d^2 terms, or d * dim M, each below p^3 for an algebra of
+# dimension d.  With p < 2^15 such a sum stays below 2^63 while it has at most
+# 2^18 terms (every d <= 512), and a plain matmul (k terms below p^2) does for
+# every k < 2^33.
+PRIME_BOUND = 2**15
+
+
 @dataclass(frozen=True)
 class Field:
-    """Ground field: prime field F_p (p an odd prime) or the rationals (p=None)."""
+    """Ground field: prime field F_p (p an odd prime below PRIME_BOUND) or the
+    rationals (p=None).
+
+    The bound keeps every int64 product in the engine exact; larger primes are
+    rejected rather than silently wrapped.
+    """
 
     p: Optional[int] = 101
 
     def __post_init__(self):
         if self.p is not None:
+            if self.p >= PRIME_BOUND:
+                raise ValueError(f"prime {self.p} is too large: int64 arithmetic is exact only for p < {PRIME_BOUND}")
             if not _is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
             if self.p <= 2:
@@ -68,6 +85,8 @@ class Field:
         return a
 
     def eye(self, n) -> np.ndarray:
+        if self.p is not None:
+            return np.eye(n, dtype=np.int64)
         a = self.zeros(n, n)
         for i in range(n):
             a[i, i] = self.one
@@ -96,7 +115,9 @@ class Field:
         return Fraction(1) / x
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # entries < p = 101 and inner dims stay desk-scale, so int64 cannot overflow
+        """Reduced product a @ b; stacks broadcast as in np.matmul.
+
+        Exact in int64 because p < PRIME_BOUND (see there)."""
         c = a @ b
         return c % self.p if self.p is not None else c
 
@@ -243,7 +264,8 @@ def kron(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
 
 
 def column_space_basis(a: np.ndarray, field: Field) -> np.ndarray:
-    """Deterministic basis of the column space: the pivot columns of a."""
+    """Deterministic basis of the column space: the nonzero rows of rref(a.T),
+    transposed (so the basis is the identity on its pivot rows)."""
     r = rref(a.T, field)
     return r.matrix[: r.rank].T
 

@@ -4,9 +4,11 @@ A left module is one action matrix per algebra basis element.  A bimodule
 stores its two one-sided actions; the left module over the enveloping algebra
 A (x) B^op (fixed Kronecker order) is only materialized when two bimodules
 must be compared, so large enveloping algebras never arise implicitly.
-Everything reduces to exact linear algebra: Hom spaces are intertwiner
-kernels, tensor products are quotients by balancing relations, projectivity
-is decided by projective-cover dimensions.
+Everything reduces to exact linear algebra.  Hom spaces are solved on the
+blocks e_j.N x e_i.M cut out by the distinguished idempotents, with only the
+remaining generators imposed, and come back in one canonical basis; tensor
+products are quotients by balancing relations; projectivity is decided by
+projective-cover dimensions.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .algebra import Algebra, AlgebraError, FieldRestrictionError, enveloping, g
 from .linalg import (
     Field,
     column_space_basis,
-    intersect_kernels,
     kernel_basis,
     left_inverse,
     rref,
@@ -76,6 +77,7 @@ class Module:
             raise AlgebraError(f"action array has shape {self.action.shape}, need ({algebra.dim}, n, n)")
         self.dim = self.action.shape[1]
         self.action.setflags(write=False)
+        self._split = None
         if _validate:
             self._validate()
 
@@ -101,6 +103,31 @@ class Module:
     @property
     def field(self) -> Field:
         return self.algebra.field
+
+    def idempotent_split(self) -> tuple:
+        """One pair (U_i, P_i) per distinguished idempotent e_i, computed once.
+
+        U_i (dim x d_i) is a basis of e_i.M, the transposed nonzero rows of
+        rref(E_i^T), so it is the identity on its pivot rows; P_i = E_i[pivots]
+        (d_i x dim) gives coordinates on it, and E_i = U_i P_i.  When E_i is a
+        coordinate projection (the usual case) that rref is read off directly.
+        """
+        if self._split is None:
+            f = self.field
+            eye = f.eye(self.dim)
+            split = []
+            for e in self.algebra.prim_idempotents:
+                act = self.act_vector(e)
+                support = np.flatnonzero(np.diagonal(act))
+                if np.count_nonzero(act) == support.size:
+                    split.append((eye[:, support], act[support]))
+                    continue
+                r = rref(act.T, f)
+                split.append((r.matrix[: r.rank].T, act[list(r.pivots)]))
+            if sum(u.shape[1] for u, _ in split) != self.dim:
+                raise AlgebraError("the distinguished idempotents do not split the module: sum of dim e_i.M != dim M")
+            self._split = tuple(split)
+        return self._split
 
     def __repr__(self):
         return f"Module(dim={self.dim} over {self.algebra!r})"
@@ -320,50 +347,62 @@ def quotient_module(m: Module, sub_rows: np.ndarray) -> tuple[Module, ModuleMap]
 
 
 def hom_space(m: Module, n: Module) -> list[ModuleMap]:
-    """Basis of Hom(m, n) solved from the intertwining conditions.
+    """Canonical basis of Hom(m, n).
 
-    Conditions are imposed for a generating set of the algebra only, which is
-    equivalent to imposing them for every basis element.
+    Every intertwiner commutes with the distinguished idempotents, so it is
+    X = sum_i V_i Y_i P_i with V_i a basis of e_i.N and P_i the coordinates on
+    e_i.M (Hom(A.e_i, N) = e_i.N; Lux & Szoke, Exp. Math. 12, 2003).  Only the
+    generators outside the span of the idempotents are imposed: the residuals
+    X.A_g - B_g.X of every unknown's basis matrix form one batched product.
+    A single rref of [residuals | reversed basis matrices] then yields the
+    kernel already reduced: the unique basis that is the identity on the
+    coordinates where some map has its last nonzero row-major entry, listed
+    in increasing order of that coordinate.
     """
     if not m.algebra.same_as(n.algebra):
         raise AlgebraError("hom_space needs modules over the same algebra")
     f = m.field
     if m.dim == 0 or n.dim == 0:
         return []
-    constraints = []
-    eye_m, eye_n = f.eye(m.dim), f.eye(n.dim)
-    for g in m.algebra.generators():
-        am = m.act_vector(g)
-        an = n.act_vector(g)
-        constraints.append(f.normalize(np.kron(eye_n, am.T) - np.kron(an, eye_m)))
-    basis = intersect_kernels(constraints, n.dim * m.dim, f)
-    out = []
-    for t in range(basis.shape[1]):
-        out.append(ModuleMap(m, n, basis[:, t].reshape(n.dim, m.dim), _validate=False))
-    return out
+    blocks = [
+        f.normalize(np.einsum("na,bm->abnm", v, p)).reshape(-1, n.dim, m.dim)
+        for (v, _), (_, p) in zip(n.idempotent_split(), m.idempotent_split())
+    ]
+    stack = np.concatenate(blocks)  # (unknowns, n, m)
+    u = stack.shape[0]
+    if u == 0:
+        return []
+    gens = m.algebra.generators_beyond_idempotents()
+    am = f.normalize(np.einsum("gi,iab->gab", gens, m.action))
+    bn = f.normalize(np.einsum("gi,iab->gab", gens, n.action))
+    res = f.normalize(f.matmul(stack[:, None], am[None]) - f.matmul(bn[None], stack[:, None])).reshape(u, -1)
+    res = res[:, np.any(res != 0, axis=0)]  # drop conditions no unknown touches
+    r = rref(np.concatenate([res, stack.reshape(u, -1)[:, ::-1]], axis=1), f)
+    c = res.shape[1]
+    first = sum(1 for pc in r.pivots if pc < c)
+    rows = r.matrix[first : r.rank, c:][::-1, ::-1]
+    return [ModuleMap(m, n, x.reshape(n.dim, m.dim), _validate=False) for x in rows]
 
 
 @dataclass
 class HomBasis:
-    """Hom-space basis with a coordinate extractor (left inverse of the vec stack)."""
+    """Hom-space basis with its coordinate positions.
+
+    hom_space's basis is the identity on one row-major coordinate per map
+    (the map's last nonzero entry), so the coordinates of any map in the span
+    are its entries at those positions."""
 
     maps: list
-    stack: np.ndarray  # (target_dim*source_dim, h)
-    extract: np.ndarray  # (h, target_dim*source_dim)
+    positions: np.ndarray  # (h,) flat indices into target_dim*source_dim
 
     @classmethod
     def of(cls, m: Module, n: Module) -> "HomBasis":
         maps = hom_space(m, n)
-        f = m.field
-        h = len(maps)
-        stack = f.zeros(n.dim * m.dim, h)
-        for s, mp in enumerate(maps):
-            stack[:, s] = mp.matrix.reshape(-1)
-        extract = left_inverse(stack, f) if h else f.zeros(0, n.dim * m.dim)
-        return cls(maps, stack, extract)
+        positions = np.array([np.flatnonzero(mp.matrix.reshape(-1))[-1] for mp in maps], dtype=np.int64)
+        return cls(maps, positions)
 
     def coords(self, mat: np.ndarray, f: Field) -> np.ndarray:
-        return f.matmul(self.extract, mat.reshape(-1))
+        return f.normalize(mat.reshape(-1)[self.positions])
 
 
 # -- radical, covers, projectivity --------------------------------------------
@@ -371,14 +410,20 @@ class HomBasis:
 
 def algebra_radical_rows(a: Algebra) -> np.ndarray:
     """Row basis of the Jacobson radical via the trace form of the regular
-    representation; exact for char 0 or p > dim."""
+    representation; exact for char 0 or p > dim.  Computed once per algebra
+    and returned read-only."""
     f = a.field
     if f.is_prime_field and f.p <= a.dim:
         raise FieldRestrictionError(f"trace-form radical needs p > dim ({f.p} <= {a.dim})")
-    if a.dim == 0:
-        return f.zeros(0, 0)
-    t = f.normalize(np.einsum("iab,jba->ij", a.left_mult, a.left_mult))
-    return kernel_basis(t, f).T
+    if "radical_rows" not in a._derived:
+        if a.dim == 0:
+            rows = f.zeros(0, 0)
+        else:
+            t = f.normalize(np.einsum("iab,jba->ij", a.left_mult, a.left_mult))
+            rows = np.ascontiguousarray(kernel_basis(t, f).T)
+        rows.setflags(write=False)
+        a._derived["radical_rows"] = rows
+    return a._derived["radical_rows"]
 
 
 def radical(m: Module) -> ModuleMap:
@@ -396,15 +441,18 @@ def radical(m: Module) -> ModuleMap:
 
 def projective_indecomposables(a: Algebra) -> list[Module]:
     """The modules A.e_i for the distinguished primitive idempotents, with
-    their embeddings into the regular module attached."""
-    reg = regular_module(a)
-    out = []
-    for e in a.prim_idempotents:
-        cols = column_space_basis(a.right_mult_matrix(e), a.field)
-        sub, incl = submodule(reg, cols)
-        sub.embedding_into_regular = incl
-        out.append(sub)
-    return out
+    their embeddings into the regular module attached.  Built once per
+    algebra; each call returns a new list of the same modules."""
+    if "projectives" not in a._derived:
+        reg = regular_module(a)
+        out = []
+        for e in a.prim_idempotents:
+            cols = column_space_basis(a.right_mult_matrix(e), a.field)
+            sub, incl = submodule(reg, cols)
+            sub.embedding_into_regular = incl
+            out.append(sub)
+        a._derived["projectives"] = tuple(out)
+    return list(a._derived["projectives"])
 
 
 def simples_by_idempotent(a: Algebra) -> list[Module]:

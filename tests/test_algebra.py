@@ -139,6 +139,20 @@ def test_opposite_involution_and_commutative_fixed_point():
     assert opposite(t2).dim == 3
 
 
+def test_opposite_is_built_once():
+    t2 = build_triangular(ground_field_algebra(F), 2)
+    assert opposite(t2) is opposite(t2)
+    assert opposite(opposite(t2)) is t2
+
+
+def test_same_as_identity_and_distinct_algebras():
+    t2 = build_triangular(ground_field_algebra(F), 2)
+    assert t2.same_as(t2)
+    assert t2.same_as(build_triangular(ground_field_algebra(F), 2))
+    op = opposite(t2)
+    assert op.dim == t2.dim and not t2.same_as(op)
+
+
 def test_opposite_of_triangular_is_transposed_table():
     t2 = build_triangular(ground_field_algebra(F), 2)
     op = opposite(t2)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ladderkit.cli import main
+from ladderkit.cli import EXIT_INPUT, main
 
 
 
@@ -132,3 +132,7 @@ def test_verify_paper_verdicts_stable_across_seeds(tmp_path):
     ca = {c["criterion"]: c["status"] for c in json.loads(a.read_text())["criteria"]}
     cb = {c["criterion"]: c["status"] for c in json.loads(b.read_text())["criteria"]}
     assert ca == cb
+
+
+def test_verify_paper_rejects_prime_beyond_bound():
+    assert main(["verify-paper", "--prime", "2147483647"]) == EXIT_INPUT == 2

@@ -28,6 +28,22 @@ def test_field_rejects_composite():
         Field(2)
 
 
+def test_field_rejects_primes_beyond_int64_bound():
+    with pytest.raises(ValueError):
+        Field(2147483647)
+    with pytest.raises(ValueError):
+        Field(32771)  # the first prime above 2^15
+
+
+def test_matmul_exact_at_largest_accepted_prime():
+    f = Field(32749)  # the largest prime below 2^15
+    p = f.p
+    for k in (4, 512):
+        row = f.asarray([[p - 1] * k])
+        got = f.matmul(row, row.T)
+        assert int(got[0, 0]) == sum((p - 1) * (p - 1) for _ in range(k)) % p
+
+
 def test_rref_identity():
     ident = F101.eye(3)
     r = rref(ident, F101)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ladderkit.algebra import (
+    AlgebraError,
     FieldRestrictionError,
     build_triangular,
     dual_numbers_algebra,
@@ -11,7 +12,9 @@ from ladderkit.algebra import (
     opposite,
     preprojective_a2,
 )
-from ladderkit.linalg import Field, kernel_basis, rref
+from ladderkit.fixtures import load_fixture, parse_idempotent
+from ladderkit.ladder import l_tower, r_tower
+from ladderkit.linalg import Field, intersect_kernels, kernel_basis, rref
 from ladderkit.modules import (
     Bimodule,
     HomBasis,
@@ -40,6 +43,9 @@ from ladderkit.modules import (
     tensor_over,
     zero_module,
 )
+
+from ladderkit.recollement import build_recollement
+from ladderkit.verify import RECOLLEMENT_FIXTURES
 
 F = Field(101)
 K = ground_field_algebra(F)
@@ -393,3 +399,128 @@ def test_hom_from_projective_counts_idempotent_part():
         m = random_module(pp, rng, max_summands=2)
         for e, p in zip(pp.prim_idempotents, projs):
             assert len(hom_space(p, m)) == rref(m.act_vector(e), F).rank
+
+
+# -- differential test of the Hom engine ----------------------------------------
+
+
+def _hom_space_reference(m, n):
+    """Hom(m, n) by the intertwiner kernel: one kron(I, A^T) - kron(B, I) block
+    per generator (unit and idempotents included), kernels intersected one
+    generator at a time starting from the identity."""
+    f = m.field
+    if m.dim == 0 or n.dim == 0:
+        return []
+    constraints = []
+    eye_m, eye_n = f.eye(m.dim), f.eye(n.dim)
+    for g in m.algebra.generators():
+        constraints.append(f.normalize(np.kron(eye_n, m.act_vector(g).T) - np.kron(n.act_vector(g), eye_m)))
+    basis = intersect_kernels(constraints, n.dim * m.dim, f)
+    return [basis[:, t].reshape(n.dim, m.dim) for t in range(basis.shape[1])]
+
+
+def _assert_same_hom_basis(m, n):
+    got = hom_space(m, n)
+    want = _hom_space_reference(m, n)
+    assert len(got) == len(want)
+    for mp, w in zip(got, want):
+        assert mp.matrix.shape == w.shape
+        assert np.array_equal(mp.matrix, w)
+    return len(got)
+
+
+@pytest.mark.parametrize(
+    "name,field",
+    [(name, F) for name in RECOLLEMENT_FIXTURES] + [(name, Field(None)) for name in ("t2", "t3", "preproj-a2")],
+)
+def test_hom_space_matches_kron_reference(name, field):
+    alg, _ = load_fixture(name, field)
+    rng = np.random.default_rng(2003)
+    mods = [random_module(alg, rng) for _ in range(5)] + projective_indecomposables(alg)
+    for m in mods:
+        for n in mods:
+            _assert_same_hom_basis(m, n)
+
+
+def test_hom_space_matches_reference_over_enveloping_algebra():
+    # the enveloping algebra's generators start with sums of idempotents
+    alg, e = load_fixture("preproj-a2", F)
+    rec = build_recollement(alg, parse_idempotent(alg, e))
+    rungs = [r.bimodule for r in r_tower(rec, 6) + l_tower(rec, 6)]
+    mods = [b.env_module(rec.env_gl) for b in rungs if b.left.same_as(rec.gamma) and b.right.same_as(rec.lam)]
+    assert len(mods) >= 2
+    assert len(rec.env_gl.generators_beyond_idempotents()) < len(rec.env_gl.generators())
+    for m in mods:
+        for n in mods:
+            _assert_same_hom_basis(m, n)
+
+
+def test_hom_space_matches_reference_in_unadapted_bases():
+    # conjugated actions make every e_i act by a non-diagonal projection
+    from ladderkit.linalg import left_inverse
+
+    alg = preprojective_a2(F)
+    rng = np.random.default_rng(17)
+    mods = []
+    for _ in range(4):
+        m = random_module(alg, rng, max_summands=2)
+        while True:
+            g = F.asarray(rng.integers(0, F.p, size=(m.dim, m.dim)))
+            if rref(g, F).rank == m.dim:
+                break
+        ginv = left_inverse(g, F)
+        act = F.normalize(np.einsum("ab,ibc,cd->iad", g, m.action, ginv))
+        mods.append(Module(alg, act))
+    idem_acts = [mod.act_vector(e) for mod in mods for e in alg.prim_idempotents]
+    assert any(np.count_nonzero(act - np.diag(np.diagonal(act))) for act in idem_acts)
+    for m in mods:
+        for n in mods:
+            _assert_same_hom_basis(m, n)
+
+
+def test_hom_space_zero_module_and_zero_hom():
+    t2 = build_triangular(K, 2)
+    z = zero_module(t2)
+    p1, p2 = projective_indecomposables(t2)
+    for m in (z, p1):
+        assert _assert_same_hom_basis(z, m) == 0
+        assert _assert_same_hom_basis(m, z) == 0
+    s1, s2 = simples(t2)
+    assert _assert_same_hom_basis(s1, s2) == 0  # no common idempotent block
+    assert _assert_same_hom_basis(s1, p1) == 0  # a block, but the arrow kills it
+    assert _assert_same_hom_basis(s2, p1) == 1
+
+
+def test_idempotent_split_rejects_incomplete_system():
+    # an algebra built without validation whose idempotents miss part of the unit
+    from ladderkit.algebra import Algebra
+
+    t2 = build_triangular(K, 2)
+    broken = Algebra(F, t2.mult, t2.unit, t2.prim_idempotents[:1], _validate=False)
+    reg = Module(broken, broken.left_mult, _validate=False)
+    with pytest.raises(AlgebraError):
+        hom_space(reg, reg)
+
+
+# -- derived data kept on the algebra -----------------------------------------------
+
+
+def test_projective_indecomposables_cached_in_new_lists():
+    pp = preprojective_a2(F)
+    first = projective_indecomposables(pp)
+    second = projective_indecomposables(pp)
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second))
+    first.pop()
+    first.append(zero_module(pp))
+    third = projective_indecomposables(pp)
+    assert len(third) == 2 and all(a is b for a, b in zip(third, second))
+
+
+def test_algebra_radical_rows_read_only():
+    t2 = build_triangular(K, 2)
+    rows = algebra_radical_rows(t2)
+    assert rows is algebra_radical_rows(t2)
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1
