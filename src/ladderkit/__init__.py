@@ -9,7 +9,7 @@ Gorenstein-theoretic consequences by exact linear algebra over F_p or Q.
 
 __version__ = "0.1.0"
 
-from .linalg import Field, Mat, rref, kernel_basis, solve, kron
+from .linalg import Field, rref, kernel_basis, solve
 from .algebra import (
     Algebra,
     AlgebraError,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Field, column_space_basis, in_span, left_inverse, rref, solve, solve_matrix
+from .linalg import Field, column_space_basis, in_span, quotient_coordinates, rank, rref, solve, solve_matrix, unit_rows
 
 __all__ = [
     "AlgebraError",
@@ -449,9 +449,8 @@ def corner(a: Algebra, e: Idempotent) -> tuple[Algebra, CornerEmbedding]:
     cdim = basis.shape[1]
     if cdim == 0:
         return Algebra(f, f.zeros(0, 0, 0), f.zeros(0), [], _validate=False), CornerEmbedding(basis)
-    extract = left_inverse(basis, f)
     prods = f.normalize(np.einsum("ia,jb,ijk->abk", basis, basis, a.mult))  # (c, c, dim)
-    cc = f.normalize(np.einsum("ki,abi->abk", extract, prods))
+    cc = prods[:, :, unit_rows(basis)]
     if not f.equal(f.normalize(np.einsum("ik,abk->abi", basis, cc)), prods):
         raise AlgebraError("corner basis is not multiplicatively closed")
     unit_c = solve(basis, ev, f)
@@ -493,17 +492,8 @@ def quotient_by_idempotent_ideal(a: Algebra, e: Idempotent) -> tuple[Algebra, Qu
         raise AlgebraError("idempotent belongs to a different algebra")
     f = a.field
     rows = _ideal_span_rows(a, e.element)
-    piv = rref(rows, f).pivots if rows.shape[0] else ()
-    free = [c for c in range(a.dim) if c not in piv]
-    q = len(free)
-    proj = f.zeros(q, a.dim)
-    for t, fc in enumerate(free):
-        proj[t, fc] = f.one
-        for i, pc in enumerate(piv):
-            proj[t, pc] = f.normalize(-rows[i, fc])
-    sect = f.zeros(a.dim, q)
-    for t, fc in enumerate(free):
-        sect[fc, t] = f.one
+    proj, sect = quotient_coordinates(rows, f)
+    q = proj.shape[0]
     if q == 0:
         return Algebra(f, f.zeros(0, 0, 0), f.zeros(0), [], _validate=False), QuotientProjection(proj, sect, rows)
     prods = f.normalize(np.einsum("ia,jb,ijk->abk", sect, sect, a.mult))
@@ -516,7 +506,7 @@ def quotient_by_idempotent_ideal(a: Algebra, e: Idempotent) -> tuple[Algebra, Qu
             idems_q.append(v)
     labels = None
     if a.labels is not None:
-        labels = [a.labels[fc] for fc in free]
+        labels = [a.labels[fc] for fc in unit_rows(sect)]
     alg = Algebra(f, cq, unit_q, idems_q, labels=labels)
     return alg, QuotientProjection(proj, sect, rows)
 
@@ -533,7 +523,7 @@ def _block_matrix_algebra(base: Algebra, entry_bases, labels_prefix="E") -> Alge
     """
     f = base.field
     n = len(entry_bases)
-    blocks = []  # (i, j, basis, extract)
+    blocks = []  # (i, j, basis)
     offsets = {}
     dim = 0
     for i in range(n):
@@ -541,13 +531,16 @@ def _block_matrix_algebra(base: Algebra, entry_bases, labels_prefix="E") -> Alge
             b = entry_bases[i][j]
             k = b.shape[1]
             if k:
+                r = rank(b, f)
+                if r < k:
+                    raise AlgebraError(f"entry ({i + 1},{j + 1}) basis is rank-deficient: {k} vectors of rank {r}")
                 offsets[(i, j)] = dim
-                blocks.append((i, j, b, left_inverse(b, f) if k else None))
+                blocks.append((i, j, b))
                 dim += k
     c = f.zeros(dim, dim, dim)
-    for (i, j, bij, _) in blocks:
+    for (i, j, bij) in blocks:
         o1 = offsets[(i, j)]
-        for (k, l, bkl, _) in blocks:
+        for (k, l, bkl) in blocks:
             if j != k:
                 continue
             o2 = offsets[(k, l)]
@@ -559,7 +552,7 @@ def _block_matrix_algebra(base: Algebra, entry_bases, labels_prefix="E") -> Alge
                             raise AlgebraError(f"block product ({i},{j})*({k},{l}) leaves the entry pattern")
                 continue
             o3 = offsets[(i, l)]
-            bil, ext = next((b, x) for (p, q, b, x) in blocks if (p, q) == (i, l))
+            bil = next(b for (p, q, b) in blocks if (p, q) == (i, l))
             for s in range(bij.shape[1]):
                 for t in range(bkl.shape[1]):
                     prod = base.multiply(bij[:, s], bkl[:, t])
@@ -583,7 +576,7 @@ def _block_matrix_algebra(base: Algebra, entry_bases, labels_prefix="E") -> Alge
             idems.append(v)
     unit = f.normalize(unit)
     labels = []
-    for (i, j, b, _) in blocks:
+    for (i, j, b) in blocks:
         for t in range(b.shape[1]):
             labels.append(f"{labels_prefix}[{i + 1},{j + 1}]:{t}")
     return Algebra(f, c, unit, idems, labels=labels)

@@ -20,7 +20,7 @@ from .modules import (
     Module,
     dual,
     hom_into_regular,
-    hom_space,
+    is_isomorphic,
     minimal_resolution,
     projective_cover,
     projective_indecomposables,
@@ -105,13 +105,8 @@ def ext_dims(m: Module, n: Module, top: int) -> list[int]:
     res = minimal_resolution(m, top + 1)
     terms = res.terms
     bases = [HomBasis.of(p, n) for p in terms]
-    deltas = []  # delta[j]: Hom(P_{j-1}, n) -> Hom(P_j, n), j >= 1
-    for j in range(1, len(terms)):
-        d = res.differentials[j]
-        mat = f.zeros(len(bases[j].maps), len(bases[j - 1].maps))
-        for s, mp in enumerate(bases[j - 1].maps):
-            mat[:, s] = bases[j].coords(f.matmul(mp.matrix, d.matrix), f)
-        deltas.append(mat)
+    # delta[j]: Hom(P_{j-1}, n) -> Hom(P_j, n), j >= 1
+    deltas = [bases[j - 1].induced(bases[j], f, pre=res.differentials[j].matrix) for j in range(1, len(terms))]
     out = []
     for i in range(top + 1):
         if i >= len(terms):
@@ -179,10 +174,7 @@ def is_stratifying(rec: RecollementData, cutoff: int = 8) -> dict:
     f = rec.field
     tens, td = tensor_over(rec.lambda_e, rec.e_lambda)
     # multiplication map on pure tensors, then through the quotient section
-    from .linalg import column_space_basis
-
-    bl = column_space_basis(rec.lam.right_mult_matrix(rec.e.element), f)
-    be = column_space_basis(rec.lam.left_mult_matrix(rec.e.element), f)
+    bl, be = rec.lambda_e_basis, rec.e_lambda_basis
     raw = f.zeros(rec.lam.dim, td.m_dim * td.n_dim)
     for s in range(td.m_dim):
         acting = rec.lam.left_mult_matrix(bl[:, s])
@@ -348,13 +340,8 @@ def stable_hom_dim(m: Module, n: Module) -> int:
     if not hb.maps:
         return 0
     cover, surj = projective_cover(n)
-    hcov = hom_space(m, cover)
-    if not hcov:
-        return len(hb.maps)
-    comp = f.zeros(len(hb.maps), len(hcov))
-    for s, mp in enumerate(hcov):
-        comp[:, s] = hb.coords(f.matmul(surj.matrix, mp.matrix), f)
-    return len(hb.maps) - rref(comp, f).rank
+    hcov = HomBasis.of(m, cover)
+    return len(hb.maps) - rref(hcov.induced(hb, f, post=surj.matrix), f).rank
 
 
 # -- Theorem-style harnesses ---------------------------------------------------------
@@ -496,8 +483,6 @@ def preservation_harness(
         r1 = HomFunctor(m1)
         for m in gi_gam_samples:
             back = r1.apply(fr.apply(m).module).module
-            from .modules import is_isomorphic
-
             if not is_isomorphic(m, back, seed=seed).is_yes:
                 failures.append({"input_dim": m.dim, "output_dim": back.dim, "property": "r1 r iso"})
         return failures

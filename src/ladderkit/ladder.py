@@ -29,6 +29,7 @@ from .modules import (
     hom_module,
     is_projective,
     projective_cover,
+    random_short_exact_sequence,
     regular_bimodule,
     submodule,
 )
@@ -254,14 +255,8 @@ def _hom_functor_exact_on(m: Module, sequences) -> Optional[dict]:
         ha = HomBasis.of(m, incl.source)
         hb = HomBasis.of(m, incl.target)
         hc = HomBasis.of(m, proj.target)
-        mat_i = f.zeros(len(hb.maps), len(ha.maps))
-        for s, mp in enumerate(ha.maps):
-            mat_i[:, s] = hb.coords(f.matmul(incl.matrix, mp.matrix), f)
-        mat_p = f.zeros(len(hc.maps), len(hb.maps))
-        for s, mp in enumerate(hb.maps):
-            mat_p[:, s] = hc.coords(f.matmul(proj.matrix, mp.matrix), f)
-        rank_i = rref(mat_i, f).rank
-        rank_p = rref(mat_p, f).rank
+        rank_i = rref(ha.induced(hb, f, post=incl.matrix), f).rank
+        rank_p = rref(hb.induced(hc, f, post=proj.matrix), f).rank
         ker_p = len(hb.maps) - rank_p
         ok = rank_i == len(ha.maps) and rank_p == len(hc.maps) and ker_p == rank_i
         if not ok:
@@ -274,8 +269,6 @@ def height_cross_check(rec: RecollementData, report: LadderReport, samples: int 
     short exact sequences.  Probes each rung's tested one-sided module on its
     own cover sequence (which detects non-projectivity for certain) plus
     random sequences.  PASS iff every probe agrees with the stored verdict."""
-    from .modules import random_short_exact_sequence
-
     rng = np.random.default_rng(seed)
     f = rec.field
     results = []

@@ -15,15 +15,14 @@ import numpy as np
 
 __all__ = [
     "Field",
-    "Mat",
     "RrefResult",
     "rref",
     "rank",
     "kernel_basis",
+    "unit_rows",
+    "quotient_coordinates",
     "solve",
     "solve_matrix",
-    "left_inverse",
-    "kron",
     "DimensionMismatch",
 ]
 
@@ -131,41 +130,6 @@ class Field:
 
 
 @dataclass(frozen=True)
-class Mat:
-    """Dense matrix over a fixed field; immutable after construction."""
-
-    array: np.ndarray
-    field: Field
-
-    def __post_init__(self):
-        if self.array.ndim != 2:
-            raise DimensionMismatch("Mat requires a 2-d array")
-        self.array.setflags(write=False)
-
-    @classmethod
-    def from_rows(cls, rows, field: Field) -> "Mat":
-        return cls(field.asarray(rows).reshape(len(rows), -1 if rows else 0), field)
-
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        if self.field != other.field:
-            raise DimensionMismatch("field mismatch")
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"cannot multiply {self.array.shape} by {other.array.shape}")
-        return Mat(self.field.matmul(self.array, other.array), self.field)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Mat) and self.field == other.field and self.field.equal(self.array, other.array)
-
-
-@dataclass(frozen=True)
 class RrefResult:
     matrix: np.ndarray
     pivots: tuple
@@ -211,17 +175,44 @@ def kernel_basis(a: np.ndarray, field: Field) -> np.ndarray:
     """Basis of the right null space, returned as columns of a (cols x k) array.
 
     k = cols - rank; the basis is the standard one read off the rref
-    (free coordinate set to 1, pivot coordinates solved).
+    (free coordinate set to 1, pivot coordinates solved), so it is the
+    identity on its free rows.
     """
-    r = rref(a, field)
-    ncols = a.shape[1]
+    return _null_space(rref(a, field), a.shape[1], field)[0]
+
+
+def _null_space(r: RrefResult, ncols: int, field: Field) -> tuple[np.ndarray, list]:
     free = [c for c in range(ncols) if c not in r.pivots]
     basis = field.zeros(ncols, len(free))
-    for j, fc in enumerate(free):
-        basis[fc, j] = field.one
-        for i, pc in enumerate(r.pivots):
-            basis[pc, j] = field.normalize(-r.matrix[i, fc])
-    return basis
+    basis[free, np.arange(len(free))] = field.one
+    basis[list(r.pivots)] = field.normalize(-r.matrix[: r.rank, free])
+    return basis, free
+
+
+def unit_rows(basis: np.ndarray) -> np.ndarray:
+    """Row indices R with basis[R] = I: the coordinates of any vector v in the
+    column span are v[R], so eye[R] is a left inverse.
+
+    Every basis the engine builds is reduced: column_space_basis is the
+    identity on its pivot rows, kernel_basis on its free rows, and so are
+    intersect_kernels and transposed rref rows.  Raises DimensionMismatch
+    when some column is the unit vector on no row.
+    """
+    unit = (basis == 1) & (np.count_nonzero(basis, axis=1) == 1)[:, None]
+    missing = np.flatnonzero(~unit.any(axis=0))
+    if missing.size:
+        raise DimensionMismatch(f"basis is not reduced: column {missing[0]} is a unit vector on no row")
+    return unit.argmax(axis=0) if unit.size else np.zeros(0, dtype=np.int64)
+
+
+def quotient_coordinates(rows: np.ndarray, field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Projection (q x n) onto the quotient of k^n by the span of rows, and
+    its section (n x q), both in the coordinates that are not pivots of
+    rref(rows): the projection is kernel_basis(rows).T and the section the
+    coordinate inclusion, so projection @ section = I."""
+    n = rows.shape[1]
+    basis, free = _null_space(rref(rows, field), n, field)
+    return basis.T, field.eye(n)[:, free]
 
 
 def solve(a: np.ndarray, b: np.ndarray, field: Field) -> Optional[np.ndarray]:
@@ -246,21 +237,6 @@ def solve_matrix(a: np.ndarray, b: np.ndarray, field: Field) -> Optional[np.ndar
     for i, pc in enumerate(r.pivots):
         x[pc] = r.matrix[i, ncols:]
     return x
-
-
-def left_inverse(a: np.ndarray, field: Field) -> np.ndarray:
-    """X with X @ a = I for a matrix of full column rank."""
-    nrows, ncols = a.shape
-    aug = np.concatenate([field.normalize(np.array(a, copy=True)), field.eye(nrows)], axis=1)
-    r = rref(aug, field)
-    if len([p for p in r.pivots if p < ncols]) != ncols:
-        raise DimensionMismatch("matrix does not have full column rank")
-    return r.matrix[:ncols, ncols:]
-
-
-def kron(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
-    """Kronecker product in the fixed lexicographic ordering (left index major)."""
-    return field.normalize(np.kron(a, b))
 
 
 def column_space_basis(a: np.ndarray, field: Field) -> np.ndarray:

@@ -23,9 +23,10 @@ from .linalg import (
     Field,
     column_space_basis,
     kernel_basis,
-    left_inverse,
+    quotient_coordinates,
     rref,
     solve,
+    unit_rows,
 )
 
 __all__ = [
@@ -56,6 +57,7 @@ __all__ = [
     "tensor_over",
     "TensorData",
     "hom_module",
+    "hom_profile",
     "is_isomorphic",
     "bimodules_isomorphic",
     "IsoResult",
@@ -290,41 +292,23 @@ def module_span_rows(m: Module, vectors: np.ndarray) -> np.ndarray:
 
 
 def submodule(m: Module, incl_cols: np.ndarray) -> tuple[Module, ModuleMap]:
-    """Module structure on an invariant subspace given by full-column-rank columns."""
+    """Module structure on an invariant subspace given by reduced columns.
+
+    The columns must be the identity on some rows (linalg.unit_rows), as every
+    basis from column_space_basis, kernel_basis or transposed rref rows is;
+    coordinates are then read off those rows.  Raises DimensionMismatch for a
+    basis that is not reduced and AlgebraError for one that is not invariant.
+    """
     f = m.field
-    s = incl_cols.shape[1]
-    if s == 0:
+    if incl_cols.shape[1] == 0:
         sub = zero_module(m.algebra)
         return sub, ModuleMap(sub, m, f.zeros(m.dim, 0), _validate=False)
-    x = left_inverse(incl_cols, f)
-    act = f.zeros(m.algebra.dim, s, s)
-    for i in range(m.algebra.dim):
-        moved = f.matmul(m.action[i], incl_cols)
-        act[i] = f.matmul(x, moved)
-        if not f.equal(f.matmul(incl_cols, act[i]), moved):
-            raise AlgebraError("subspace is not invariant under the action")
+    moved = f.matmul(m.action, incl_cols)
+    act = moved[:, unit_rows(incl_cols)]
+    if not f.equal(f.matmul(incl_cols, act), moved):
+        raise AlgebraError("subspace is not invariant under the action")
     sub = Module(m.algebra, act, _validate=False)
     return sub, ModuleMap(sub, m, incl_cols, _validate=False)
-
-
-def _complement_projection(f: Field, sub_rows: np.ndarray, dim: int):
-    """Projection/section onto the non-pivot complement of a row span."""
-    if sub_rows.size:
-        r = rref(sub_rows, f)
-        rows, piv = r.matrix[: r.rank], r.pivots
-    else:
-        rows, piv = f.zeros(0, dim), ()
-    free = [c for c in range(dim) if c not in piv]
-    q = len(free)
-    proj = f.zeros(q, dim)
-    for t, fc in enumerate(free):
-        proj[t, fc] = f.one
-        for i, pc in enumerate(piv):
-            proj[t, pc] = f.normalize(-rows[i, fc])
-    sect = f.zeros(dim, q)
-    for t, fc in enumerate(free):
-        sect[fc, t] = f.one
-    return proj, sect
 
 
 def quotient_module(m: Module, sub_rows: np.ndarray) -> tuple[Module, ModuleMap]:
@@ -332,7 +316,7 @@ def quotient_module(m: Module, sub_rows: np.ndarray) -> tuple[Module, ModuleMap]
     complement basis = non-pivot coordinates of the rref.  The returned
     projection map carries its coordinate section as .section."""
     f = m.field
-    proj, sect = _complement_projection(f, sub_rows, m.dim)
+    proj, sect = quotient_coordinates(sub_rows, f)
     q = proj.shape[0]
     act = f.zeros(m.algebra.dim, q, q)
     for i in range(m.algebra.dim):
@@ -403,6 +387,19 @@ class HomBasis:
 
     def coords(self, mat: np.ndarray, f: Field) -> np.ndarray:
         return f.normalize(mat.reshape(-1)[self.positions])
+
+    def induced(self, target: "HomBasis", f: Field, pre: Optional[np.ndarray] = None, post: Optional[np.ndarray] = None) -> np.ndarray:
+        """Matrix of g |-> post.g.pre from this basis's span into target's,
+        in both bases' coordinates: column s holds target's coordinates of
+        post.maps[s].pre."""
+        if not self.maps:
+            return f.zeros(len(target.maps), 0)
+        g = np.stack([mp.matrix for mp in self.maps])
+        if pre is not None:
+            g = f.matmul(g, pre)
+        if post is not None:
+            g = f.matmul(post, g)
+        return g.reshape(len(self.maps), -1)[:, target.positions].T
 
 
 # -- radical, covers, projectivity --------------------------------------------
@@ -605,9 +602,7 @@ def hom_into_regular(m: Module) -> Module:
     h = len(hb.maps)
     act = f.zeros(a.dim, h, h)
     for j in range(a.dim):
-        r = a.right_mult[j]
-        for s, mp in enumerate(hb.maps):
-            act[j, :, s] = hb.coords(f.matmul(r, mp.matrix), f)
+        act[j] = hb.induced(hb, f, post=a.right_mult[j])
     return Module(opposite(a), act)
 
 
@@ -645,7 +640,7 @@ def _balanced_tensor(f: Field, b: Algebra, right_action, left_action) -> TensorD
         # columns of the relation block are indexed by pure tensors (s, t)
         rels.append(f.normalize(np.kron(rm, eye_n) - np.kron(eye_m, ln)).T)
     relmat = np.concatenate(rels, axis=0) if rels else f.zeros(0, m * n)
-    proj, sect = _complement_projection(f, relmat, m * n)
+    proj, sect = quotient_coordinates(relmat, f)
     return TensorData(proj, sect, m, n)
 
 
@@ -733,26 +728,14 @@ def hom_module(m_bimod: Bimodule, n) -> tuple:
     hb = HomBasis.of(m_left, n_left)
     h = len(hb.maps)
     b = m_bimod.right
-
-    def act_of(pre: Optional[np.ndarray], post: Optional[np.ndarray]) -> np.ndarray:
-        out = f.zeros(h, h)
-        for s, mp in enumerate(hb.maps):
-            g = mp.matrix
-            if pre is not None:
-                g = f.matmul(g, pre)
-            if post is not None:
-                g = f.matmul(post, g)
-            out[:, s] = hb.coords(g, f)
-        return out
-
     b_act = f.zeros(b.dim, h, h)
     for j in range(b.dim):
-        b_act[j] = act_of(m_bimod.right_action[j], None)
+        b_act[j] = hb.induced(hb, f, pre=m_bimod.right_action[j])
     if isinstance(n, Bimodule):
         c = n.right
         c_act = f.zeros(c.dim, h, h)
         for l in range(c.dim):
-            c_act[l] = act_of(None, n.right_action[l])
+            c_act[l] = hb.induced(hb, f, post=n.right_action[l])
         return Bimodule(b, c, b_act, c_act), hb
     return Module(b, b_act), hb
 
@@ -772,7 +755,10 @@ class IsoResult:
         return self.kind == "yes"
 
 
-def _hom_profile(m: Module) -> tuple:
+def hom_profile(m: Module) -> tuple:
+    """Isomorphism invariants of m: its dimension, the ranks of the
+    distinguished idempotents on it, and dim Hom to and from each simple
+    (empty when the simples are out of reach of the field)."""
     f = m.field
     idem_dims = tuple(rref(m.act_vector(e), f).rank for e in m.algebra.prim_idempotents)
     try:
@@ -797,7 +783,7 @@ def is_isomorphic(m: Module, n: Module, trials: int = 64, seed: int = 0) -> IsoR
         return IsoResult("no", certificate=f"dim {m.dim} != {n.dim}")
     if m.dim == 0:
         return IsoResult("yes", witness=ModuleMap(m, n, f.zeros(0, 0), _validate=False))
-    pm, pn = _hom_profile(m), _hom_profile(n)
+    pm, pn = hom_profile(m), hom_profile(n)
     if pm != pn:
         return IsoResult("no", certificate=f"hom profile {pm} != {pn}")
     basis = hom_space(m, n)

@@ -28,7 +28,7 @@ from .algebra import (
     enveloping,
     quotient_by_idempotent_ideal,
 )
-from .linalg import Field, column_space_basis, intersect_kernels, kernel_basis, left_inverse, rref, solve
+from .linalg import Field, column_space_basis, intersect_kernels, kernel_basis, rref, solve, unit_rows
 from .modules import (
     Bimodule,
     HomBasis,
@@ -68,7 +68,8 @@ __all__ = [
 
 @dataclass
 class RecollementData:
-    """The idempotent, corner and quotient algebras, and the two carriers."""
+    """The idempotent, corner and quotient algebras, and the two carriers
+    with their bases inside L."""
 
     lam: Algebra
     e: Idempotent
@@ -78,6 +79,8 @@ class RecollementData:
     quotient_projection: QuotientProjection
     e_lambda: Bimodule  # eL as a (G, L)-bimodule
     lambda_e: Bimodule  # Le as an (L, G)-bimodule
+    e_lambda_basis: np.ndarray  # (dim L, dim eL) column basis of eL
+    lambda_e_basis: np.ndarray  # (dim L, dim Le) column basis of Le
     env_gl: Algebra  # G (x) L^op, shared by all (G, L) rungs
     env_lg: Algebra  # L (x) G^op
 
@@ -119,26 +122,17 @@ def build_recollement(lam: Algebra, e: Idempotent) -> RecollementData:
     gamma, emb = corner(lam, e)
     sigma, qproj = quotient_by_idempotent_ideal(lam, e)
 
+    # the actions of gamma, seen inside L, on either side
+    g_left = f.normalize(np.einsum("it,iab->tab", emb.matrix, lam.left_mult))
+    g_right = f.normalize(np.einsum("it,iab->tab", emb.matrix, lam.right_mult))
+
     be = column_space_basis(lam.left_mult_matrix(e.element), f)  # basis of eL
-    xe = left_inverse(be, f)
-    g_dim = gamma.dim
-    left_g = f.zeros(g_dim, be.shape[1], be.shape[1])
-    for t in range(g_dim):
-        left_g[t] = f.matmul(xe, f.matmul(lam.left_mult_matrix(emb.matrix[:, t]), be))
-    right_l = f.zeros(lam.dim, be.shape[1], be.shape[1])
-    for j in range(lam.dim):
-        right_l[j] = f.matmul(xe, f.matmul(lam.right_mult[j], be))
-    e_lambda = Bimodule(gamma, lam, left_g, right_l)
+    rows_e = unit_rows(be)
+    e_lambda = Bimodule(gamma, lam, f.matmul(g_left, be)[:, rows_e], f.matmul(lam.right_mult, be)[:, rows_e])
 
     bl = column_space_basis(lam.right_mult_matrix(e.element), f)  # basis of Le
-    xl = left_inverse(bl, f)
-    left_l = f.zeros(lam.dim, bl.shape[1], bl.shape[1])
-    for i in range(lam.dim):
-        left_l[i] = f.matmul(xl, f.matmul(lam.left_mult[i], bl))
-    right_g = f.zeros(g_dim, bl.shape[1], bl.shape[1])
-    for t in range(g_dim):
-        right_g[t] = f.matmul(xl, f.matmul(lam.right_mult_matrix(emb.matrix[:, t]), bl))
-    lambda_e = Bimodule(lam, gamma, left_l, right_g)
+    rows_l = unit_rows(bl)
+    lambda_e = Bimodule(lam, gamma, f.matmul(lam.left_mult, bl)[:, rows_l], f.matmul(g_right, bl)[:, rows_l])
 
     return RecollementData(
         lam=lam,
@@ -149,6 +143,8 @@ def build_recollement(lam: Algebra, e: Idempotent) -> RecollementData:
         quotient_projection=qproj,
         e_lambda=e_lambda,
         lambda_e=lambda_e,
+        e_lambda_basis=be,
+        lambda_e_basis=bl,
         env_gl=enveloping(gamma, lam),
         env_lg=enveloping(lam, gamma),
     )
@@ -199,17 +195,14 @@ class HomFunctor:
         return FunctorValue(out, hb)
 
     def on_map(self, f: ModuleMap, va: FunctorValue, vb: FunctorValue) -> ModuleMap:
-        fld = f.source.field
         hb_a: HomBasis = va.data
-        hb_b: HomBasis = vb.data
-        mat = fld.zeros(vb.module.dim, va.module.dim)
-        for s, mp in enumerate(hb_a.maps):
-            mat[:, s] = hb_b.coords(fld.matmul(f.matrix, mp.matrix), fld)
+        mat = hb_a.induced(vb.data, f.source.field, post=f.matrix)
         return ModuleMap(va.module, vb.module, mat, _validate=False)
 
 
 class CornerFunctor:
-    """M |-> eM with its eLe-module structure."""
+    """M |-> eM with its eLe-module structure; the value's data is the basis
+    of eM inside M and the rows that give coordinates on it."""
 
     def __init__(self, rec: RecollementData):
         self.rec = rec
@@ -219,18 +212,17 @@ class CornerFunctor:
     def apply(self, m: Module) -> FunctorValue:
         f = m.field
         cols = column_space_basis(m.act_vector(self.rec.e.element), f)
-        x = left_inverse(cols, f) if cols.shape[1] else f.zeros(0, m.dim)
+        rows = unit_rows(cols)
         g = self.rec.gamma
         act = f.zeros(g.dim, cols.shape[1], cols.shape[1])
         for t in range(g.dim):
-            act[t] = f.matmul(x, f.matmul(m.act_vector(self.rec.corner_embedding.matrix[:, t]), cols))
-        return FunctorValue(Module(g, act), (cols, x))
+            act[t] = f.matmul(m.act_vector(self.rec.corner_embedding.matrix[:, t]), cols)[rows]
+        return FunctorValue(Module(g, act), (cols, rows))
 
     def on_map(self, f: ModuleMap, va: FunctorValue, vb: FunctorValue) -> ModuleMap:
-        fld = f.source.field
         cols_a, _ = va.data
-        _, x_b = vb.data
-        return ModuleMap(va.module, vb.module, fld.matmul(x_b, fld.matmul(f.matrix, cols_a)), _validate=False)
+        _, rows_b = vb.data
+        return ModuleMap(va.module, vb.module, f.source.field.matmul(f.matrix, cols_a)[rows_b], _validate=False)
 
 
 class InflationFunctor:
@@ -289,7 +281,7 @@ class TopQuotientFunctor:
 
 
 class SocleFunctor:
-    """p: M |-> {x : (LeL)x = 0}, a module over S."""
+    """p: M |-> {x : (LeL)x = 0}, a module over S; data as for CornerFunctor."""
 
     def __init__(self, rec: RecollementData):
         self.rec = rec
@@ -298,22 +290,18 @@ class SocleFunctor:
 
     def apply(self, m: Module) -> FunctorValue:
         f = m.field
-        rows = self.rec.ideal_rows
-        mats = [m.act_vector(rows[t]) for t in range(rows.shape[0])]
+        ideal = self.rec.ideal_rows
+        mats = [m.act_vector(ideal[t]) for t in range(ideal.shape[0])]
         cols = intersect_kernels(mats, m.dim, f) if mats else f.eye(m.dim)
-        x = left_inverse(cols, f) if cols.shape[1] else f.zeros(0, m.dim)
+        rows = unit_rows(cols)
         sig = self.rec.sigma
         sect = self.rec.quotient_projection.section
         act = f.zeros(sig.dim, cols.shape[1], cols.shape[1])
         for t in range(sig.dim):
-            act[t] = f.matmul(x, f.matmul(m.act_vector(sect[:, t]), cols))
-        return FunctorValue(Module(sig, act), (cols, x))
+            act[t] = f.matmul(m.act_vector(sect[:, t]), cols)[rows]
+        return FunctorValue(Module(sig, act), (cols, rows))
 
-    def on_map(self, f: ModuleMap, va: FunctorValue, vb: FunctorValue) -> ModuleMap:
-        fld = f.source.field
-        cols_a, _ = va.data
-        _, x_b = vb.data
-        return ModuleMap(va.module, vb.module, fld.matmul(x_b, fld.matmul(f.matrix, cols_a)), _validate=False)
+    on_map = CornerFunctor.on_map
 
 
 # -- units and counits -----------------------------------------------------------
@@ -329,7 +317,7 @@ def counit_mu(rec: RecollementData, m: Module) -> tuple[ModuleMap, FunctorValue,
     em = fe.apply(m)
     lem = fl.apply(em.module)
     cols_e, _ = em.data
-    bl, _ = _lambda_e_basis(rec)
+    bl = rec.lambda_e_basis
     td: TensorData = lem.data
     raw = f.zeros(m.dim, rec.lambda_e.dim * em.module.dim)
     for s in range(rec.lambda_e.dim):
@@ -347,15 +335,13 @@ def unit_nu(rec: RecollementData, m: Module) -> tuple[ModuleMap, FunctorValue, F
     fr = rec.functor_r()
     em = fe.apply(m)
     rem = fr.apply(em.module)
-    _, x_e = em.data
-    be, _ = _e_lambda_basis(rec)
+    _, rows_e = em.data
+    be = rec.e_lambda_basis
     hb: HomBasis = rem.data
+    acting = f.normalize(np.einsum("is,iab->sab", be, m.action))  # eL acting on M
     mat = f.zeros(rem.module.dim, m.dim)
     for bidx in range(m.dim):
-        fmat = f.zeros(em.module.dim, rec.e_lambda.dim)
-        for s in range(rec.e_lambda.dim):
-            fmat[:, s] = f.matmul(x_e, m.act_vector(be[:, s]))[:, bidx]
-        mat[:, bidx] = hb.coords(fmat, f)
+        mat[:, bidx] = hb.coords(acting[:, rows_e, bidx].T, f)
     return ModuleMap(m, rem.module, mat), em, rem
 
 
@@ -387,7 +373,7 @@ def unit_e_l(rec: RecollementData, n: Module) -> ModuleMap:
     ln = fl.apply(n)
     eln = fe.apply(ln.module)
     td: TensorData = ln.data
-    bl, _ = _lambda_e_basis(rec)
+    bl = rec.lambda_e_basis
     # e (x) x as a pure tensor: coordinates of e inside Le
     e_in_le = solve(bl, rec.e.element, f)
     raw = f.zeros(td.m_dim * td.n_dim, n.dim)
@@ -396,8 +382,8 @@ def unit_e_l(rec: RecollementData, n: Module) -> ModuleMap:
             continue
         raw[s * td.n_dim : (s + 1) * td.n_dim] = f.normalize(e_in_le[s] * f.eye(n.dim))
     in_ln = f.matmul(td.proj, raw)
-    cols_e, x_e = eln.data
-    return ModuleMap(n, eln.module, f.matmul(x_e, in_ln), _validate=False)
+    _, rows_e = eln.data
+    return ModuleMap(n, eln.module, in_ln[rows_e], _validate=False)
 
 
 def counit_e_r(rec: RecollementData, n: Module) -> ModuleMap:
@@ -408,25 +394,12 @@ def counit_e_r(rec: RecollementData, n: Module) -> ModuleMap:
     rn = fr.apply(n)
     ern = fe.apply(rn.module)
     hb: HomBasis = rn.data
-    be, _ = _e_lambda_basis(rec)
-    e_in_el = solve(be, rec.e.element, f)
+    e_in_el = solve(rec.e_lambda_basis, rec.e.element, f)
     eval_at_e = f.zeros(n.dim, rn.module.dim)
     for s, mp in enumerate(hb.maps):
         eval_at_e[:, s] = f.matmul(mp.matrix, e_in_el)
     cols, _ = ern.data
     return ModuleMap(ern.module, n, f.matmul(eval_at_e, cols), _validate=False)
-
-
-def _e_lambda_basis(rec: RecollementData):
-    f = rec.field
-    be = column_space_basis(rec.lam.left_mult_matrix(rec.e.element), f)
-    return be, left_inverse(be, f)
-
-
-def _lambda_e_basis(rec: RecollementData):
-    f = rec.field
-    bl = column_space_basis(rec.lam.right_mult_matrix(rec.e.element), f)
-    return bl, left_inverse(bl, f)
 
 
 # -- canonical exact sequences -----------------------------------------------------

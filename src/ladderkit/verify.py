@@ -24,7 +24,7 @@ from .homological import (
 )
 from .ladder import height_cross_check, ladder_report
 from .linalg import Field
-from .modules import _hom_profile, hom_space, random_module
+from .modules import hom_profile, hom_space, random_module
 from .recollement import (
     build_recollement,
     counit_e_r,
@@ -117,8 +117,8 @@ def _c2(ctx: _Ctx) -> dict:
         a = rep.r_rungs[rv.matched_rung].bimodule
         b = rep.r_rungs[rv.first_repeat_index].bimodule
         env = rec.env_gl if rv.matched_rung % 2 == 0 else rec.env_lg
-        pa = _hom_profile(a.env_module(env))
-        pb = _hom_profile(b.env_module(env))
+        pa = hom_profile(a.env_module(env))
+        pb = hom_profile(b.env_module(env))
         details["matched_rung_profiles_equal"] = pa == pb
         ok = ok and pa == pb
     return _crit(2, "two-vertex self-injective fixture: infinite ladders of period 3 within 12 rungs", ok, details)

@@ -4,6 +4,7 @@ criterion at its stated tolerance and prints one line per criterion.
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,10 @@ import pytest
 from ladderkit.cli import main
 
 CRITERIA_COUNT = 10
+
+# sha256 of the seed-0 `verify-paper --json` report.  Update it only in a change
+# that alters report bytes on purpose and says so in CHANGES.md.
+SEED0_REPORT_SHA256 = "d321fa738c43721e4cb276b432ad44033aab71ef219902e041addedc22d4e5b3"
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +111,7 @@ def test_criterion_10_determinism_from_cli(suite_files):
     code1, code2, first, second = suite_files
     assert code1 == code2 == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_seed0_report_bytes_unchanged(suite_files):
+    assert hashlib.sha256(suite_files[2].read_bytes()).hexdigest() == SEED0_REPORT_SHA256

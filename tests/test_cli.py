@@ -113,6 +113,15 @@ def test_json_algebra_spec_ideal_matrix(tmp_path, capsys):
     assert "Yes" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("ideal", [[[1], [1]], [[0]]], ids=["repeated", "zero"])
+def test_rank_deficient_ideal_spec_exits_2(tmp_path, capsys, ideal):
+    spec = {"kind": "ideal_matrix", "base": "ground", "ideal": ideal, "n": 2, "idempotent": "e2"}
+    path = tmp_path / "deficient.json"
+    path.write_text(json.dumps(spec))
+    assert main(["ladder", "--algebra", str(path)]) == 2
+    assert "entry (1,2) basis is rank-deficient" in capsys.readouterr().err
+
+
 def test_explicit_idempotent_vector(capsys):
     assert main(["ladder", "--algebra", "m2k", "--idempotent", "e1"]) == 0
     capsys.readouterr()

@@ -3,18 +3,20 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from ladderkit.algebra import preprojective_a2
 from ladderkit.linalg import (
     DimensionMismatch,
     Field,
-    Mat,
+    column_space_basis,
     intersect_kernels,
     kernel_basis,
-    kron,
-    left_inverse,
+    quotient_coordinates,
     rank,
     rref,
     solve,
+    unit_rows,
 )
+from ladderkit.modules import module_span_rows, random_module
 
 F101 = Field(101)
 F5 = Field(5)
@@ -109,22 +111,9 @@ def test_solve_dimension_mismatch():
 
 
 def test_kron_identities():
-    assert np.array_equal(kron(F101.eye(2), F101.eye(3), F101), F101.eye(6))
-    assert np.all(kron(F101.zeros(2, 2), F101.eye(2), F101) == 0)
-    assert np.array_equal(kron(Q.asarray([[2]]), Q.asarray([[3]]), Q), Q.asarray([[6]]))
-
-
-def test_kron_field_mismatch_guard():
-    a = Mat(F101.eye(2), F101)
-    b = Mat(F5.eye(2), F5)
-    with pytest.raises(DimensionMismatch):
-        a @ b
-
-
-def test_mat_matmul():
-    a = Mat(F5.asarray([[1, 2], [3, 4]]), F5)
-    b = Mat(F5.asarray([[0, 1], [1, 0]]), F5)
-    assert (a @ b) == Mat(F5.asarray([[2, 1], [4, 3]]), F5)
+    assert np.array_equal(F101.normalize(np.kron(F101.eye(2), F101.eye(3))), F101.eye(6))
+    assert np.all(F101.normalize(np.kron(F101.zeros(2, 2), F101.eye(2))) == 0)
+    assert np.array_equal(Q.normalize(np.kron(Q.asarray([[2]]), Q.asarray([[3]]))), Q.asarray([[6]]))
 
 
 def _random_matrix(data, field, rows, cols):
@@ -166,8 +155,8 @@ def test_kron_associative_up_to_reindexing(data):
     a = _random_matrix(data, F101, 2, 2)
     b = _random_matrix(data, F101, 3, 3)
     c = _random_matrix(data, F101, 2, 2)
-    left = kron(kron(a, b, F101), c, F101)
-    right = kron(a, kron(b, c, F101), F101)
+    left = F101.normalize(np.kron(np.kron(a, b), c))
+    right = F101.normalize(np.kron(a, np.kron(b, c)))
     # lexicographic ordering makes the reindexing bijection the identity
     assert np.array_equal(left, right)
 
@@ -179,15 +168,12 @@ def test_kron_acts_on_pure_tensors(data):
     b = _random_matrix(data, F101, 2, 3)
     x = _random_matrix(data, F101, 2, 1)
     y = _random_matrix(data, F101, 3, 1)
-    lhs = F101.matmul(kron(a, b, F101), F101.normalize(np.kron(x, y)))
+    lhs = F101.matmul(F101.normalize(np.kron(a, b)), F101.normalize(np.kron(x, y)))
     rhs = F101.normalize(np.kron(F101.matmul(a, x), F101.matmul(b, y)))
     assert np.array_equal(lhs, rhs)
 
 
-def test_left_inverse_and_kernel_intersection():
-    m = F101.asarray([[1, 0], [2, 1], [3, 4]])
-    x = left_inverse(m, F101)
-    assert np.array_equal(F101.matmul(x, m), F101.eye(2))
+def test_kernel_intersection():
     mats = [F101.asarray([[1, 1, 0]]), F101.asarray([[0, 1, 1]])]
     k = intersect_kernels(mats, 3, F101)
     assert k.shape[1] == 1
@@ -201,3 +187,89 @@ def test_rational_solve_exact():
     x = solve(m, b, Q)
     assert x is not None
     assert np.array_equal(Q.matmul(m, x.reshape(-1, 1))[:, 0], b)
+
+
+# -- coordinates on reduced bases -------------------------------------------------
+
+
+def _left_inverse_reference(a, field):
+    """X with X @ a = I for a matrix of full column rank, from the rref of
+    [a | I]: the engine's left inverse before coordinates were read off
+    reduced bases."""
+    nrows, ncols = a.shape
+    r = rref(np.concatenate([field.normalize(np.array(a, copy=True)), field.eye(nrows)], axis=1), field)
+    if len([p for p in r.pivots if p < ncols]) != ncols:
+        raise DimensionMismatch("matrix does not have full column rank")
+    return r.matrix[:ncols, ncols:]
+
+
+def _engine_bases(field, rng):
+    """Bases as the engine builds them: column spaces, kernels, kernel
+    intersections and transposed module spans, over random matrices."""
+    def rand(rows, cols):
+        # low-rank products make kernels and proper column spaces likely
+        k = int(rng.integers(1, 4))
+        return field.matmul(field.asarray(rng.integers(0, 7, size=(rows, k))), field.asarray(rng.integers(0, 7, size=(k, cols))))
+
+    out = []
+    for _ in range(6):
+        a = rand(int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        out += [column_space_basis(a, field), kernel_basis(a, field)]
+        n = int(rng.integers(2, 6))
+        out.append(intersect_kernels([rand(1, n), rand(2, n)], n, field))
+    alg = preprojective_a2(field)
+    for _ in range(4):
+        m = random_module(alg, rng, max_summands=2)
+        vecs = field.asarray(rng.integers(0, 7, size=(int(rng.integers(1, 3)), m.dim)))
+        out.append(module_span_rows(m, vecs).T)
+    return [b for b in out if b.shape[1]]
+
+
+@pytest.mark.parametrize("field", [F101, Q], ids=["F101", "Q"])
+def test_unit_rows_match_left_inverse_reference(field):
+    rng = np.random.default_rng(5)
+    bases = _engine_bases(field, rng)
+    assert len(bases) >= 15
+    for b in bases:
+        rows = unit_rows(b)
+        k = b.shape[1]
+        assert np.array_equal(b[rows], field.eye(k))
+        x = _left_inverse_reference(b, field)
+        coeff = field.asarray(rng.integers(0, 7, size=(k, 3)))
+        v = field.matmul(b, coeff)
+        assert np.array_equal(v[rows], coeff)
+        assert np.array_equal(field.matmul(x, v), coeff)
+
+
+def test_unit_rows_empty_shapes():
+    assert unit_rows(F101.zeros(0, 0)).shape == (0,)
+    assert unit_rows(F101.zeros(4, 0)).shape == (0,)
+    assert unit_rows(Q.zeros(3, 0)).shape == (0,)
+    with pytest.raises(DimensionMismatch):
+        unit_rows(F101.zeros(0, 2))
+
+
+def test_unit_rows_rejects_unreduced_basis():
+    b = F101.asarray([[1, 1], [1, 2], [0, 0]])  # full column rank, no unit rows
+    assert rank(b, F101) == 2
+    with pytest.raises(DimensionMismatch, match="not reduced"):
+        unit_rows(b)
+
+
+@pytest.mark.parametrize("field", [F101, Q], ids=["F101", "Q"])
+def test_quotient_coordinates(field):
+    rows = field.asarray([[1, 2, 0, 3], [2, 4, 1, 1]])
+    proj, sect = quotient_coordinates(rows, field)
+    assert proj.shape == (2, 4) and sect.shape == (4, 2)
+    assert np.array_equal(proj, kernel_basis(rows, field).T)
+    assert np.array_equal(field.matmul(proj, sect), field.eye(2))
+    assert field.is_zero(field.matmul(proj, rows.T))
+    assert np.array_equal(sect, field.eye(4)[:, [1, 3]])  # the non-pivot coordinates
+
+
+def test_quotient_coordinates_empty_shapes():
+    for n in (0, 3):
+        proj, sect = quotient_coordinates(F101.zeros(0, n), F101)
+        assert np.array_equal(proj, F101.eye(n)) and np.array_equal(sect, F101.eye(n))
+    proj, sect = quotient_coordinates(F101.eye(3), F101)
+    assert proj.shape == (0, 3) and sect.shape == (3, 0)

@@ -14,7 +14,7 @@ from ladderkit.algebra import (
 )
 from ladderkit.fixtures import load_fixture, parse_idempotent
 from ladderkit.ladder import l_tower, r_tower
-from ladderkit.linalg import Field, intersect_kernels, kernel_basis, rref
+from ladderkit.linalg import DimensionMismatch, Field, intersect_kernels, kernel_basis, rref, solve_matrix
 from ladderkit.modules import (
     Bimodule,
     HomBasis,
@@ -390,6 +390,42 @@ def test_module_span_and_quotient():
     assert quot.dim == 1
 
 
+def test_submodule_rejects_unreduced_basis():
+    # the whole of P1 is invariant, but this basis of it is the identity on no rows
+    p1 = projective_indecomposables(build_triangular(K, 2))[0]
+    basis = F.asarray([[1, 1], [1, 2]])
+    assert rref(basis, F).rank == p1.dim == 2
+    with pytest.raises(DimensionMismatch, match="not reduced"):
+        submodule(p1, basis)
+    sub, _ = submodule(p1, F.eye(2))
+    assert sub.dim == 2
+
+
+@pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
+def test_tensor_with_zero_module_has_empty_relations(field):
+    # m.n = 0 pure tensors: the balancing relation matrix is (0, 0)
+    t2 = build_triangular(ground_field_algebra(field), 2)
+    out, td = tensor_over(regular_bimodule(t2), zero_module(t2))
+    assert out.dim == 0
+    assert td.proj.shape == (0, 0) and td.sect.shape == (0, 0)
+
+
+def test_hom_basis_induced_matches_coordinate_loop():
+    pp = preprojective_a2(F)
+    rng = np.random.default_rng(11)
+    mods = [m for m in (random_module(pp, rng, max_summands=2) for _ in range(4)) if m.dim]
+    assert len(mods) >= 2
+    for m in mods:
+        for n in mods:
+            src, dst = HomBasis.of(m, n), HomBasis.of(m, n)
+            post = hom_space(n, n)[-1].matrix
+            pre = hom_space(m, m)[-1].matrix
+            want = F.zeros(len(dst.maps), len(src.maps))
+            for s, mp in enumerate(src.maps):
+                want[:, s] = dst.coords(F.matmul(post, F.matmul(mp.matrix, pre)), F)
+            assert np.array_equal(src.induced(dst, F, pre=pre, post=post), want)
+
+
 def test_hom_from_projective_counts_idempotent_part():
     # dim Hom(P_i, M) equals the rank of e_i acting on M
     pp = preprojective_a2(F)
@@ -457,8 +493,6 @@ def test_hom_space_matches_reference_over_enveloping_algebra():
 
 def test_hom_space_matches_reference_in_unadapted_bases():
     # conjugated actions make every e_i act by a non-diagonal projection
-    from ladderkit.linalg import left_inverse
-
     alg = preprojective_a2(F)
     rng = np.random.default_rng(17)
     mods = []
@@ -468,7 +502,7 @@ def test_hom_space_matches_reference_in_unadapted_bases():
             g = F.asarray(rng.integers(0, F.p, size=(m.dim, m.dim)))
             if rref(g, F).rank == m.dim:
                 break
-        ginv = left_inverse(g, F)
+        ginv = solve_matrix(g, F.eye(m.dim), F)
         act = F.normalize(np.einsum("ab,ibc,cd->iad", g, m.action, ginv))
         mods.append(Module(alg, act))
     idem_acts = [mod.act_vector(e) for mod in mods for e in alg.prim_idempotents]
