@@ -136,13 +136,73 @@ class RrefResult:
     rank: int
 
 
+# An F_p rref of at most this many cells (rows * cols) runs on Python row
+# lists, a larger one on numpy rows.  Most systems the engine solves have a few
+# dozen cells, where numpy's per-call overhead costs more than the arithmetic.
+# On the engine's sparse systems the two kernels break even near 2-3k cells,
+# but on a dense matrix numpy wins from a few hundred cells on; at this bound a
+# dense system is about 3x slower on the row lists.  Q always uses the row
+# lists: Fraction arithmetic gains nothing from object arrays.
+SMALL_RREF_CELLS = 1024
+
+
 def rref(a: np.ndarray, field: Field) -> RrefResult:
     """Reduced row echelon form by exact Gauss-Jordan elimination.
 
     Returns the reduced matrix, the pivot column indices and the rank.
     Row space is preserved; the result is unique, hence rref is idempotent.
     """
-    m = field.normalize(np.array(a, copy=True))
+    a = np.asarray(a)
+    if field.p is None or a.size <= SMALL_RREF_CELLS:
+        return _rref_rows(a, field)
+    return _rref_numpy(a, field)
+
+
+def _rref_rows(a: np.ndarray, field: Field) -> RrefResult:
+    """Gauss-Jordan on Python row lists: ints mod p, or Fractions over Q."""
+    p = field.p
+    rows = (a % p if p is not None else a).tolist()
+    nrows, ncols = a.shape
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        prow = rows[i]
+        rows[i] = rows[r]
+        inv = field.inv_scalar(prow[c])
+        # the pivot row is 0 left of c, so only the tail from c changes
+        if p is None:
+            tail = [x * inv for x in prow[c:]]
+        else:
+            tail = [x * inv % p for x in prow[c:]]
+        rows[r] = prow[:c] + tail
+        for i, row in enumerate(rows):
+            x = row[c]
+            if x and i != r:
+                if p is None:
+                    row[c:] = [y - x * t for y, t in zip(row[c:], tail)]
+                else:
+                    row[c:] = [(y - x * t) % p for y, t in zip(row[c:], tail)]
+        pivots.append(c)
+    if p is not None:
+        m = np.array(rows, dtype=np.int64).reshape(a.shape)
+    else:
+        m = np.empty(a.shape, dtype=object)
+        if m.size:
+            m[...] = rows
+    return RrefResult(m, tuple(pivots), len(pivots))
+
+
+def _rref_numpy(a: np.ndarray, field: Field) -> RrefResult:
+    """Gauss-Jordan over F_p with vectorised row updates, for large systems."""
+    p = field.p
+    m = np.asarray(a, dtype=np.int64) % p
     nrows, ncols = m.shape
     pivots = []
     r = 0
@@ -156,12 +216,12 @@ def rref(a: np.ndarray, field: Field) -> RrefResult:
         if i != r:
             m[[r, i]] = m[[i, r]]
         inv = field.inv_scalar(m[r, c])
-        m[r] = field.normalize(m[r] * inv)
+        m[r] = m[r] * inv % p
         col = np.array(m[:, c], copy=True)
         col[r] = 0
         mask = col != 0
         if np.any(mask):
-            m[mask] = field.normalize(m[mask] - np.outer(col[mask], m[r]))
+            m[mask] = (m[mask] - np.outer(col[mask], m[r])) % p
         pivots.append(c)
         r += 1
     return RrefResult(m, tuple(pivots), r)
@@ -181,8 +241,10 @@ def kernel_basis(a: np.ndarray, field: Field) -> np.ndarray:
     return _null_space(rref(a, field), a.shape[1], field)[0]
 
 
-def _null_space(r: RrefResult, ncols: int, field: Field) -> tuple[np.ndarray, list]:
-    free = [c for c in range(ncols) if c not in r.pivots]
+def _null_space(r: RrefResult, ncols: int, field: Field) -> tuple[np.ndarray, np.ndarray]:
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[list(r.pivots)] = False
+    free = np.flatnonzero(is_free)
     basis = field.zeros(ncols, len(free))
     basis[free, np.arange(len(free))] = field.one
     basis[list(r.pivots)] = field.normalize(-r.matrix[: r.rank, free])
@@ -229,13 +291,11 @@ def solve_matrix(a: np.ndarray, b: np.ndarray, field: Field) -> Optional[np.ndar
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch("row counts differ")
     ncols = a.shape[1]
-    aug = np.concatenate([field.normalize(np.array(a, copy=True)), field.normalize(np.array(b, copy=True))], axis=1)
-    r = rref(aug, field)
-    if any(p >= ncols for p in r.pivots):
+    r = rref(np.concatenate([a, b], axis=1), field)
+    if r.pivots and r.pivots[-1] >= ncols:
         return None
     x = field.zeros(ncols, b.shape[1])
-    for i, pc in enumerate(r.pivots):
-        x[pc] = r.matrix[i, ncols:]
+    x[list(r.pivots)] = r.matrix[: r.rank, ncols:]
     return x
 
 

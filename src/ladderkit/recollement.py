@@ -28,7 +28,7 @@ from .algebra import (
     enveloping,
     quotient_by_idempotent_ideal,
 )
-from .linalg import Field, column_space_basis, intersect_kernels, kernel_basis, rref, solve, unit_rows
+from .linalg import Field, column_space_basis, intersect_kernels, kernel_basis, rref, unit_rows
 from .modules import (
     Bimodule,
     HomBasis,
@@ -81,6 +81,8 @@ class RecollementData:
     lambda_e: Bimodule  # Le as an (L, G)-bimodule
     e_lambda_basis: np.ndarray  # (dim L, dim eL) column basis of eL
     lambda_e_basis: np.ndarray  # (dim L, dim Le) column basis of Le
+    e_in_e_lambda: np.ndarray  # coordinates of e in e_lambda_basis
+    e_in_lambda_e: np.ndarray  # coordinates of e in lambda_e_basis
     env_gl: Algebra  # G (x) L^op, shared by all (G, L) rungs
     env_lg: Algebra  # L (x) G^op
 
@@ -145,6 +147,8 @@ def build_recollement(lam: Algebra, e: Idempotent) -> RecollementData:
         lambda_e=lambda_e,
         e_lambda_basis=be,
         lambda_e_basis=bl,
+        e_in_e_lambda=e.element[rows_e],
+        e_in_lambda_e=e.element[rows_l],
         env_gl=enveloping(gamma, lam),
         env_lg=enveloping(lam, gamma),
     )
@@ -373,9 +377,8 @@ def unit_e_l(rec: RecollementData, n: Module) -> ModuleMap:
     ln = fl.apply(n)
     eln = fe.apply(ln.module)
     td: TensorData = ln.data
-    bl = rec.lambda_e_basis
-    # e (x) x as a pure tensor: coordinates of e inside Le
-    e_in_le = solve(bl, rec.e.element, f)
+    # e (x) x as a pure tensor
+    e_in_le = rec.e_in_lambda_e
     raw = f.zeros(td.m_dim * td.n_dim, n.dim)
     for s in range(td.m_dim):
         if e_in_le[s] == 0:
@@ -394,7 +397,7 @@ def counit_e_r(rec: RecollementData, n: Module) -> ModuleMap:
     rn = fr.apply(n)
     ern = fe.apply(rn.module)
     hb: HomBasis = rn.data
-    e_in_el = solve(rec.e_lambda_basis, rec.e.element, f)
+    e_in_el = rec.e_in_e_lambda
     eval_at_e = f.zeros(n.dim, rn.module.dim)
     for s, mp in enumerate(hb.maps):
         eval_at_e[:, s] = f.matmul(mp.matrix, e_in_el)

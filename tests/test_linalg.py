@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
+from sympy import GF, QQ
+from sympy.polys.matrices import DomainMatrix
 
 from ladderkit.algebra import preprojective_a2
 from ladderkit.linalg import (
+    SMALL_RREF_CELLS,
     DimensionMismatch,
     Field,
+    _rref_numpy,
+    _rref_rows,
     column_space_basis,
     intersect_kernels,
     kernel_basis,
@@ -14,6 +19,7 @@ from ladderkit.linalg import (
     rank,
     rref,
     solve,
+    solve_matrix,
     unit_rows,
 )
 from ladderkit.modules import module_span_rows, random_module
@@ -273,3 +279,116 @@ def test_quotient_coordinates_empty_shapes():
         assert np.array_equal(proj, F101.eye(n)) and np.array_equal(sect, F101.eye(n))
     proj, sect = quotient_coordinates(F101.eye(3), F101)
     assert proj.shape == (0, 3) and sect.shape == (3, 0)
+
+
+# -- differential tests against sympy's DomainMatrix ------------------------------
+
+# just below, at and just above the bound between the two rref kernels
+DIFF_SHAPES = [(0, 0), (0, 5), (5, 0), (3, 4), (31, 33), (32, 32), (25, 41), (41, 25)]
+F32749 = Field(32749)  # the largest accepted prime
+
+
+def test_diff_shapes_straddle_kernel_bound():
+    sides = {np.sign(r * c - SMALL_RREF_CELLS) for r, c in DIFF_SHAPES}
+    assert sides == {-1, 0, 1}
+
+
+def _diff_matrices(field, rng):
+    """Dense, sparse, rank-deficient and zero matrices of every DIFF_SHAPES
+    shape; over F_32749 the dense entries lie near p - 1."""
+    def entries(shape):
+        if field.p is None:
+            nums = rng.integers(-9, 10, size=shape).tolist()
+            dens = rng.integers(1, 4, size=shape).tolist()
+            return Q.asarray([[Fraction(n, d) for n, d in zip(nr, dr)] for nr, dr in zip(nums, dens)]).reshape(shape)
+        lo = field.p - 8 if field.p > 1000 else 0
+        return field.asarray(rng.integers(lo, field.p, size=shape))
+
+    out = []
+    for rows, cols in DIFF_SHAPES:
+        k = max(1, min(rows, cols) // 3)
+        low_rank = field.matmul(entries((rows, k)), entries((k, cols)))
+        sparse = field.asarray(entries((rows, cols)) * (rng.random((rows, cols)) < 0.08))
+        out += [entries((rows, cols)), sparse, low_rank, field.zeros(rows, cols)]
+    return out
+
+
+def _to_domain_matrix(a, field):
+    dom = QQ if field.p is None else GF(field.p)
+    conv = (lambda x: QQ(x.numerator, x.denominator)) if field.p is None else (lambda x: dom(int(x)))
+    return DomainMatrix([[conv(x) for x in row] for row in a.tolist()], a.shape, dom)
+
+
+def _from_domain_rows(rows, ncols, field):
+    """numpy array in the engine's form from a list of sympy rows; GF(p)
+    elements are symmetric residues."""
+    if field.p is None:
+        conv = lambda x: Fraction(int(x.numerator), int(x.denominator))
+    else:
+        conv = lambda x: int(x) % field.p
+    return field.asarray([[conv(x) for x in row] for row in rows]).reshape(len(rows), ncols)
+
+
+def _assert_same_rref(got, want_matrix, want_pivots, field):
+    assert got.pivots == want_pivots
+    assert got.rank == len(want_pivots)
+    assert got.matrix.dtype == want_matrix.dtype
+    assert got.matrix.shape == want_matrix.shape
+    assert np.array_equal(got.matrix, want_matrix)
+    if field.p is None:
+        assert all(isinstance(x, Fraction) for x in got.matrix.flat)
+
+
+FIELDS_DIFF = pytest.mark.parametrize("field", [F101, F32749, Q], ids=["F101", "F32749", "Q"])
+
+
+@FIELDS_DIFF
+def test_rref_matches_sympy(field):
+    rng = np.random.default_rng(11)
+    for a in _diff_matrices(field, rng):
+        ref, pivots = _to_domain_matrix(a, field).rref()
+        want = _from_domain_rows(ref.to_list(), a.shape[1], field)
+        _assert_same_rref(rref(a, field), want, tuple(pivots), field)
+        if field.p is not None:  # both kernels, whichever side of the bound
+            _assert_same_rref(_rref_rows(a, field), want, tuple(pivots), field)
+            _assert_same_rref(_rref_numpy(a, field), want, tuple(pivots), field)
+
+
+@FIELDS_DIFF
+def test_kernel_basis_matches_sympy(field):
+    rng = np.random.default_rng(12)
+    for a in _diff_matrices(field, rng):
+        # scaled to end in 1, sympy's basis is the standard one (each free
+        # coordinate 1 in turn), which kernel_basis returns
+        ns = _to_domain_matrix(a, field).nullspace(divide_last=True)
+        want = _from_domain_rows(ns.to_list(), a.shape[1], field).T
+        got = kernel_basis(a, field)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@FIELDS_DIFF
+def test_solve_matrix_matches_sympy(field):
+    """Against the canonical solution read off sympy's rref of [a | b]: the
+    pivot unknowns take the last columns, the free ones are 0."""
+    rng = np.random.default_rng(13)
+    inconsistent = 0
+    for a in _diff_matrices(field, rng):
+        rows, cols = a.shape
+        consistent = field.matmul(a, field.asarray(rng.integers(0, 5, size=(cols, 2))))
+        arbitrary = field.asarray(rng.integers(0, 5, size=(rows, 2)))
+        for b in (consistent, arbitrary):
+            ref, pivots = _to_domain_matrix(np.concatenate([a, b], axis=1), field).rref()
+            got = solve_matrix(a, b, field)
+            if pivots and pivots[-1] >= cols:
+                assert got is None
+                assert b is arbitrary
+                inconsistent += 1
+                continue
+            want = field.zeros(cols, 2)
+            aug = _from_domain_rows(ref.to_list(), cols + 2, field)
+            for i, pc in enumerate(pivots):
+                want[pc] = aug[i, cols:]
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+    assert inconsistent > 0

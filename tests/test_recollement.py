@@ -3,7 +3,7 @@ import pytest
 
 from ladderkit.algebra import AlgebraError, Idempotent, build_triangular, dual_numbers_algebra, ground_field_algebra, preprojective_a2
 from ladderkit.fixtures import load_fixture, parse_idempotent
-from ladderkit.linalg import Field
+from ladderkit.linalg import Field, solve
 from ladderkit.modules import hom_space, is_isomorphic, random_module, simples, regular_module
 from ladderkit.recollement import (
     TensorFunctor,
@@ -37,6 +37,16 @@ def test_trivial_idempotent_rejected():
         build_recollement(t2, Idempotent(t2, t2.unit))
     with pytest.raises(AlgebraError, match="nontrivial"):
         build_recollement(t2, Idempotent(t2, F.zeros(3)))
+
+
+@pytest.mark.parametrize("name", RECOLLEMENT_FIXTURES)
+def test_coordinates_of_e_in_carriers(name):
+    # the unit e.l -> 1 and the counit e.r -> 1 read e off these coordinates
+    rec = rec_for(name)
+    for basis, coords in ((rec.e_lambda_basis, rec.e_in_e_lambda), (rec.lambda_e_basis, rec.e_in_lambda_e)):
+        assert coords.shape == (basis.shape[1],)
+        assert np.array_equal(F.matmul(basis, coords), rec.e.element)
+        assert np.array_equal(coords, solve(basis, rec.e.element, F))
 
 
 def test_t2_corner_and_quotient_are_ground_field():
