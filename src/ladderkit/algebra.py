@@ -9,11 +9,12 @@ constructions like enveloping products whose axioms follow from the inputs').
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Field, column_space_basis, in_span, quotient_coordinates, rank, rref, solve, solve_matrix, unit_rows
+from .linalg import DIM_BOUND, Field, column_space_basis, in_span, quotient_coordinates, rank, rref, solve, solve_matrix, unit_rows
 
 __all__ = [
     "AlgebraError",
@@ -46,6 +47,12 @@ class FieldRestrictionError(RuntimeError):
     """Operation needs char 0 or p > dim(algebra) (trace-form radical)."""
 
 
+def _check_dim(field: Field, dim: int) -> None:
+    """Reject an F_p algebra beyond DIM_BOUND, where int64 products could wrap."""
+    if field.is_prime_field and dim > DIM_BOUND:
+        raise AlgebraError(f"algebra dimension {dim} exceeds {DIM_BOUND}: int64 arithmetic over F_p is exact only up to there")
+
+
 class Algebra:
     """Immutable algebra given by structure constants.
 
@@ -61,6 +68,8 @@ class Algebra:
 
     def __init__(self, field: Field, mult, unit, prim_idempotents, labels=None, _validate=True):
         self.field = field
+        shape = np.shape(mult)
+        _check_dim(field, shape[0] if shape else 0)
         self.mult = field.asarray(mult)
         if self.mult.ndim != 3 or len(set(self.mult.shape)) > 1:
             raise AlgebraError(f"structure constants must be cubic, got {self.mult.shape}")
@@ -77,6 +86,7 @@ class Algebra:
         self.unit.setflags(write=False)
         self._generators = None
         self._extra_generators = None
+        # the opposite this algebra built, or a weakref to the algebra it is the opposite of
         self._opposite = None
         # data the module layer derives once per algebra (projectives, radical)
         self._derived: dict = {}
@@ -207,19 +217,26 @@ class Algebra:
         return self._extra_generators
 
     def _subalgebra_span(self, gens) -> np.ndarray:
+        """Reduced row basis of the subalgebra generated by gens (the unit
+        among them): span(gens) closed under left multiplication by every
+        generator.  Each round multiplies only the directions the previous
+        round added, the reduced rows with new pivots."""
         f = self.field
-        if not gens:
+        if not len(gens):
             return f.zeros(0, self.dim)
-        basis = rref(np.stack(gens), f)
-        basis_rows = basis.matrix[: basis.rank]
-        while True:
-            prods = np.einsum("ai,bj,ijk->abk", basis_rows, basis_rows, self.mult)
-            prods = f.normalize(prods.reshape(-1, self.dim))
-            stacked = np.concatenate([basis_rows, prods], axis=0)
-            r = rref(stacked, f)
-            if r.rank == basis_rows.shape[0]:
-                return basis_rows
-            basis_rows = r.matrix[: r.rank]
+        gens = np.stack(gens)
+        d = self.dim
+        # row vector x -> g.x is x @ L_g^T, one (d, d) block per generator
+        lt = f.matmul(gens, self.left_mult.reshape(d, d * d)).reshape(-1, d, d).transpose(0, 2, 1)
+        r = rref(gens, f)
+        rows = frontier = r.matrix[: r.rank]
+        pivots = set(r.pivots)
+        while frontier.shape[0]:
+            new = f.matmul(frontier, lt).reshape(-1, d)
+            r = rref(np.concatenate([rows, new]), f)
+            frontier = r.matrix[[k for k, c in enumerate(r.pivots) if c not in pivots]]
+            rows, pivots = r.matrix[: r.rank], set(r.pivots)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -336,6 +353,7 @@ def algebra_from_quiver(q: QuiverPresentation, field: Field) -> Algebra:
 
     index = {p: i for i, p in enumerate(paths)}
     d = len(paths)
+    _check_dim(field, d)
 
     def src(p):
         return p[1] if p[0] == "v" else q.arrows[p[1][0]][0]
@@ -381,14 +399,19 @@ def algebra_from_quiver(q: QuiverPresentation, field: Field) -> Algebra:
 def opposite(a: Algebra) -> Algebra:
     """Opposite algebra: c_op[i, j] = c[j, i]; unit and idempotents unchanged.
 
-    Built once per algebra and linked both ways, so opposite(opposite(a)) is a.
+    Built once per algebra, which keeps it; the opposite links back by a weak
+    reference, so opposite(opposite(a)) is a while a is alive and neither
+    keeps the other in a reference cycle.
     """
-    if a._opposite is None:
+    op = a._opposite
+    if isinstance(op, weakref.ref):
+        op = op()
+    if op is None:
         op = Algebra(a.field, a.mult.transpose(1, 0, 2), a.unit, a.prim_idempotents, a.labels, _validate=False)
         op._generators = a._generators
-        op._opposite = a
+        op._opposite = weakref.ref(a)
         a._opposite = op
-    return a._opposite
+    return op
 
 
 def _product_constants(a: Algebra, b: Algebra, op_right: bool) -> np.ndarray:
@@ -402,6 +425,7 @@ def _product_algebra(a: Algebra, b: Algebra, op_right: bool) -> Algebra:
     if a.field != b.field:
         raise AlgebraError("field mismatch")
     f = a.field
+    _check_dim(f, a.dim * b.dim)
     unit = f.normalize(np.kron(a.unit, b.unit))
     idems = [f.normalize(np.kron(ea, eb)) for ea in a.prim_idempotents for eb in b.prim_idempotents]
     prod = Algebra(f, _product_constants(a, b, op_right), unit, idems, _validate=False)
@@ -453,9 +477,6 @@ def corner(a: Algebra, e: Idempotent) -> tuple[Algebra, CornerEmbedding]:
     cc = prods[:, :, unit_rows(basis)]
     if not f.equal(f.normalize(np.einsum("ik,abk->abi", basis, cc)), prods):
         raise AlgebraError("corner basis is not multiplicatively closed")
-    unit_c = solve(basis, ev, f)
-    if unit_c is None:
-        raise AlgebraError("idempotent does not lie in its own corner")
     sub = []
     total = f.zeros(a.dim)
     for ei in a.prim_idempotents:
@@ -464,8 +485,12 @@ def corner(a: Algebra, e: Idempotent) -> tuple[Algebra, CornerEmbedding]:
             total = f.normalize(total + ei)
     if not f.equal(total, ev):
         raise AlgebraError("corner needs e to be a sum of distinguished primitive idempotents")
-    idems_c = [solve(basis, ei, f) for ei in sub]
-    alg = Algebra(f, cc, unit_c, idems_c)
+    # coordinates on the reduced basis are a row selection, valid for vectors in its span
+    vecs = np.stack([ev, *sub], axis=1)
+    coords = vecs[unit_rows(basis)]
+    if not f.equal(f.matmul(basis, coords), vecs):
+        raise AlgebraError("idempotent does not lie in its own corner")
+    alg = Algebra(f, cc, coords[:, 0], list(coords[:, 1:].T))
     return alg, CornerEmbedding(basis)
 
 
@@ -537,6 +562,7 @@ def _block_matrix_algebra(base: Algebra, entry_bases, labels_prefix="E") -> Alge
                 offsets[(i, j)] = dim
                 blocks.append((i, j, b))
                 dim += k
+    _check_dim(f, dim)
     c = f.zeros(dim, dim, dim)
     for (i, j, bij) in blocks:
         o1 = offsets[(i, j)]

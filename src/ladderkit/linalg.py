@@ -44,12 +44,13 @@ def _is_prime(n: int) -> bool:
 
 # Entries of F_p arrays are int64 in [0, p) and are reduced only after a whole
 # product.  The widest unreduced sums are the triple-product einsums
-# (Algebra.multiply, _subalgebra_span, corner, the quotient algebra and
-# projective_cover): d^2 terms, or d * dim M, each below p^3 for an algebra of
-# dimension d.  With p < 2^15 such a sum stays below 2^63 while it has at most
-# 2^18 terms (every d <= 512), and a plain matmul (k terms below p^2) does for
-# every k < 2^33.
+# (Algebra.multiply, corner, the quotient algebra and projective_cover): d^2
+# terms, or d * dim M, each below p^3 for an algebra of dimension d.  With
+# p < 2^15 such a sum stays below 2^63 while it has at most 2^18 terms, and a
+# plain matmul (k terms below p^2) does for every k < 2^33.
 PRIME_BOUND = 2**15
+# d^2 <= 2^18 terms is d <= 2^9: F_p algebras of larger dimension are rejected.
+DIM_BOUND = 2**9
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ projective-cover dimensions.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -82,6 +83,17 @@ class Module:
         self._split = None
         if _validate:
             self._validate()
+
+    @classmethod
+    def _wrap(cls, algebra: Algebra, action: np.ndarray, split: tuple) -> "Module":
+        """A module on a read-only, reduced action array and its idempotent
+        split, taken as they are: no copy, reduction or validation."""
+        m = cls.__new__(cls)
+        m.algebra = algebra
+        m.action = action
+        m.dim = action.shape[1]
+        m._split = split
+        return m
 
     def _validate(self):
         f = self.algebra.field
@@ -436,20 +448,43 @@ def radical(m: Module) -> ModuleMap:
     return inclusion
 
 
-def projective_indecomposables(a: Algebra) -> list[Module]:
-    """The modules A.e_i for the distinguished primitive idempotents, with
-    their embeddings into the regular module attached.  Built once per
-    algebra; each call returns a new list of the same modules."""
+@dataclass
+class _ProjectiveData:
+    """What an algebra keeps of A.e_i: arrays, and a weak reference to the
+    module last handed out, so nothing kept refers back to the algebra."""
+
+    action: np.ndarray
+    embedding: np.ndarray  # columns into the regular module, elements of A
+    split: tuple
+    handed_out: weakref.ref
+
+
+def _projective_data(a: Algebra) -> list[_ProjectiveData]:
+    """One entry per distinguished idempotent, built once per algebra."""
     if "projectives" not in a._derived:
         reg = regular_module(a)
-        out = []
+        data = []
         for e in a.prim_idempotents:
             cols = column_space_basis(a.right_mult_matrix(e), a.field)
-            sub, incl = submodule(reg, cols)
-            sub.embedding_into_regular = incl
-            out.append(sub)
-        a._derived["projectives"] = tuple(out)
-    return list(a._derived["projectives"])
+            sub, _ = submodule(reg, cols)
+            cols.setflags(write=False)
+            data.append(_ProjectiveData(sub.action, cols, sub.idempotent_split(), weakref.ref(sub)))
+        a._derived["projectives"] = data
+    return a._derived["projectives"]
+
+
+def projective_indecomposables(a: Algebra) -> list[Module]:
+    """The modules A.e_i for the distinguished primitive idempotents, in a
+    new list on each call.  While a caller holds them the same modules come
+    back; otherwise the arrays kept on the algebra are wrapped again."""
+    out = []
+    for entry in _projective_data(a):
+        p = entry.handed_out()
+        if p is None:
+            p = Module._wrap(a, entry.action, entry.split)
+            entry.handed_out = weakref.ref(p)
+        out.append(p)
+    return out
 
 
 def simples_by_idempotent(a: Algebra) -> list[Module]:
@@ -520,7 +555,7 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
     mat = f.zeros(m.dim, cover.dim)
     off = 0
     for (i, v), p in zip(gens, summands):
-        emb = p.embedding_into_regular.matrix  # columns are elements of the algebra
+        emb = _projective_data(a)[i].embedding
         mat[:, off : off + p.dim] = f.normalize(np.einsum("ar,abc,c->br", emb, m.action, v))
         off += p.dim
     surj = ModuleMap(cover, m, mat, _validate=False)

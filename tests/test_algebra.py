@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ from ladderkit.algebra import (
     preprojective_a2,
     quotient_by_idempotent_ideal,
 )
-from ladderkit.linalg import Field
+from ladderkit.fixtures import load_fixture, parse_idempotent
+from ladderkit.linalg import DIM_BOUND, Field, in_span, rref, solve
+from ladderkit.verify import RECOLLEMENT_FIXTURES
 
 F = Field(101)
 
@@ -306,3 +310,140 @@ def test_generators_generate():
         gens = alg.generators()
         assert gens.shape[1] == alg.dim
         assert alg._subalgebra_span(list(gens)).shape[0] == alg.dim
+
+
+# -- generator closure against the pairwise squaring it replaced -----------------
+
+
+def _subalgebra_span_reference(alg, gens):
+    """Reduced rows of the subalgebra generated by gens, by squaring the span:
+    all pairwise products of its basis, until it stops growing."""
+    f = alg.field
+    if not gens:
+        return f.zeros(0, alg.dim)
+    basis = rref(np.stack(gens), f)
+    rows = basis.matrix[: basis.rank]
+    while True:
+        prods = np.einsum("ai,bj,ijk->abk", rows, rows, alg.mult, optimize=True)
+        prods = f.normalize(prods.reshape(-1, alg.dim))
+        r = rref(np.concatenate([rows, prods], axis=0), f)
+        if r.rank == rows.shape[0]:
+            return rows
+        rows = r.matrix[: r.rank]
+
+
+def _generators_reference(alg):
+    """Algebra.generators' greedy search on the reference span."""
+    f = alg.field
+    gens = [alg.unit] + list(alg.prim_idempotents)
+    span = _subalgebra_span_reference(alg, gens)
+    for t in range(alg.dim):
+        if span.shape[0] == alg.dim:
+            break
+        v = f.zeros(alg.dim)
+        v[t] = f.one
+        if not in_span(span, v, f):
+            gens.append(v)
+            span = _subalgebra_span_reference(alg, gens)
+    assert span.shape[0] == alg.dim
+    return f.asarray(np.stack(gens))
+
+
+def _cyclic_nakayama(n, loewy, field):
+    arrows = [(i, (i + 1) % n, f"a{i}") for i in range(n)]
+    rels = [tuple(f"a{(i + k) % n}" for k in range(loewy)) for i in range(n)]
+    return algebra_from_quiver(QuiverPresentation(n, arrows, rels, path_length_bound=loewy), field)
+
+
+def _linear_nakayama(n, loewy, field):
+    arrows = [(i, i + 1, f"a{i}") for i in range(n - 1)]
+    rels = [tuple(f"a{i + k}" for k in range(loewy)) for i in range(n - loewy)]
+    return algebra_from_quiver(QuiverPresentation(n, arrows, rels, path_length_bound=loewy), field)
+
+
+def _local_kxy(field):
+    loops = [(0, 0, "x"), (0, 0, "y")]
+    rels = [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")]
+    return algebra_from_quiver(QuiverPresentation(1, loops, rels, path_length_bound=2), field)
+
+
+_FIXTURE_DIMS = {"t2": 3, "t3": 6, "preproj-a2": 4, "prop32-dual-numbers": 7, "morita-square-k": 4, "m2k": 4, "ideal-chain": 22}
+
+
+def _closure_corpus(field, max_dim):
+    """The fixtures, t_2..t_8, three cyclic and one linear Nakayama algebra and
+    k[x,y]/(x,y)^2, with their opposites, two corners each and enveloping
+    algebras, of dimension at most max_dim.  Pairs (algebra, searched):
+    tensor products (enveloping algebras, the Morita square and its
+    opposite) are handed their factors' generators, the rest search."""
+    k = ground_field_algebra(field)
+    # (dimension, builder): only what fits within max_dim is built
+    builders = [(_FIXTURE_DIMS[name], lambda name=name: load_fixture(name, field)[0]) for name in RECOLLEMENT_FIXTURES]
+    builders += [(n * (n + 1) // 2, lambda n=n: build_triangular(k, n)) for n in range(2, 9)]
+    builders += [
+        (12, lambda: _cyclic_nakayama(3, 4, field)),  # paths of length 3 within the Q cap
+        (20, lambda: _cyclic_nakayama(5, 4, field)),
+        (30, lambda: _cyclic_nakayama(6, 5, field)),
+        (27, lambda: _linear_nakayama(10, 3, field)),
+        (3, lambda: _local_kxy(field)),
+    ]
+    out = []
+    for dim, build in builders:
+        if dim > max_dim:
+            continue
+        a = build()
+        assert a.dim == dim
+        idems = [a.prim_idempotents[-1]]
+        if len(a.prim_idempotents) > 1:
+            idems.append(field.normalize(a.unit - a.prim_idempotents[0]))
+        corners = [corner(a, Idempotent(a, e))[0] for e in idems]
+        # flags first: building a product computes its factors' generators
+        out += [(x, x._generators is None) for x in [a, opposite(a), *corners]]
+        out += [(enveloping(c, a), False) for c in corners if c.dim * a.dim <= max_dim]
+        if a.dim * a.dim <= max_dim:
+            out.append((enveloping(a, a), False))
+    return out
+
+
+@pytest.mark.parametrize("field, max_dim", [(Field(101), 66), (Field(32749), 66), (Field(None), 12)], ids=["F101", "F32749", "Q"])
+def test_generator_closure_matches_pairwise_squaring(field, max_dim):
+    algebras = _closure_corpus(field, max_dim)
+    assert len(algebras) > 40
+    for alg, searched in algebras:
+        gens = alg.generators()
+        if searched:
+            assert np.array_equal(gens, _generators_reference(alg)), alg
+        # spans at the start, middle and end of the greedy search, and the
+        # idempotents' alone (no unit among the generators)
+        start = 1 + len(alg.prim_idempotents)
+        for sub in (gens[:start], gens[: (start + len(gens)) // 2], gens, alg.prim_idempotents):
+            got = alg._subalgebra_span(list(sub))
+            assert np.array_equal(got, _subalgebra_span_reference(alg, list(sub))), (alg, len(sub))
+    assert sum(searched for _, searched in algebras) > 30
+
+
+@pytest.mark.parametrize("name", RECOLLEMENT_FIXTURES)
+def test_corner_coordinates_match_solve(name):
+    alg, default_e = load_fixture(name, F)
+    for e in [parse_idempotent(alg, default_e)] + [Idempotent(alg, ei) for ei in alg.prim_idempotents]:
+        sub, emb = corner(alg, e)
+        assert np.array_equal(sub.unit, solve(emb.matrix, e.element, F))
+        absorbed = [ei for ei in alg.prim_idempotents if F.equal(alg.multiply(e.element, ei), ei)]
+        assert len(sub.prim_idempotents) == len(absorbed) > 0
+        for got, ei in zip(sub.prim_idempotents, absorbed):
+            assert np.array_equal(got, solve(emb.matrix, ei, F))
+
+
+def test_dimension_bound_rejects_before_allocating():
+    t7 = build_triangular(ground_field_algebra(F), 7)  # dim 28
+    huge = np.broadcast_to(np.int64(0), (DIM_BOUND + 1,) * 3)  # a view: no memory behind it
+    tracemalloc.start()
+    try:
+        with pytest.raises(AlgebraError, match="784 exceeds 512"):
+            enveloping(t7, t7)
+        with pytest.raises(AlgebraError, match="513 exceeds 512"):
+            Algebra(F, huge, np.zeros(DIM_BOUND + 1, dtype=np.int64), [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -145,3 +145,18 @@ def test_verify_paper_verdicts_stable_across_seeds(tmp_path):
 
 def test_verify_paper_rejects_prime_beyond_bound():
     assert main(["verify-paper", "--prime", "2147483647"]) == EXIT_INPUT == 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "triangular", "base": "ground", "n": 32, "idempotent": "e1"},  # dim 528
+        {"kind": "quiver", "vertices": 513, "arrows": [], "idempotent": "e1"},  # dim 513
+    ],
+    ids=["triangular", "quiver"],
+)
+def test_algebra_beyond_dimension_bound_exits_2(tmp_path, capsys, spec):
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(spec))
+    assert main(["ladder", "--algebra", str(path)]) == EXIT_INPUT
+    assert "exceeds 512" in capsys.readouterr().err

@@ -1,0 +1,72 @@
+"""Engine objects die by reference counting: no derived data kept on an
+algebra or a module points back at it, so nothing waits for the cyclic
+garbage collector.  Every test here runs with the collector disabled."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from ladderkit.algebra import build_triangular, ground_field_algebra, opposite
+from ladderkit.fixtures import load_fixture, parse_idempotent
+from ladderkit.homological import is_stratifying, spli_silp
+from ladderkit.ladder import ladder_report
+from ladderkit.linalg import Field
+from ladderkit.modules import projective_cover, projective_indecomposables
+from ladderkit.recollement import build_recollement
+from ladderkit.verify import RECOLLEMENT_FIXTURES
+
+F = Field(101)
+
+
+@pytest.fixture
+def gc_off():
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", RECOLLEMENT_FIXTURES)
+def test_recollement_pass_dies_without_collector(name, gc_off):
+    alg, default_e = load_fixture(name, F)
+    rec = build_recollement(alg, parse_idempotent(alg, default_e))
+    ladder_report(rec, 12, 0)
+    spli_silp(alg, 4)
+    is_stratifying(rec, 4)
+    refs = [weakref.ref(x) for x in (alg, opposite(alg), rec.gamma, rec.sigma, rec.env_gl, projective_indecomposables(alg)[0])]
+    del alg, rec
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_opposite_does_not_keep_its_algebra_alive(gc_off):
+    a = build_triangular(ground_field_algebra(F), 3)
+    mult = a.mult.copy()
+    op = opposite(a)
+    assert opposite(op) is a
+    ref = weakref.ref(a)
+    del a
+    assert ref() is None
+    again = opposite(op)  # rebuilt from op: the same table
+    assert np.array_equal(again.mult, mult)
+    assert opposite(op) is again and opposite(again) is op
+
+
+def test_projectives_rewrapped_from_cached_arrays(gc_off):
+    t3 = build_triangular(ground_field_algebra(F), 3)
+    first = projective_indecomposables(t3)
+    actions = [p.action for p in first]
+    splits = [p.idempotent_split() for p in first]
+    refs = [weakref.ref(p) for p in first]
+    del first
+    assert all(r() is None for r in refs)
+    again = projective_indecomposables(t3)
+    assert all(p.action is a and p.idempotent_split() is s for p, a, s in zip(again, actions, splits))
+    assert all(not p.action.flags.writeable for p in again)
+    # the cover of a projective is itself, through the cached embedding
+    for p in again:
+        cover, surj = projective_cover(p)
+        assert cover.dim == p.dim and surj.is_isomorphism()
