@@ -96,13 +96,13 @@ class Algebra:
     # -- basic arithmetic -------------------------------------------------
 
     def multiply(self, x, y) -> np.ndarray:
-        return self.field.normalize(np.einsum("i,j,ijk->k", x, y, self.mult))
+        return self.field.einsum("i,j,ijk->k", x, y, self.mult)
 
     def left_mult_matrix(self, x) -> np.ndarray:
-        return self.field.normalize(np.einsum("i,iab->ab", x, self.left_mult))
+        return self.field.einsum("i,iab->ab", x, self.left_mult)
 
     def right_mult_matrix(self, x) -> np.ndarray:
-        return self.field.normalize(np.einsum("i,iab->ab", x, self.right_mult))
+        return self.field.einsum("i,iab->ab", x, self.right_mult)
 
     def is_idempotent(self, x) -> bool:
         return self.field.equal(self.multiply(x, x), x)
@@ -150,8 +150,8 @@ class Algebra:
         # which spells out (b_i x) b_j = b_i (x b_j) for every basis triple
         for i in range(d):
             li = self.left_mult[i]
-            lhs = f.normalize(np.matmul(self.right_mult, li))
-            rhs = f.normalize(np.matmul(li[None, :, :], self.right_mult))
+            lhs = f.matmul(self.right_mult, li)
+            rhs = f.matmul(li[None, :, :], self.right_mult)
             if not f.equal(lhs, rhs):
                 j = next(j for j in range(d) if not f.equal(lhs[j], rhs[j]))
                 bad = lhs[j] - rhs[j]
@@ -416,9 +416,8 @@ def opposite(a: Algebra) -> Algebra:
 
 def _product_constants(a: Algebra, b: Algebra, op_right: bool) -> np.ndarray:
     cb = b.mult.transpose(1, 0, 2) if op_right else b.mult
-    c = np.einsum("ikm,jln->ijklmn", a.mult, cb)
     d = a.dim * b.dim
-    return a.field.normalize(c.reshape(d, d, d))
+    return a.field.einsum("ikm,jln->ijklmn", a.mult, cb).reshape(d, d, d)
 
 
 def _product_algebra(a: Algebra, b: Algebra, op_right: bool) -> Algebra:
@@ -473,9 +472,9 @@ def corner(a: Algebra, e: Idempotent) -> tuple[Algebra, CornerEmbedding]:
     cdim = basis.shape[1]
     if cdim == 0:
         return Algebra(f, f.zeros(0, 0, 0), f.zeros(0), [], _validate=False), CornerEmbedding(basis)
-    prods = f.normalize(np.einsum("ia,jb,ijk->abk", basis, basis, a.mult))  # (c, c, dim)
+    prods = f.einsum("ia,jb,ijk->abk", basis, basis, a.mult)  # (c, c, dim)
     cc = prods[:, :, unit_rows(basis)]
-    if not f.equal(f.normalize(np.einsum("ik,abk->abi", basis, cc)), prods):
+    if not f.equal(f.einsum("ik,abk->abi", basis, cc), prods):
         raise AlgebraError("corner basis is not multiplicatively closed")
     sub = []
     total = f.zeros(a.dim)
@@ -506,7 +505,7 @@ class QuotientProjection:
 def _ideal_span_rows(a: Algebra, ev: np.ndarray) -> np.ndarray:
     f = a.field
     w = a.left_mult_matrix(ev)  # columns e*b_j
-    vecs = f.normalize(np.einsum("iab,bj->ija", a.left_mult, w)).reshape(-1, a.dim)
+    vecs = f.einsum("iab,bj->ija", a.left_mult, w).reshape(-1, a.dim)
     r = rref(vecs, f)
     return r.matrix[: r.rank]
 
@@ -521,8 +520,8 @@ def quotient_by_idempotent_ideal(a: Algebra, e: Idempotent) -> tuple[Algebra, Qu
     q = proj.shape[0]
     if q == 0:
         return Algebra(f, f.zeros(0, 0, 0), f.zeros(0), [], _validate=False), QuotientProjection(proj, sect, rows)
-    prods = f.normalize(np.einsum("ia,jb,ijk->abk", sect, sect, a.mult))
-    cq = f.normalize(np.einsum("abk,tk->abt", prods, proj))
+    prods = f.einsum("ia,jb,ijk->abk", sect, sect, a.mult)
+    cq = f.einsum("abk,tk->abt", prods, proj)
     unit_q = f.matmul(proj, a.unit)
     idems_q = []
     for ei in a.prim_idempotents:

@@ -7,6 +7,7 @@ floating point is used anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -117,17 +118,56 @@ class Field:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Reduced product a @ b; stacks broadcast as in np.matmul.
 
-        Exact in int64 because p < PRIME_BOUND (see there)."""
-        c = a @ b
-        return c % self.p if self.p is not None else c
+        Exact in int64 because p < PRIME_BOUND (see there); over Q see
+        _contract_q."""
+        if self.p is None:
+            return _contract_q(np.matmul, (a, b))
+        return (a @ b) % self.p
+
+    def einsum(self, spec: str, *ops) -> np.ndarray:
+        """Reduced np.einsum(spec, *ops): every contraction in the engine goes
+        through here or matmul.  Exact in int64 over F_p by PRIME_BOUND and
+        DIM_BOUND; over Q see _contract_q."""
+        if self.p is None:
+            return _contract_q(lambda *nums: np.einsum(spec, *nums), ops)
+        return np.einsum(spec, *ops) % self.p
 
     def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
         if a.shape != b.shape:
             return False
+        if self.p is None:  # Fractions compare exactly, no difference needed
+            return bool(np.all(a == b))
         return bool(np.all(self.normalize(a - b) == 0))
 
     def is_zero(self, a: np.ndarray) -> bool:
         return bool(np.all(self.normalize(a) == 0))
+
+
+_ZERO = Fraction(0)
+
+
+def _contract_q(contract, ops) -> np.ndarray:
+    """contract(*ops) over Q on integers: each operand becomes Python-int
+    numerators over one common denominator, the contraction runs once on the
+    numerators (ints cannot overflow, and a zero entry costs one int product
+    instead of a Fraction one), and each entry is divided once at the end."""
+    nums, den = [], 1
+    for a in ops:
+        a = np.asarray(a)
+        flat = a.ravel().tolist()  # Fractions; ints have numerator and denominator too
+        lcm = math.lcm(*{x.denominator for x in flat})
+        if lcm == 1:
+            ints = [x.numerator for x in flat]
+        else:
+            ints = [x.numerator * (lcm // x.denominator) for x in flat]
+        nums.append(np.array(ints, dtype=object).reshape(a.shape))
+        den *= lcm
+    c = np.asarray(contract(*nums), dtype=object)
+    if den == 1:
+        vals = [Fraction(x) if x else _ZERO for x in c.ravel().tolist()]
+    else:
+        vals = [Fraction(x, den) if x else _ZERO for x in c.ravel().tolist()]
+    return np.array(vals, dtype=object).reshape(c.shape)
 
 
 @dataclass(frozen=True)

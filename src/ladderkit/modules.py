@@ -63,7 +63,6 @@ __all__ = [
     "bimodules_isomorphic",
     "IsoResult",
     "serialize_module",
-    "serialize_map",
     "random_module",
     "random_short_exact_sequence",
 ]
@@ -104,15 +103,15 @@ class Module:
         unit_act = self.act_vector(self.algebra.unit)
         if not f.equal(unit_act, f.eye(self.dim)):
             raise AlgebraError("unit does not act as the identity")
-        lhs = f.normalize(np.einsum("iab,jbc->ijac", self.action, self.action))
-        rhs = f.normalize(np.einsum("ijk,kac->ijac", self.algebra.mult, self.action))
+        lhs = f.einsum("iab,jbc->ijac", self.action, self.action)
+        rhs = f.einsum("ijk,kac->ijac", self.algebra.mult, self.action)
         if not f.equal(lhs, rhs):
             bad = np.nonzero(f.normalize(lhs - rhs))
             raise AlgebraError(f"representation property fails at basis pair ({bad[0][0]}, {bad[1][0]})")
 
     def act_vector(self, x) -> np.ndarray:
         """Matrix by which the algebra element with coefficient vector x acts."""
-        return self.algebra.field.normalize(np.einsum("i,iab->ab", x, self.action))
+        return self.algebra.field.einsum("i,iab->ab", x, self.action)
 
     @property
     def field(self) -> Field:
@@ -227,10 +226,10 @@ class Bimodule:
         return self.left.field
 
     def left_action_matrix(self, x) -> np.ndarray:
-        return self.field.normalize(np.einsum("i,iab->ab", x, self.left_action))
+        return self.field.einsum("i,iab->ab", x, self.left_action)
 
     def right_action_matrix(self, y) -> np.ndarray:
-        return self.field.normalize(np.einsum("j,jab->ab", y, self.right_action))
+        return self.field.einsum("j,jab->ab", y, self.right_action)
 
     def left_restrict(self) -> Module:
         return Module(self.left, self.left_action, _validate=False)
@@ -252,7 +251,7 @@ class Bimodule:
             env = self._env
         if self._env_module is None or not self._env_module.algebra.same_as(env):
             f = self.field
-            act = f.normalize(np.einsum("iab,jbc->ijac", self.left_action, self.right_action))
+            act = f.einsum("iab,jbc->ijac", self.left_action, self.right_action)
             act = act.reshape(self.left.dim * self.right.dim, self.dim, self.dim)
             self._env_module = Module(env, act, _validate=False)
         return self._env_module
@@ -295,7 +294,7 @@ def module_span_rows(m: Module, vectors: np.ndarray) -> np.ndarray:
     r = rref(vectors.reshape(-1, m.dim), f)
     rows = r.matrix[: r.rank]
     while rows.shape[0]:
-        new = f.normalize(np.einsum("iab,rb->ira", m.action, rows)).reshape(-1, m.dim)
+        new = f.einsum("iab,rb->ira", m.action, rows).reshape(-1, m.dim)
         r = rref(np.concatenate([rows, new], axis=0), f)
         if r.rank == rows.shape[0]:
             break
@@ -361,7 +360,7 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
     if m.dim == 0 or n.dim == 0:
         return []
     blocks = [
-        f.normalize(np.einsum("na,bm->abnm", v, p)).reshape(-1, n.dim, m.dim)
+        f.einsum("na,bm->abnm", v, p).reshape(-1, n.dim, m.dim)
         for (v, _), (_, p) in zip(n.idempotent_split(), m.idempotent_split())
     ]
     stack = np.concatenate(blocks)  # (unknowns, n, m)
@@ -369,8 +368,8 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
     if u == 0:
         return []
     gens = m.algebra.generators_beyond_idempotents()
-    am = f.normalize(np.einsum("gi,iab->gab", gens, m.action))
-    bn = f.normalize(np.einsum("gi,iab->gab", gens, n.action))
+    am = f.einsum("gi,iab->gab", gens, m.action)
+    bn = f.einsum("gi,iab->gab", gens, n.action)
     res = f.normalize(f.matmul(stack[:, None], am[None]) - f.matmul(bn[None], stack[:, None])).reshape(u, -1)
     res = res[:, np.any(res != 0, axis=0)]  # drop conditions no unknown touches
     r = rref(np.concatenate([res, stack.reshape(u, -1)[:, ::-1]], axis=1), f)
@@ -428,7 +427,7 @@ def algebra_radical_rows(a: Algebra) -> np.ndarray:
         if a.dim == 0:
             rows = f.zeros(0, 0)
         else:
-            t = f.normalize(np.einsum("iab,jba->ij", a.left_mult, a.left_mult))
+            t = f.einsum("iab,jba->ij", a.left_mult, a.left_mult)
             rows = np.ascontiguousarray(kernel_basis(t, f).T)
         rows.setflags(write=False)
         a._derived["radical_rows"] = rows
@@ -556,7 +555,7 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
     off = 0
     for (i, v), p in zip(gens, summands):
         emb = _projective_data(a)[i].embedding
-        mat[:, off : off + p.dim] = f.normalize(np.einsum("ar,abc,c->br", emb, m.action, v))
+        mat[:, off : off + p.dim] = f.einsum("ar,abc,c->br", emb, m.action, v)
         off += p.dim
     surj = ModuleMap(cover, m, mat, _validate=False)
     return cover, surj
@@ -670,8 +669,8 @@ def _balanced_tensor(f: Field, b: Algebra, right_action, left_action) -> TensorD
     rels = []
     eye_m, eye_n = f.eye(m), f.eye(n)
     for g in b.generators():
-        rm = f.normalize(np.einsum("i,iab->ab", g, right_action))
-        ln = f.normalize(np.einsum("i,iab->ab", g, left_action))
+        rm = f.einsum("i,iab->ab", g, right_action)
+        ln = f.einsum("i,iab->ab", g, left_action)
         # columns of the relation block are indexed by pure tensors (s, t)
         rels.append(f.normalize(np.kron(rm, eye_n) - np.kron(eye_m, ln)).T)
     relmat = np.concatenate(rels, axis=0) if rels else f.zeros(0, m * n)
@@ -834,7 +833,7 @@ def is_isomorphic(m: Module, n: Module, trials: int = 64, seed: int = 0) -> IsoR
             coeff = f.asarray(rng.integers(0, f.p, size=len(basis)))
         else:
             coeff = f.asarray(rng.integers(-5, 6, size=len(basis)))
-        cand = f.normalize(np.einsum("s,sab->ab", coeff, stack))
+        cand = f.einsum("s,sab->ab", coeff, stack)
         if rref(cand, f).rank == m.dim:
             return IsoResult("yes", witness=ModuleMap(m, n, cand, _validate=False), trials=t + 1)
     return IsoResult("probably_no", trials=trials)
@@ -851,14 +850,6 @@ def bimodules_isomorphic(m: Bimodule, n: Bimodule, env: Optional[Algebra] = None
 def serialize_module(m: Module) -> dict:
     """Wire format for report witnesses: {"dim": n, "action": [matrices]}."""
     return {"dim": m.dim, "action": m.action.tolist()}
-
-
-def serialize_map(mp: ModuleMap) -> dict:
-    return {
-        "source": serialize_module(mp.source),
-        "target": serialize_module(mp.target),
-        "matrix": mp.matrix.tolist(),
-    }
 
 
 # -- random generators ------------------------------------------------------------
@@ -879,7 +870,7 @@ def random_module(a: Algebra, rng: np.random.Generator, max_summands: int = 3) -
     if not homs:
         return q0
     coeff = rng.integers(0, f.p if f.is_prime_field else 7, size=len(homs))
-    mat = f.normalize(np.einsum("s,sab->ab", f.asarray(coeff), np.stack([h.matrix for h in homs])))
+    mat = f.einsum("s,sab->ab", f.asarray(coeff), np.stack([h.matrix for h in homs]))
     quot, _ = quotient_module(q0, column_space_basis(mat, f).T)
     return quot
 

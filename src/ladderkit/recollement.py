@@ -125,8 +125,8 @@ def build_recollement(lam: Algebra, e: Idempotent) -> RecollementData:
     sigma, qproj = quotient_by_idempotent_ideal(lam, e)
 
     # the actions of gamma, seen inside L, on either side
-    g_left = f.normalize(np.einsum("it,iab->tab", emb.matrix, lam.left_mult))
-    g_right = f.normalize(np.einsum("it,iab->tab", emb.matrix, lam.right_mult))
+    g_left = f.einsum("it,iab->tab", emb.matrix, lam.left_mult)
+    g_right = f.einsum("it,iab->tab", emb.matrix, lam.right_mult)
 
     be = column_space_basis(lam.left_mult_matrix(e.element), f)  # basis of eL
     rows_e = unit_rows(be)
@@ -342,7 +342,7 @@ def unit_nu(rec: RecollementData, m: Module) -> tuple[ModuleMap, FunctorValue, F
     _, rows_e = em.data
     be = rec.e_lambda_basis
     hb: HomBasis = rem.data
-    acting = f.normalize(np.einsum("is,iab->sab", be, m.action))  # eL acting on M
+    acting = f.einsum("is,iab->sab", be, m.action)  # eL acting on M
     mat = f.zeros(rem.module.dim, m.dim)
     for bidx in range(m.dim):
         mat[:, bidx] = hb.coords(acting[:, rows_e, bidx].T, f)

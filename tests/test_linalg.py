@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -392,3 +395,138 @@ def test_solve_matrix_matches_sympy(field):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
     assert inconsistent > 0
+
+
+# -- contractions against plain numpy ---------------------------------------------
+
+# every contraction spec the engine passes to Field.einsum
+EINSUM_SPECS = [
+    "abk,tk->abt",
+    "ar,abc,c->br",
+    "gi,iab->gab",
+    "i,iab->ab",
+    "i,j,ijk->k",
+    "ia,jb,ijk->abk",
+    "iab,bj->ija",
+    "iab,jba->ij",
+    "iab,jbc->ijac",
+    "iab,rb->ira",
+    "ijk,kac->ijac",
+    "ik,abk->abi",
+    "ikm,jln->ijklmn",
+    "is,iab->sab",
+    "it,iab->tab",
+    "j,jab->ab",
+    "na,bm->abnm",
+    "s,sab->ab",
+]
+# the two halves of the pairwise products in test_algebra's closure reference
+REFERENCE_SPECS = ["ai,ijk->ajk", "bj,ajk->abk"]
+
+# (a, b) shapes: broadcast stacks, vectors and empty inner or outer sizes
+MATMUL_SHAPES = [
+    ((3, 4), (4, 2)),
+    ((5, 3, 4), (4, 2)),
+    ((3, 1, 2, 4), (2, 4, 3)),
+    ((1, 3, 3), (4, 3, 3)),
+    ((4,), (4, 3)),
+    ((2, 4), (4,)),
+    ((3, 0), (0, 2)),
+    ((0, 3), (3, 2)),
+    ((2, 0, 3), (3, 4)),
+]
+
+
+def test_einsum_specs_cover_the_engine():
+    import ladderkit
+
+    src = Path(ladderkit.__file__).parent
+    used = {m for p in src.glob("*.py") for m in re.findall(r'\.einsum\("([^"]+)"', p.read_text())}
+    assert used == set(EINSUM_SPECS)
+
+
+def _operand_shapes(spec, sizes):
+    return [tuple(sizes[c] for c in term) for term in spec.split("->")[0].split(",")]
+
+
+def _q_operand(rng, shape, kind):
+    """Fractions with mixed denominators and signs, many zeros; "int" has
+    denominator 1 throughout, "big" entries beyond int64."""
+    nums = rng.integers(-9, 10, size=shape) * (rng.random(shape) < 0.6)
+    dens = np.ones(shape, dtype=np.int64) if kind == "int" else rng.integers(1, 7, size=shape)
+    a = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        a[idx] = Fraction(int(nums[idx]), int(dens[idx]))
+    if kind == "big" and a.size:
+        a.flat[0] = Fraction(2**70, 3)
+        a.flat[-1] = -Fraction(2**65 + 1, 7)
+    return a
+
+
+def _q_cases(rng, shapes):
+    for kinds in (["mixed"] * len(shapes), ["int"] * len(shapes), ["big"] + ["mixed"] * (len(shapes) - 1)):
+        yield [_q_operand(rng, s, k) for s, k in zip(shapes, kinds)]
+
+
+def _assert_q_result(got, want):
+    want = np.asarray(want, dtype=object)
+    assert got.dtype == object and got.shape == want.shape
+    assert all(isinstance(x, Fraction) for x in got.flat)
+    assert np.all(got == want)
+
+
+def _fp_operands(rng, field, shapes):
+    return [field.asarray(rng.integers(field.p - 8, field.p, size=s) * (rng.random(s) < 0.7)) for s in shapes]
+
+
+def _assert_fp_result(got, want, exact, field):
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, np.asarray(exact % field.p, dtype=np.int64))
+
+
+def _spec_sizes(spec, rng):
+    """Random sizes of the spec's indices, then the same with each index 0 in turn."""
+    letters = sorted(set(spec) - set(",->"))
+    sizes = {c: int(rng.integers(1, 4)) for c in letters}
+    return [sizes] + [{**sizes, c: 0} for c in letters]
+
+
+@pytest.mark.parametrize("spec", EINSUM_SPECS + REFERENCE_SPECS)
+def test_einsum_q_matches_fraction_einsum(spec):
+    rng = np.random.default_rng(21)
+    for sizes in _spec_sizes(spec, rng):
+        for ops in _q_cases(rng, _operand_shapes(spec, sizes)):
+            _assert_q_result(Q.einsum(spec, *ops), np.einsum(spec, *ops))
+
+
+@pytest.mark.parametrize("field", [F101, F32749], ids=["F101", "F32749"])
+@pytest.mark.parametrize("spec", EINSUM_SPECS + REFERENCE_SPECS)
+def test_einsum_fp_matches_reduced_einsum(spec, field):
+    rng = np.random.default_rng(22)
+    for sizes in _spec_sizes(spec, rng):
+        ops = _fp_operands(rng, field, _operand_shapes(spec, sizes))
+        exact = np.einsum(spec, *[o.astype(object) for o in ops])
+        _assert_fp_result(field.einsum(spec, *ops), np.einsum(spec, *ops) % field.p, exact, field)
+
+
+def test_matmul_q_matches_fraction_matmul():
+    rng = np.random.default_rng(23)
+    for shapes in MATMUL_SHAPES:
+        for a, b in _q_cases(rng, shapes):
+            _assert_q_result(Q.matmul(a, b), a @ b)
+
+
+@pytest.mark.parametrize("field", [F101, F32749], ids=["F101", "F32749"])
+def test_matmul_fp_matches_reduced_matmul(field):
+    rng = np.random.default_rng(24)
+    for shapes in MATMUL_SHAPES:
+        a, b = _fp_operands(rng, field, shapes)
+        _assert_fp_result(field.matmul(a, b), (a @ b) % field.p, a.astype(object) @ b.astype(object), field)
+
+
+def test_equal_over_q_is_entrywise():
+    a = Q.asarray([[Fraction(1, 2), 0], [Fraction(2**70, 3), -1]])
+    assert Q.equal(a, Q.asarray([[Fraction(2, 4), 0], [Fraction(2**71, 6), -1]]))
+    assert not Q.equal(a, Q.asarray([[Fraction(1, 2), 0], [Fraction(2**70 + 1, 3), -1]]))
+    assert not Q.equal(a, a[:1])
