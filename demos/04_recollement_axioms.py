@@ -10,6 +10,7 @@ from ladderkit.linalg import Field
 from ladderkit.modules import hom_space, random_module, regular_module
 from ladderkit.recollement import (
     build_recollement,
+    check_axioms,
     counit_e_r,
     probe_exactness,
     unit_e_l,
@@ -46,6 +47,10 @@ print("counit e r N -> N is an isomorphism:", counit_e_r(rec, n).is_isomorphism(
 for probe in (regular_module(rec.lam), m):
     print("canonical sequences at a module of dim", probe.dim, "->",
           verify_canonical_sequences(rec, probe)["status"])
+
+# --- all of the above on seeded random modules, as `ladderkit recollement` runs it ---
+failures = check_axioms(rec, 10, np.random.default_rng(0))
+print("\naxiom suite on 10 seeded trials:", "PASS" if not failures else failures)
 
 # --- exactness probes -------------------------------------------------------------------
 # e is exact (it restricts along an idempotent); p is provably NOT exact here:

@@ -607,10 +607,6 @@ def _block_matrix_algebra(base: Algebra, entry_bases, labels_prefix="E") -> Alge
     return Algebra(f, c, unit, idems, labels=labels)
 
 
-def _full_basis(base: Algebra) -> np.ndarray:
-    return base.field.eye(base.dim)
-
-
 def _check_two_sided_ideal(base: Algebra, ideal: np.ndarray):
     f = base.field
     rows = ideal.T  # ideal vectors as rows
@@ -648,7 +644,7 @@ def build_ideal_matrix_algebra(base: Algebra, ideal_basis, n: int) -> Algebra:
         for t in range(b.shape[1]):
             if not in_span(arows.matrix[: arows.rank], b[:, t], f):
                 raise AlgebraError("ideals must form a decreasing chain I_1 >= ... >= I_{n-1}")
-    full = _full_basis(base)
+    full = f.eye(base.dim)
     entries = [[full if i >= j else chain[j - 1] for j in range(n)] for i in range(n)]
     return _block_matrix_algebra(base, entries)
 
@@ -659,7 +655,7 @@ def build_triangular(base: Algebra, n: int) -> Algebra:
         raise AlgebraError("n must be at least 1")
     f = base.field
     zero = f.zeros(base.dim, 0)
-    full = _full_basis(base)
+    full = f.eye(base.dim)
     entries = [[full if i >= j else zero for j in range(n)] for i in range(n)]
     return _block_matrix_algebra(base, entries)
 

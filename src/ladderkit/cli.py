@@ -17,8 +17,7 @@ from .algebra import Algebra, AlgebraError, FieldRestrictionError, Idempotent
 from .fixtures import fixture_names, load_algebra_spec, parse_idempotent
 from .homological import is_stratifying, lemma_checks, preservation_harness, spli_silp
 from .ladder import ladder_report
-from .modules import random_module
-from .recollement import build_recollement, verify_canonical_sequences, unit_e_l, counit_e_r
+from .recollement import build_recollement, check_axioms
 from .verify import json_bytes, run_suite, suite_to_text
 
 EXIT_OK = 0
@@ -84,32 +83,17 @@ def cmd_ladder(args) -> int:
 
 def cmd_recollement(args) -> int:
     rec = _need_recollement(args)
-    rng = np.random.default_rng(args.seed)
-    failures = []
-    checked = 0
-    for _ in range(args.samples):
-        m = random_module(rec.lam, rng, max_summands=2)
-        n = random_module(rec.gamma, rng, max_summands=2)
-        res = verify_canonical_sequences(rec, m)
-        checked += 1
-        if res["status"] != "PASS":
-            failures.append(res)
-        if rec.functor_q().apply(rec.functor_l().apply(n).module).module.dim != 0:
-            failures.append({"axiom": "q l = 0", "dim": n.dim})
-        if rec.functor_p().apply(rec.functor_r().apply(n).module).module.dim != 0:
-            failures.append({"axiom": "p r = 0", "dim": n.dim})
-        if not unit_e_l(rec, n).is_isomorphism() or not counit_e_r(rec, n).is_isomorphism():
-            failures.append({"axiom": "e l / e r iso", "dim": n.dim})
+    failures = check_axioms(rec, args.samples, np.random.default_rng(args.seed))
     status = "PASS" if not failures else "FAIL"
     body = {
         "command": "recollement",
         "status": status,
-        "modules_checked": checked,
+        "modules_checked": args.samples,
         "corner_dim": rec.gamma.dim,
         "quotient_dim": rec.sigma.dim,
         "failures": failures,
     }
-    _emit(args, _common_report(args, body), f"recollement axioms on {checked} random modules: {status}")
+    _emit(args, _common_report(args, body), f"recollement axioms on {args.samples} random modules: {status}")
     return EXIT_OK if status == "PASS" else EXIT_FAIL
 
 
@@ -157,6 +141,16 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if rep["status"] == "PASS" else EXIT_FAIL
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ladderkit",
@@ -171,9 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_algebra:
             sp.add_argument("--algebra", required=True, help="fixture name or path to a JSON algebra spec")
             sp.add_argument("--idempotent", default=None, help="e<i>, e<i>+e<j>, or a JSON coefficient vector")
-        sp.add_argument("--max-steps", type=int, default=12)
-        sp.add_argument("--cutoff", type=int, default=8)
-        sp.add_argument("--samples", type=int, default=20)
+        sp.add_argument("--max-steps", type=_at_least_one, default=12)
+        sp.add_argument("--cutoff", type=_at_least_one, default=8)
+        sp.add_argument("--samples", type=_at_least_one, default=20)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--prime", type=int, default=101)
         sp.add_argument("--json", default=None, help="write the JSON report to this path")

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import Algebra, AlgebraError, opposite
-from .linalg import rref
+from .linalg import Field, rref
 from .modules import (
     HomBasis,
     Module,
@@ -56,6 +56,8 @@ __all__ = [
     "is_gorenstein_injective",
     "stable_hom_dim",
     "preservation_harness",
+    "stable_adjunction_mismatches",
+    "gorenstein_projective_pairs",
     "lemma_checks",
 ]
 
@@ -98,25 +100,23 @@ def injective_dimension(m: Module, cutoff: int) -> Bound:
 # -- Ext ------------------------------------------------------------------------
 
 
+def _homology_dims(dims: list[int], maps: list[np.ndarray], top: int, f: Field) -> list[int]:
+    """Homology dimensions 0 .. top of a complex with terms of dimension dims
+    and maps[j - 1] between terms j - 1 and j (either direction); terms past
+    the last are zero.  Each map is ranked once."""
+    ranks = [0] + [rref(d, f).rank for d in maps] + [0]
+    return [dims[i] - ranks[i] - ranks[i + 1] if i < len(dims) else 0 for i in range(top + 1)]
+
+
 def ext_dims(m: Module, n: Module, top: int) -> list[int]:
     """Dimensions of Ext^0 .. Ext^top via a minimal projective resolution of m
     and the induced Hom complex."""
     f = m.field
     res = minimal_resolution(m, top + 1)
-    terms = res.terms
-    bases = [HomBasis.of(p, n) for p in terms]
-    # delta[j]: Hom(P_{j-1}, n) -> Hom(P_j, n), j >= 1
-    deltas = [bases[j - 1].induced(bases[j], f, pre=res.differentials[j].matrix) for j in range(1, len(terms))]
-    out = []
-    for i in range(top + 1):
-        if i >= len(terms):
-            out.append(0)
-            continue
-        dim_i = len(bases[i].maps)
-        rank_out = rref(deltas[i], f).rank if i < len(deltas) else 0
-        rank_in = rref(deltas[i - 1], f).rank if i >= 1 and i - 1 < len(deltas) else 0
-        out.append(dim_i - rank_out - rank_in)
-    return out
+    bases = [HomBasis.of(p, n) for p in res.terms]
+    # delta[j - 1]: Hom(P_{j-1}, n) -> Hom(P_j, n), j >= 1
+    deltas = [bases[j - 1].induced(bases[j], f, pre=res.differentials[j].matrix) for j in range(1, len(bases))]
+    return _homology_dims([len(b.maps) for b in bases], deltas, top, f)
 
 
 def ext_dim(m: Module, n: Module, i: int, cutoff: Optional[int] = None) -> int:
@@ -136,24 +136,12 @@ def tor_dims(m_right: Module, n_left: Module, top: int) -> list[int]:
     if not opposite(m_right.algebra).same_as(n_left.algebra):
         raise AlgebraError("Tor needs a right and a left module over the same algebra")
     res = minimal_resolution(n_left, top + 1)
-    terms = res.terms
-    tens = [tensor_over(m_right, p) for p in terms]
-    partials = []  # partial[j]: M (x) P_j -> M (x) P_{j-1}, j >= 1
-    for j in range(1, len(terms)):
-        d = res.differentials[j]
-        td_j, td_prev = tens[j][1], tens[j - 1][1]
-        big = f.normalize(np.kron(f.eye(td_j.m_dim), d.matrix))
-        partials.append(f.matmul(td_prev.proj, f.matmul(big, td_j.sect)))
-    out = []
-    for i in range(top + 1):
-        if i >= len(terms):
-            out.append(0)
-            continue
-        dim_i = tens[i][0].dim
-        rank_in = rref(partials[i - 1], f).rank if i >= 1 and i - 1 < len(partials) else 0
-        rank_out = rref(partials[i], f).rank if i < len(partials) else 0
-        out.append(dim_i - rank_in - rank_out)
-    return out
+    tens = [tensor_over(m_right, p) for p in res.terms]
+    # partial[j - 1]: M (x) P_j -> M (x) P_{j-1}, j >= 1
+    partials = [
+        tens[j][1].induced(f, op_right=res.differentials[j].matrix, target=tens[j - 1][1]) for j in range(1, len(tens))
+    ]
+    return _homology_dims([t.dim for t, _ in tens], partials, top, f)
 
 
 def tor_dim(m_right: Module, n_left: Module, i: int, cutoff: Optional[int] = None) -> int:
@@ -373,7 +361,6 @@ def preservation_harness(
     hypotheses, plus the stable-Hom adjunction identities.  Clauses with
     unmet hypotheses are SKIPPED."""
     rng = np.random.default_rng(seed)
-    f = rec.field
     lam, gam = rec.lam, rec.gamma
     lv, rv = ladder.l_verdict, ladder.r_verdict
     rep_lam = spli_silp(lam, cutoff)
@@ -456,7 +443,7 @@ def preservation_harness(
         "left adjoint preserves Gorenstein injectives, counit iso on them (l-height >= 4)",
         lv.meets(4),
         lambda: preserves(lambda m: fl.apply(m).module, gi_gam_samples, gi_lam, "GInj over middle")
-        + _iso_failures(rec, gi_gam_samples, "e_l"),
+        + _iso_failures(rec, gi_gam_samples, unit_e_l, "e_l"),
     )
     run_clause(
         "corner functor preserves Gorenstein projectives (r-height >= 3)",
@@ -474,7 +461,7 @@ def preservation_harness(
         "right adjoint preserves Gorenstein projectives, counit iso on them (r-height >= 4)",
         rv.meets(4),
         lambda: preserves(lambda m: fr.apply(m).module, gp_gam_samples, gp_lam, "GP over middle")
-        + _iso_failures(rec, gp_gam_samples, "e_r"),
+        + _iso_failures(rec, gp_gam_samples, counit_e_r, "e_r"),
     )
 
     def clause_r_gi():
@@ -493,29 +480,22 @@ def preservation_harness(
         clause_r_gi,
     )
 
-    def clause_stable_adjunction():
-        failures = []
-        pairs = min(len(gp_gam_samples), len(gp_lam_samples))
-        for x, y in zip(gp_gam_samples[:pairs], gp_lam_samples[:pairs]):
-            lhs = stable_hom_dim(fl.apply(x).module, y)
-            rhs = stable_hom_dim(x, fe.apply(y).module)
-            if lhs != rhs:
-                failures.append({"lhs": lhs, "rhs": rhs, "dims": [x.dim, y.dim], "identity": "stable (l, e)"})
-        return failures
+    def clause_stable_adjunction(left, right, xs, ys, name):
+        return [
+            {"lhs": lhs, "rhs": rhs, "dims": [x.dim, y.dim], "identity": f"stable ({name})"}
+            for _, x, y, lhs, rhs in stable_adjunction_mismatches(left, right, zip(xs, ys))
+        ]
 
-    run_clause("stable Hom adjunction for (l, e) on Gorenstein projectives (l >= 2, r >= 3)", lv.meets(2) and rv.meets(3), clause_stable_adjunction)
-
-    def clause_stable_adjunction_er():
-        failures = []
-        pairs = min(len(gp_lam_samples), len(gp_gam_samples))
-        for x, y in zip(gp_lam_samples[:pairs], gp_gam_samples[:pairs]):
-            lhs = stable_hom_dim(fe.apply(x).module, y)
-            rhs = stable_hom_dim(x, fr.apply(y).module)
-            if lhs != rhs:
-                failures.append({"lhs": lhs, "rhs": rhs, "dims": [x.dim, y.dim], "identity": "stable (e, r)"})
-        return failures
-
-    run_clause("stable Hom adjunction for (e, r) on Gorenstein projectives (r-height >= 4)", rv.meets(4), clause_stable_adjunction_er)
+    run_clause(
+        "stable Hom adjunction for (l, e) on Gorenstein projectives (l >= 2, r >= 3)",
+        lv.meets(2) and rv.meets(3),
+        lambda: clause_stable_adjunction(fl, fe, gp_gam_samples, gp_lam_samples, "l, e"),
+    )
+    run_clause(
+        "stable Hom adjunction for (e, r) on Gorenstein projectives (r-height >= 4)",
+        rv.meets(4),
+        lambda: clause_stable_adjunction(fe, fr, gp_lam_samples, gp_gam_samples, "e, r"),
+    )
 
     status = "PASS"
     if any(c["status"] == "FAIL" for c in clauses):
@@ -532,16 +512,55 @@ def preservation_harness(
     }
 
 
-def _iso_failures(rec: RecollementData, samples_gam, which: str) -> list:
-    failures = []
-    for n in samples_gam:
-        if which == "e_l":
-            mp = unit_e_l(rec, n)
-        else:
-            mp = counit_e_r(rec, n)
-        if not mp.is_isomorphism():
-            failures.append({"identity": which, "dim": n.dim})
-    return failures
+def _iso_failures(rec: RecollementData, samples_gam, unit, which: str) -> list:
+    """Records for the samples N where unit(rec, N) is not an isomorphism."""
+    return [{"identity": which, "dim": n.dim} for n in samples_gam if not unit(rec, n).is_isomorphism()]
+
+
+def stable_adjunction_mismatches(left, right, pairs) -> list[tuple]:
+    """The stable Hom identity dim Hom(left x, y) = dim Hom(x, right y), modulo
+    projectives, of an adjoint pair left -| right on the given (x, y) pairs.
+    Returns (position from 1, x, y, lhs, rhs) for each pair where it fails."""
+    out = []
+    for k, (x, y) in enumerate(pairs, 1):
+        lhs = stable_hom_dim(left.apply(x).module, y)
+        rhs = stable_hom_dim(x, right.apply(y).module)
+        if lhs != rhs:
+            out.append((k, x, y, lhs, rhs))
+    return out
+
+
+def gorenstein_projective_pairs(rec: RecollementData, cutoff: int, seed: int, want: int, budget: int) -> list[tuple]:
+    """Up to `want` pairs (x, y) of nonzero Gorenstein projectives, x over the
+    corner and y over the middle algebra, from at most `budget` seeded draws
+    of random pairs."""
+    rng = np.random.default_rng(seed)
+    rep_lam = spli_silp(rec.lam, cutoff)
+    rep_gam = spli_silp(rec.gamma, cutoff)
+    pairs = []
+    for _ in range(budget):
+        if len(pairs) == want:
+            break
+        x = random_module(rec.gamma, rng, max_summands=2)
+        y = random_module(rec.lam, rng, max_summands=2)
+        if x.dim == 0 or y.dim == 0:
+            continue
+        if is_gorenstein_projective(x, cutoff, ambient=rep_gam).is_yes and is_gorenstein_projective(y, cutoff, ambient=rep_lam).is_yes:
+            pairs.append((x, y))
+    return pairs
+
+
+def _ext_adjunction(left, right, rng, top: int, name: str) -> dict:
+    """dim Ext^i(left x, y) = dim Ext^i(x, right y), i <= top, for an adjoint
+    pair left -| right on three seeded random pairs (x, y)."""
+    mismatches = []
+    for _ in range(3):
+        x = random_module(left.source_algebra, rng, max_summands=2)
+        y = random_module(right.source_algebra, rng, max_summands=2)
+        lhs = ext_dims(left.apply(x).module, y, top)
+        rhs = ext_dims(x, right.apply(y).module, top)
+        mismatches += [{"degree": d, "lhs": a, "rhs": b} for d, (a, b) in enumerate(zip(lhs, rhs)) if a != b]
+    return {"check": name, "ok": not mismatches, "mismatches": mismatches}
 
 
 def lemma_checks(rec: RecollementData, cutoff: int = 8, samples: int = 10, seed: int = 0, ext_top: int = 4) -> dict:
@@ -549,10 +568,10 @@ def lemma_checks(rec: RecollementData, cutoff: int = 8, samples: int = 10, seed:
     left) adjoint exact at sample scale, assert the spli inequality between
     corner and middle and the Ext-adjunction dimension identities."""
     rng = np.random.default_rng(seed)
-    f = rec.field
     fe = rec.functor_e()
     fl = rec.functor_l()
     fr = rec.functor_r()
+    top = min(ext_top, cutoff)
     checks = []
 
     probe_r = probe_exactness(fr, samples=6, seed=seed)
@@ -572,32 +591,10 @@ def lemma_checks(rec: RecollementData, cutoff: int = 8, samples: int = 10, seed:
                     "spli_middle": rep_lam.spli.n,
                 }
             )
-        ext_ok = True
-        details = []
-        for _ in range(3):
-            a_mod = random_module(rec.lam, rng, max_summands=2)
-            b_mod = random_module(rec.gamma, rng, max_summands=2)
-            for deg in range(min(ext_top, cutoff) + 1):
-                lhs = ext_dim(fe.apply(a_mod).module, b_mod, deg)
-                rhs = ext_dim(a_mod, fr.apply(b_mod).module, deg)
-                if lhs != rhs:
-                    ext_ok = False
-                    details.append({"degree": deg, "lhs": lhs, "rhs": rhs})
-        checks.append({"check": "Ext adjunction for (e, r) with r exact", "ok": ext_ok, "mismatches": details})
+        checks.append(_ext_adjunction(fe, fr, rng, top, "Ext adjunction for (e, r) with r exact"))
 
     if probe_l["status"] == "Exact":
-        ext_ok = True
-        details = []
-        for _ in range(3):
-            n_mod = random_module(rec.gamma, rng, max_summands=2)
-            m_mod = random_module(rec.lam, rng, max_summands=2)
-            for deg in range(min(ext_top, cutoff) + 1):
-                lhs = ext_dim(fl.apply(n_mod).module, m_mod, deg)
-                rhs = ext_dim(n_mod, fe.apply(m_mod).module, deg)
-                if lhs != rhs:
-                    ext_ok = False
-                    details.append({"degree": deg, "lhs": lhs, "rhs": rhs})
-        checks.append({"check": "Ext adjunction for (l, e) with l exact", "ok": ext_ok, "mismatches": details})
+        checks.append(_ext_adjunction(fl, fe, rng, top, "Ext adjunction for (l, e) with l exact"))
 
     status = "PASS" if all(c.get("ok", True) for c in checks) else "FAIL"
     return {

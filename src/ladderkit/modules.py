@@ -504,17 +504,12 @@ def simples(a: Algebra) -> list[Module]:
     """
     tops = simples_by_idempotent(a)
     f = a.field
-    chosen: list[tuple[int, Module]] = []
+    chosen: list[Module] = []
     for i, s in enumerate(tops):
-        dup = False
-        for j, other in chosen:
-            if other.dim == s.dim and rref(other.act_vector(a.prim_idempotents[i]), f).rank > 0:
-                dup = True
-                break
-        if not dup:
-            s.idempotent_index = i
-            chosen.append((i, s))
-    return [s for _, s in chosen]
+        e_i = a.prim_idempotents[i]
+        if not any(other.dim == s.dim and rref(other.act_vector(e_i), f).rank > 0 for other in chosen):
+            chosen.append(s)
+    return chosen
 
 
 def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
@@ -653,12 +648,22 @@ class TensorData:
     m_dim: int
     n_dim: int
 
-    def induced(self, f: Field, op_left: Optional[np.ndarray], op_right: Optional[np.ndarray]) -> np.ndarray:
+    def induced(
+        self,
+        f: Field,
+        op_left: Optional[np.ndarray] = None,
+        op_right: Optional[np.ndarray] = None,
+        target: Optional["TensorData"] = None,
+    ) -> np.ndarray:
+        """Matrix of op_left (x) op_right (identity where None) from this
+        tensor product into target's (default: this one), in both quotient
+        coordinates."""
         big = np.kron(
             op_left if op_left is not None else f.eye(self.m_dim),
             op_right if op_right is not None else f.eye(self.n_dim),
         )
-        return f.matmul(self.proj, f.matmul(f.normalize(big), self.sect))
+        into = target if target is not None else self
+        return f.matmul(into.proj, f.matmul(f.normalize(big), self.sect))
 
 
 def _balanced_tensor(f: Field, b: Algebra, right_action, left_action) -> TensorData:
@@ -676,12 +681,6 @@ def _balanced_tensor(f: Field, b: Algebra, right_action, left_action) -> TensorD
     relmat = np.concatenate(rels, axis=0) if rels else f.zeros(0, m * n)
     proj, sect = quotient_coordinates(relmat, f)
     return TensorData(proj, sect, m, n)
-
-
-def _unit_vec(f: Field, dim: int, i: int) -> np.ndarray:
-    v = f.zeros(dim)
-    v[i] = f.one
-    return v
 
 
 def tensor_over(a_mod, b_mod) -> tuple:

@@ -28,7 +28,7 @@ from .algebra import (
     enveloping,
     quotient_by_idempotent_ideal,
 )
-from .linalg import Field, column_space_basis, intersect_kernels, kernel_basis, rref, unit_rows
+from .linalg import Field, column_space_basis, intersect_kernels, kernel_basis, rank, unit_rows
 from .modules import (
     Bimodule,
     HomBasis,
@@ -37,6 +37,7 @@ from .modules import (
     TensorData,
     hom_module,
     hom_space,
+    random_module,
     random_short_exact_sequence,
     quotient_module,
     serialize_module,
@@ -60,6 +61,7 @@ __all__ = [
     "unit_e_l",
     "counit_e_r",
     "verify_canonical_sequences",
+    "check_axioms",
     "probe_exactness",
     "torsion_class_membership",
     "torsion_audit",
@@ -178,11 +180,8 @@ class TensorFunctor:
         return FunctorValue(out, td)
 
     def on_map(self, f: ModuleMap, va: FunctorValue, vb: FunctorValue) -> ModuleMap:
-        fld = f.source.field
         td_a: TensorData = va.data
-        td_b: TensorData = vb.data
-        big = fld.normalize(np.kron(fld.eye(self.bimod.dim), f.matrix))
-        mat = fld.matmul(td_b.proj, fld.matmul(big, td_a.sect))
+        mat = td_a.induced(f.source.field, op_right=f.matrix, target=vb.data)
         return ModuleMap(va.module, vb.module, mat, _validate=False)
 
 
@@ -408,21 +407,11 @@ def counit_e_r(rec: RecollementData, n: Module) -> ModuleMap:
 # -- canonical exact sequences -----------------------------------------------------
 
 
-def _image_rows(mat: np.ndarray, f: Field) -> np.ndarray:
-    return column_space_basis(mat, f).T
-
-
-def _same_row_space(a: np.ndarray, b: np.ndarray, f: Field) -> bool:
-    if a.shape[0] == b.shape[0] == 0:
-        return True
-    ra = rref(a, f) if a.shape[0] else None
-    rb = rref(b, f) if b.shape[0] else None
-    rka = ra.rank if ra else 0
-    rkb = rb.rank if rb else 0
-    if rka != rkb:
-        return False
-    stacked = np.concatenate([a, b], axis=0)
-    return rref(stacked, f).rank == rka
+def _exact_at(into: np.ndarray, out_of: np.ndarray, f: Field) -> bool:
+    """Is image(into) = kernel(out_of) for composable maps X -> Y -> Z?  The
+    image lies in the kernel iff the composite is zero, and then they are
+    equal iff their dimensions are."""
+    return f.is_zero(f.matmul(out_of, into)) and rank(into, f) + rank(out_of, f) == out_of.shape[1]
 
 
 def verify_canonical_sequences(rec: RecollementData, m: Module) -> dict:
@@ -432,11 +421,9 @@ def verify_canonical_sequences(rec: RecollementData, m: Module) -> dict:
     f = rec.field
     failures = []
 
-    mu, em, lem = counit_mu(rec, m)
-    lam_map, iqm = unit_lambda(rec, m)
-    im_mu = _image_rows(mu.matrix, f)
-    ker_lam = kernel_basis(lam_map.matrix, f).T
-    if not _same_row_space(im_mu, ker_lam, f):
+    mu, _, lem = counit_mu(rec, m)
+    lam_map, _ = unit_lambda(rec, m)
+    if not _exact_at(mu.matrix, lam_map.matrix, f):
         failures.append("first sequence: image(mu) != kernel(lambda)")
     if not lam_map.is_surjective():
         failures.append("first sequence: lambda not epi onto iq(M)")
@@ -444,22 +431,55 @@ def verify_canonical_sequences(rec: RecollementData, m: Module) -> dict:
     if ker_mu.shape[1] and not f.is_zero(f.matmul(lem.module.act_vector(rec.e.element), ker_mu)):
         failures.append("first sequence: Ker(mu) not killed by e")
 
-    kappa, ipm = counit_kappa(rec, m)
-    nu, em2, rem = unit_nu(rec, m)
-    ker_nu = kernel_basis(nu.matrix, f).T
-    im_kappa = _image_rows(kappa.matrix, f)
-    if not _same_row_space(im_kappa, ker_nu, f):
+    kappa, _ = counit_kappa(rec, m)
+    nu, _, rem = unit_nu(rec, m)
+    if not _exact_at(kappa.matrix, nu.matrix, f):
         failures.append("second sequence: image(kappa) != kernel(nu)")
     if not kappa.is_injective():
         failures.append("second sequence: kappa not mono")
-    im_nu = _image_rows(nu.matrix, f)
-    coker, _ = quotient_module(rem.module, im_nu)
+    coker, _ = quotient_module(rem.module, column_space_basis(nu.matrix, f).T)
     if coker.dim and not f.is_zero(coker.act_vector(rec.e.element)):
         failures.append("second sequence: Coker(nu) not killed by e")
 
     if failures:
         return {"status": "FAIL", "failures": failures, "module_dim": m.dim}
     return {"status": "PASS", "module_dim": m.dim}
+
+
+def check_axioms(rec: RecollementData, samples: int, rng: np.random.Generator) -> list[dict]:
+    """The recollement axioms on `samples` seeded random trials: the canonical
+    sequences at a random L-module M; q l = 0 = p r and the isos e l = 1 = e r
+    at a random G-module N; and dim Hom(F x, y) = dim Hom(x, G y) for the
+    adjoint pairs (l, e) and (e, r), and, when S is nonzero, (q, i) and (i, p)
+    at a random S-module.  Returns one record per failed check, [] if none."""
+    fe, fl, fr = rec.functor_e(), rec.functor_l(), rec.functor_r()
+    fq, fp, fi = rec.functor_q(), rec.functor_p(), rec.functor_i()
+    failures = []
+    for t in range(samples):
+        m = random_module(rec.lam, rng, max_summands=2)
+        n = random_module(rec.gamma, rng, max_summands=2)
+        seq = verify_canonical_sequences(rec, m)
+        if seq["status"] != "PASS":
+            failures.append({"trial": t, "kind": "canonical", "detail": seq})
+        ln, rn, em = fl.apply(n).module, fr.apply(n).module, fe.apply(m).module
+        if fq.apply(ln).module.dim != 0:
+            failures.append({"trial": t, "kind": "q l != 0"})
+        if fp.apply(rn).module.dim != 0:
+            failures.append({"trial": t, "kind": "p r != 0"})
+        if not unit_e_l(rec, n).is_isomorphism():
+            failures.append({"trial": t, "kind": "e l not iso"})
+        if not counit_e_r(rec, n).is_isomorphism():
+            failures.append({"trial": t, "kind": "e r not iso"})
+        # (name, F x, y, x, G y) for each adjoint pair F -| G
+        adjoint = [("l, e", ln, m, n, em), ("e, r", em, n, m, rn)]
+        if rec.sigma.dim:
+            s = random_module(rec.sigma, rng, max_summands=2)
+            i_s = fi.apply(s).module
+            adjoint += [("q, i", fq.apply(m).module, s, m, i_s), ("i, p", i_s, m, s, fp.apply(m).module)]
+        for pair, fx, y, x, gy in adjoint:
+            if len(hom_space(fx, y)) != len(hom_space(x, gy)):
+                failures.append({"trial": t, "kind": f"adjunction ({pair})"})
+    return failures
 
 
 # -- exactness probes ----------------------------------------------------------------
@@ -480,13 +500,12 @@ def probe_exactness(functor, samples: int, seed: int, extra_sequences=None) -> d
         vc = functor.apply(proj.target)
         fi = functor.on_map(incl, va, vb)
         fp = functor.on_map(proj, vb, vc)
-        f = incl.source.field
         problems = []
         if not fi.is_injective():
             problems.append("left term not mono")
         if not fp.is_surjective():
             problems.append("right term not epi")
-        if not _same_row_space(_image_rows(fi.matrix, f), kernel_basis(fp.matrix, f).T, f):
+        if not _exact_at(fi.matrix, fp.matrix, incl.source.field):
             problems.append("middle not exact")
         if problems:
             return {

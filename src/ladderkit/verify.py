@@ -16,21 +16,16 @@ import numpy as np
 from . import __version__
 from .fixtures import load_fixture, parse_idempotent
 from .homological import (
-    is_gorenstein_projective,
+    gorenstein_projective_pairs,
     is_stratifying,
     preservation_harness,
     spli_silp,
-    stable_hom_dim,
+    stable_adjunction_mismatches,
 )
 from .ladder import height_cross_check, ladder_report
 from .linalg import Field
-from .modules import hom_profile, hom_space, random_module
-from .recollement import (
-    build_recollement,
-    counit_e_r,
-    unit_e_l,
-    verify_canonical_sequences,
-)
+from .modules import hom_profile
+from .recollement import build_recollement, check_axioms
 
 __all__ = ["run_suite", "suite_to_text", "json_bytes", "RECOLLEMENT_FIXTURES"]
 
@@ -157,38 +152,7 @@ def _c5(ctx: _Ctx) -> dict:
     per_fixture = {}
     ok = True
     for name, rec in ctx.recs.items():
-        rng = np.random.default_rng(ctx.seed)
-        fe, fl, fr = rec.functor_e(), rec.functor_l(), rec.functor_r()
-        fq, fp, fi = rec.functor_q(), rec.functor_p(), rec.functor_i()
-        failures = []
-        for t in range(ctx.samples):
-            m = random_module(rec.lam, rng, max_summands=2)
-            n = random_module(rec.gamma, rng, max_summands=2)
-            seq = verify_canonical_sequences(rec, m)
-            if seq["status"] != "PASS":
-                failures.append({"trial": t, "kind": "canonical", "detail": seq})
-            ln = fl.apply(n)
-            rn = fr.apply(n)
-            if fq.apply(ln.module).module.dim != 0:
-                failures.append({"trial": t, "kind": "q l != 0"})
-            if fp.apply(rn.module).module.dim != 0:
-                failures.append({"trial": t, "kind": "p r != 0"})
-            if not unit_e_l(rec, n).is_isomorphism():
-                failures.append({"trial": t, "kind": "e l not iso"})
-            if not counit_e_r(rec, n).is_isomorphism():
-                failures.append({"trial": t, "kind": "e r not iso"})
-            em = fe.apply(m)
-            if len(hom_space(ln.module, m)) != len(hom_space(n, em.module)):
-                failures.append({"trial": t, "kind": "adjunction (l, e)"})
-            if len(hom_space(em.module, n)) != len(hom_space(m, rn.module)):
-                failures.append({"trial": t, "kind": "adjunction (e, r)"})
-            if rec.sigma.dim:
-                s = random_module(rec.sigma, rng, max_summands=2)
-                ia = fi.apply(s)
-                if len(hom_space(fq.apply(m).module, s)) != len(hom_space(m, ia.module)):
-                    failures.append({"trial": t, "kind": "adjunction (q, i)"})
-                if len(hom_space(ia.module, m)) != len(hom_space(s, fp.apply(m).module)):
-                    failures.append({"trial": t, "kind": "adjunction (i, p)"})
+        failures = check_axioms(rec, ctx.samples, np.random.default_rng(ctx.seed))
         per_fixture[name] = {"failures": failures, "trials": ctx.samples}
         ok = ok and not failures
     return _crit(5, "recollement axiom suite on seeded random modules (canonical sequences, zero laws, adjunctions)", ok, per_fixture)
@@ -240,32 +204,13 @@ def _c9(ctx: _Ctx) -> dict:
         if not (rep.l_verdict.meets(2) and rep.r_verdict.meets(3)):
             per_fixture[name] = {"status": "SKIPPED", "reason": "needs l-height >= 2 and r-height >= 3"}
             continue
-        rng = np.random.default_rng(ctx.seed)
-        rep_lam = spli_silp(rec.lam, ctx.cutoff)
-        rep_gam = spli_silp(rec.gamma, ctx.cutoff)
-        fe, fl = rec.functor_e(), rec.functor_l()
-        mismatches = []
-        pairs = 0
-        guard = 0
         # random cokernels are often zero over semisimple fixtures, so the
         # draw budget is far above the 10 pairs actually needed
-        while pairs < 10 and guard < 400:
-            guard += 1
-            x = random_module(rec.gamma, rng, max_summands=2)
-            y = random_module(rec.lam, rng, max_summands=2)
-            if x.dim == 0 or y.dim == 0:
-                continue
-            if not is_gorenstein_projective(x, ctx.cutoff, ambient=rep_gam).is_yes:
-                continue
-            if not is_gorenstein_projective(y, ctx.cutoff, ambient=rep_lam).is_yes:
-                continue
-            pairs += 1
-            lhs = stable_hom_dim(fl.apply(x).module, y)
-            rhs = stable_hom_dim(x, fe.apply(y).module)
-            if lhs != rhs:
-                mismatches.append({"pair": pairs, "lhs": lhs, "rhs": rhs})
-        good = pairs == 10 and not mismatches
-        per_fixture[name] = {"status": "PASS" if good else "FAIL", "pairs": pairs, "mismatches": mismatches}
+        pairs = gorenstein_projective_pairs(rec, ctx.cutoff, ctx.seed, want=10, budget=400)
+        found = stable_adjunction_mismatches(rec.functor_l(), rec.functor_e(), pairs)
+        mismatches = [{"pair": k, "lhs": lhs, "rhs": rhs} for k, _, _, lhs, rhs in found]
+        good = len(pairs) == 10 and not mismatches
+        per_fixture[name] = {"status": "PASS" if good else "FAIL", "pairs": len(pairs), "mismatches": mismatches}
         ok = ok and good
     return _crit(9, "stable Hom adjunction dims agree on 10 random Gorenstein-projective pairs per qualifying fixture", ok, per_fixture)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -32,9 +33,47 @@ def test_ladder_json_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_recollement_command(capsys):
-    assert main(["recollement", "--algebra", "t2", "--samples", "5"]) == 0
+def test_recollement_command(tmp_path, capsys):
+    out = tmp_path / "rec.json"
+    assert main(["recollement", "--algebra", "t2", "--samples", "5", "--json", str(out)]) == 0
     assert "PASS" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert payload["status"] == "PASS"
+    assert payload["modules_checked"] == 5
+    assert payload["failures"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ladder", "--algebra", "t2", "--max-steps", "-3"],
+        ["stratifying", "--algebra", "t2", "--cutoff", "-1"],
+        ["recollement", "--algebra", "t2", "--samples", "0"],
+    ],
+    ids=["max-steps", "cutoff", "samples"],
+)
+def test_counts_below_one_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+# sha256 of `harness --algebra A --json` at the default seed and prime; these
+# reports are not covered by the verify-paper digest.  Update one only in a
+# change that alters the harness report on purpose and says so in CHANGES.md.
+HARNESS_SHA256 = {
+    "t2": "e58d9b5c6b540807d0f9869da7e4c0823c3387ac096aa0313fb095003523ee6d",
+    "prop32-dual-numbers": "91e83e9830322fa908767f87aa491c021e19bf4757ec1c151535ebb105f43cf1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARNESS_SHA256))
+def test_harness_report_bytes_unchanged(tmp_path, capsys, name):
+    out = tmp_path / "h.json"
+    assert main(["harness", "--algebra", name, "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == HARNESS_SHA256[name]
 
 
 def test_stratifying_command(capsys):

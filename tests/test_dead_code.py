@@ -1,0 +1,79 @@
+"""Dead-code guard over the package sources, by static inspection only.
+
+Every module-level private function or class must be referred to somewhere
+in src/ outside its own definition, and every name a module lists in a
+literal __all__ must be bound at its top level.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ladderkit"
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _names_in(node) -> Counter:
+    """Names a subtree refers to: variables, attributes and imported names."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            out[sub.name] += 1
+    return out
+
+
+def _top_level_bindings(tree: ast.Module) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def _literal_all(tree: ast.Module):
+    """A module's __all__ when it is a literal list, else None (the package
+    __init__ computes its own from what it imports)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            if isinstance(node.value, (ast.List, ast.Tuple)):
+                return [ast.literal_eval(e) for e in node.value.elts]
+    return None
+
+
+def test_private_definitions_are_used():
+    total = sum((_names_in(tree) for tree in TREES.values()), Counter())
+    unused = []
+    for fname, tree in TREES.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                # a recursive call or a method body naming its own class is no use
+                if total[node.name] - _names_in(node)[node.name] == 0:
+                    unused.append(f"{fname}:{node.name}")
+    assert unused == []
+
+
+def test_all_entries_are_defined():
+    missing = []
+    for fname, tree in TREES.items():
+        exported = _literal_all(tree) or []
+        bound = _top_level_bindings(tree)
+        missing += [f"{fname}:{name}" for name in exported if name not in bound]
+    assert missing == []
+
+
+def test_the_guard_sees_the_package():
+    assert {"verify.py", "recollement.py", "homological.py"} <= set(TREES)
+    assert sum(_literal_all(tree) is not None for tree in TREES.values()) >= 5

@@ -70,6 +70,18 @@ def rad_square_zero_two_vertices():
 # -- Ext -----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("name", RECOLLEMENT_FIXTURES)
+def test_ext_dims_agrees_with_ext_dim_per_degree(name):
+    # one resolution to depth top must give each degree's value from its own run
+    alg, _ = load_fixture(name, F)
+    rng = np.random.default_rng(5)
+    top = 3
+    for _ in range(2):
+        m = random_module(alg, rng, max_summands=2)
+        n = random_module(alg, rng, max_summands=2)
+        assert ext_dims(m, n, top) == [ext_dim(m, n, i) for i in range(top + 1)]
+
+
 def test_ext_zero_is_hom():
     pp = preprojective_a2(F)
     rng = np.random.default_rng(0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ladderkit.modules import hom_space, is_isomorphic, random_module, simples, 
 from ladderkit.recollement import (
     TensorFunctor,
     build_recollement,
+    check_axioms,
     counit_e_r,
     counit_kappa,
     counit_mu,
@@ -283,3 +286,28 @@ def test_carrier_hom_dimension_vector_space_duality():
 
     h, _ = hom_module(rec.e_lambda, regular_bimodule(rec.gamma))
     assert h.dim == rec.e_lambda.dim == 2
+
+
+@pytest.mark.parametrize("name", RECOLLEMENT_FIXTURES)
+def test_check_axioms_pass_on_fixtures(name):
+    assert check_axioms(rec_for(name), 4, np.random.default_rng(0)) == []
+
+
+def test_check_axioms_detects_broken_unit():
+    # with e's coordinates in Le zeroed, the unit N -> e l N is the zero map
+    rec = rec_for("t2")
+    broken = dataclasses.replace(rec, e_in_lambda_e=F.zeros(*rec.e_in_lambda_e.shape))
+    failures = check_axioms(broken, 4, np.random.default_rng(0))
+    assert {f["kind"] for f in failures} == {"e l not iso"}
+
+
+def test_exact_at_needs_zero_composite_as_well_as_ranks():
+    from ladderkit.recollement import _exact_at
+
+    into = F.asarray([[1], [0]])  # k -> k^2 onto the first axis
+    assert _exact_at(into, F.asarray([[0, 1]]), F)
+    # ranks add up to dim k^2 here too, but the image is not the kernel
+    assert not _exact_at(into, F.asarray([[1, 0]]), F)
+    assert not _exact_at(into, F.asarray([[1, 1]]), F)
+    assert not _exact_at(F.zeros(2, 1), F.asarray([[0, 1]]), F)
+    assert _exact_at(F.zeros(2, 0), F.eye(2), F)
