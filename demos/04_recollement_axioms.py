@@ -40,8 +40,8 @@ print("dim Hom(e M, N) =", len(hom_space(fe.apply(m).module, n)),
 # --- zero laws and fully faithfulness ------------------------------------------------
 print("\nq(l N) = 0:", fq.apply(fl.apply(n).module).module.dim == 0)
 print("p(r N) = 0:", fp.apply(fr.apply(n).module).module.dim == 0)
-print("unit N -> e l N is an isomorphism:", unit_e_l(rec, n).is_isomorphism())
-print("counit e r N -> N is an isomorphism:", counit_e_r(rec, n).is_isomorphism())
+print("unit N -> e l N is an isomorphism:", unit_e_l(rec, n)[0].is_isomorphism())
+print("counit e r N -> N is an isomorphism:", counit_e_r(rec, n)[0].is_isomorphism())
 
 # --- canonical exact sequences --------------------------------------------------------
 for probe in (regular_module(rec.lam), m):

@@ -96,7 +96,7 @@ rng = np.random.default_rng(9)
 pool = [m for m in (random_module(pp.lam, rng, max_summands=2) for _ in range(10)) if m.dim]
 t_side = [m for m in pool if torsion_class_membership(pp, m1, m)]
 from ladderkit.modules import hom_space
-f_side = [m for m in pool if m not in t_side and all(not hom_space(t, m) for t in t_side)]
+f_side = [m for m in pool if m not in t_side and all(len(hom_space(t, m)) == 0 for t in t_side)]
 print(f"\ntorsion membership on the self-injective fixture: {len(t_side)} torsion, "
       f"{len(f_side)} torsion-free candidates out of {len(pool)} samples")
 audit = torsion_audit(pp, rungs, t_side, f_side)

@@ -16,10 +16,10 @@ import numpy as np
 from .algebra import Algebra, AlgebraError, opposite
 from .linalg import Field, rref
 from .modules import (
-    HomBasis,
     Module,
     dual,
     hom_into_regular,
+    hom_space,
     is_isomorphic,
     minimal_resolution,
     projective_cover,
@@ -113,10 +113,10 @@ def ext_dims(m: Module, n: Module, top: int) -> list[int]:
     and the induced Hom complex."""
     f = m.field
     res = minimal_resolution(m, top + 1)
-    bases = [HomBasis.of(p, n) for p in res.terms]
+    bases = [hom_space(p, n) for p in res.terms]
     # delta[j - 1]: Hom(P_{j-1}, n) -> Hom(P_j, n), j >= 1
     deltas = [bases[j - 1].induced(bases[j], f, pre=res.differentials[j].matrix) for j in range(1, len(bases))]
-    return _homology_dims([len(b.maps) for b in bases], deltas, top, f)
+    return _homology_dims([len(b) for b in bases], deltas, top, f)
 
 
 def ext_dim(m: Module, n: Module, i: int, cutoff: Optional[int] = None) -> int:
@@ -294,15 +294,12 @@ def is_gorenstein_projective(m: Module, cutoff: int = 8, ambient: Optional[Goren
         if exts_t[i] != 0:
             return GPVerdict("no", False, cutoff, reason=f"Ext^{i}(transpose dual, opposite algebra) nonzero")
     # biduality M -> Hom(Hom(M, A), A)
-    hb1 = HomBasis.of(m, reg)
+    hb1 = hom_space(m, reg)
     mtt = hom_into_regular(mt)
-    hb2 = HomBasis.of(mt, regular_module(mt.algebra))
+    hb2 = hom_space(mt, regular_module(mt.algebra))
     bidual = f.zeros(mtt.dim, m.dim)
     for x in range(m.dim):
-        ev = f.zeros(a.dim, mt.dim)
-        for s, mp in enumerate(hb1.maps):
-            ev[:, s] = mp.matrix[:, x]
-        bidual[:, x] = hb2.coords(ev, f)
+        bidual[:, x] = hb2.coords(hb1.matrices[:, :, x].T, f)  # evaluation at x
     if not (mtt.dim == m.dim and rref(bidual, f).rank == m.dim):
         return GPVerdict("no", False, cutoff, reason="biduality map is not an isomorphism")
     return GPVerdict("yes", not complete, cutoff)
@@ -324,22 +321,23 @@ def stable_hom_dim(m: Module, n: Module) -> int:
     factoring subspace is the image of composition with the cover surjection.
     """
     f = m.field
-    hb = HomBasis.of(m, n)
-    if not hb.maps:
+    hb = hom_space(m, n)
+    if not len(hb):
         return 0
     cover, surj = projective_cover(n)
-    hcov = HomBasis.of(m, cover)
-    return len(hb.maps) - rref(hcov.induced(hb, f, post=surj.matrix), f).rank
+    hcov = hom_space(m, cover)
+    return len(hb) - rref(hcov.induced(hb, f, post=surj.matrix), f).rank
 
 
 # -- Theorem-style harnesses ---------------------------------------------------------
 
 
-def _sample_modules_with(a: Algebra, rng, predicate, want: int, tries: int = 30, seed_pool=None):
-    out = list(seed_pool or [])
-    out = [m for m in out if predicate(m)]
+def _sample_modules_with(a: Algebra, rng, predicate, want: int, seed_pool) -> list[Module]:
+    """Up to `want` modules satisfying predicate: those of seed_pool first,
+    then nonzero random modules from at most 30 draws."""
+    out = [m for m in seed_pool if predicate(m)]
     attempts = 0
-    while len(out) < want and attempts < tries:
+    while len(out) < want and attempts < 30:
         m = random_module(a, rng, max_summands=2)
         attempts += 1
         if m.dim == 0:
@@ -381,10 +379,10 @@ def preservation_harness(
     def gi_gam(m):
         return is_gorenstein_injective(m, cutoff, ambient_op=rep_gam_op).is_yes
 
-    gp_lam_samples = _sample_modules_with(lam, rng, gp_lam, samples, seed_pool=projective_indecomposables(lam))
-    gp_gam_samples = _sample_modules_with(gam, rng, gp_gam, samples, seed_pool=projective_indecomposables(gam))
-    gi_lam_samples = _sample_modules_with(lam, rng, gi_lam, samples, seed_pool=[dual(p) for p in projective_indecomposables(opposite(lam))])
-    gi_gam_samples = _sample_modules_with(gam, rng, gi_gam, samples, seed_pool=[dual(p) for p in projective_indecomposables(opposite(gam))])
+    gp_lam_samples = _sample_modules_with(lam, rng, gp_lam, samples, projective_indecomposables(lam))
+    gp_gam_samples = _sample_modules_with(gam, rng, gp_gam, samples, projective_indecomposables(gam))
+    gi_lam_samples = _sample_modules_with(lam, rng, gi_lam, samples, [dual(p) for p in projective_indecomposables(opposite(lam))])
+    gi_gam_samples = _sample_modules_with(gam, rng, gi_gam, samples, [dual(p) for p in projective_indecomposables(opposite(gam))])
 
     fe = rec.functor_e()
     fl = rec.functor_l()
@@ -513,8 +511,9 @@ def preservation_harness(
 
 
 def _iso_failures(rec: RecollementData, samples_gam, unit, which: str) -> list:
-    """Records for the samples N where unit(rec, N) is not an isomorphism."""
-    return [{"identity": which, "dim": n.dim} for n in samples_gam if not unit(rec, n).is_isomorphism()]
+    """Records for the samples N where the map of unit(rec, N) is not an
+    isomorphism."""
+    return [{"identity": which, "dim": n.dim} for n in samples_gam if not unit(rec, n)[0].is_isomorphism()]
 
 
 def stable_adjunction_mismatches(left, right, pairs) -> list[tuple]:

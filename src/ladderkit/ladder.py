@@ -23,10 +23,10 @@ import numpy as np
 from .algebra import Algebra, opposite
 from .modules import (
     Bimodule,
-    HomBasis,
     Module,
     bimodules_isomorphic,
     hom_module,
+    hom_space,
     is_projective,
     projective_cover,
     random_short_exact_sequence,
@@ -144,19 +144,14 @@ def _tower(rec: RecollementData, max_steps: int, r_side: bool) -> list[TowerRung
             side = "left-gamma" if j % 2 == 0 else "left-lambda"
         else:
             side = "right-gamma" if j % 2 == 0 else "right-lambda"
-        rung = TowerRung(j, current, side, is_projective_tested(current, side))
+        rung = TowerRung(j, current, side, projective=False)
+        rung.projective = is_projective(rung.tested_module())
         rungs.append(rung)
         if not rung.projective:
             break
         if j + 1 < max_steps:
             current = _next_rung(rec, current, j, r_side)
     return rungs
-
-
-def is_projective_tested(bimod: Bimodule, side: str) -> bool:
-    if side.startswith("left"):
-        return is_projective(bimod.left_restrict())
-    return is_projective(bimod.right_restrict())
 
 
 def r_tower(rec: RecollementData, max_steps: int = 12) -> list[TowerRung]:
@@ -252,15 +247,15 @@ def _hom_functor_exact_on(m: Module, sequences) -> Optional[dict]:
     returns a witness record at the first failure, None if all stayed exact."""
     f = m.field
     for idx, (incl, proj) in enumerate(sequences):
-        ha = HomBasis.of(m, incl.source)
-        hb = HomBasis.of(m, incl.target)
-        hc = HomBasis.of(m, proj.target)
+        ha = hom_space(m, incl.source)
+        hb = hom_space(m, incl.target)
+        hc = hom_space(m, proj.target)
         rank_i = rref(ha.induced(hb, f, post=incl.matrix), f).rank
         rank_p = rref(hb.induced(hc, f, post=proj.matrix), f).rank
-        ker_p = len(hb.maps) - rank_p
-        ok = rank_i == len(ha.maps) and rank_p == len(hc.maps) and ker_p == rank_i
+        ker_p = len(hb) - rank_p
+        ok = rank_i == len(ha) and rank_p == len(hc) and ker_p == rank_i
         if not ok:
-            return {"witness_index": idx, "hom_dims": [len(ha.maps), len(hb.maps), len(hc.maps)]}
+            return {"witness_index": idx, "hom_dims": [len(ha), len(hb), len(hc)]}
     return None
 
 

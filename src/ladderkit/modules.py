@@ -324,8 +324,7 @@ def submodule(m: Module, incl_cols: np.ndarray) -> tuple[Module, ModuleMap]:
 
 def quotient_module(m: Module, sub_rows: np.ndarray) -> tuple[Module, ModuleMap]:
     """Quotient by an invariant subspace given as a row span; deterministic
-    complement basis = non-pivot coordinates of the rref.  The returned
-    projection map carries its coordinate section as .section."""
+    complement basis = non-pivot coordinates of the rref."""
     f = m.field
     proj, sect = quotient_coordinates(sub_rows, f)
     q = proj.shape[0]
@@ -333,16 +332,14 @@ def quotient_module(m: Module, sub_rows: np.ndarray) -> tuple[Module, ModuleMap]
     for i in range(m.algebra.dim):
         act[i] = f.matmul(proj, f.matmul(m.action[i], sect))
     quot = Module(m.algebra, act, _validate=False)
-    proj_map = ModuleMap(m, quot, proj, _validate=False)
-    proj_map.section = sect
-    return quot, proj_map
+    return quot, ModuleMap(m, quot, proj, _validate=False)
 
 
 # -- Hom spaces ---------------------------------------------------------------
 
 
-def hom_space(m: Module, n: Module) -> list[ModuleMap]:
-    """Canonical basis of Hom(m, n).
+def hom_space(m: Module, n: Module) -> HomBasis:
+    """Canonical basis of Hom(m, n), stacked in a HomBasis.
 
     Every intertwiner commutes with the distinguished idempotents, so it is
     X = sum_i V_i Y_i P_i with V_i a basis of e_i.N and P_i the coordinates on
@@ -352,13 +349,15 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
     A single rref of [residuals | reversed basis matrices] then yields the
     kernel already reduced: the unique basis that is the identity on the
     coordinates where some map has its last nonzero row-major entry, listed
-    in increasing order of that coordinate.
+    in increasing order of that coordinate.  Those coordinates are the rref's
+    pivots, read back through the reversal.
     """
     if not m.algebra.same_as(n.algebra):
         raise AlgebraError("hom_space needs modules over the same algebra")
     f = m.field
-    if m.dim == 0 or n.dim == 0:
-        return []
+    size = n.dim * m.dim
+    if size == 0:
+        return HomBasis(m, n, f.zeros(0, n.dim, m.dim), np.zeros(0, dtype=np.int64))
     blocks = [
         f.einsum("na,bm->abnm", v, p).reshape(-1, n.dim, m.dim)
         for (v, _), (_, p) in zip(n.idempotent_split(), m.idempotent_split())
@@ -366,7 +365,7 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
     stack = np.concatenate(blocks)  # (unknowns, n, m)
     u = stack.shape[0]
     if u == 0:
-        return []
+        return HomBasis(m, n, f.zeros(0, n.dim, m.dim), np.zeros(0, dtype=np.int64))
     gens = m.algebra.generators_beyond_idempotents()
     am = f.einsum("gi,iab->gab", gens, m.action)
     bn = f.einsum("gi,iab->gab", gens, n.action)
@@ -376,25 +375,30 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
     c = res.shape[1]
     first = sum(1 for pc in r.pivots if pc < c)
     rows = r.matrix[first : r.rank, c:][::-1, ::-1]
-    return [ModuleMap(m, n, x.reshape(n.dim, m.dim), _validate=False) for x in rows]
+    positions = np.array([size - 1 - (pc - c) for pc in r.pivots[first : r.rank]][::-1], dtype=np.int64)
+    matrices = np.ascontiguousarray(rows).reshape(-1, n.dim, m.dim)
+    matrices.setflags(write=False)
+    return HomBasis(m, n, matrices, positions)
 
 
 @dataclass
 class HomBasis:
-    """Hom-space basis with its coordinate positions.
+    """Basis of Hom(source, target), stacked, with its coordinate positions.
 
     hom_space's basis is the identity on one row-major coordinate per map
     (the map's last nonzero entry), so the coordinates of any map in the span
     are its entries at those positions."""
 
-    maps: list
-    positions: np.ndarray  # (h,) flat indices into target_dim*source_dim
+    source: Module
+    target: Module
+    matrices: np.ndarray  # (h, target.dim, source.dim)
+    positions: np.ndarray  # (h,) flat indices into target.dim * source.dim
 
-    @classmethod
-    def of(cls, m: Module, n: Module) -> "HomBasis":
-        maps = hom_space(m, n)
-        positions = np.array([np.flatnonzero(mp.matrix.reshape(-1))[-1] for mp in maps], dtype=np.int64)
-        return cls(maps, positions)
+    def __len__(self) -> int:
+        return self.matrices.shape[0]
+
+    def map(self, s: int) -> ModuleMap:
+        return ModuleMap(self.source, self.target, self.matrices[s], _validate=False)
 
     def coords(self, mat: np.ndarray, f: Field) -> np.ndarray:
         return f.normalize(mat.reshape(-1)[self.positions])
@@ -402,15 +406,15 @@ class HomBasis:
     def induced(self, target: "HomBasis", f: Field, pre: Optional[np.ndarray] = None, post: Optional[np.ndarray] = None) -> np.ndarray:
         """Matrix of g |-> post.g.pre from this basis's span into target's,
         in both bases' coordinates: column s holds target's coordinates of
-        post.maps[s].pre."""
-        if not self.maps:
-            return f.zeros(len(target.maps), 0)
-        g = np.stack([mp.matrix for mp in self.maps])
+        post.matrices[s].pre."""
+        if not len(self):
+            return f.zeros(len(target), 0)
+        g = self.matrices
         if pre is not None:
             g = f.matmul(g, pre)
         if post is not None:
             g = f.matmul(post, g)
-        return g.reshape(len(self.maps), -1)[:, target.positions].T
+        return g.reshape(len(self), -1)[:, target.positions].T
 
 
 # -- radical, covers, projectivity --------------------------------------------
@@ -627,8 +631,8 @@ def hom_into_regular(m: Module) -> Module:
     """Hom_A(M, A) as a module over A^op: (f.a)(x) = f(x)a."""
     a = m.algebra
     f = m.field
-    hb = HomBasis.of(m, regular_module(a))
-    h = len(hb.maps)
+    hb = hom_space(m, regular_module(a))
+    h = len(hb)
     act = f.zeros(a.dim, h, h)
     for j in range(a.dim):
         act[j] = hb.induced(hb, f, post=a.right_mult[j])
@@ -758,8 +762,8 @@ def hom_module(m_bimod: Bimodule, n) -> tuple:
         if not n.algebra.same_as(a):
             raise AlgebraError("hom_module needs matching left algebras")
         n_left = n
-    hb = HomBasis.of(m_left, n_left)
-    h = len(hb.maps)
+    hb = hom_space(m_left, n_left)
+    h = len(hb)
     b = m_bimod.right
     b_act = f.zeros(b.dim, h, h)
     for j in range(b.dim):
@@ -820,19 +824,18 @@ def is_isomorphic(m: Module, n: Module, trials: int = 64, seed: int = 0) -> IsoR
     if pm != pn:
         return IsoResult("no", certificate=f"hom profile {pm} != {pn}")
     basis = hom_space(m, n)
-    if not basis:
+    if not len(basis):
         return IsoResult("no", certificate="Hom(m, n) = 0")
-    for mp in basis:
-        if mp.is_isomorphism():
-            return IsoResult("yes", witness=mp)
+    for s, mat in enumerate(basis.matrices):
+        if rref(mat, f).rank == m.dim:
+            return IsoResult("yes", witness=basis.map(s))
     rng = np.random.default_rng(seed)
-    stack = np.stack([mp.matrix for mp in basis])
     for t in range(trials):
         if f.is_prime_field:
             coeff = f.asarray(rng.integers(0, f.p, size=len(basis)))
         else:
             coeff = f.asarray(rng.integers(-5, 6, size=len(basis)))
-        cand = f.einsum("s,sab->ab", coeff, stack)
+        cand = f.einsum("s,sab->ab", coeff, basis.matrices)
         if rref(cand, f).rank == m.dim:
             return IsoResult("yes", witness=ModuleMap(m, n, cand, _validate=False), trials=t + 1)
     return IsoResult("probably_no", trials=trials)
@@ -866,10 +869,10 @@ def random_module(a: Algebra, rng: np.random.Generator, max_summands: int = 3) -
         return q0
     q1 = direct_sum([projs[int(rng.integers(0, len(projs)))] for _ in range(k1)])
     homs = hom_space(q1, q0)
-    if not homs:
+    if not len(homs):
         return q0
     coeff = rng.integers(0, f.p if f.is_prime_field else 7, size=len(homs))
-    mat = f.einsum("s,sab->ab", f.asarray(coeff), np.stack([h.matrix for h in homs]))
+    mat = f.einsum("s,sab->ab", f.asarray(coeff), homs.matrices)
     quot, _ = quotient_module(q0, column_space_basis(mat, f).T)
     return quot
 

@@ -28,7 +28,7 @@ from .algebra import (
     enveloping,
     quotient_by_idempotent_ideal,
 )
-from .linalg import Field, column_space_basis, intersect_kernels, kernel_basis, rank, unit_rows
+from .linalg import Field, column_space_basis, intersect_kernels, kernel_basis, quotient_coordinates, rank, unit_rows
 from .modules import (
     Bimodule,
     HomBasis,
@@ -50,10 +50,7 @@ __all__ = [
     "FunctorValue",
     "TensorFunctor",
     "HomFunctor",
-    "CornerFunctor",
-    "InflationFunctor",
-    "TopQuotientFunctor",
-    "SocleFunctor",
+    "SubquotientFunctor",
     "counit_mu",
     "unit_nu",
     "unit_lambda",
@@ -98,8 +95,8 @@ class RecollementData:
         return self.quotient_projection.ideal_rows
 
     # functor shortcuts
-    def functor_e(self) -> "CornerFunctor":
-        return CornerFunctor(self)
+    def functor_e(self) -> "SubquotientFunctor":
+        return SubquotientFunctor(self.lam, self.gamma, self.corner_embedding.matrix, self._carve_corner)
 
     def functor_l(self) -> "TensorFunctor":
         return TensorFunctor(self.lambda_e)
@@ -107,14 +104,45 @@ class RecollementData:
     def functor_r(self) -> "HomFunctor":
         return HomFunctor(self.e_lambda)
 
-    def functor_i(self) -> "InflationFunctor":
-        return InflationFunctor(self)
+    def functor_i(self) -> "SubquotientFunctor":
+        return SubquotientFunctor(self.sigma, self.lam, self.quotient_projection.projection, _carve_whole)
 
-    def functor_q(self) -> "TopQuotientFunctor":
-        return TopQuotientFunctor(self)
+    def functor_q(self) -> "SubquotientFunctor":
+        return SubquotientFunctor(self.lam, self.sigma, self.quotient_projection.section, self._carve_top)
 
-    def functor_p(self) -> "SocleFunctor":
-        return SocleFunctor(self)
+    def functor_p(self) -> "SubquotientFunctor":
+        return SubquotientFunctor(self.lam, self.sigma, self.quotient_projection.section, self._carve_socle)
+
+    # carvings (embed, coords) of the subquotients eM, M/(LeL)M and {x : (LeL)x = 0}
+    def _carve_corner(self, m: Module) -> tuple[np.ndarray, np.ndarray]:
+        return _with_unit_coords(column_space_basis(m.act_vector(self.e.element), m.field), m.field)
+
+    def _ideal_acting(self, m: Module) -> np.ndarray:
+        """The actions on M of the row basis of LeL, stacked."""
+        return m.field.einsum("it,iab->tab", self.ideal_rows.T, m.action)
+
+    def _carve_top(self, m: Module) -> tuple[np.ndarray, np.ndarray]:
+        f = m.field
+        if self.ideal_rows.shape[0] == 0 or m.dim == 0:
+            sub_rows = f.zeros(0, m.dim)
+        else:
+            sub_rows = column_space_basis(np.concatenate(list(self._ideal_acting(m)), axis=1), f).T
+        proj, sect = quotient_coordinates(sub_rows, f)
+        return sect, proj
+
+    def _carve_socle(self, m: Module) -> tuple[np.ndarray, np.ndarray]:
+        return _with_unit_coords(intersect_kernels(self._ideal_acting(m), m.dim, m.field), m.field)
+
+
+def _with_unit_coords(cols: np.ndarray, f: Field) -> tuple[np.ndarray, np.ndarray]:
+    """A reduced column basis and the rows of the identity that read
+    coordinates on it."""
+    return cols, f.eye(cols.shape[0])[unit_rows(cols)]
+
+
+def _carve_whole(m: Module) -> tuple[np.ndarray, np.ndarray]:
+    eye = m.field.eye(m.dim)
+    return eye, eye
 
 
 def build_recollement(lam: Algebra, e: Idempotent) -> RecollementData:
@@ -203,108 +231,32 @@ class HomFunctor:
         return ModuleMap(va.module, vb.module, mat, _validate=False)
 
 
-class CornerFunctor:
-    """M |-> eM with its eLe-module structure; the value's data is the basis
-    of eM inside M and the rows that give coordinates on it."""
+class SubquotientFunctor:
+    """Restriction of scalars on a subquotient of M: e, i, q and p.
 
-    def __init__(self, rec: RecollementData):
-        self.rec = rec
-        self.source_algebra = rec.lam
-        self.target_algebra = rec.gamma
+    carve(M) returns (embed, coords) with coords . embed = I: the columns of
+    embed span the subquotient's lift in M, and coords reads its coordinates.
+    The t-th basis element of the target algebra acts through the source
+    element along[:, t], as coords . along[:, t] . embed.  The value's data
+    is (embed, coords)."""
 
-    def apply(self, m: Module) -> FunctorValue:
-        f = m.field
-        cols = column_space_basis(m.act_vector(self.rec.e.element), f)
-        rows = unit_rows(cols)
-        g = self.rec.gamma
-        act = f.zeros(g.dim, cols.shape[1], cols.shape[1])
-        for t in range(g.dim):
-            act[t] = f.matmul(m.act_vector(self.rec.corner_embedding.matrix[:, t]), cols)[rows]
-        return FunctorValue(Module(g, act), (cols, rows))
-
-    def on_map(self, f: ModuleMap, va: FunctorValue, vb: FunctorValue) -> ModuleMap:
-        cols_a, _ = va.data
-        _, rows_b = vb.data
-        return ModuleMap(va.module, vb.module, f.source.field.matmul(f.matrix, cols_a)[rows_b], _validate=False)
-
-
-class InflationFunctor:
-    """Mod S -> Mod L along the projection L ->> S = L/LeL."""
-
-    def __init__(self, rec: RecollementData):
-        self.rec = rec
-        self.source_algebra = rec.sigma
-        self.target_algebra = rec.lam
+    def __init__(self, source_algebra: Algebra, target_algebra: Algebra, along: np.ndarray, carve):
+        self.source_algebra = source_algebra
+        self.target_algebra = target_algebra
+        self.along = along
+        self.carve = carve
 
     def apply(self, m: Module) -> FunctorValue:
         f = m.field
-        proj = self.rec.quotient_projection.projection
-        lam = self.rec.lam
-        act = f.zeros(lam.dim, m.dim, m.dim)
-        for i in range(lam.dim):
-            act[i] = m.act_vector(proj[:, i])
-        return FunctorValue(Module(lam, act))
-
-    def on_map(self, f: ModuleMap, va: FunctorValue, vb: FunctorValue) -> ModuleMap:
-        return ModuleMap(va.module, vb.module, f.matrix, _validate=False)
-
-
-class TopQuotientFunctor:
-    """q: M |-> M/(LeL)M, a module over S."""
-
-    def __init__(self, rec: RecollementData):
-        self.rec = rec
-        self.source_algebra = rec.lam
-        self.target_algebra = rec.sigma
-
-    def _ideal_subspace_rows(self, m: Module) -> np.ndarray:
-        f = m.field
-        rows = self.rec.ideal_rows
-        if rows.shape[0] == 0 or m.dim == 0:
-            return f.zeros(0, m.dim)
-        mats = [m.act_vector(rows[t]) for t in range(rows.shape[0])]
-        return column_space_basis(np.concatenate(mats, axis=1), f).T
-
-    def apply(self, m: Module) -> FunctorValue:
-        f = m.field
-        quot_l, proj = quotient_module(m, self._ideal_subspace_rows(m))
-        sig = self.rec.sigma
-        sect = self.rec.quotient_projection.section
-        act = f.zeros(sig.dim, quot_l.dim, quot_l.dim)
-        for t in range(sig.dim):
-            act[t] = f.matmul(proj.matrix, f.matmul(m.act_vector(sect[:, t]), proj.section))
-        return FunctorValue(Module(sig, act), proj)
+        embed, coords = self.carve(m)
+        act = f.matmul(coords, f.matmul(f.einsum("it,iab->tab", self.along, m.action), embed))
+        return FunctorValue(Module(self.target_algebra, act), (embed, coords))
 
     def on_map(self, f: ModuleMap, va: FunctorValue, vb: FunctorValue) -> ModuleMap:
         fld = f.source.field
-        proj_a: ModuleMap = va.data
-        proj_b: ModuleMap = vb.data
-        mat = fld.matmul(proj_b.matrix, fld.matmul(f.matrix, proj_a.section))
-        return ModuleMap(va.module, vb.module, mat, _validate=False)
-
-
-class SocleFunctor:
-    """p: M |-> {x : (LeL)x = 0}, a module over S; data as for CornerFunctor."""
-
-    def __init__(self, rec: RecollementData):
-        self.rec = rec
-        self.source_algebra = rec.lam
-        self.target_algebra = rec.sigma
-
-    def apply(self, m: Module) -> FunctorValue:
-        f = m.field
-        ideal = self.rec.ideal_rows
-        mats = [m.act_vector(ideal[t]) for t in range(ideal.shape[0])]
-        cols = intersect_kernels(mats, m.dim, f) if mats else f.eye(m.dim)
-        rows = unit_rows(cols)
-        sig = self.rec.sigma
-        sect = self.rec.quotient_projection.section
-        act = f.zeros(sig.dim, cols.shape[1], cols.shape[1])
-        for t in range(sig.dim):
-            act[t] = f.matmul(m.act_vector(sect[:, t]), cols)[rows]
-        return FunctorValue(Module(sig, act), (cols, rows))
-
-    on_map = CornerFunctor.on_map
+        embed_a, _ = va.data
+        _, coords_b = vb.data
+        return ModuleMap(va.module, vb.module, fld.matmul(coords_b, fld.matmul(f.matrix, embed_a)), _validate=False)
 
 
 # -- units and counits -----------------------------------------------------------
@@ -338,13 +290,13 @@ def unit_nu(rec: RecollementData, m: Module) -> tuple[ModuleMap, FunctorValue, F
     fr = rec.functor_r()
     em = fe.apply(m)
     rem = fr.apply(em.module)
-    _, rows_e = em.data
-    be = rec.e_lambda_basis
+    _, coords = em.data
     hb: HomBasis = rem.data
-    acting = f.einsum("is,iab->sab", be, m.action)  # eL acting on M
+    acting = f.einsum("is,iab->sab", rec.e_lambda_basis, m.action)  # eL acting on M
+    moved = f.matmul(coords, acting)  # moved[s, :, x]: e-coordinates of u_s . x
     mat = f.zeros(rem.module.dim, m.dim)
-    for bidx in range(m.dim):
-        mat[:, bidx] = hb.coords(acting[:, rows_e, bidx].T, f)
+    for x in range(m.dim):
+        mat[:, x] = hb.coords(moved[:, :, x].T, f)
     return ModuleMap(m, rem.module, mat), em, rem
 
 
@@ -354,8 +306,8 @@ def unit_lambda(rec: RecollementData, m: Module) -> tuple[ModuleMap, FunctorValu
     fi = rec.functor_i()
     qm = fq.apply(m)
     iqm = fi.apply(qm.module)
-    proj: ModuleMap = qm.data
-    return ModuleMap(m, iqm.module, proj.matrix), iqm
+    _, proj = qm.data
+    return ModuleMap(m, iqm.module, proj), iqm
 
 
 def counit_kappa(rec: RecollementData, m: Module) -> tuple[ModuleMap, FunctorValue]:
@@ -368,13 +320,13 @@ def counit_kappa(rec: RecollementData, m: Module) -> tuple[ModuleMap, FunctorVal
     return ModuleMap(ipm.module, m, cols), ipm
 
 
-def unit_e_l(rec: RecollementData, n: Module) -> ModuleMap:
-    """The unit N -> e(l(N)) (an isomorphism; l is fully faithful)."""
+def unit_e_l(rec: RecollementData, n: Module) -> tuple[ModuleMap, FunctorValue]:
+    """The unit N -> e(l(N)) (an isomorphism; l is fully faithful).
+
+    Returns (map, value of l(N))."""
     f = rec.field
-    fl = rec.functor_l()
-    fe = rec.functor_e()
-    ln = fl.apply(n)
-    eln = fe.apply(ln.module)
+    ln = rec.functor_l().apply(n)
+    eln = rec.functor_e().apply(ln.module)
     td: TensorData = ln.data
     # e (x) x as a pure tensor
     e_in_le = rec.e_in_lambda_e
@@ -383,25 +335,21 @@ def unit_e_l(rec: RecollementData, n: Module) -> ModuleMap:
         if e_in_le[s] == 0:
             continue
         raw[s * td.n_dim : (s + 1) * td.n_dim] = f.normalize(e_in_le[s] * f.eye(n.dim))
-    in_ln = f.matmul(td.proj, raw)
-    _, rows_e = eln.data
-    return ModuleMap(n, eln.module, in_ln[rows_e], _validate=False)
+    _, coords = eln.data
+    return ModuleMap(n, eln.module, f.matmul(coords, f.matmul(td.proj, raw)), _validate=False), ln
 
 
-def counit_e_r(rec: RecollementData, n: Module) -> ModuleMap:
-    """The counit e(r(N)) -> N, F |-> F(e) (an isomorphism; r is fully faithful)."""
+def counit_e_r(rec: RecollementData, n: Module) -> tuple[ModuleMap, FunctorValue]:
+    """The counit e(r(N)) -> N, F |-> F(e) (an isomorphism; r is fully faithful).
+
+    Returns (map, value of r(N))."""
     f = rec.field
-    fr = rec.functor_r()
-    fe = rec.functor_e()
-    rn = fr.apply(n)
-    ern = fe.apply(rn.module)
+    rn = rec.functor_r().apply(n)
+    ern = rec.functor_e().apply(rn.module)
     hb: HomBasis = rn.data
-    e_in_el = rec.e_in_e_lambda
-    eval_at_e = f.zeros(n.dim, rn.module.dim)
-    for s, mp in enumerate(hb.maps):
-        eval_at_e[:, s] = f.matmul(mp.matrix, e_in_el)
+    eval_at_e = f.matmul(hb.matrices, rec.e_in_e_lambda).T  # column s: basis map s at e
     cols, _ = ern.data
-    return ModuleMap(ern.module, n, f.matmul(eval_at_e, cols), _validate=False)
+    return ModuleMap(ern.module, n, f.matmul(eval_at_e, cols), _validate=False), rn
 
 
 # -- canonical exact sequences -----------------------------------------------------
@@ -452,8 +400,7 @@ def check_axioms(rec: RecollementData, samples: int, rng: np.random.Generator) -
     at a random G-module N; and dim Hom(F x, y) = dim Hom(x, G y) for the
     adjoint pairs (l, e) and (e, r), and, when S is nonzero, (q, i) and (i, p)
     at a random S-module.  Returns one record per failed check, [] if none."""
-    fe, fl, fr = rec.functor_e(), rec.functor_l(), rec.functor_r()
-    fq, fp, fi = rec.functor_q(), rec.functor_p(), rec.functor_i()
+    fe, fq, fp, fi = rec.functor_e(), rec.functor_q(), rec.functor_p(), rec.functor_i()
     failures = []
     for t in range(samples):
         m = random_module(rec.lam, rng, max_summands=2)
@@ -461,14 +408,16 @@ def check_axioms(rec: RecollementData, samples: int, rng: np.random.Generator) -
         seq = verify_canonical_sequences(rec, m)
         if seq["status"] != "PASS":
             failures.append({"trial": t, "kind": "canonical", "detail": seq})
-        ln, rn, em = fl.apply(n).module, fr.apply(n).module, fe.apply(m).module
+        unit, l_n = unit_e_l(rec, n)
+        counit, r_n = counit_e_r(rec, n)
+        ln, rn, em = l_n.module, r_n.module, fe.apply(m).module
         if fq.apply(ln).module.dim != 0:
             failures.append({"trial": t, "kind": "q l != 0"})
         if fp.apply(rn).module.dim != 0:
             failures.append({"trial": t, "kind": "p r != 0"})
-        if not unit_e_l(rec, n).is_isomorphism():
+        if not unit.is_isomorphism():
             failures.append({"trial": t, "kind": "e l not iso"})
-        if not counit_e_r(rec, n).is_isomorphism():
+        if not counit.is_isomorphism():
             failures.append({"trial": t, "kind": "e r not iso"})
         # (name, F x, y, x, G y) for each adjoint pair F -| G
         adjoint = [("l, e", ln, m, n, em), ("e, r", em, n, m, rn)]
@@ -485,15 +434,13 @@ def check_axioms(rec: RecollementData, samples: int, rng: np.random.Generator) -
 # -- exactness probes ----------------------------------------------------------------
 
 
-def probe_exactness(functor, samples: int, seed: int, extra_sequences=None) -> dict:
+def probe_exactness(functor, samples: int, seed: int) -> dict:
     """Apply the functor to random short exact sequences over its source and
     check the images stay exact.  'exact' is sample evidence, not proof; a
     failure is a proof of non-exactness and carries the witness."""
     rng = np.random.default_rng(seed)
     a = functor.source_algebra
-    sequences = list(extra_sequences or [])
-    for _ in range(samples):
-        sequences.append(random_short_exact_sequence(a, rng))
+    sequences = [random_short_exact_sequence(a, rng) for _ in range(samples)]
     for idx, (incl, proj) in enumerate(sequences):
         va = functor.apply(incl.source)
         vb = functor.apply(incl.target)

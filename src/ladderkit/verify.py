@@ -22,7 +22,7 @@ from .homological import (
     spli_silp,
     stable_adjunction_mismatches,
 )
-from .ladder import height_cross_check, ladder_report
+from .ladder import _env_for, height_cross_check, ladder_report
 from .linalg import Field
 from .modules import hom_profile
 from .recollement import build_recollement, check_axioms
@@ -111,7 +111,7 @@ def _c2(ctx: _Ctx) -> dict:
         rec = ctx.recs["preproj-a2"]
         a = rep.r_rungs[rv.matched_rung].bimodule
         b = rep.r_rungs[rv.first_repeat_index].bimodule
-        env = rec.env_gl if rv.matched_rung % 2 == 0 else rec.env_lg
+        env = _env_for(rec, rep.r_rungs[rv.matched_rung], r_side=True)
         pa = hom_profile(a.env_module(env))
         pb = hom_profile(b.env_module(env))
         details["matched_rung_profiles_equal"] = pa == pb

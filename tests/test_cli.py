@@ -76,6 +76,25 @@ def test_harness_report_bytes_unchanged(tmp_path, capsys, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == HARNESS_SHA256[name]
 
 
+# sha256 of `ladder --algebra A --json` at the default seed, prime and step
+# budget.  Every rung is built by hom_module, and no other digest covers the
+# rung lists.  Update one only in a change that alters the ladder report on
+# purpose and says so in CHANGES.md.
+LADDER_SHA256 = {
+    "t2": "5e9de38bfbf90175cab852fdd02d6e3320a6e3501ebdeac94de878e6546add12",
+    "preproj-a2": "cbf762c2dce45f4dc51ae7d80b7fcecbce998dd15d44d9820b066c96bed8696e",
+    "prop32-dual-numbers": "4c30c409111fb09ebff477d3ec9d9312449df8a8ba8ec41b4ef459613b8ad703",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_SHA256))
+def test_ladder_report_bytes_unchanged(tmp_path, capsys, name):
+    out = tmp_path / "l.json"
+    assert main(["ladder", "--algebra", name, "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LADDER_SHA256[name]
+
+
 def test_stratifying_command(capsys):
     assert main(["stratifying", "--algebra", "prop32-dual-numbers"]) == 0
     assert "Yes" in capsys.readouterr().out

@@ -114,7 +114,7 @@ def test_hom_space_end_contains_identity():
     p1 = projective_indecomposables(pp)[0]
     maps = hom_space(p1, p1)
     assert len(maps) >= 1
-    span = np.stack([mp.matrix.reshape(-1) for mp in maps])
+    span = maps.matrices.reshape(len(maps), -1)
     from ladderkit.linalg import solve
 
     assert solve(span.T, F.eye(p1.dim).reshape(-1), F) is not None
@@ -417,12 +417,12 @@ def test_hom_basis_induced_matches_coordinate_loop():
     assert len(mods) >= 2
     for m in mods:
         for n in mods:
-            src, dst = HomBasis.of(m, n), HomBasis.of(m, n)
-            post = hom_space(n, n)[-1].matrix
-            pre = hom_space(m, m)[-1].matrix
-            want = F.zeros(len(dst.maps), len(src.maps))
-            for s, mp in enumerate(src.maps):
-                want[:, s] = dst.coords(F.matmul(post, F.matmul(mp.matrix, pre)), F)
+            src, dst = hom_space(m, n), hom_space(m, n)
+            post = hom_space(n, n).matrices[-1]
+            pre = hom_space(m, m).matrices[-1]
+            want = F.zeros(len(dst), len(src))
+            for s, mat in enumerate(src.matrices):
+                want[:, s] = dst.coords(F.matmul(post, F.matmul(mat, pre)), F)
             assert np.array_equal(src.induced(dst, F, pre=pre, post=post), want)
 
 
@@ -458,10 +458,14 @@ def _hom_space_reference(m, n):
 def _assert_same_hom_basis(m, n):
     got = hom_space(m, n)
     want = _hom_space_reference(m, n)
-    assert len(got) == len(want)
-    for mp, w in zip(got, want):
-        assert mp.matrix.shape == w.shape
-        assert np.array_equal(mp.matrix, w)
+    assert isinstance(got, HomBasis) and got.source is m and got.target is n
+    assert got.matrices.shape == (len(want), n.dim, m.dim)
+    assert len(got) == len(want) == got.positions.shape[0]
+    for s, w in enumerate(want):
+        assert np.array_equal(got.matrices[s], w)
+        # positions[s] is the last nonzero row-major entry of map s
+        assert got.positions[s] == np.flatnonzero(got.matrices[s].reshape(-1))[-1]
+        assert np.array_equal(got.map(s).matrix, w)
     return len(got)
 
 

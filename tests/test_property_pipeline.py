@@ -64,8 +64,8 @@ def test_random_quiver_recollement_pipeline(q, seed):
     assert len(hom_space(em, n)) == len(hom_space(m, rn))
     assert fq.apply(ln).module.dim == 0
     assert fp.apply(rn).module.dim == 0
-    assert unit_e_l(rec, n).is_isomorphism()
-    assert counit_e_r(rec, n).is_isomorphism()
+    assert unit_e_l(rec, n)[0].is_isomorphism()
+    assert counit_e_r(rec, n)[0].is_isomorphism()
     assert is_isomorphic(m, dual(dual(m)), seed=0).is_yes
 
     rep = ladder_report(rec, max_steps=6, seed=0)

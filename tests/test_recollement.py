@@ -6,7 +6,7 @@ import pytest
 from ladderkit.algebra import AlgebraError, Idempotent, build_triangular, dual_numbers_algebra, ground_field_algebra, preprojective_a2
 from ladderkit.fixtures import load_fixture, parse_idempotent
 from ladderkit.linalg import Field, solve
-from ladderkit.modules import hom_space, is_isomorphic, random_module, simples, regular_module
+from ladderkit.modules import ModuleMap, hom_space, is_isomorphic, random_module, simples, regular_module
 from ladderkit.recollement import (
     TensorFunctor,
     build_recollement,
@@ -108,8 +108,13 @@ def test_zero_compositions_and_unit_isos(name):
         rn = fr.apply(n).module
         assert fq.apply(ln).module.dim == 0  # q l = 0 exactly
         assert fp.apply(rn).module.dim == 0  # p r = 0 exactly
-        assert unit_e_l(rec, n).is_isomorphism()
-        assert counit_e_r(rec, n).is_isomorphism()
+        unit, ln_value = unit_e_l(rec, n)
+        counit, rn_value = counit_e_r(rec, n)
+        assert unit.is_isomorphism()
+        assert counit.is_isomorphism()
+        # the values returned with the unit and counit are l(N) and r(N)
+        assert np.array_equal(ln_value.module.action, ln.action)
+        assert np.array_equal(rn_value.module.action, rn.action)
 
 
 @pytest.mark.parametrize("name", RECOLLEMENT_FIXTURES)
@@ -311,3 +316,27 @@ def test_exact_at_needs_zero_composite_as_well_as_ranks():
     assert not _exact_at(into, F.asarray([[1, 1]]), F)
     assert not _exact_at(F.zeros(2, 1), F.asarray([[0, 1]]), F)
     assert _exact_at(F.zeros(2, 0), F.eye(2), F)
+
+
+@pytest.mark.parametrize("name,field", [(name, F) for name in RECOLLEMENT_FIXTURES] + [("t2", Field(None))])
+def test_subquotient_functors_split_and_keep_identities(name, field):
+    # e, i, q and p: coords . embed = I, and the identity goes to the identity
+    alg, default_e = load_fixture(name, field)
+    rec = build_recollement(alg, parse_idempotent(alg, default_e))
+    rng = np.random.default_rng(31)
+    functors = {"e": rec.functor_e(), "i": rec.functor_i(), "q": rec.functor_q(), "p": rec.functor_p()}
+    checked = set()
+    for label, fn in functors.items():
+        if fn.source_algebra.dim == 0:
+            continue  # i out of a zero quotient algebra has no nonzero input
+        for _ in range(3):
+            m = random_module(fn.source_algebra, rng, max_summands=2)
+            v = fn.apply(m)
+            embed, coords = v.data
+            assert embed.shape == (m.dim, v.module.dim) and coords.shape == (v.module.dim, m.dim)
+            assert field.equal(field.matmul(coords, embed), field.eye(v.module.dim))
+            identity = fn.on_map(ModuleMap(m, m, field.eye(m.dim)), v, v)
+            assert identity.source is v.module and identity.target is v.module
+            assert field.equal(identity.matrix, field.eye(v.module.dim))
+        checked.add(label)
+    assert {"e", "q", "p"} <= checked
