@@ -34,6 +34,7 @@ from .recollement import (
     RecollementData,
     TensorFunctor,
     counit_e_r,
+    counit_mu,
     probe_exactness,
     unit_e_l,
 )
@@ -159,18 +160,10 @@ def is_stratifying(rec: RecollementData, cutoff: int = 8) -> dict:
 
     Both conditions are evaluated and reported even when the first fails, so
     a No verdict names every obstruction found."""
-    f = rec.field
-    tens, td = tensor_over(rec.lambda_e, rec.e_lambda)
-    # multiplication map on pure tensors, then through the quotient section
-    bl, be = rec.lambda_e_basis, rec.e_lambda_basis
-    raw = f.zeros(rec.lam.dim, td.m_dim * td.n_dim)
-    for s in range(td.m_dim):
-        acting = rec.lam.left_mult_matrix(bl[:, s])
-        raw[:, s * td.n_dim : (s + 1) * td.n_dim] = f.matmul(acting, be)
-    mult = f.matmul(raw, td.sect)
-    ideal_dim = rec.ideal_rows.shape[0]
-    mult_rank = rref(mult, f).rank
-    iso = tens.dim == ideal_dim and mult_rank == tens.dim
+    # the multiplication map Le (x)_G eL -> L is the counit mu at the regular module
+    mult, _, tens = counit_mu(rec, regular_module(rec.lam))
+    tensor_dim, ideal_dim, mult_rank = tens.module.dim, rec.ideal_rows.shape[0], mult.rank
+    iso = tensor_dim == ideal_dim and mult_rank == tensor_dim
     tors = tor_dims(rec.lambda_e.right_restrict(), rec.e_lambda.left_restrict(), cutoff)
     witness = next((i for i in range(1, cutoff + 1) if tors[i] != 0), None)
     reasons = []
@@ -182,7 +175,7 @@ def is_stratifying(rec: RecollementData, cutoff: int = 8) -> dict:
         "status": "Yes" if not reasons else "No",
         "cutoff": cutoff,
         "multiplication_iso": iso,
-        "tensor_dim": tens.dim,
+        "tensor_dim": tensor_dim,
         "ideal_dim": ideal_dim,
         "mult_rank": mult_rank,
         "tor_dims": tors,
@@ -297,9 +290,7 @@ def is_gorenstein_projective(m: Module, cutoff: int = 8, ambient: Optional[Goren
     hb1 = hom_space(m, reg)
     mtt = hom_into_regular(mt)
     hb2 = hom_space(mt, regular_module(mt.algebra))
-    bidual = f.zeros(mtt.dim, m.dim)
-    for x in range(m.dim):
-        bidual[:, x] = hb2.coords(hb1.matrices[:, :, x].T, f)  # evaluation at x
+    bidual = hb2.coords(hb1.matrices.transpose(2, 1, 0), f).T  # column x: evaluation at x
     if not (mtt.dim == m.dim and rref(bidual, f).rank == m.dim):
         return GPVerdict("no", False, cutoff, reason="biduality map is not an isomorphism")
     return GPVerdict("yes", not complete, cutoff)

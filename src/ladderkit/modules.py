@@ -162,17 +162,11 @@ class ModuleMap:
 
     def _validate(self):
         f = self.source.field
-        for g in self.source.algebra.generators():
-            lhs = f.matmul(self.matrix, self.source.act_vector(g))
-            rhs = f.matmul(self.target.act_vector(g), self.matrix)
-            if not f.equal(lhs, rhs):
-                raise AlgebraError("matrix does not intertwine the actions")
-
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other."""
-        if not other.target.algebra.same_as(self.source.algebra) or other.target.dim != self.source.dim:
-            raise AlgebraError("maps not composable")
-        return ModuleMap(other.source, self.target, self.source.field.matmul(self.matrix, other.matrix), _validate=False)
+        gens = self.source.algebra.generators()
+        lhs = f.matmul(self.matrix, f.einsum("gi,iab->gab", gens, self.source.action))
+        rhs = f.matmul(f.einsum("gi,iab->gab", gens, self.target.action), self.matrix)
+        if not f.equal(lhs, rhs):
+            raise AlgebraError("matrix does not intertwine the actions")
 
     @property
     def rank(self) -> int:
@@ -214,22 +208,18 @@ class Bimodule:
         if _validate:
             Module(left, self.left_action)
             Module(opposite(right), self.right_action)
-            for g in left.generators():
-                lg = self.left_action_matrix(g)
-                for h in right.generators():
-                    rh = self.right_action_matrix(h)
-                    if not f.equal(f.matmul(lg, rh), f.matmul(rh, lg)):
-                        raise AlgebraError("left and right actions do not commute")
+            if self.left_action.shape[1] != self.right_action.shape[1]:
+                raise AlgebraError(
+                    f"left action has dimension {self.left_action.shape[1]}, right action dimension {self.right_action.shape[1]}"
+                )
+            lg = f.einsum("gi,iab->gab", left.generators(), self.left_action)[:, None]
+            rh = f.einsum("gi,iab->gab", right.generators(), self.right_action)[None]
+            if not f.equal(f.matmul(lg, rh), f.matmul(rh, lg)):
+                raise AlgebraError("left and right actions do not commute")
 
     @property
     def field(self) -> Field:
         return self.left.field
-
-    def left_action_matrix(self, x) -> np.ndarray:
-        return self.field.einsum("i,iab->ab", x, self.left_action)
-
-    def right_action_matrix(self, y) -> np.ndarray:
-        return self.field.einsum("j,jab->ab", y, self.right_action)
 
     def left_restrict(self) -> Module:
         return Module(self.left, self.left_action, _validate=False)
@@ -327,11 +317,7 @@ def quotient_module(m: Module, sub_rows: np.ndarray) -> tuple[Module, ModuleMap]
     complement basis = non-pivot coordinates of the rref."""
     f = m.field
     proj, sect = quotient_coordinates(sub_rows, f)
-    q = proj.shape[0]
-    act = f.zeros(m.algebra.dim, q, q)
-    for i in range(m.algebra.dim):
-        act[i] = f.matmul(proj, f.matmul(m.action[i], sect))
-    quot = Module(m.algebra, act, _validate=False)
+    quot = Module(m.algebra, f.matmul(proj, f.matmul(m.action, sect)), _validate=False)
     return quot, ModuleMap(m, quot, proj, _validate=False)
 
 
@@ -401,20 +387,22 @@ class HomBasis:
         return ModuleMap(self.source, self.target, self.matrices[s], _validate=False)
 
     def coords(self, mat: np.ndarray, f: Field) -> np.ndarray:
-        return f.normalize(mat.reshape(-1)[self.positions])
+        """Coordinates of a map in the span; for a stack (..., t, s) of maps,
+        one row of coordinates per map."""
+        flat = mat.reshape(*mat.shape[:-2], mat.shape[-2] * mat.shape[-1])
+        return f.normalize(flat[..., self.positions])
 
     def induced(self, target: "HomBasis", f: Field, pre: Optional[np.ndarray] = None, post: Optional[np.ndarray] = None) -> np.ndarray:
         """Matrix of g |-> post.g.pre from this basis's span into target's,
         in both bases' coordinates: column s holds target's coordinates of
-        post.matrices[s].pre."""
-        if not len(self):
-            return f.zeros(len(target), 0)
+        post.matrices[s].pre.  For a stack (k, ., .) of pre or post
+        operators the result is the stack (k, len(target), len(self))."""
         g = self.matrices
         if pre is not None:
-            g = f.matmul(g, pre)
+            g = f.matmul(g, pre[..., None, :, :])
         if post is not None:
-            g = f.matmul(post, g)
-        return g.reshape(len(self), -1)[:, target.positions].T
+            g = f.matmul(post[..., None, :, :], g)
+        return np.swapaxes(target.coords(g, f), -1, -2)
 
 
 # -- radical, covers, projectivity --------------------------------------------
@@ -632,11 +620,7 @@ def hom_into_regular(m: Module) -> Module:
     a = m.algebra
     f = m.field
     hb = hom_space(m, regular_module(a))
-    h = len(hb)
-    act = f.zeros(a.dim, h, h)
-    for j in range(a.dim):
-        act[j] = hb.induced(hb, f, post=a.right_mult[j])
-    return Module(opposite(a), act)
+    return Module(opposite(a), hb.induced(hb, f, post=a.right_mult))
 
 
 # -- tensor products -----------------------------------------------------------
@@ -661,13 +645,20 @@ class TensorData:
     ) -> np.ndarray:
         """Matrix of op_left (x) op_right (identity where None) from this
         tensor product into target's (default: this one), in both quotient
-        coordinates."""
-        big = np.kron(
-            op_left if op_left is not None else f.eye(self.m_dim),
-            op_right if op_right is not None else f.eye(self.n_dim),
-        )
+        coordinates.  For a stack (k, ., .) of operators on one side the
+        result is the stack (k, q', q).
+
+        Each operator acts on its own index of the section, read as
+        (m_dim, n_dim, q); the (m*n)^2 Kronecker product is never formed."""
+        m, n, q = self.m_dim, self.n_dim, self.sect.shape[1]
+        x = self.sect.reshape(m, n, q)
+        if op_left is not None:
+            x = f.matmul(op_left, x.reshape(m, n * q))
+            x = x.reshape(*x.shape[:-1], n, q)
+        if op_right is not None:
+            x = f.matmul(op_right[..., None, :, :], x)
         into = target if target is not None else self
-        return f.matmul(into.proj, f.matmul(f.normalize(big), self.sect))
+        return f.matmul(into.proj, x.reshape(*x.shape[:-3], x.shape[-3] * x.shape[-2], q))
 
 
 def _balanced_tensor(f: Field, b: Algebra, right_action, left_action) -> TensorData:
@@ -675,15 +666,12 @@ def _balanced_tensor(f: Field, b: Algebra, right_action, left_action) -> TensorD
     relations suffice by bilinearity."""
     m = right_action.shape[1]
     n = left_action.shape[1]
-    rels = []
-    eye_m, eye_n = f.eye(m), f.eye(n)
-    for g in b.generators():
-        rm = f.einsum("i,iab->ab", g, right_action)
-        ln = f.einsum("i,iab->ab", g, left_action)
-        # columns of the relation block are indexed by pure tensors (s, t)
-        rels.append(f.normalize(np.kron(rm, eye_n) - np.kron(eye_m, ln)).T)
-    relmat = np.concatenate(rels, axis=0) if rels else f.zeros(0, m * n)
-    proj, sect = quotient_coordinates(relmat, f)
+    gens = b.generators()
+    rm = f.einsum("gi,iab->gab", gens, right_action)
+    ln = f.einsum("gi,iab->gab", gens, left_action)
+    # one (m*n) x (m*n) block per generator; its columns are indexed by pure tensors (s, t)
+    rels = f.normalize(np.kron(rm, f.eye(n)[None]) - np.kron(f.eye(m)[None], ln))
+    proj, sect = quotient_coordinates(rels.transpose(0, 2, 1).reshape(gens.shape[0] * m * n, m * n), f)
     return TensorData(proj, sect, m, n)
 
 
@@ -713,32 +701,15 @@ def tensor_over(a_mod, b_mod) -> tuple:
             raise AlgebraError("tensor factors do not share the middle algebra")
         la = b_mod.action
     td = _balanced_tensor(f, b, ra, la)
-    q = td.proj.shape[0]
-    left_alg = a_mod.left if isinstance(a_mod, Bimodule) else None
-    right_alg = b_mod.right if isinstance(b_mod, Bimodule) else None
-
-    def left_act() -> np.ndarray:
-        act = f.zeros(left_alg.dim, q, q)
-        for i in range(left_alg.dim):
-            act[i] = td.induced(f, a_mod.left_action[i], None)
-        return act
-
-    def right_act() -> np.ndarray:
-        act = f.zeros(right_alg.dim, q, q)
-        for j in range(right_alg.dim):
-            act[j] = td.induced(f, None, b_mod.right_action[j])
-        return act
-
-    if left_alg is not None and right_alg is not None:
-        return Bimodule(left_alg, right_alg, left_act(), right_act()), td
-    if left_alg is not None:
-        return Module(left_alg, left_act()), td
-    if right_alg is not None:
-        return Module(opposite(right_alg), right_act()), td
-    k = ground_field_algebra(f)
-    act = f.zeros(1, q, q)
-    act[0] = f.eye(q)
-    return Module(k, act, _validate=False), td
+    left_act = td.induced(f, op_left=a_mod.left_action) if isinstance(a_mod, Bimodule) else None
+    right_act = td.induced(f, op_right=b_mod.right_action) if isinstance(b_mod, Bimodule) else None
+    if left_act is not None and right_act is not None:
+        return Bimodule(a_mod.left, b_mod.right, left_act, right_act), td
+    if left_act is not None:
+        return Module(a_mod.left, left_act), td
+    if right_act is not None:
+        return Module(opposite(b_mod.right), right_act), td
+    return Module(ground_field_algebra(f), f.eye(td.proj.shape[0])[None], _validate=False), td
 
 
 # -- hom modules ----------------------------------------------------------------
@@ -763,18 +734,10 @@ def hom_module(m_bimod: Bimodule, n) -> tuple:
             raise AlgebraError("hom_module needs matching left algebras")
         n_left = n
     hb = hom_space(m_left, n_left)
-    h = len(hb)
-    b = m_bimod.right
-    b_act = f.zeros(b.dim, h, h)
-    for j in range(b.dim):
-        b_act[j] = hb.induced(hb, f, pre=m_bimod.right_action[j])
+    b_act = hb.induced(hb, f, pre=m_bimod.right_action)
     if isinstance(n, Bimodule):
-        c = n.right
-        c_act = f.zeros(c.dim, h, h)
-        for l in range(c.dim):
-            c_act[l] = hb.induced(hb, f, post=n.right_action[l])
-        return Bimodule(b, c, b_act, c_act), hb
-    return Module(b, b_act), hb
+        return Bimodule(m_bimod.right, n.right, b_act, hb.induced(hb, f, post=n.right_action)), hb
+    return Module(m_bimod.right, b_act), hb
 
 
 # -- isomorphism testing ---------------------------------------------------------

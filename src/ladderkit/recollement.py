@@ -272,15 +272,11 @@ def counit_mu(rec: RecollementData, m: Module) -> tuple[ModuleMap, FunctorValue,
     em = fe.apply(m)
     lem = fl.apply(em.module)
     cols_e, _ = em.data
-    bl = rec.lambda_e_basis
     td: TensorData = lem.data
-    raw = f.zeros(m.dim, rec.lambda_e.dim * em.module.dim)
-    for s in range(rec.lambda_e.dim):
-        acting = m.act_vector(bl[:, s])
-        block = f.matmul(acting, cols_e)
-        raw[:, s * em.module.dim : (s + 1) * em.module.dim] = block
-    mat = f.matmul(raw, td.sect)
-    return ModuleMap(lem.module, m, mat), em, lem
+    # blocks[s]: the pure tensors (s, .) sent to (s-th basis element of Le) . x
+    blocks = f.matmul(f.einsum("is,iab->sab", rec.lambda_e_basis, m.action), cols_e)
+    raw = blocks.transpose(1, 0, 2).reshape(m.dim, td.m_dim * td.n_dim)
+    return ModuleMap(lem.module, m, f.matmul(raw, td.sect)), em, lem
 
 
 def unit_nu(rec: RecollementData, m: Module) -> tuple[ModuleMap, FunctorValue, FunctorValue]:
@@ -294,9 +290,7 @@ def unit_nu(rec: RecollementData, m: Module) -> tuple[ModuleMap, FunctorValue, F
     hb: HomBasis = rem.data
     acting = f.einsum("is,iab->sab", rec.e_lambda_basis, m.action)  # eL acting on M
     moved = f.matmul(coords, acting)  # moved[s, :, x]: e-coordinates of u_s . x
-    mat = f.zeros(rem.module.dim, m.dim)
-    for x in range(m.dim):
-        mat[:, x] = hb.coords(moved[:, :, x].T, f)
+    mat = hb.coords(moved.transpose(2, 1, 0), f).T  # column x: the map u |-> u . x
     return ModuleMap(m, rem.module, mat), em, rem
 
 
@@ -328,13 +322,7 @@ def unit_e_l(rec: RecollementData, n: Module) -> tuple[ModuleMap, FunctorValue]:
     ln = rec.functor_l().apply(n)
     eln = rec.functor_e().apply(ln.module)
     td: TensorData = ln.data
-    # e (x) x as a pure tensor
-    e_in_le = rec.e_in_lambda_e
-    raw = f.zeros(td.m_dim * td.n_dim, n.dim)
-    for s in range(td.m_dim):
-        if e_in_le[s] == 0:
-            continue
-        raw[s * td.n_dim : (s + 1) * td.n_dim] = f.normalize(e_in_le[s] * f.eye(n.dim))
+    raw = np.kron(rec.e_in_lambda_e[:, None], f.eye(n.dim))  # column x: e (x) x as a pure tensor
     _, coords = eln.data
     return ModuleMap(n, eln.module, f.matmul(coords, f.matmul(td.proj, raw)), _validate=False), ln
 
@@ -489,7 +477,7 @@ def torsion_audit(rec: RecollementData, l_tower, t_samples, f_samples) -> dict:
     Requires the l-tower to provide M_1 and M_2 (l-height >= 3).
     """
     if len(l_tower) < 3:
-        raise AlgebraError("torsion_audit needs l-height >= 3 (tower rungs 0..2 projective)")
+        raise AlgebraError("torsion_audit needs l-height >= 3 (tower rungs 0 and 1 projective)")
     m1 = l_tower[1].bimodule  # (G, L)
     m2 = l_tower[2].bimodule  # (L, G)
     l1 = TensorFunctor(m1)

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from ladderkit.cli import EXIT_INPUT, main
+from ladderkit.verify import RECOLLEMENT_FIXTURES
 
 
 
@@ -93,6 +94,42 @@ def test_ladder_report_bytes_unchanged(tmp_path, capsys, name):
     assert main(["ladder", "--algebra", name, "--json", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == LADDER_SHA256[name]
+
+
+# sha256 of `stratifying --json` and `recollement --json` for each
+# RECOLLEMENT_FIXTURES algebra at the default seed, prime, cutoff and sample
+# count.  The multiplication map, the units and the counits behind these
+# reports have no other digest outside the verify-paper suite.  Update one only
+# in a change that alters the report on purpose and says so in CHANGES.md.
+STRATIFYING_SHA256 = {
+    "t2": "e86f28690527ec3ba37bf4c14d6fc8aa4163e72cb52e2e7ce1b3f5405d01d019",
+    "t3": "3ff36b4a9d4c7f18794a80a05e3762873c13a3df9bf24b915497cc64e6eed472",
+    "preproj-a2": "200d7e2777e8d0400733da758eaf39ccf07278040a250aed2a8779f7f070ec3e",
+    "prop32-dual-numbers": "53c1e00f2a0b54d828d8ed7c0b998bd5277c4c899296610edd566f1971798dd8",
+    "morita-square-k": "200d7e2777e8d0400733da758eaf39ccf07278040a250aed2a8779f7f070ec3e",
+    "m2k": "acd1a8dcfe09c95a22b7f92bd71f27e79d0c74705a8d8a81d7964f3f4c023cb4",
+    "ideal-chain": "014f39459fabb96e626314fb0bec54779ec807636ea62dcc3b0b9142b216deef",
+}
+
+RECOLLEMENT_SHA256 = {
+    "t2": "a8c1a77c308211725b2c47d54995b6d96364b35685e6e62c4b8e82603b64974e",
+    "t3": "4e56387db08ac62a3e29281240a54fde034fcdc7ce47a66118f6f1ae0dc7c662",
+    "preproj-a2": "a8c1a77c308211725b2c47d54995b6d96364b35685e6e62c4b8e82603b64974e",
+    "prop32-dual-numbers": "5866aabdc3f3df25795f93edee9f805d4f05cf634ad54304388ac556e0757734",
+    "morita-square-k": "a8c1a77c308211725b2c47d54995b6d96364b35685e6e62c4b8e82603b64974e",
+    "m2k": "40c3582916c2eff474db36925369545ca0859e16b7cc661407b050690266efd8",
+    "ideal-chain": "5a8ab42e02759960cc63f3523697cba4a4fa243dbe2f6734084c411ddc5c140a",
+}
+
+
+@pytest.mark.parametrize("command", ["stratifying", "recollement"])
+@pytest.mark.parametrize("name", RECOLLEMENT_FIXTURES)
+def test_recollement_fixture_report_bytes_unchanged(tmp_path, capsys, command, name):
+    digests = {"stratifying": STRATIFYING_SHA256, "recollement": RECOLLEMENT_SHA256}[command]
+    out = tmp_path / "r.json"
+    assert main([command, "--algebra", name, "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[name]
 
 
 def test_stratifying_command(capsys):

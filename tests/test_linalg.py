@@ -416,7 +416,6 @@ EINSUM_SPECS = [
     "ikm,jln->ijklmn",
     "is,iab->sab",
     "it,iab->tab",
-    "j,jab->ab",
     "na,bm->abnm",
     "s,sab->ab",
 ]

@@ -19,6 +19,7 @@ from ladderkit.modules import (
     Bimodule,
     HomBasis,
     Module,
+    ModuleMap,
     algebra_radical_rows,
     direct_sum,
     dual,
@@ -424,6 +425,92 @@ def test_hom_basis_induced_matches_coordinate_loop():
             for s, mat in enumerate(src.matrices):
                 want[:, s] = dst.coords(F.matmul(post, F.matmul(mat, pre)), F)
             assert np.array_equal(src.induced(dst, F, pre=pre, post=post), want)
+            # stacks of pre or post operators give one induced matrix per operator
+            pres, posts = hom_space(m, m).matrices, hom_space(n, n).matrices
+            for kind, ops in (("pre", pres), ("post", posts)):
+                got = src.induced(dst, F, **{kind: ops})
+                assert got.shape == (len(ops), len(dst), len(src))
+                for k, op in enumerate(ops):
+                    want = F.zeros(len(dst), len(src))
+                    for s, mat in enumerate(src.matrices):
+                        moved = F.matmul(mat, op) if kind == "pre" else F.matmul(op, mat)
+                        want[:, s] = dst.coords(moved, F)
+                    assert np.array_equal(got[k], want)
+            # coords of a stack: one row per map
+            stacked = dst.coords(src.matrices, F)
+            assert stacked.shape == (len(src), len(dst))
+            for s, mat in enumerate(src.matrices):
+                assert np.array_equal(stacked[s], dst.coords(mat, F))
+
+
+def _kron_induced(td, f, op_left=None, op_right=None, target=None):
+    """Reference for TensorData.induced on one pair of operators: the
+    Kronecker product op_left (x) op_right between the quotient coordinates."""
+    big = np.kron(
+        op_left if op_left is not None else f.eye(td.m_dim),
+        op_right if op_right is not None else f.eye(td.n_dim),
+    )
+    into = target if target is not None else td
+    return f.matmul(into.proj, f.matmul(f.normalize(big), td.sect))
+
+
+@pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
+def test_tensor_induced_on_stacks_matches_kron_reference(field):
+    t2 = build_triangular(ground_field_algebra(field), 2)
+    reg = regular_bimodule(t2)
+    m = regular_module(t2)
+    n = max(projective_indecomposables(t2), key=lambda p: p.dim)  # Hom(m, n) = n, dim 2
+    s1, s2 = simples(t2)
+    zero_bim = Bimodule(t2, t2, field.zeros(t2.dim, 0, 0), field.zeros(t2.dim, 0, 0), _validate=False)
+    td_m, td_n = tensor_over(reg, m)[1], tensor_over(reg, n)[1]
+    hom_mn = hom_space(m, n).matrices
+    assert hom_mn.shape == (2, 2, 3)
+    # (tensor data, left stack, right stack, target); the right stack of the
+    # second case is rectangular and lands in another tensor product
+    cases = [
+        (td_m, reg.left_action, hom_space(m, m).matrices, None),
+        (td_m, None, hom_mn, td_n),
+        (tensor_over(reg, zero_module(t2))[1], reg.left_action, field.zeros(2, 0, 0), None),  # n_dim = 0
+        (tensor_over(zero_bim, m)[1], field.zeros(2, 0, 0), m.action, None),  # m_dim = 0
+        (tensor_over(dual(s1), s2)[1], dual(s1).action, s2.action, None),  # q = 0
+    ]
+    assert cases[2][0].n_dim == 0 and cases[3][0].m_dim == 0
+    assert cases[4][0].proj.shape[0] == 0 and cases[4][0].m_dim * cases[4][0].n_dim > 0
+    for td, lefts, rights, target in cases:
+        into = target if target is not None else td
+        for side, ops in (("op_left", lefts), ("op_right", rights)):
+            if ops is None:
+                continue
+            got = td.induced(field, target=target, **{side: ops})
+            assert got.shape == (len(ops), into.proj.shape[0], td.sect.shape[1])
+            for k, op in enumerate(ops):
+                want = _kron_induced(td, field, target=target, **{side: op})
+                assert np.array_equal(got[k], want)
+                assert np.array_equal(td.induced(field, target=target, **{side: op}), want)
+        if target is None:
+            assert np.array_equal(td.induced(field), _kron_induced(td, field))
+
+
+def test_bimodule_rejects_actions_of_different_dimensions():
+    t2 = build_triangular(K, 2)
+    with pytest.raises(AlgebraError, match="left action has dimension 3, right action dimension 2"):
+        Bimodule(t2, K, t2.left_mult, F.eye(2)[None])
+
+
+def test_bimodule_rejects_non_commuting_actions():
+    # x |-> L(x)^T is a representation of t2^op, but it does not commute with L
+    t2 = build_triangular(K, 2)
+    with pytest.raises(AlgebraError, match="do not commute"):
+        Bimodule(t2, t2, t2.left_mult, t2.left_mult.transpose(0, 2, 1))
+
+
+def test_module_map_rejects_non_intertwiner():
+    t2 = build_triangular(K, 2)
+    reg = regular_module(t2)
+    e11 = F.zeros(t2.dim, t2.dim)
+    e11[0, 0] = 1
+    with pytest.raises(AlgebraError, match="does not intertwine"):
+        ModuleMap(reg, reg, e11)
 
 
 def test_hom_from_projective_counts_idempotent_part():
