@@ -85,12 +85,12 @@ for c in lc["checks"]:
 # --- torsion pairs from the first upper adjoint ---------------------------------------
 # when the l-ladder reaches height two, Ker(l1) is a torsion class; the audit
 # checks the necessary conditions on finite samples (never claiming closure)
-from ladderkit.ladder import l_tower
+from ladderkit.ladder import ladder_report
 from ladderkit.modules import random_module
 from ladderkit.recollement import torsion_audit, torsion_class_membership
 
 pp = rec_of("preproj-a2")
-rungs = l_tower(pp, 6)
+rungs = ladder_report(pp, 6).l_rungs
 m1 = rungs[1].bimodule
 rng = np.random.default_rng(9)
 pool = [m for m in (random_module(pp.lam, rng, max_summands=2) for _ in range(10)) if m.dim]

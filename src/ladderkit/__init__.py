@@ -76,10 +76,6 @@ from .ladder import (
     TowerRung,
     HeightVerdict,
     LadderReport,
-    r_tower,
-    l_tower,
-    r_height,
-    l_height,
     ladder_report,
     height_cross_check,
 )

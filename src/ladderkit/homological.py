@@ -161,7 +161,8 @@ def is_stratifying(rec: RecollementData, cutoff: int = 8) -> dict:
     Both conditions are evaluated and reported even when the first fails, so
     a No verdict names every obstruction found."""
     # the multiplication map Le (x)_G eL -> L is the counit mu at the regular module
-    mult, _, tens = counit_mu(rec, regular_module(rec.lam))
+    reg = regular_module(rec.lam)
+    mult, tens = counit_mu(rec, reg, rec.functor_e().apply(reg))
     tensor_dim, ideal_dim, mult_rank = tens.module.dim, rec.ideal_rows.shape[0], mult.rank
     iso = tensor_dim == ideal_dim and mult_rank == tensor_dim
     tors = tor_dims(rec.lambda_e.right_restrict(), rec.e_lambda.left_restrict(), cutoff)
@@ -280,18 +281,16 @@ def is_gorenstein_projective(m: Module, cutoff: int = 8, ambient: Optional[Goren
     for i in range(1, cutoff + 1):
         if exts[i] != 0:
             return GPVerdict("no", False, cutoff, reason=f"Ext^{i}(M, algebra) has dimension {exts[i]}")
-    mt = hom_into_regular(m)
+    mt, hb1 = hom_into_regular(m)
     reg_op = regular_module(mt.algebra)
     exts_t = ext_dims(mt, reg_op, cutoff)
     for i in range(1, cutoff + 1):
         if exts_t[i] != 0:
             return GPVerdict("no", False, cutoff, reason=f"Ext^{i}(transpose dual, opposite algebra) nonzero")
     # biduality M -> Hom(Hom(M, A), A)
-    hb1 = hom_space(m, reg)
-    mtt = hom_into_regular(mt)
-    hb2 = hom_space(mt, regular_module(mt.algebra))
+    hb2 = hom_space(mt, reg_op)
     bidual = hb2.coords(hb1.matrices.transpose(2, 1, 0), f).T  # column x: evaluation at x
-    if not (mtt.dim == m.dim and rref(bidual, f).rank == m.dim):
+    if not (len(hb2) == m.dim and rref(bidual, f).rank == m.dim):
         return GPVerdict("no", False, cutoff, reason="biduality map is not an isomorphism")
     return GPVerdict("yes", not complete, cutoff)
 

@@ -1,12 +1,18 @@
 """Bimodule towers and ladder heights.
 
-The tower starts at eL (r-side) or Le (l-side) and alternates Hom into the
-regular bimodule of the corner and of the whole algebra.  The ladder extends
-one more step precisely while the current rung is projective on the tested
-side, so the height verdict is Exact(j + 1) at the first non-projective rung
-j.  If every rung up to the step budget is projective, the tower is scanned
-for a recurring rung (same parity, isomorphic as bimodules); a recurrence
-proves the ladder is infinite and periodic.
+The r-tower starts at M_0 = eL, the l-tower at Le; M_{j+1} is Hom of M_j
+into the regular bimodule of the corner (even j) or of the whole algebra
+(odd j), over left modules on the r-side and right modules on the l-side.
+Rung j is tested for projectivity as a one-sided module over the corner
+(even j) or the whole algebra (odd j).
+
+One pass builds the rungs and decides the height as it goes.  The ladder
+extends one more step precisely while the current rung is projective, so
+the first non-projective rung j gives Exact(j + 1).  A projective rung is
+compared with each earlier rung of the same parity, isomorphic as
+bimodules; the first match proves the ladder is infinite and periodic, and
+the tower ends there.  A tower with neither within the step budget gives
+AtLeast(budget + 1).
 
 The reported period counts the rungs strictly between the first recurring
 pair: the tower e1.L -> L.e2 -> e2.L -> L.e1 -> e1.L of the two-vertex
@@ -40,10 +46,6 @@ __all__ = [
     "TowerRung",
     "HeightVerdict",
     "LadderReport",
-    "r_tower",
-    "l_tower",
-    "r_height",
-    "l_height",
     "ladder_report",
     "height_cross_check",
 ]
@@ -93,16 +95,9 @@ class HeightVerdict:
     confidence: Optional[str] = None  # "proved-No-impossible" | "randomized"
     seed: Optional[int] = None
 
-    def at_least_height(self) -> int:
-        """A height that the ladder provably reaches."""
-        if self.kind == "exact":
-            return self.n
-        if self.kind == "at_least":
-            return self.n
-        return 10**9  # periodic: infinite
-
     def meets(self, bound: int) -> bool:
-        return self.at_least_height() >= bound
+        """Does the ladder provably reach height `bound`?"""
+        return self.kind == "periodic_infinite" or self.n >= bound
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -136,56 +131,32 @@ def _next_rung(rec: RecollementData, bimod: Bimodule, index: int, r_side: bool) 
     return out.flip()
 
 
-def _tower(rec: RecollementData, max_steps: int, r_side: bool) -> list[TowerRung]:
-    rungs: list[TowerRung] = []
-    current = rec.e_lambda if r_side else rec.lambda_e
-    for j in range(max_steps):
-        if r_side:
-            side = "left-gamma" if j % 2 == 0 else "left-lambda"
-        else:
-            side = "right-gamma" if j % 2 == 0 else "right-lambda"
-        rung = TowerRung(j, current, side, projective=False)
-        rung.projective = is_projective(rung.tested_module())
-        rungs.append(rung)
-        if not rung.projective:
-            break
-        if j + 1 < max_steps:
-            current = _next_rung(rec, current, j, r_side)
-    return rungs
-
-
-def r_tower(rec: RecollementData, max_steps: int = 12) -> list[TowerRung]:
-    """Rungs M_0 = eL, M_{j+1} = Hom into the alternating regular bimodule,
-    tested as left corner-algebra modules (even j) and left modules over the
-    whole algebra (odd j)."""
-    return _tower(rec, max_steps, r_side=True)
-
-
-def l_tower(rec: RecollementData, max_steps: int = 12) -> list[TowerRung]:
-    """Mirror tower starting at Le with right-module projectivity tests."""
-    return _tower(rec, max_steps, r_side=False)
-
-
-def _env_for(rec: RecollementData, rung: TowerRung, r_side: bool) -> Algebra:
-    even = rung.index % 2 == 0
+def _env_for(rec: RecollementData, index: int, r_side: bool) -> Algebra:
+    """The enveloping algebra over which rung `index` is a bimodule."""
+    even = index % 2 == 0
     if r_side:
         return rec.env_gl if even else rec.env_lg
     return rec.env_lg if even else rec.env_gl
 
 
-def _verdict(rec: RecollementData, rungs: list[TowerRung], max_steps: int, seed: int, r_side: bool) -> HeightVerdict:
-    for rung in rungs:
-        if not rung.projective:
-            return HeightVerdict("exact", n=rung.index + 1, failing_rung=rung.index)
+def _tower(rec: RecollementData, max_steps: int, seed: int, r_side: bool) -> tuple[list[TowerRung], HeightVerdict]:
+    """Build the tower one rung at a time and decide the height on the way."""
+    rungs: list[TowerRung] = []
+    current = rec.e_lambda if r_side else rec.lambda_e
     randomized = False
-    for jp in range(1, len(rungs)):
+    for jp in range(max_steps):
+        side = ("left-" if r_side else "right-") + ("gamma" if jp % 2 == 0 else "lambda")
+        tested = current.left_restrict() if r_side else current.right_restrict()
+        rungs.append(TowerRung(jp, current, side, is_projective(tested)))
+        if not rungs[-1].projective:
+            return rungs, HeightVerdict("exact", n=jp + 1, failing_rung=jp)
+        env = _env_for(rec, jp, r_side)
         for j in range(jp % 2, jp, 2):
-            env = _env_for(rec, rungs[j], r_side)
-            res = bimodules_isomorphic(rungs[j].bimodule, rungs[jp].bimodule, env=env, seed=seed)
+            res = bimodules_isomorphic(rungs[j].bimodule, current, env=env, seed=seed)
             if res.kind == "probably_no":
                 randomized = True
             elif res.kind == "yes":
-                return HeightVerdict(
+                return rungs, HeightVerdict(
                     "periodic_infinite",
                     period=jp - j - 1,
                     first_repeat_index=jp,
@@ -194,15 +165,9 @@ def _verdict(rec: RecollementData, rungs: list[TowerRung], max_steps: int, seed:
                     confidence="randomized" if randomized else "proved-No-impossible",
                     seed=seed,
                 )
-    return HeightVerdict("at_least", n=max_steps + 1, seed=seed)
-
-
-def r_height(rec: RecollementData, max_steps: int = 12, seed: int = 0) -> HeightVerdict:
-    return _verdict(rec, r_tower(rec, max_steps), max_steps, seed, r_side=True)
-
-
-def l_height(rec: RecollementData, max_steps: int = 12, seed: int = 0) -> HeightVerdict:
-    return _verdict(rec, l_tower(rec, max_steps), max_steps, seed, r_side=False)
+        if jp + 1 < max_steps:
+            current = _next_rung(rec, current, jp, r_side)
+    return rungs, HeightVerdict("at_least", n=max_steps + 1, seed=seed)
 
 
 @dataclass
@@ -232,10 +197,8 @@ class LadderReport:
 
 
 def ladder_report(rec: RecollementData, max_steps: int = 12, seed: int = 0) -> LadderReport:
-    r_rungs = r_tower(rec, max_steps)
-    l_rungs = l_tower(rec, max_steps)
-    rv = _verdict(rec, r_rungs, max_steps, seed, r_side=True)
-    lv = _verdict(rec, l_rungs, max_steps, seed, r_side=False)
+    r_rungs, rv = _tower(rec, max_steps, seed, r_side=True)
+    l_rungs, lv = _tower(rec, max_steps, seed, r_side=False)
     return LadderReport(rec, r_rungs, l_rungs, rv, lv, max_steps, seed)
 
 

@@ -615,12 +615,12 @@ def is_injective(m: Module) -> bool:
     return is_projective(dual(m))
 
 
-def hom_into_regular(m: Module) -> Module:
-    """Hom_A(M, A) as a module over A^op: (f.a)(x) = f(x)a."""
+def hom_into_regular(m: Module) -> tuple[Module, HomBasis]:
+    """Hom_A(M, A) as a module over A^op: (f.a)(x) = f(x)a, with its basis."""
     a = m.algebra
     f = m.field
     hb = hom_space(m, regular_module(a))
-    return Module(opposite(a), hb.induced(hb, f, post=a.right_mult))
+    return Module(opposite(a), hb.induced(hb, f, post=a.right_mult)), hb
 
 
 # -- tensor products -----------------------------------------------------------

@@ -262,54 +262,44 @@ class SubquotientFunctor:
 # -- units and counits -----------------------------------------------------------
 
 
-def counit_mu(rec: RecollementData, m: Module) -> tuple[ModuleMap, FunctorValue, FunctorValue]:
-    """mu_M: l(e(M)) -> M, lambda e (x) x |-> (lambda e) . x.
+def counit_mu(rec: RecollementData, m: Module, em: FunctorValue) -> tuple[ModuleMap, FunctorValue]:
+    """mu_M: l(e(M)) -> M, lambda e (x) x |-> (lambda e) . x, given em = e(M).
 
-    Returns (map, value of e(M), value of le(M))."""
+    Returns (map, value of le(M))."""
     f = rec.field
-    fe = rec.functor_e()
-    fl = rec.functor_l()
-    em = fe.apply(m)
-    lem = fl.apply(em.module)
+    lem = rec.functor_l().apply(em.module)
     cols_e, _ = em.data
     td: TensorData = lem.data
     # blocks[s]: the pure tensors (s, .) sent to (s-th basis element of Le) . x
     blocks = f.matmul(f.einsum("is,iab->sab", rec.lambda_e_basis, m.action), cols_e)
     raw = blocks.transpose(1, 0, 2).reshape(m.dim, td.m_dim * td.n_dim)
-    return ModuleMap(lem.module, m, f.matmul(raw, td.sect)), em, lem
+    return ModuleMap(lem.module, m, f.matmul(raw, td.sect)), lem
 
 
-def unit_nu(rec: RecollementData, m: Module) -> tuple[ModuleMap, FunctorValue, FunctorValue]:
-    """nu_M: M -> r(e(M)), x |-> (u |-> e-coordinates of u . x)."""
+def unit_nu(rec: RecollementData, m: Module, em: FunctorValue) -> tuple[ModuleMap, FunctorValue]:
+    """nu_M: M -> r(e(M)), x |-> (u |-> e-coordinates of u . x), given em = e(M).
+
+    Returns (map, value of re(M))."""
     f = rec.field
-    fe = rec.functor_e()
-    fr = rec.functor_r()
-    em = fe.apply(m)
-    rem = fr.apply(em.module)
+    rem = rec.functor_r().apply(em.module)
     _, coords = em.data
     hb: HomBasis = rem.data
     acting = f.einsum("is,iab->sab", rec.e_lambda_basis, m.action)  # eL acting on M
     moved = f.matmul(coords, acting)  # moved[s, :, x]: e-coordinates of u_s . x
     mat = hb.coords(moved.transpose(2, 1, 0), f).T  # column x: the map u |-> u . x
-    return ModuleMap(m, rem.module, mat), em, rem
+    return ModuleMap(m, rem.module, mat), rem
 
 
-def unit_lambda(rec: RecollementData, m: Module) -> tuple[ModuleMap, FunctorValue]:
-    """lambda_M: M -> i(q(M)) (the quotient projection)."""
-    fq = rec.functor_q()
-    fi = rec.functor_i()
-    qm = fq.apply(m)
-    iqm = fi.apply(qm.module)
+def unit_lambda(rec: RecollementData, m: Module, qm: FunctorValue) -> tuple[ModuleMap, FunctorValue]:
+    """lambda_M: M -> i(q(M)) (the quotient projection), given qm = q(M)."""
+    iqm = rec.functor_i().apply(qm.module)
     _, proj = qm.data
     return ModuleMap(m, iqm.module, proj), iqm
 
 
-def counit_kappa(rec: RecollementData, m: Module) -> tuple[ModuleMap, FunctorValue]:
-    """kappa_M: i(p(M)) -> M (the inclusion)."""
-    fp = rec.functor_p()
-    fi = rec.functor_i()
-    pm = fp.apply(m)
-    ipm = fi.apply(pm.module)
+def counit_kappa(rec: RecollementData, m: Module, pm: FunctorValue) -> tuple[ModuleMap, FunctorValue]:
+    """kappa_M: i(p(M)) -> M (the inclusion), given pm = p(M)."""
+    ipm = rec.functor_i().apply(pm.module)
     cols, _ = pm.data
     return ModuleMap(ipm.module, m, cols), ipm
 
@@ -354,11 +344,16 @@ def verify_canonical_sequences(rec: RecollementData, m: Module) -> dict:
     """Check exactness of the two four-term canonical sequences at M and that
     the outer terms are killed by e.  Returns {'status': 'PASS'} or a failure
     record naming the spot."""
+    return _canonical_sequences(rec, m, rec.functor_e().apply(m), rec.functor_q().apply(m), rec.functor_p().apply(m))
+
+
+def _canonical_sequences(rec: RecollementData, m: Module, em: FunctorValue, qm: FunctorValue, pm: FunctorValue) -> dict:
+    """verify_canonical_sequences at M, given the values e(M), q(M) and p(M)."""
     f = rec.field
     failures = []
 
-    mu, _, lem = counit_mu(rec, m)
-    lam_map, _ = unit_lambda(rec, m)
+    mu, lem = counit_mu(rec, m, em)
+    lam_map, _ = unit_lambda(rec, m, qm)
     if not _exact_at(mu.matrix, lam_map.matrix, f):
         failures.append("first sequence: image(mu) != kernel(lambda)")
     if not lam_map.is_surjective():
@@ -367,8 +362,8 @@ def verify_canonical_sequences(rec: RecollementData, m: Module) -> dict:
     if ker_mu.shape[1] and not f.is_zero(f.matmul(lem.module.act_vector(rec.e.element), ker_mu)):
         failures.append("first sequence: Ker(mu) not killed by e")
 
-    kappa, _ = counit_kappa(rec, m)
-    nu, _, rem = unit_nu(rec, m)
+    kappa, _ = counit_kappa(rec, m, pm)
+    nu, rem = unit_nu(rec, m, em)
     if not _exact_at(kappa.matrix, nu.matrix, f):
         failures.append("second sequence: image(kappa) != kernel(nu)")
     if not kappa.is_injective():
@@ -393,12 +388,13 @@ def check_axioms(rec: RecollementData, samples: int, rng: np.random.Generator) -
     for t in range(samples):
         m = random_module(rec.lam, rng, max_summands=2)
         n = random_module(rec.gamma, rng, max_summands=2)
-        seq = verify_canonical_sequences(rec, m)
+        em, qm, pm = fe.apply(m), fq.apply(m), fp.apply(m)
+        seq = _canonical_sequences(rec, m, em, qm, pm)
         if seq["status"] != "PASS":
             failures.append({"trial": t, "kind": "canonical", "detail": seq})
         unit, l_n = unit_e_l(rec, n)
         counit, r_n = counit_e_r(rec, n)
-        ln, rn, em = l_n.module, r_n.module, fe.apply(m).module
+        ln, rn = l_n.module, r_n.module
         if fq.apply(ln).module.dim != 0:
             failures.append({"trial": t, "kind": "q l != 0"})
         if fp.apply(rn).module.dim != 0:
@@ -408,11 +404,11 @@ def check_axioms(rec: RecollementData, samples: int, rng: np.random.Generator) -
         if not counit.is_isomorphism():
             failures.append({"trial": t, "kind": "e r not iso"})
         # (name, F x, y, x, G y) for each adjoint pair F -| G
-        adjoint = [("l, e", ln, m, n, em), ("e, r", em, n, m, rn)]
+        adjoint = [("l, e", ln, m, n, em.module), ("e, r", em.module, n, m, rn)]
         if rec.sigma.dim:
             s = random_module(rec.sigma, rng, max_summands=2)
             i_s = fi.apply(s).module
-            adjoint += [("q, i", fq.apply(m).module, s, m, i_s), ("i, p", i_s, m, s, fp.apply(m).module)]
+            adjoint += [("q, i", qm.module, s, m, i_s), ("i, p", i_s, m, s, pm.module)]
         for pair, fx, y, x, gy in adjoint:
             if len(hom_space(fx, y)) != len(hom_space(x, gy)):
                 failures.append({"trial": t, "kind": f"adjunction ({pair})"})

@@ -111,7 +111,7 @@ def _c2(ctx: _Ctx) -> dict:
         rec = ctx.recs["preproj-a2"]
         a = rep.r_rungs[rv.matched_rung].bimodule
         b = rep.r_rungs[rv.first_repeat_index].bimodule
-        env = _env_for(rec, rep.r_rungs[rv.matched_rung], r_side=True)
+        env = _env_for(rec, rv.matched_rung, r_side=True)
         pa = hom_profile(a.env_module(env))
         pb = hom_profile(b.env_module(env))
         details["matched_rung_profiles_equal"] = pa == pb

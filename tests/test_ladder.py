@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from ladderkit.fixtures import load_fixture, parse_idempotent
+from ladderkit.algebra import Idempotent, QuiverPresentation, algebra_from_quiver
 from ladderkit.ladder import (
     HeightVerdict,
     TowerRung,
+    _env_for,
+    _next_rung,
     height_cross_check,
-    l_height,
-    l_tower,
     ladder_report,
-    r_height,
-    r_tower,
 )
 from ladderkit.linalg import Field
 from ladderkit.modules import bimodules_isomorphic, hom_space, is_projective
@@ -27,28 +26,28 @@ def rec_for(name):
 
 # frozen hand-computed expectations (worked out before the build)
 def test_t2_tower_frozen():
-    rec = rec_for("t2")
-    rungs = r_tower(rec, 12)
+    rep = ladder_report(rec_for("t2"), 12, 0)
+    rungs = rep.r_rungs
     assert [(r.dim, r.projective) for r in rungs] == [(2, True), (2, True), (1, True), (1, False)]
     assert [r.side_tested for r in rungs] == ["left-gamma", "left-lambda", "left-gamma", "left-lambda"]
-    lr = l_tower(rec, 12)
+    lr = rep.l_rungs
     assert [(r.dim, r.projective) for r in lr] == [(1, True), (1, False)]
-    assert r_height(rec, 12, 0).describe() == "Exact(4)"
-    assert l_height(rec, 12, 0).describe() == "Exact(2)"
+    assert rep.r_verdict.describe() == "Exact(4)"
+    assert rep.l_verdict.describe() == "Exact(2)"
 
 
 def test_t3_tower_frozen():
-    rec = rec_for("t3")
-    rungs = r_tower(rec, 12)
+    rep = ladder_report(rec_for("t3"), 12, 0)
+    rungs = rep.r_rungs
     assert [(r.dim, r.projective) for r in rungs] == [(3, True), (3, True), (1, True), (1, False)]
-    assert l_height(rec, 12, 0).n == 2
-    assert r_height(rec, 12, 0).n == 4
+    assert rep.l_verdict.n == 2
+    assert rep.r_verdict.n == 4
 
 
 def test_prop32_heights_exact():
-    rec = rec_for("prop32-dual-numbers")
-    rv = r_height(rec, 12, 0)
-    lv = l_height(rec, 12, 0)
+    rep = ladder_report(rec_for("prop32-dual-numbers"), 12, 0)
+    rv = rep.r_verdict
+    lv = rep.l_verdict
     assert rv.kind == "exact" and rv.n == 3 and rv.failing_rung == 2
     assert lv.kind == "exact" and lv.n == 1 and lv.failing_rung == 0
 
@@ -56,9 +55,9 @@ def test_prop32_heights_exact():
 def test_prop32_directional_consequences():
     # the ideal is the radical: not projective on either side, forcing the
     # exact values; the always-true lower bounds still hold
-    rec = rec_for("prop32-dual-numbers")
-    assert r_height(rec, 12, 0).meets(3)
-    assert l_height(rec, 12, 0).meets(1)
+    rep = ladder_report(rec_for("prop32-dual-numbers"), 12, 0)
+    assert rep.r_verdict.meets(3)
+    assert rep.l_verdict.meets(1)
 
 
 def test_preproj_periodic_three():
@@ -104,18 +103,18 @@ def test_heights_at_least_one(name):
 
 def test_verdict_monotone_in_max_steps():
     rec = rec_for("t2")
-    small = r_height(rec, 5, 0)
-    large = r_height(rec, 12, 0)
+    small = ladder_report(rec, 5, 0).r_verdict
+    large = ladder_report(rec, 12, 0).r_verdict
     assert small.kind == large.kind == "exact"
     assert small.n == large.n == 4
     rec32 = rec_for("prop32-dual-numbers")
-    assert l_height(rec32, 3, 0).n == l_height(rec32, 12, 0).n == 1
+    assert ladder_report(rec32, 3, 0).l_verdict.n == ladder_report(rec32, 12, 0).l_verdict.n == 1
 
 
 def test_tower_recurrence_dimension_consistency():
     # dim of rung j+1 equals the Hom dimension computed independently
     rec = rec_for("prop32-dual-numbers")
-    rungs = r_tower(rec, 12)
+    rungs = ladder_report(rec, 12, 0).r_rungs
     from ladderkit.modules import regular_module
 
     for j in range(len(rungs) - 1):
@@ -128,9 +127,8 @@ def test_tower_recurrence_dimension_consistency():
 def test_theorem_form_consistency_even():
     # Exact(2n+2) <=> even rungs j <= 2n projective over the corner, odd
     # rungs j < 2n+1 projective over the middle, rung 2n+1 not projective
-    rec = rec_for("t2")
-    rungs = r_tower(rec, 12)
-    v = r_height(rec, 12, 0)
+    rep = ladder_report(rec_for("t2"), 12, 0)
+    rungs, v = rep.r_rungs, rep.r_verdict
     assert v.n == 4  # 2n+2 with n = 1
     n = (v.n - 2) // 2
     for j in range(0, 2 * n + 1, 2):
@@ -142,9 +140,8 @@ def test_theorem_form_consistency_even():
 
 def test_theorem_form_consistency_odd():
     # Exact(2n+3) <=> failing rung 2n+2 is an even (corner-side) rung
-    rec = rec_for("prop32-dual-numbers")
-    rungs = r_tower(rec, 12)
-    v = r_height(rec, 12, 0)
+    rep = ladder_report(rec_for("prop32-dual-numbers"), 12, 0)
+    rungs, v = rep.r_rungs, rep.r_verdict
     assert v.n == 3  # 2n+3 with n = 0
     n = (v.n - 3) // 2
     for j in range(0, 2 * n + 1, 2):
@@ -218,7 +215,8 @@ def test_tower_functors_satisfy_their_adjunctions(name):
     from ladderkit.recollement import HomFunctor, TensorFunctor
 
     rec = rec_for(name)
-    lt, rt = l_tower(rec, 6), r_tower(rec, 6)
+    rep = ladder_report(rec, 6, 0)
+    lt, rt = rep.l_rungs, rep.r_rungs
     rng = np.random.default_rng(2)
     if lt[0].projective:
         l1 = TensorFunctor(lt[1].bimodule)
@@ -253,7 +251,8 @@ def test_watts_identification_of_the_adjoints(name):
     from ladderkit.recollement import TensorFunctor
 
     rec = rec_for(name)
-    rt, lt = r_tower(rec, 4), l_tower(rec, 4)
+    rep = ladder_report(rec, 4, 0)
+    rt, lt = rep.r_rungs, rep.l_rungs
     rng = np.random.default_rng(9)
     for _ in range(3):
         n = random_module(rec.gamma, rng, max_summands=2)
@@ -288,3 +287,83 @@ def test_block_ring_heights_are_size_independent():
     rep4 = ladder_report(rec4, 10, 0)
     assert rep4.l_verdict.describe() == "Exact(2)"
     assert rep4.r_verdict.describe() == "Exact(4)"
+
+
+# -- the one-pass tower against the two-pass algorithm it replaced ---------------
+
+
+def _cyclic_nakayama_recollement(n, loewy):
+    arrows = [(i, (i + 1) % n, f"a{i}") for i in range(n)]
+    rels = [tuple(f"a{(i + k) % n}" for k in range(loewy)) for i in range(n)]
+    alg = algebra_from_quiver(QuiverPresentation(n, arrows, rels, path_length_bound=loewy), F)
+    return build_recollement(alg, Idempotent(alg, alg.prim_idempotents[0]))
+
+
+def _two_pass_reference(rec, max_steps, seed, r_side):
+    """Build the whole tower up to the budget (stopping only at a
+    non-projective rung), then scan the finished list: the first
+    non-projective rung, else the first isomorphic same-parity pair."""
+    rungs = []
+    current = rec.e_lambda if r_side else rec.lambda_e
+    for j in range(max_steps):
+        side = ("left-" if r_side else "right-") + ("gamma" if j % 2 == 0 else "lambda")
+        rung = TowerRung(j, current, side, projective=False)
+        rung.projective = is_projective(rung.tested_module())
+        rungs.append(rung)
+        if not rung.projective:
+            break
+        if j + 1 < max_steps:
+            current = _next_rung(rec, current, j, r_side)
+    for rung in rungs:
+        if not rung.projective:
+            return rungs, HeightVerdict("exact", n=rung.index + 1, failing_rung=rung.index)
+    randomized = False
+    for jp in range(1, len(rungs)):
+        for j in range(jp % 2, jp, 2):
+            env = _env_for(rec, j, r_side)
+            res = bimodules_isomorphic(rungs[j].bimodule, rungs[jp].bimodule, env=env, seed=seed)
+            if res.kind == "probably_no":
+                randomized = True
+            elif res.kind == "yes":
+                return rungs, HeightVerdict(
+                    "periodic_infinite",
+                    period=jp - j - 1,
+                    first_repeat_index=jp,
+                    matched_rung=j,
+                    rung_gap=jp - j,
+                    confidence="randomized" if randomized else "proved-No-impossible",
+                    seed=seed,
+                )
+    return rungs, HeightVerdict("at_least", n=max_steps + 1, seed=seed)
+
+
+_DIFFERENTIAL_INPUTS = RECOLLEMENT_FIXTURES + ["cyclic3_2", "cyclic4_3"]
+
+
+@pytest.mark.parametrize("name", _DIFFERENTIAL_INPUTS)
+def test_one_pass_tower_matches_two_pass_reference(name):
+    if name.startswith("cyclic"):
+        n, loewy = map(int, name[len("cyclic") :].split("_"))
+        rec = _cyclic_nakayama_recollement(n, loewy)
+    else:
+        rec = rec_for(name)
+    kinds = set()
+    for max_steps in (1, 2, 3, 5, 12):
+        rep = ladder_report(rec, max_steps, 0)
+        for r_side, rungs, verdict in ((True, rep.r_rungs, rep.r_verdict), (False, rep.l_rungs, rep.l_verdict)):
+            ref_rungs, ref_verdict = _two_pass_reference(rec, max_steps, 0, r_side)
+            assert verdict.to_json() == ref_verdict.to_json()
+            assert 0 < len(rungs) <= len(ref_rungs)
+            got = [(r.index, r.dim, r.side_tested, r.projective) for r in rungs]
+            want = [(r.index, r.dim, r.side_tested, r.projective) for r in ref_rungs[: len(rungs)]]
+            assert got == want
+            kinds.add(verdict.kind)
+    # the small budgets stop some towers early, the large ones decide them
+    assert "at_least" in kinds and len(kinds) > 1
+
+
+@pytest.mark.parametrize("name, rungs", [("preproj-a2", 5), ("morita-square-k", 5), ("m2k", 3)])
+def test_periodic_tower_ends_at_first_repeat(name, rungs):
+    rep = ladder_report(rec_for(name), 12, 0)
+    assert len(rep.r_rungs) == len(rep.l_rungs) == rungs
+    assert rep.r_verdict.first_repeat_index == rep.l_verdict.first_repeat_index == rungs - 1

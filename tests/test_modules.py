@@ -13,7 +13,7 @@ from ladderkit.algebra import (
     preprojective_a2,
 )
 from ladderkit.fixtures import load_fixture, parse_idempotent
-from ladderkit.ladder import l_tower, r_tower
+from ladderkit.ladder import ladder_report
 from ladderkit.linalg import DimensionMismatch, Field, intersect_kernels, kernel_basis, rref, solve_matrix
 from ladderkit.modules import (
     Bimodule,
@@ -373,9 +373,9 @@ def test_projectivity_cross_validated_by_hom_exactness():
 def test_hom_into_regular_duality_dim():
     t2 = build_triangular(K, 2)
     p1 = projective_indecomposables(t2)[0]
-    ht = hom_into_regular(p1)
+    ht, hb = hom_into_regular(p1)
     assert ht.algebra.same_as(opposite(t2))
-    assert ht.dim == 1  # Hom(P1, T2) = e1*T2 is one-dimensional
+    assert ht.dim == len(hb) == 1  # Hom(P1, T2) = e1*T2 is one-dimensional
 
 
 def test_module_span_and_quotient():
@@ -573,7 +573,8 @@ def test_hom_space_matches_reference_over_enveloping_algebra():
     # the enveloping algebra's generators start with sums of idempotents
     alg, e = load_fixture("preproj-a2", F)
     rec = build_recollement(alg, parse_idempotent(alg, e))
-    rungs = [r.bimodule for r in r_tower(rec, 6) + l_tower(rec, 6)]
+    rep = ladder_report(rec, 6, 0)
+    rungs = [r.bimodule for r in rep.r_rungs + rep.l_rungs]
     mods = [b.env_module(rec.env_gl) for b in rungs if b.left.same_as(rec.gamma) and b.right.same_as(rec.lam)]
     assert len(mods) >= 2
     assert len(rec.env_gl.generators_beyond_idempotents()) < len(rec.env_gl.generators())

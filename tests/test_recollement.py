@@ -22,7 +22,7 @@ from ladderkit.recollement import (
     unit_nu,
     verify_canonical_sequences,
 )
-from ladderkit.ladder import l_tower
+from ladderkit.ladder import ladder_report
 from ladderkit.verify import RECOLLEMENT_FIXTURES
 
 F = Field(101)
@@ -163,10 +163,11 @@ def test_units_counits_are_module_maps():
     rec = rec_for("preproj-a2")
     rng = np.random.default_rng(19)
     m = random_module(rec.lam, rng)
-    mu, _, _ = counit_mu(rec, m)
-    nu, _, _ = unit_nu(rec, m)
-    lam_map, _ = unit_lambda(rec, m)
-    kappa, _ = counit_kappa(rec, m)
+    em = rec.functor_e().apply(m)
+    mu, _ = counit_mu(rec, m, em)
+    nu, _ = unit_nu(rec, m, em)
+    lam_map, _ = unit_lambda(rec, m, rec.functor_q().apply(m))
+    kappa, _ = counit_kappa(rec, m, rec.functor_p().apply(m))
     # validation is implicit in the ModuleMap constructor; re-run explicitly
     for mp in (mu, nu, lam_map, kappa):
         mp._validate()
@@ -178,7 +179,7 @@ def test_mu_surjective_on_generated_projective():
     from ladderkit.modules import projective_indecomposables
 
     p1 = projective_indecomposables(rec.lam)[0]
-    mu, _, _ = counit_mu(rec, p1)
+    mu, _ = counit_mu(rec, p1, rec.functor_e().apply(p1))
     # e = E22 and L e1 has e-part E21: mu image = L . E21 = rad(P1), rank 1
     assert mu.rank == 1
 
@@ -188,7 +189,7 @@ def test_lambda_iso_on_inflated():
     rng = np.random.default_rng(23)
     a = random_module(rec.sigma, rng)
     ia = rec.functor_i().apply(a).module
-    lam_map, _ = unit_lambda(rec, ia)
+    lam_map, _ = unit_lambda(rec, ia, rec.functor_q().apply(ia))
     assert lam_map.is_isomorphism()  # q i = Id
 
 
@@ -197,7 +198,7 @@ def test_nu_split_injection_on_r_image():
     rng = np.random.default_rng(29)
     n = random_module(rec.gamma, rng)
     rn = rec.functor_r().apply(n).module
-    nu, _, _ = unit_nu(rec, rn)
+    nu, _ = unit_nu(rec, rn, rec.functor_e().apply(rn))
     assert nu.is_injective()
 
 
@@ -234,7 +235,7 @@ def test_l_not_exact_on_prop32():
 
 def test_torsion_membership():
     rec = rec_for("t2")
-    rungs = l_tower(rec, 4)
+    rungs = ladder_report(rec, 4, 0).l_rungs
     assert rungs[0].projective  # l-height >= 2: membership test available
     m1 = rungs[1].bimodule
     from ladderkit.modules import zero_module
@@ -251,7 +252,7 @@ def test_torsion_membership():
 def test_torsion_audit_trivial_and_genuine():
     # needs l-height >= 3: the self-injective fixture has an infinite ladder
     rec = rec_for("preproj-a2")
-    rungs = l_tower(rec, 6)
+    rungs = ladder_report(rec, 6, 0).l_rungs
     assert len(rungs) >= 3 and all(r.projective for r in rungs[:3])
     from ladderkit.modules import zero_module
 
@@ -271,7 +272,7 @@ def test_torsion_audit_trivial_and_genuine():
 
 def test_torsion_audit_needs_height():
     rec = rec_for("prop32-dual-numbers")
-    rungs = l_tower(rec, 6)  # rung 0 already fails: no l1
+    rungs = ladder_report(rec, 6, 0).l_rungs  # rung 0 already fails: no l1
     with pytest.raises(AlgebraError, match="height"):
         torsion_audit(rec, rungs, [], [])
 
@@ -304,6 +305,26 @@ def test_check_axioms_detects_broken_unit():
     broken = dataclasses.replace(rec, e_in_lambda_e=F.zeros(*rec.e_in_lambda_e.shape))
     failures = check_axioms(broken, 4, np.random.default_rng(0))
     assert {f["kind"] for f in failures} == {"e l not iso"}
+
+
+def test_check_axioms_applies_each_functor_once_per_module(monkeypatch):
+    # per trial: e at M, l(N) and r(N); q at M and l(N); p at M and r(N);
+    # i at q(M), p(M) and a random S-module
+    from ladderkit.recollement import SubquotientFunctor
+
+    rec = rec_for("t2")
+    assert rec.sigma.dim
+    names = {"_carve_corner": "e", "_carve_top": "q", "_carve_socle": "p", "_carve_whole": "i"}
+    calls = {name: 0 for name in names.values()}
+    apply = SubquotientFunctor.apply
+
+    def counting_apply(self, m):
+        calls[names[self.carve.__name__]] += 1
+        return apply(self, m)
+
+    monkeypatch.setattr(SubquotientFunctor, "apply", counting_apply)
+    assert check_axioms(rec, 20, np.random.default_rng(0)) == []
+    assert calls == {"e": 60, "q": 40, "p": 40, "i": 60}
 
 
 def test_exact_at_needs_zero_composite_as_well_as_ranks():
