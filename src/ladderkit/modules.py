@@ -25,6 +25,7 @@ from .linalg import (
     column_space_basis,
     kernel_basis,
     quotient_coordinates,
+    rank,
     rref,
     solve,
     unit_rows,
@@ -80,6 +81,7 @@ class Module:
         self.dim = self.action.shape[1]
         self.action.setflags(write=False)
         self._split = None
+        self._profile = None
         if _validate:
             self._validate()
 
@@ -92,6 +94,7 @@ class Module:
         m.action = action
         m.dim = action.shape[1]
         m._split = split
+        m._profile = None
         return m
 
     def _validate(self):
@@ -426,16 +429,20 @@ def algebra_radical_rows(a: Algebra) -> np.ndarray:
     return a._derived["radical_rows"]
 
 
+def _radical_action(m: Module) -> tuple[np.ndarray, np.ndarray]:
+    """J(algebra) acting on m, one contraction over the radical rows, laid out
+    side by side (dim, r*dim), whose columns span rad(M) = J.M, and stacked
+    (r*dim, dim), whose kernel is soc(M) = {x : J.x = 0}."""
+    jrows = algebra_radical_rows(m.algebra)
+    jact = m.field.einsum("gi,iab->gab", jrows, m.action)
+    n, r = m.dim, jrows.shape[0]
+    return jact.transpose(1, 0, 2).reshape(n, r * n), jact.reshape(r * n, n)
+
+
 def radical(m: Module) -> ModuleMap:
     """Inclusion of rad(M) = J(algebra) . M."""
-    f = m.field
-    jrows = algebra_radical_rows(m.algebra)
-    if jrows.shape[0] == 0 or m.dim == 0:
-        sub = zero_module(m.algebra)
-        return ModuleMap(sub, m, f.zeros(m.dim, 0), _validate=False)
-    mats = [m.act_vector(jrows[t]) for t in range(jrows.shape[0])]
-    incl = column_space_basis(np.concatenate(mats, axis=1), f)
-    _, inclusion = submodule(m, incl)
+    spans, _ = _radical_action(m)
+    _, inclusion = submodule(m, column_space_basis(spans, m.field) if spans.size else spans)
     return inclusion
 
 
@@ -488,20 +495,24 @@ def simples_by_idempotent(a: Algebra) -> list[Module]:
     return out
 
 
-def simples(a: Algebra) -> list[Module]:
-    """Pairwise non-isomorphic simples, one per primitive idempotent class.
+def _simple_classes(a: Algebra, tops: Optional[list] = None) -> tuple:
+    """Indices i, one per class of isomorphic tops S_i = top(A.e_i), kept on
+    the algebra as ints.  S_i ~ S_j exactly when e_i acts nontrivially on
+    S_j, so the first index of each class is chosen deterministically."""
+    if "simple_classes" not in a._derived:
+        tops = simples_by_idempotent(a) if tops is None else tops
+        chosen: list[int] = []
+        for i, (s, e_i) in enumerate(zip(tops, a.prim_idempotents)):
+            if not any(tops[j].dim == s.dim and rank(tops[j].act_vector(e_i), a.field) > 0 for j in chosen):
+                chosen.append(i)
+        a._derived["simple_classes"] = tuple(chosen)
+    return a._derived["simple_classes"]
 
-    S_i ~ S_j exactly when e_i acts nontrivially on S_j (both are tops of
-    projective indecomposables), so the dedup is deterministic.
-    """
+
+def simples(a: Algebra) -> list[Module]:
+    """Pairwise non-isomorphic simples, one per primitive idempotent class."""
     tops = simples_by_idempotent(a)
-    f = a.field
-    chosen: list[Module] = []
-    for i, s in enumerate(tops):
-        e_i = a.prim_idempotents[i]
-        if not any(other.dim == s.dim and rref(other.act_vector(e_i), f).rank > 0 for other in chosen):
-            chosen.append(s)
-    return chosen
+    return [tops[i] for i in _simple_classes(a, tops)]
 
 
 def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
@@ -756,24 +767,34 @@ class IsoResult:
 
 
 def hom_profile(m: Module) -> tuple:
-    """Isomorphism invariants of m: its dimension, the ranks of the
-    distinguished idempotents on it, and dim Hom to and from each simple
-    (empty when the simples are out of reach of the field)."""
-    f = m.field
-    idem_dims = tuple(rref(m.act_vector(e), f).rank for e in m.algebra.prim_idempotents)
-    try:
-        sims = simples(m.algebra)
-        to_s = tuple(len(hom_space(m, s)) for s in sims)
-        from_s = tuple(len(hom_space(s, m)) for s in sims)
-    except FieldRestrictionError:
-        to_s = from_s = ()
-    return (m.dim, idem_dims, to_s, from_s)
+    """Isomorphism invariants of m, computed once: its dimension, the ranks
+    of the distinguished idempotents on it, and dim Hom to and from each
+    simple S_i (empty when the radical is out of reach of the field).  Those
+    are ranks of e_i on top(M) and soc(M): e_i.X ~ Hom(A.e_i, X) = Hom(S_i, X)
+    for semisimple X, and Hom between semisimples has symmetric dimension, so
+    dim Hom(M, S_i) = dim e_i.M - dim e_i.rad(M), dim Hom(S_i, M) = dim e_i.soc(M)."""
+    if m._profile is None:
+        f = m.field
+        split = m.idempotent_split()  # P_i gives coordinates on e_i.M, so dim e_i.X = rank(P_i X)
+        idem_dims = tuple(p.shape[0] for _, p in split)
+        try:
+            spans, stacked = _radical_action(m)
+            coords = [split[i][1] for i in _simple_classes(m.algebra)]
+        except FieldRestrictionError:
+            to_s = from_s = ()
+        else:
+            rad, soc = column_space_basis(spans, f), kernel_basis(stacked, f)
+            to_s = tuple(p.shape[0] - rank(f.matmul(p, rad), f) for p in coords)
+            from_s = tuple(rank(f.matmul(p, soc), f) for p in coords)
+        m._profile = (m.dim, idem_dims, to_s, from_s)
+    return m._profile
 
 
 def is_isomorphic(m: Module, n: Module, trials: int = 64, seed: int = 0) -> IsoResult:
     """Randomized isomorphism test with deterministic No certificates.
 
-    No when dimensions or Hom profiles against the simples differ; Yes with an
+    No when dimensions or Hom profiles against the simples differ (ranks of
+    the idempotents on top and socle, see hom_profile); Yes with an
     invertible intertwiner as proof; ProbablyNo after the sampling budget.
     """
     if not m.algebra.same_as(n.algebra):

@@ -3,9 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ladderkit.modules as modules
 from ladderkit.algebra import (
     AlgebraError,
     FieldRestrictionError,
+    Idempotent,
+    QuiverPresentation,
+    algebra_from_quiver,
     build_triangular,
     dual_numbers_algebra,
     ground_field_algebra,
@@ -25,6 +29,7 @@ from ladderkit.modules import (
     dual,
     hom_into_regular,
     hom_module,
+    hom_profile,
     hom_space,
     is_injective,
     is_isomorphic,
@@ -40,6 +45,7 @@ from ladderkit.modules import (
     regular_bimodule,
     regular_module,
     simples,
+    simples_by_idempotent,
     submodule,
     tensor_over,
     zero_module,
@@ -650,3 +656,87 @@ def test_algebra_radical_rows_read_only():
     assert not rows.flags.writeable
     with pytest.raises(ValueError):
         rows[0, 0] = 1
+
+
+# -- Hom profiles read off ranks ----------------------------------------------------
+
+
+def _hom_profile_reference(m):
+    """The profile by Hom spaces: dim Hom(m, S) and dim Hom(S, m) solved for
+    one top(A.e_i) per isomorphism class, deduplicated here on the tops
+    themselves (S_i ~ S_j exactly when e_i acts nontrivially on S_j)."""
+    f = m.field
+    idem_dims = tuple(rref(m.act_vector(e), f).rank for e in m.algebra.prim_idempotents)
+    try:
+        tops = simples_by_idempotent(m.algebra)
+    except FieldRestrictionError:
+        return (m.dim, idem_dims, (), ())
+    sims = []
+    for i, s in enumerate(tops):
+        e_i = m.algebra.prim_idempotents[i]
+        if not any(o.dim == s.dim and rref(o.act_vector(e_i), f).rank > 0 for o in sims):
+            sims.append(s)
+    return (m.dim, idem_dims, tuple(len(hom_space(m, s)) for s in sims), tuple(len(hom_space(s, m)) for s in sims))
+
+
+@pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
+@pytest.mark.parametrize("name", RECOLLEMENT_FIXTURES)
+def test_hom_profile_matches_hom_space_reference(name, field):
+    alg, default_e = load_fixture(name, field)
+    rng = np.random.default_rng(17)
+    mods = projective_indecomposables(alg) + simples(alg) + [random_module(alg, rng) for _ in range(10)]
+    mods.append(zero_module(alg))
+    for m in mods:
+        assert hom_profile(m) == _hom_profile_reference(m)
+        assert hom_profile(m) is hom_profile(m)  # kept on the module
+    if field.p is None and name == "ideal-chain":
+        return  # over Q, the projectives of its rungs' 66-dim enveloping algebras take seconds each
+    rep = ladder_report(build_recollement(alg, parse_idempotent(alg, default_e)), 12, 0)
+    rungs = rep.r_rungs + rep.l_rungs
+    assert rungs
+    for rung in rungs:
+        m = rung.bimodule.env_module()
+        assert hom_profile(m) == _hom_profile_reference(m)
+
+
+@pytest.mark.parametrize("name,p", [("t3", 5), ("preproj-a2", 3)])
+def test_hom_profile_without_radical_is_empty(name, p):
+    small = Field(p)
+    alg, _ = load_fixture(name, small)
+    assert small.p <= alg.dim
+    rng = np.random.default_rng(3)
+    for m in projective_indecomposables(alg) + [random_module(alg, rng) for _ in range(4)]:
+        got = hom_profile(m)
+        assert got[2:] == ((), ()) and got == _hom_profile_reference(m)
+
+
+def _cyclic_nakayama(n, loewy, field):
+    arrows = [(i, (i + 1) % n, f"a{i}") for i in range(n)]
+    rels = [tuple(f"a{(i + k) % n}" for k in range(loewy)) for i in range(n)]
+    return algebra_from_quiver(QuiverPresentation(n, arrows, rels, path_length_bound=loewy), field)
+
+
+def test_ladder_report_profiles_without_hom_systems_against_simples(monkeypatch):
+    tops_calls, hom_calls = [], []
+    real_tops, real_hom = modules.simples_by_idempotent, modules.hom_space
+
+    def counting_tops(a):
+        out = real_tops(a)
+        tops_calls.append((a, out))  # held, so ids stay unique
+        return out
+
+    def counting_hom(m, n):
+        hom_calls.append((m, n))
+        return real_hom(m, n)
+
+    monkeypatch.setattr(modules, "simples_by_idempotent", counting_tops)
+    monkeypatch.setattr(modules, "hom_space", counting_hom)
+    pp, pp_e = load_fixture("preproj-a2", F)
+    nak = _cyclic_nakayama(4, 3, F)
+    for alg, e in ((pp, parse_idempotent(pp, pp_e)), (nak, Idempotent(nak, nak.prim_idempotents[0]))):
+        rep = ladder_report(build_recollement(alg, e), 12, 0)
+        assert rep.r_verdict.kind and rep.l_verdict.kind
+    algebras = [id(a) for a, _ in tops_calls]
+    assert algebras and len(algebras) == len(set(algebras))
+    simple_ids = {id(s) for _, tops in tops_calls for s in tops}
+    assert hom_calls and not any(id(m) in simple_ids or id(n) in simple_ids for m, n in hom_calls)
