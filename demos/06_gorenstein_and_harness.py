@@ -77,7 +77,7 @@ res = preservation_harness(t2, rep, samples=3, seed=0, cutoff=8)
 for c in res["clauses"]:
     print(f"  [{c['status']:7s}] {c['clause']}")
 
-lc = lemma_checks(t2, cutoff=6, samples=8, seed=0)
+lc = lemma_checks(t2, cutoff=6, seed=0)
 print("\nexactness-conditional lemma checks:", lc["status"])
 for c in lc["checks"]:
     print("  ", c["check"], "->", "ok" if c["ok"] else "FAILED")
@@ -94,7 +94,7 @@ rungs = ladder_report(pp, 6).l_rungs
 m1 = rungs[1].bimodule
 rng = np.random.default_rng(9)
 pool = [m for m in (random_module(pp.lam, rng, max_summands=2) for _ in range(10)) if m.dim]
-t_side = [m for m in pool if torsion_class_membership(pp, m1, m)]
+t_side = [m for m in pool if torsion_class_membership(m1, m)]
 from ladderkit.modules import hom_space
 f_side = [m for m in pool if m not in t_side and all(len(hom_space(t, m)) == 0 for t in t_side)]
 print(f"\ntorsion membership on the self-injective fixture: {len(t_side)} torsion, "

@@ -520,8 +520,8 @@ def quotient_by_idempotent_ideal(a: Algebra, e: Idempotent) -> tuple[Algebra, Qu
     q = proj.shape[0]
     if q == 0:
         return Algebra(f, f.zeros(0, 0, 0), f.zeros(0), [], _validate=False), QuotientProjection(proj, sect, rows)
-    prods = f.einsum("ia,jb,ijk->abk", sect, sect, a.mult)
-    cq = f.einsum("abk,tk->abt", prods, proj)
+    keep = unit_rows(sect)  # sect is the coordinate inclusion of these rows
+    cq = f.einsum("abk,tk->abt", a.mult[np.ix_(keep, keep)], proj)
     unit_q = f.matmul(proj, a.unit)
     idems_q = []
     for ei in a.prim_idempotents:
@@ -530,7 +530,7 @@ def quotient_by_idempotent_ideal(a: Algebra, e: Idempotent) -> tuple[Algebra, Qu
             idems_q.append(v)
     labels = None
     if a.labels is not None:
-        labels = [a.labels[fc] for fc in unit_rows(sect)]
+        labels = [a.labels[fc] for fc in keep]
     alg = Algebra(f, cq, unit_q, idems_q, labels=labels)
     return alg, QuotientProjection(proj, sect, rows)
 

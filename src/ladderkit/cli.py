@@ -124,7 +124,7 @@ def cmd_harness(args) -> int:
     rec = _need_recollement(args)
     rep = ladder_report(rec, args.max_steps, args.seed)
     harness = preservation_harness(rec, rep, samples=max(2, args.samples // 5), seed=args.seed, cutoff=args.cutoff)
-    lemmas = lemma_checks(rec, cutoff=args.cutoff, samples=args.samples, seed=args.seed)
+    lemmas = lemma_checks(rec, cutoff=args.cutoff, seed=args.seed)
     lines = [f"ladder: l {rep.l_verdict.describe()}, r {rep.r_verdict.describe()}"]
     for c in harness["clauses"]:
         lines.append(f"[{c['status']:7s}] {c['clause']}")

@@ -120,10 +120,8 @@ def ext_dims(m: Module, n: Module, top: int) -> list[int]:
     return _homology_dims([len(b) for b in bases], deltas, top, f)
 
 
-def ext_dim(m: Module, n: Module, i: int, cutoff: Optional[int] = None) -> int:
+def ext_dim(m: Module, n: Module, i: int) -> int:
     """Exact dimension of Ext^i(m, n)."""
-    if cutoff is not None and i > cutoff:
-        raise AlgebraError("degree exceeds cutoff")
     return ext_dims(m, n, i)[i]
 
 
@@ -145,9 +143,7 @@ def tor_dims(m_right: Module, n_left: Module, top: int) -> list[int]:
     return _homology_dims([t.dim for t, _ in tens], partials, top, f)
 
 
-def tor_dim(m_right: Module, n_left: Module, i: int, cutoff: Optional[int] = None) -> int:
-    if cutoff is not None and i > cutoff:
-        raise AlgebraError("degree exceeds cutoff")
+def tor_dim(m_right: Module, n_left: Module, i: int) -> int:
     return tor_dims(m_right, n_left, i)[i]
 
 
@@ -347,149 +343,99 @@ def preservation_harness(
     """Check, clause by clause, that designated functors preserve Gorenstein
     projectivity/injectivity whenever this fixture meets the clause's ladder
     hypotheses, plus the stable-Hom adjunction identities.  Clauses with
-    unmet hypotheses are SKIPPED."""
+    unmet hypotheses are SKIPPED.
+
+    One table row per clause: its text, whether its hypotheses hold, and a
+    check returning its failure records, run only when they hold."""
     rng = np.random.default_rng(seed)
     lam, gam = rec.lam, rec.gamma
     lv, rv = ladder.l_verdict, ladder.r_verdict
-    rep_lam = spli_silp(lam, cutoff)
-    rep_gam = spli_silp(gam, cutoff)
-    rep_lam_op = spli_silp(opposite(lam), cutoff)
-    rep_gam_op = spli_silp(opposite(gam), cutoff)
+    rep_lam, rep_gam = spli_silp(lam, cutoff), spli_silp(gam, cutoff)
     rel = relative_gldim(rec, cutoff)
 
-    def gp_lam(m):
-        return is_gorenstein_projective(m, cutoff, ambient=rep_lam).is_yes
+    def gp(m):
+        return is_gorenstein_projective(m, cutoff).is_yes
 
-    def gp_gam(m):
-        return is_gorenstein_projective(m, cutoff, ambient=rep_gam).is_yes
+    def gi(m):
+        return is_gorenstein_injective(m, cutoff).is_yes
 
-    def gi_lam(m):
-        return is_gorenstein_injective(m, cutoff, ambient_op=rep_lam_op).is_yes
-
-    def gi_gam(m):
-        return is_gorenstein_injective(m, cutoff, ambient_op=rep_gam_op).is_yes
-
-    gp_lam_samples = _sample_modules_with(lam, rng, gp_lam, samples, projective_indecomposables(lam))
-    gp_gam_samples = _sample_modules_with(gam, rng, gp_gam, samples, projective_indecomposables(gam))
-    gi_lam_samples = _sample_modules_with(lam, rng, gi_lam, samples, [dual(p) for p in projective_indecomposables(opposite(lam))])
-    gi_gam_samples = _sample_modules_with(gam, rng, gi_gam, samples, [dual(p) for p in projective_indecomposables(opposite(gam))])
-
-    fe = rec.functor_e()
-    fl = rec.functor_l()
-    fr = rec.functor_r()
-    clauses = []
-
-    def run_clause(name, hypothesis_met, action):
-        if not hypothesis_met:
-            clauses.append({"clause": name, "status": "SKIPPED", "reason": "hypotheses unmet"})
-            return
-        failures = action()
-        clauses.append(
-            {"clause": name, "status": "PASS" if not failures else "FAIL", "failures": failures}
-        )
-
-    def preserves(functor_apply, samples_in, predicate_out, label):
-        failures = []
-        for m in samples_in:
-            out = functor_apply(m)
-            if out.dim and not predicate_out(out):
-                failures.append({"input_dim": m.dim, "output_dim": out.dim, "property": label})
-        return failures
-
-    run_clause(
-        "corner functor preserves Gorenstein projectives (relative gldim finite, r-height >= 2)",
-        rel.is_exact and rv.meets(2),
-        lambda: preserves(lambda m: fe.apply(m).module, gp_lam_samples, gp_gam, "GP over corner"),
+    # GP samples start from the projectives, GI samples from the injectives;
+    # drawn in this order from the one rng
+    gp_lam, gp_gam = (_sample_modules_with(a, rng, gp, samples, projective_indecomposables(a)) for a in (lam, gam))
+    gi_lam, gi_gam = (
+        _sample_modules_with(a, rng, gi, samples, [dual(p) for p in projective_indecomposables(opposite(a))]) for a in (lam, gam)
     )
-    run_clause(
-        "left adjoint preserves Gorenstein projectives (relative gldim finite, l- and r-height >= 2)",
-        rel.is_exact and rv.meets(2) and lv.meets(2),
-        lambda: preserves(lambda m: fl.apply(m).module, gp_gam_samples, gp_lam, "GP over middle"),
-    )
+    fe, fl, fr = rec.functor_e(), rec.functor_l(), rec.functor_r()
 
-    def clause_l1_gp():
-        m1 = ladder.l_rungs[1].bimodule
-        l1 = TensorFunctor(m1)
-        return preserves(lambda m: l1.apply(m).module, gp_lam_samples, gp_gam, "GP over corner")
+    def preserves(functor, xs, predicate, label):
+        return [
+            {"input_dim": m.dim, "output_dim": out.dim, "property": label}
+            for m in xs
+            if (out := functor.apply(m).module).dim and not predicate(out)
+        ]
 
-    run_clause("first upper adjoint preserves Gorenstein projectives (l-height >= 3)", lv.meets(3) and len(ladder.l_rungs) > 1, clause_l1_gp)
-    run_clause(
-        "corner functor preserves Gorenstein injectives (l-height >= 3)",
-        lv.meets(3),
-        lambda: preserves(lambda m: fe.apply(m).module, gi_lam_samples, gi_gam, "GInj over corner"),
-    )
+    def r1_r_iso():
+        r1 = HomFunctor(ladder.r_rungs[1].bimodule)
+        return [
+            {"input_dim": m.dim, "output_dim": back.dim, "property": "r1 r iso"}
+            for m in gi_gam
+            if not is_isomorphic(m, back := r1.apply(fr.apply(m).module).module, seed=seed).is_yes
+        ]
 
-    def clause_gdim():
-        failures = []
-        if rep_lam.gorenstein == "yes" and rep_gam.gorenstein == "yes":
-            if rep_gam.gdim > rep_lam.gdim:
-                failures.append({"gdim_corner": rep_gam.gdim, "gdim_middle": rep_lam.gdim})
-        return failures
-
-    run_clause("corner G-dimension bounded by middle G-dimension (l-height >= 3)", lv.meets(3), clause_gdim)
-    run_clause(
-        "left adjoint preserves Gorenstein injectives, counit iso on them (l-height >= 4)",
-        lv.meets(4),
-        lambda: preserves(lambda m: fl.apply(m).module, gi_gam_samples, gi_lam, "GInj over middle")
-        + _iso_failures(rec, gi_gam_samples, unit_e_l, "e_l"),
-    )
-    run_clause(
-        "corner functor preserves Gorenstein projectives (r-height >= 3)",
-        rv.meets(3),
-        lambda: preserves(lambda m: fe.apply(m).module, gp_lam_samples, gp_gam, "GP over corner"),
-    )
-
-    def clause_r1_gi():
-        m1 = ladder.r_rungs[1].bimodule
-        r1 = HomFunctor(m1)
-        return preserves(lambda m: r1.apply(m).module, gi_lam_samples, gi_gam, "GInj over corner")
-
-    run_clause("first lower adjoint preserves Gorenstein injectives (r-height >= 3)", rv.meets(3) and len(ladder.r_rungs) > 1, clause_r1_gi)
-    run_clause(
-        "right adjoint preserves Gorenstein projectives, counit iso on them (r-height >= 4)",
-        rv.meets(4),
-        lambda: preserves(lambda m: fr.apply(m).module, gp_gam_samples, gp_lam, "GP over middle")
-        + _iso_failures(rec, gp_gam_samples, counit_e_r, "e_r"),
-    )
-
-    def clause_r_gi():
-        failures = preserves(lambda m: fr.apply(m).module, gi_gam_samples, gi_lam, "GInj over middle")
-        m1 = ladder.r_rungs[1].bimodule
-        r1 = HomFunctor(m1)
-        for m in gi_gam_samples:
-            back = r1.apply(fr.apply(m).module).module
-            if not is_isomorphic(m, back, seed=seed).is_yes:
-                failures.append({"input_dim": m.dim, "output_dim": back.dim, "property": "r1 r iso"})
-        return failures
-
-    run_clause(
-        "right adjoint preserves Gorenstein injectives, r1 r iso on them (l-height >= 2, r-height >= 3)",
-        lv.meets(2) and rv.meets(3) and len(ladder.r_rungs) > 1,
-        clause_r_gi,
-    )
-
-    def clause_stable_adjunction(left, right, xs, ys, name):
+    def stable(left, right, xs, ys, name):
         return [
             {"lhs": lhs, "rhs": rhs, "dims": [x.dim, y.dim], "identity": f"stable ({name})"}
             for _, x, y, lhs, rhs in stable_adjunction_mismatches(left, right, zip(xs, ys))
         ]
 
-    run_clause(
-        "stable Hom adjunction for (l, e) on Gorenstein projectives (l >= 2, r >= 3)",
-        lv.meets(2) and rv.meets(3),
-        lambda: clause_stable_adjunction(fl, fe, gp_gam_samples, gp_lam_samples, "l, e"),
-    )
-    run_clause(
-        "stable Hom adjunction for (e, r) on Gorenstein projectives (r-height >= 4)",
-        rv.meets(4),
-        lambda: clause_stable_adjunction(fe, fr, gp_lam_samples, gp_gam_samples, "e, r"),
-    )
-
-    status = "PASS"
-    if any(c["status"] == "FAIL" for c in clauses):
-        status = "FAIL"
+    gdim_grows = rep_lam.gorenstein == rep_gam.gorenstein == "yes" and rep_gam.gdim > rep_lam.gdim
+    table = [
+        ("corner functor preserves Gorenstein projectives (relative gldim finite, r-height >= 2)",
+         rel.is_exact and rv.meets(2),
+         lambda: preserves(fe, gp_lam, gp, "GP over corner")),
+        ("left adjoint preserves Gorenstein projectives (relative gldim finite, l- and r-height >= 2)",
+         rel.is_exact and rv.meets(2) and lv.meets(2),
+         lambda: preserves(fl, gp_gam, gp, "GP over middle")),
+        ("first upper adjoint preserves Gorenstein projectives (l-height >= 3)",
+         lv.meets(3) and len(ladder.l_rungs) > 1,
+         lambda: preserves(TensorFunctor(ladder.l_rungs[1].bimodule), gp_lam, gp, "GP over corner")),
+        ("corner functor preserves Gorenstein injectives (l-height >= 3)",
+         lv.meets(3),
+         lambda: preserves(fe, gi_lam, gi, "GInj over corner")),
+        ("corner G-dimension bounded by middle G-dimension (l-height >= 3)",
+         lv.meets(3),
+         lambda: [{"gdim_corner": rep_gam.gdim, "gdim_middle": rep_lam.gdim}] if gdim_grows else []),
+        ("left adjoint preserves Gorenstein injectives, counit iso on them (l-height >= 4)",
+         lv.meets(4),
+         lambda: preserves(fl, gi_gam, gi, "GInj over middle") + _iso_failures(rec, gi_gam, unit_e_l, "e_l")),
+        ("corner functor preserves Gorenstein projectives (r-height >= 3)",
+         rv.meets(3),
+         lambda: preserves(fe, gp_lam, gp, "GP over corner")),
+        ("first lower adjoint preserves Gorenstein injectives (r-height >= 3)",
+         rv.meets(3) and len(ladder.r_rungs) > 1,
+         lambda: preserves(HomFunctor(ladder.r_rungs[1].bimodule), gi_lam, gi, "GInj over corner")),
+        ("right adjoint preserves Gorenstein projectives, counit iso on them (r-height >= 4)",
+         rv.meets(4),
+         lambda: preserves(fr, gp_gam, gp, "GP over middle") + _iso_failures(rec, gp_gam, counit_e_r, "e_r")),
+        ("right adjoint preserves Gorenstein injectives, r1 r iso on them (l-height >= 2, r-height >= 3)",
+         lv.meets(2) and rv.meets(3) and len(ladder.r_rungs) > 1,
+         lambda: preserves(fr, gi_gam, gi, "GInj over middle") + r1_r_iso()),
+        ("stable Hom adjunction for (l, e) on Gorenstein projectives (l >= 2, r >= 3)",
+         lv.meets(2) and rv.meets(3),
+         lambda: stable(fl, fe, gp_gam, gp_lam, "l, e")),
+        ("stable Hom adjunction for (e, r) on Gorenstein projectives (r-height >= 4)",
+         rv.meets(4),
+         lambda: stable(fe, fr, gp_lam, gp_gam, "e, r")),
+    ]
+    clauses = []
+    for name, met, check in table:
+        if not met:
+            clauses.append({"clause": name, "status": "SKIPPED", "reason": "hypotheses unmet"})
+            continue
+        failures = check()
+        clauses.append({"clause": name, "status": "FAIL" if failures else "PASS", "failures": failures})
     return {
-        "status": status,
+        "status": "FAIL" if any(c["status"] == "FAIL" for c in clauses) else "PASS",
         "clauses": clauses,
         "samples": samples,
         "seed": seed,
@@ -524,8 +470,6 @@ def gorenstein_projective_pairs(rec: RecollementData, cutoff: int, seed: int, wa
     corner and y over the middle algebra, from at most `budget` seeded draws
     of random pairs."""
     rng = np.random.default_rng(seed)
-    rep_lam = spli_silp(rec.lam, cutoff)
-    rep_gam = spli_silp(rec.gamma, cutoff)
     pairs = []
     for _ in range(budget):
         if len(pairs) == want:
@@ -534,7 +478,7 @@ def gorenstein_projective_pairs(rec: RecollementData, cutoff: int, seed: int, wa
         y = random_module(rec.lam, rng, max_summands=2)
         if x.dim == 0 or y.dim == 0:
             continue
-        if is_gorenstein_projective(x, cutoff, ambient=rep_gam).is_yes and is_gorenstein_projective(y, cutoff, ambient=rep_lam).is_yes:
+        if is_gorenstein_projective(x, cutoff).is_yes and is_gorenstein_projective(y, cutoff).is_yes:
             pairs.append((x, y))
     return pairs
 
@@ -552,7 +496,7 @@ def _ext_adjunction(left, right, rng, top: int, name: str) -> dict:
     return {"check": name, "ok": not mismatches, "mismatches": mismatches}
 
 
-def lemma_checks(rec: RecollementData, cutoff: int = 8, samples: int = 10, seed: int = 0, ext_top: int = 4) -> dict:
+def lemma_checks(rec: RecollementData, cutoff: int = 8, seed: int = 0, ext_top: int = 4) -> dict:
     """Exactness-conditional checks: when the probe certifies the right (resp.
     left) adjoint exact at sample scale, assert the spli inequality between
     corner and middle and the Ext-adjunction dimension identities."""
@@ -562,13 +506,10 @@ def lemma_checks(rec: RecollementData, cutoff: int = 8, samples: int = 10, seed:
     fr = rec.functor_r()
     top = min(ext_top, cutoff)
     checks = []
+    probed = {"r_exact": fr, "l_exact": fl, "q_exact": rec.functor_q(), "p_exact": rec.functor_p()}
+    probes = {key: probe_exactness(functor, samples=6, seed=seed + k) for k, (key, functor) in enumerate(probed.items())}
 
-    probe_r = probe_exactness(fr, samples=6, seed=seed)
-    probe_l = probe_exactness(fl, samples=6, seed=seed + 1)
-    probe_q = probe_exactness(rec.functor_q(), samples=6, seed=seed + 2)
-    probe_p = probe_exactness(rec.functor_p(), samples=6, seed=seed + 3)
-
-    if probe_r["status"] == "Exact":
+    if probes["r_exact"]["status"] == "Exact":
         rep_gam = spli_silp(rec.gamma, cutoff)
         rep_lam = spli_silp(rec.lam, cutoff)
         if rep_gam.spli.is_exact and rep_lam.spli.is_exact:
@@ -582,19 +523,8 @@ def lemma_checks(rec: RecollementData, cutoff: int = 8, samples: int = 10, seed:
             )
         checks.append(_ext_adjunction(fe, fr, rng, top, "Ext adjunction for (e, r) with r exact"))
 
-    if probe_l["status"] == "Exact":
+    if probes["l_exact"]["status"] == "Exact":
         checks.append(_ext_adjunction(fl, fe, rng, top, "Ext adjunction for (l, e) with l exact"))
 
     status = "PASS" if all(c.get("ok", True) for c in checks) else "FAIL"
-    return {
-        "status": status,
-        "probes": {
-            "r_exact": probe_r,
-            "l_exact": probe_l,
-            "q_exact": probe_q,
-            "p_exact": probe_p,
-        },
-        "checks": checks,
-        "cutoff": cutoff,
-        "seed": seed,
-    }
+    return {"status": status, "probes": probes, "checks": checks, "cutoff": cutoff, "seed": seed}

@@ -577,18 +577,13 @@ class Resolution:
     terms: list
     differentials: list
     cutoff: int
-    minimal: bool = True
     finished: bool = False
 
     def pd_bound(self) -> tuple[str, int]:
         """('exact', n) or ('at_least', cutoff + 1)."""
         if self.finished:
-            n = len(self.terms) - 1
-            while n > 0 and self.terms[n].dim == 0:
-                n -= 1
-            if self.terms and self.terms[0].dim == 0:
-                return ("exact", 0)
-            return ("exact", n)
+            # the resolution stops at the first zero syzygy, so the terms are P_0 .. P_pd
+            return ("exact", len(self.terms) - 1)
         return ("at_least", self.cutoff + 1)
 
 

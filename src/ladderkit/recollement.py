@@ -459,7 +459,7 @@ def probe_exactness(functor, samples: int, seed: int) -> dict:
 # -- torsion machinery ----------------------------------------------------------------
 
 
-def torsion_class_membership(rec: RecollementData, l_tower_m1: Bimodule, m: Module) -> bool:
+def torsion_class_membership(l_tower_m1: Bimodule, m: Module) -> bool:
     """Is l1(M) = M_1 (x)_L M zero?  Needs l-height >= 2 (caller checks)."""
     out, _ = tensor_over(l_tower_m1, m)
     return out.dim == 0

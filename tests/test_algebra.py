@@ -447,3 +447,15 @@ def test_dimension_bound_rejects_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("field", [Field(101), Field(None)], ids=["F101", "Q"])
+@pytest.mark.parametrize("name", RECOLLEMENT_FIXTURES)
+def test_quotient_structure_matches_triple_contraction(name, field):
+    # A/AeA multiplies by restricting A's structure constants to the kept
+    # coordinates; the reference takes the section through the full product
+    alg = load_fixture(name, field)[0]
+    for ei in alg.prim_idempotents:
+        quo, qp = quotient_by_idempotent_ideal(alg, Idempotent(alg, ei))
+        prods = field.einsum("ia,jb,ijk->abk", qp.section, qp.section, alg.mult)
+        assert np.array_equal(quo.mult, field.einsum("abk,tk->abt", prods, qp.projection)), (name, ei)

@@ -1,8 +1,9 @@
 """Dead-code guard over the package sources, by static inspection only.
 
 Every module-level private function or class must be referred to somewhere
-in src/ outside its own definition, and every name a module lists in a
-literal __all__ must be bound at its top level.
+in src/ outside its own definition, every name a module lists in a
+literal __all__ must be bound at its top level, and every parameter of every
+function (other than self/cls) must be read in its body.
 """
 
 import ast
@@ -77,3 +78,20 @@ def test_all_entries_are_defined():
 def test_the_guard_sees_the_package():
     assert {"verify.py", "recollement.py", "homological.py"} <= set(TREES)
     assert sum(_literal_all(tree) is not None for tree in TREES.values()) >= 5
+
+
+def _unread_parameters(fn) -> list:
+    """Parameters of a function (other than self/cls) that its body never reads."""
+    args = fn.args
+    params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, [args.vararg, args.kwarg])]
+    read = {n.id for stmt in fn.body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [p.arg for p in params if p.arg not in ("self", "cls") and p.arg not in read]
+
+
+def test_parameters_are_used():
+    unread = []
+    for fname, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                unread += [f"{fname}:{node.name}({p})" for p in _unread_parameters(node)]
+    assert unread == []

@@ -16,6 +16,7 @@ from ladderkit.fixtures import load_fixture, parse_idempotent
 from ladderkit.homological import (
     Bound,
     ext_dim,
+    gorenstein_projective_pairs,
     ext_dims,
     injective_dimension,
     is_gorenstein_injective,
@@ -320,6 +321,37 @@ def test_harness_self_injective_runs_all_clauses():
         assert "relative gldim" in clause
 
 
+def test_harness_reads_one_gorenstein_report_per_algebra(monkeypatch):
+    import ladderkit.homological as hom
+
+    calls = []
+
+    def counted(a, cutoff=8):
+        calls.append(a)
+        return spli_silp(a, cutoff)
+
+    monkeypatch.setattr(hom, "spli_silp", counted)
+    rec = rec_for("preproj-a2")
+    rep = ladder_report(rec, 12, 0)
+    preservation_harness(rec, rep, samples=3, seed=0, cutoff=8)
+    assert calls == [rec.lam, rec.gamma]
+    calls.clear()
+    assert gorenstein_projective_pairs(rec, 8, 0, want=2, budget=20)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", RECOLLEMENT_FIXTURES)
+def test_ambient_only_qualifies_the_gp_verdict(name):
+    rec = rec_for(name)
+    rng = np.random.default_rng(11)
+    for a in (rec.lam, rec.gamma):
+        rep = spli_silp(a, 8)
+        pool = projective_indecomposables(a) + simples(a) + [random_module(a, rng, max_summands=2) for _ in range(5)]
+        for m in pool:
+            plain, certified = is_gorenstein_projective(m, 8), is_gorenstein_projective(m, 8, ambient=rep)
+            assert (plain.status, plain.reason) == (certified.status, certified.reason), (name, m.dim)
+
+
 def test_gdim_comparison_under_l_height_three():
     for name in ("preproj-a2", "m2k"):
         rec = rec_for(name)
@@ -330,7 +362,7 @@ def test_gdim_comparison_under_l_height_three():
 
 
 def test_lemma_checks_t2():
-    res = lemma_checks(rec_for("t2"), cutoff=6, samples=8, seed=0)
+    res = lemma_checks(rec_for("t2"), cutoff=6, seed=0)
     assert res["status"] == "PASS"
     assert res["probes"]["r_exact"]["status"] == "Exact"
     assert res["probes"]["q_exact"]["status"] == "Exact"
@@ -341,7 +373,7 @@ def test_lemma_checks_t2():
 
 
 def test_lemma_checks_prop32():
-    res = lemma_checks(rec_for("prop32-dual-numbers"), cutoff=6, samples=8, seed=0)
+    res = lemma_checks(rec_for("prop32-dual-numbers"), cutoff=6, seed=0)
     assert res["status"] == "PASS"
     # l is not exact here, so only the (e, r) side is asserted
     assert res["probes"]["l_exact"]["status"] == "Failed"

@@ -240,13 +240,13 @@ def test_torsion_membership():
     m1 = rungs[1].bimodule
     from ladderkit.modules import zero_module
 
-    assert torsion_class_membership(rec, m1, zero_module(rec.lam))
+    assert torsion_class_membership(m1, zero_module(rec.lam))
     rng = np.random.default_rng(31)
     fl = rec.functor_l()
     n = random_module(rec.gamma, rng)
     if n.dim:
         # l(N) never lies in Ker l1 for nonzero N (l1 l is iso-like on t2)
-        assert not torsion_class_membership(rec, m1, fl.apply(n).module)
+        assert not torsion_class_membership(m1, fl.apply(n).module)
 
 
 def test_torsion_audit_trivial_and_genuine():
@@ -264,7 +264,7 @@ def test_torsion_audit_trivial_and_genuine():
     assert torsion_audit(rec, rungs, z, pool)["status"] == "PASS"
     # genuine pair: T = Ker l1 samples, F = right-orthogonal samples
     m1 = rungs[1].bimodule
-    t_samples = [m for m in pool if torsion_class_membership(rec, m1, m)]
+    t_samples = [m for m in pool if torsion_class_membership(m1, m)]
     f_samples = [m for m in pool if m not in t_samples and all(len(hom_space(t, m)) == 0 for t in t_samples)]
     res = torsion_audit(rec, rungs, t_samples, f_samples)
     assert res["status"] == "PASS"
