@@ -8,7 +8,9 @@ serialized reports.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -184,15 +186,15 @@ def is_stratifying(rec: RecollementData, cutoff: int = 8) -> dict:
 # -- spli / silp / Gorenstein -------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GorensteinReport:
     spli: Bound
     silp: Bound
     gorenstein: str  # "yes" | "unknown"
     gdim: Optional[int]
     cutoff: int
-    injective_pds: list
-    projective_ids: list
+    injective_pds: tuple
+    projective_ids: tuple
 
     def to_json(self) -> dict:
         return {
@@ -210,22 +212,37 @@ class GorensteinReport:
             return f"Yes({self.gdim})"
         return f"Unknown(cutoff={self.cutoff})"
 
+    def opposite(self) -> "GorensteinReport":
+        """The opposite algebra's report: the same resolutions, sides swapped."""
+        return GorensteinReport(self.silp, self.spli, self.gorenstein, self.gdim, self.cutoff, self.projective_ids, self.injective_pds)
 
-def spli_silp(a: Algebra, cutoff: int = 8) -> GorensteinReport:
-    """spli = sup pd over injective indecomposables, silp = sup id over
-    projective indecomposables; the suprema over all modules agree by
-    additivity over direct sums."""
-    if a.dim == 0:
-        return GorensteinReport(Bound("exact", 0), Bound("exact", 0), "yes", 0, cutoff, [], [])
-    right_projs = projective_indecomposables(opposite(a))
-    injective_pds = [projective_dimension(dual(p), cutoff) for p in right_projs]
-    left_projs = projective_indecomposables(a)
-    projective_ids = [injective_dimension(p, cutoff) for p in left_projs]
+
+def _gorenstein_report(a: Algebra, cutoff: int) -> GorensteinReport:
+    injective_pds = tuple(projective_dimension(dual(p), cutoff) for p in projective_indecomposables(opposite(a)))
+    projective_ids = tuple(injective_dimension(p, cutoff) for p in projective_indecomposables(a))
     spli = Bound.maximum(injective_pds)
     silp = Bound.maximum(projective_ids)
     if spli.is_exact and silp.is_exact:
         return GorensteinReport(spli, silp, "yes", max(spli.n, silp.n), cutoff, injective_pds, projective_ids)
     return GorensteinReport(spli, silp, "unknown", None, cutoff, injective_pds, projective_ids)
+
+
+def _kept_report(a: Algebra, cutoff: int) -> Optional[GorensteinReport]:
+    return a._derived.get(("gorenstein", cutoff))
+
+
+def spli_silp(a: Algebra, cutoff: int = 8) -> GorensteinReport:
+    """spli = sup pd over injective indecomposables, silp = sup id over
+    projective indecomposables; the suprema over all modules agree by
+    additivity over direct sums.
+
+    Computed once per algebra and cutoff and kept on the algebra; its
+    opposite keeps the swapped report."""
+    key = ("gorenstein", cutoff)
+    if key not in a._derived:
+        a._derived[key] = _gorenstein_report(a, cutoff)
+        opposite(a)._derived.setdefault(key, a._derived[key].opposite())
+    return a._derived[key]
 
 
 def relative_gldim(rec: RecollementData, cutoff: int = 8) -> Bound:
@@ -263,20 +280,27 @@ class GPVerdict:
 def is_gorenstein_projective(m: Module, cutoff: int = 8, ambient: Optional[GorensteinReport] = None) -> GPVerdict:
     """Ext-vanishing against the regular module on both sides plus biduality.
 
-    The verdict is exact (unqualified) when the algebra is certified
-    Gorenstein with G-dim <= cutoff, where Ext-vanishing is a complete
-    criterion; otherwise it is cutoff-qualified.
+    The verdict is exact (unqualified) when `ambient` certifies the algebra
+    Gorenstein with G-dim d <= cutoff; otherwise it is cutoff-qualified.  Over
+    such an algebra A, M is Gorenstein projective iff Ext^i(M, A) = 0 for
+    1 <= i <= d (Enochs & Jenda, Relative Homological Algebra, ch. 10-11), so
+    when `ambient` is the report spli_silp keeps for the algebra only Ext^1 ..
+    Ext^d are computed.  Verdict and reason are the full test's: id A = d, so
+    a nonzero Ext^i(M, A) has i <= d and the first one is the same.
     """
     a = m.algebra
     f = m.field
     complete = ambient is not None and ambient.gorenstein == "yes" and ambient.gdim <= cutoff
     if m.dim == 0:
         return GPVerdict("yes", not complete, cutoff)
-    reg = regular_module(a)
-    exts = ext_dims(m, reg, cutoff)
-    for i in range(1, cutoff + 1):
+    exact = complete and ambient is _kept_report(a, ambient.cutoff)
+    top = ambient.gdim if exact else cutoff
+    exts = ext_dims(m, regular_module(a), top) if top else [0]
+    for i in range(1, top + 1):
         if exts[i] != 0:
             return GPVerdict("no", False, cutoff, reason=f"Ext^{i}(M, algebra) has dimension {exts[i]}")
+    if exact:
+        return GPVerdict("yes", False, cutoff)
     mt, hb1 = hom_into_regular(m)
     reg_op = regular_module(mt.algebra)
     exts_t = ext_dims(mt, reg_op, cutoff)
@@ -293,7 +317,8 @@ def is_gorenstein_projective(m: Module, cutoff: int = 8, ambient: Optional[Goren
 
 def is_gorenstein_injective(m: Module, cutoff: int = 8, ambient_op: Optional[GorensteinReport] = None) -> GPVerdict:
     """Dual notion: M is Gorenstein injective iff D(M) is Gorenstein
-    projective over the opposite algebra."""
+    projective over the opposite algebra, whose kept report `ambient_op`
+    limits the test to Ext^1 .. Ext^d with the same verdict and reason."""
     return is_gorenstein_projective(dual(m), cutoff, ambient=ambient_op)
 
 
@@ -346,7 +371,9 @@ def preservation_harness(
     unmet hypotheses are SKIPPED.
 
     One table row per clause: its text, whether its hypotheses hold, and a
-    check returning its failure records, run only when they hold."""
+    check returning its failure records, run only when they hold.  A check
+    two clauses share runs once, and each functor is applied once per
+    module."""
     rng = np.random.default_rng(seed)
     lam, gam = rec.lam, rec.gamma
     lv, rv = ladder.l_verdict, ladder.r_verdict
@@ -354,10 +381,10 @@ def preservation_harness(
     rel = relative_gldim(rec, cutoff)
 
     def gp(m):
-        return is_gorenstein_projective(m, cutoff).is_yes
+        return is_gorenstein_projective(m, cutoff, _kept_report(m.algebra, cutoff)).is_yes
 
     def gi(m):
-        return is_gorenstein_injective(m, cutoff).is_yes
+        return is_gorenstein_injective(m, cutoff, _kept_report(opposite(m.algebra), cutoff)).is_yes
 
     # GP samples start from the projectives, GI samples from the injectives;
     # drawn in this order from the one rng
@@ -365,7 +392,9 @@ def preservation_harness(
     gi_lam, gi_gam = (
         _sample_modules_with(a, rng, gi, samples, [dual(p) for p in projective_indecomposables(opposite(a))]) for a in (lam, gam)
     )
-    fe, fl, fr = rec.functor_e(), rec.functor_l(), rec.functor_r()
+    # each applied once per module, the values shared by all the checks
+    fe, fl, fr = (SimpleNamespace(apply=functools.cache(f.apply)) for f in (rec.functor_e(), rec.functor_l(), rec.functor_r()))
+    r1 = HomFunctor(ladder.r_rungs[1].bimodule) if len(ladder.r_rungs) > 1 else None
 
     def preserves(functor, xs, predicate, label):
         return [
@@ -375,7 +404,6 @@ def preservation_harness(
         ]
 
     def r1_r_iso():
-        r1 = HomFunctor(ladder.r_rungs[1].bimodule)
         return [
             {"input_dim": m.dim, "output_dim": back.dim, "property": "r1 r iso"}
             for m in gi_gam
@@ -388,11 +416,12 @@ def preservation_harness(
             for _, x, y, lhs, rhs in stable_adjunction_mismatches(left, right, zip(xs, ys))
         ]
 
+    corner_gp = functools.cache(lambda: preserves(fe, gp_lam, gp, "GP over corner"))
     gdim_grows = rep_lam.gorenstein == rep_gam.gorenstein == "yes" and rep_gam.gdim > rep_lam.gdim
     table = [
         ("corner functor preserves Gorenstein projectives (relative gldim finite, r-height >= 2)",
          rel.is_exact and rv.meets(2),
-         lambda: preserves(fe, gp_lam, gp, "GP over corner")),
+         corner_gp),
         ("left adjoint preserves Gorenstein projectives (relative gldim finite, l- and r-height >= 2)",
          rel.is_exact and rv.meets(2) and lv.meets(2),
          lambda: preserves(fl, gp_gam, gp, "GP over middle")),
@@ -407,18 +436,18 @@ def preservation_harness(
          lambda: [{"gdim_corner": rep_gam.gdim, "gdim_middle": rep_lam.gdim}] if gdim_grows else []),
         ("left adjoint preserves Gorenstein injectives, counit iso on them (l-height >= 4)",
          lv.meets(4),
-         lambda: preserves(fl, gi_gam, gi, "GInj over middle") + _iso_failures(rec, gi_gam, unit_e_l, "e_l")),
+         lambda: preserves(fl, gi_gam, gi, "GInj over middle") + _iso_failures(rec, gi_gam, unit_e_l, fl, "e_l")),
         ("corner functor preserves Gorenstein projectives (r-height >= 3)",
          rv.meets(3),
-         lambda: preserves(fe, gp_lam, gp, "GP over corner")),
+         corner_gp),
         ("first lower adjoint preserves Gorenstein injectives (r-height >= 3)",
-         rv.meets(3) and len(ladder.r_rungs) > 1,
-         lambda: preserves(HomFunctor(ladder.r_rungs[1].bimodule), gi_lam, gi, "GInj over corner")),
+         rv.meets(3) and r1 is not None,
+         lambda: preserves(r1, gi_lam, gi, "GInj over corner")),
         ("right adjoint preserves Gorenstein projectives, counit iso on them (r-height >= 4)",
          rv.meets(4),
-         lambda: preserves(fr, gp_gam, gp, "GP over middle") + _iso_failures(rec, gp_gam, counit_e_r, "e_r")),
+         lambda: preserves(fr, gp_gam, gp, "GP over middle") + _iso_failures(rec, gp_gam, counit_e_r, fr, "e_r")),
         ("right adjoint preserves Gorenstein injectives, r1 r iso on them (l-height >= 2, r-height >= 3)",
-         lv.meets(2) and rv.meets(3) and len(ladder.r_rungs) > 1,
+         lv.meets(2) and rv.meets(3) and r1 is not None,
          lambda: preserves(fr, gi_gam, gi, "GInj over middle") + r1_r_iso()),
         ("stable Hom adjunction for (l, e) on Gorenstein projectives (l >= 2, r >= 3)",
          lv.meets(2) and rv.meets(3),
@@ -446,10 +475,10 @@ def preservation_harness(
     }
 
 
-def _iso_failures(rec: RecollementData, samples_gam, unit, which: str) -> list:
-    """Records for the samples N where the map of unit(rec, N) is not an
-    isomorphism."""
-    return [{"identity": which, "dim": n.dim} for n in samples_gam if not unit(rec, n)[0].is_isomorphism()]
+def _iso_failures(rec: RecollementData, samples_gam, unit, functor, which: str) -> list:
+    """Records for the samples N where the map of unit(rec, N, functor(N)) is
+    not an isomorphism."""
+    return [{"identity": which, "dim": n.dim} for n in samples_gam if not unit(rec, n, functor.apply(n))[0].is_isomorphism()]
 
 
 def stable_adjunction_mismatches(left, right, pairs) -> list[tuple]:
@@ -470,6 +499,7 @@ def gorenstein_projective_pairs(rec: RecollementData, cutoff: int, seed: int, wa
     corner and y over the middle algebra, from at most `budget` seeded draws
     of random pairs."""
     rng = np.random.default_rng(seed)
+    rep_gam, rep_lam = spli_silp(rec.gamma, cutoff), spli_silp(rec.lam, cutoff)
     pairs = []
     for _ in range(budget):
         if len(pairs) == want:
@@ -478,7 +508,7 @@ def gorenstein_projective_pairs(rec: RecollementData, cutoff: int, seed: int, wa
         y = random_module(rec.lam, rng, max_summands=2)
         if x.dim == 0 or y.dim == 0:
             continue
-        if is_gorenstein_projective(x, cutoff).is_yes and is_gorenstein_projective(y, cutoff).is_yes:
+        if is_gorenstein_projective(x, cutoff, rep_gam).is_yes and is_gorenstein_projective(y, cutoff, rep_lam).is_yes:
             pairs.append((x, y))
     return pairs
 

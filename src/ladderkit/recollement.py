@@ -304,12 +304,12 @@ def counit_kappa(rec: RecollementData, m: Module, pm: FunctorValue) -> tuple[Mod
     return ModuleMap(ipm.module, m, cols), ipm
 
 
-def unit_e_l(rec: RecollementData, n: Module) -> tuple[ModuleMap, FunctorValue]:
-    """The unit N -> e(l(N)) (an isomorphism; l is fully faithful).
+def unit_e_l(rec: RecollementData, n: Module, ln: FunctorValue | None = None) -> tuple[ModuleMap, FunctorValue]:
+    """The unit N -> e(l(N)) (an isomorphism; l is fully faithful), given ln = l(N) if known.
 
     Returns (map, value of l(N))."""
     f = rec.field
-    ln = rec.functor_l().apply(n)
+    ln = rec.functor_l().apply(n) if ln is None else ln
     eln = rec.functor_e().apply(ln.module)
     td: TensorData = ln.data
     raw = np.kron(rec.e_in_lambda_e[:, None], f.eye(n.dim))  # column x: e (x) x as a pure tensor
@@ -317,12 +317,12 @@ def unit_e_l(rec: RecollementData, n: Module) -> tuple[ModuleMap, FunctorValue]:
     return ModuleMap(n, eln.module, f.matmul(coords, f.matmul(td.proj, raw)), _validate=False), ln
 
 
-def counit_e_r(rec: RecollementData, n: Module) -> tuple[ModuleMap, FunctorValue]:
-    """The counit e(r(N)) -> N, F |-> F(e) (an isomorphism; r is fully faithful).
+def counit_e_r(rec: RecollementData, n: Module, rn: FunctorValue | None = None) -> tuple[ModuleMap, FunctorValue]:
+    """The counit e(r(N)) -> N, F |-> F(e) (an isomorphism; r is fully faithful), given rn = r(N) if known.
 
     Returns (map, value of r(N))."""
     f = rec.field
-    rn = rec.functor_r().apply(n)
+    rn = rec.functor_r().apply(n) if rn is None else rn
     ern = rec.functor_e().apply(rn.module)
     hb: HomBasis = rn.data
     eval_at_e = f.matmul(hb.matrices, rec.e_in_e_lambda).T  # column s: basis map s at e

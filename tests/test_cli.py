@@ -154,6 +154,23 @@ def test_harness_command(tmp_path, capsys):
     assert payload["lemma_checks"]["probes"]["p_exact"]["status"] == "Failed"
 
 
+def test_harness_command_builds_each_gorenstein_report_once(monkeypatch, capsys):
+    import ladderkit.homological as hom
+
+    built = []
+
+    def counted(a, cutoff, _build=hom._gorenstein_report):
+        built.append(a)
+        return _build(a, cutoff)
+
+    monkeypatch.setattr(hom, "_gorenstein_report", counted)
+    assert main(["harness", "--algebra", "t2"]) == 0
+    # the middle algebra and the corner, once each; the harness and the
+    # lemma checks both read them
+    assert len(built) == len({id(a) for a in built}) == 2
+    assert sorted(a.dim for a in built) == [1, 3]
+
+
 def test_unknown_fixture_exits_2(capsys):
     assert main(["ladder", "--algebra", "no-such-thing"]) == 2
     assert "input error" in capsys.readouterr().err

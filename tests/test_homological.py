@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from ladderkit.algebra import (
     opposite,
     preprojective_a2,
 )
-from ladderkit.fixtures import load_fixture, parse_idempotent
+from ladderkit.fixtures import fixture_names, load_fixture, parse_idempotent
 from ladderkit.homological import (
     Bound,
     ext_dim,
@@ -33,16 +35,18 @@ from ladderkit.homological import (
 )
 from ladderkit.ladder import ladder_report
 from ladderkit.recollement import build_recollement as _br
-from ladderkit.linalg import Field
+from ladderkit.linalg import Field, kernel_basis
 from ladderkit.modules import (
     dual,
     is_isomorphic,
+    projective_cover,
     projective_indecomposables,
     random_module,
     regular_module,
     simples,
+    submodule,
 )
-from ladderkit.recollement import build_recollement
+from ladderkit.recollement import HomFunctor, SubquotientFunctor, TensorFunctor, build_recollement
 from ladderkit.verify import RECOLLEMENT_FIXTURES
 
 F = Field(101)
@@ -337,19 +341,114 @@ def test_harness_reads_one_gorenstein_report_per_algebra(monkeypatch):
     assert calls == [rec.lam, rec.gamma]
     calls.clear()
     assert gorenstein_projective_pairs(rec, 8, 0, want=2, budget=20)
-    assert calls == []
+    assert calls == [rec.gamma, rec.lam]
+
+
+@pytest.mark.parametrize("name", ["preproj-a2", "t2"])
+def test_harness_applies_each_functor_once_per_module(monkeypatch, name):
+    applied = []  # (functor, module); holding the module keeps its id unique
+    for cls in (TensorFunctor, HomFunctor, SubquotientFunctor):
+
+        def counted(self, m, _apply=cls.apply):
+            key = id(self.bimod) if hasattr(self, "bimod") else (id(self.along), getattr(self.carve, "__func__", self.carve))
+            applied.append(((type(self), key), m))
+            return _apply(self, m)
+
+        monkeypatch.setattr(cls, "apply", counted)
+    rec = rec_for(name)
+    rep = ladder_report(rec, 12, 0)
+    applied.clear()
+    preservation_harness(rec, rep, samples=3, seed=0, cutoff=8)
+    keys = [(functor, id(m)) for functor, m in applied]
+    assert keys and len(set(keys)) == len(keys)
+
+
+def _syzygy(m):
+    cover, surj = projective_cover(m)
+    return submodule(cover, kernel_basis(surj.matrix, m.field))[0]
 
 
 @pytest.mark.parametrize("name", RECOLLEMENT_FIXTURES)
 def test_ambient_only_qualifies_the_gp_verdict(name):
-    rec = rec_for(name)
-    rng = np.random.default_rng(11)
-    for a in (rec.lam, rec.gamma):
-        rep = spli_silp(a, 8)
-        pool = projective_indecomposables(a) + simples(a) + [random_module(a, rng, max_summands=2) for _ in range(5)]
-        for m in pool:
-            plain, certified = is_gorenstein_projective(m, 8), is_gorenstein_projective(m, 8, ambient=rep)
-            assert (plain.status, plain.reason) == (certified.status, certified.reason), (name, m.dim)
+    """The kept report's shortcut (Ext up to the G-dimension only) against
+    the full test, for GP and GI over both algebras and their opposites."""
+    for field in (F, Field(None)):
+        alg, default_e = load_fixture(name, field)
+        rec = build_recollement(alg, parse_idempotent(alg, default_e))
+        rng = np.random.default_rng(11)
+        for a in (rec.lam, rec.gamma, opposite(rec.lam), opposite(rec.gamma)):
+            if field.p is None and a.dim > 12:
+                continue  # ideal-chain's 22-dim middle costs about a minute over Q; F_101 covers it
+            rep, rep_op = spli_silp(a, 8), spli_silp(opposite(a), 8)
+            certified = rep.gorenstein == "yes"
+            omegas = [_syzygy(s) for s in simples(a)]
+            pool = (
+                projective_indecomposables(a)
+                + [dual(p) for p in projective_indecomposables(opposite(a))]
+                + simples(a)
+                + [m for m in omegas + [_syzygy(w) for w in omegas] if m.dim]
+                + [random_module(a, rng, max_summands=2) for _ in range(5)]
+            )
+            for m in pool:
+                for full, short in (
+                    (is_gorenstein_projective(m, 8), is_gorenstein_projective(m, 8, ambient=rep)),
+                    (is_gorenstein_injective(m, 8), is_gorenstein_injective(m, 8, ambient_op=rep_op)),
+                ):
+                    assert (full.status, full.reason) == (short.status, short.reason), (name, field, m.dim)
+                    assert short.qualified == (not certified and short.is_yes), (name, field, m.dim)
+
+
+def _count_engine_calls(monkeypatch):
+    """Patch minimal_resolution and hom_space wherever homological reaches
+    them; returns the list each call appends its name to."""
+    import ladderkit.homological as hom
+    import ladderkit.modules as mod
+
+    calls = []
+    for module in (hom, mod):
+        for fn in ("minimal_resolution", "hom_space"):
+            if hasattr(module, fn):
+
+                def counted(*args, _fn=getattr(module, fn), _name=fn, **kw):
+                    calls.append(_name)
+                    return _fn(*args, **kw)
+
+                monkeypatch.setattr(module, fn, counted)
+    return calls
+
+
+def test_certified_self_injective_gp_test_solves_nothing(monkeypatch):
+    pp = preprojective_a2(F)
+    rep, rep_op = spli_silp(pp, 8), spli_silp(opposite(pp), 8)
+    rng = np.random.default_rng(2)
+    pool = projective_indecomposables(pp) + simples(pp) + [random_module(pp, rng, max_summands=2) for _ in range(3)]
+    calls = _count_engine_calls(monkeypatch)
+    for m in pool:
+        assert is_gorenstein_projective(m, 8, ambient=rep).is_yes
+        assert is_gorenstein_injective(m, 8, ambient_op=rep_op).is_yes
+    assert calls == []
+    # an equal report that is not the one kept on the algebra runs the full test
+    assert is_gorenstein_projective(simples(pp)[0], 8, ambient=dataclasses.replace(rep)).is_yes
+    assert "minimal_resolution" in calls and "hom_space" in calls
+
+
+def test_wrong_algebras_report_falls_back_to_the_full_test():
+    pp_rep = spli_silp(preprojective_a2(F), 8)
+    assert pp_rep.describe() == "Yes(0)"
+    t2 = build_triangular(K, 2)
+    v = is_gorenstein_projective(simples(t2)[0], 8, ambient=pp_rep)
+    assert (v.status, v.reason, v.qualified) == ("no", "Ext^1(M, algebra) has dimension 1", False)
+
+
+@pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
+def test_gorenstein_report_kept_once_and_swapped_onto_the_opposite(field):
+    import ladderkit.homological as hom
+
+    for name in fixture_names():
+        a, _ = load_fixture(name, field)
+        assert spli_silp(a, 8) is spli_silp(a, 8)
+        fresh_op = hom._gorenstein_report(opposite(a), 8)
+        assert spli_silp(opposite(a), 8).to_json() == fresh_op.to_json() == hom._gorenstein_report(a, 8).opposite().to_json()
 
 
 def test_gdim_comparison_under_l_height_three():
