@@ -27,7 +27,6 @@ from .linalg import (
     quotient_coordinates,
     rank,
     rref,
-    solve,
     unit_rows,
 )
 
@@ -308,8 +307,13 @@ def submodule(m: Module, incl_cols: np.ndarray) -> tuple[Module, ModuleMap]:
         sub = zero_module(m.algebra)
         return sub, ModuleMap(sub, m, f.zeros(m.dim, 0), _validate=False)
     moved = f.matmul(m.action, incl_cols)
-    act = moved[:, unit_rows(incl_cols)]
-    if not f.equal(f.matmul(incl_cols, act), moved):
+    coords = unit_rows(incl_cols)
+    act = moved[:, coords]
+    # incl_cols @ act equals moved on the coordinate rows by construction;
+    # every other row, a repeated unit row included, must be checked
+    rest = np.ones(m.dim, dtype=bool)
+    rest[coords] = False
+    if not f.equal(f.matmul(incl_cols[rest], act), moved[:, rest]):
         raise AlgebraError("subspace is not invariant under the action")
     sub = Module(m.algebra, act, _validate=False)
     return sub, ModuleMap(sub, m, incl_cols, _validate=False)
@@ -521,6 +525,11 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
     Generators are accepted greedily whenever their image in top(M) is new;
     each accepted generator contributes one indecomposable summand and one
     simple to the top, so the induced map on tops is an isomorphism.
+
+    The covered part of the top is a submodule, kept as rref rows with their
+    pivots.  An accepted w adds the submodule A.w, which contains w: its
+    rows are reduced against the covered rows and the residual's rref is
+    inserted in pivot order, giving the unique rref of the sum.
     """
     a = m.algebra
     f = m.field
@@ -531,21 +540,30 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
     top, proj = quotient_module(m, rad_incl.matrix.T)
     projectives = projective_indecomposables(a)
     covered = f.zeros(0, top.dim)
+    pivots: list[int] = []
     gens: list[tuple[int, np.ndarray]] = []
     for i, e in enumerate(a.prim_idempotents):
+        if len(pivots) == top.dim:
+            break
         cols = m.act_vector(e)
+        images = f.matmul(proj.matrix, cols)
         for t in range(m.dim):
-            if covered.shape[0] == top.dim:
+            w = images[:, t]
+            if f.is_zero(w) or (pivots and f.equal(f.matmul(w[pivots], covered), w)):
+                continue
+            gens.append((i, cols[:, t]))
+            spanned = f.einsum("iab,rb->ira", top.action, w.reshape(1, -1)).reshape(-1, top.dim)
+            if pivots:
+                spanned = f.normalize(spanned - f.matmul(spanned[:, pivots], covered))
+            r = rref(spanned, f)
+            new, new_pivots = r.matrix[: r.rank], list(r.pivots)
+            if pivots:
+                covered = f.normalize(covered - f.matmul(covered[:, new_pivots], new))
+            covered = np.concatenate([covered, new])[np.argsort(pivots + new_pivots)]
+            pivots = sorted(pivots + new_pivots)
+            if len(pivots) == top.dim:
                 break
-            v = cols[:, t]
-            w = f.matmul(proj.matrix, v)
-            if f.is_zero(w):
-                continue
-            if covered.shape[0] and solve(covered.T, w, f) is not None:
-                continue
-            gens.append((i, v))
-            covered = module_span_rows(top, np.concatenate([covered, w.reshape(1, -1)], axis=0))
-    if covered.shape[0] != top.dim:
+    if len(pivots) != top.dim:
         raise AlgebraError("projective cover construction failed to cover the top")
     summands = [projectives[i] for i, _ in gens]
     cover = direct_sum(summands) if summands else zero_module(a)

@@ -1,4 +1,9 @@
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +21,9 @@ from ladderkit.algebra import (
     opposite,
     preprojective_a2,
 )
-from ladderkit.fixtures import load_fixture, parse_idempotent
+from ladderkit.fixtures import fixture_names, load_fixture, parse_idempotent
 from ladderkit.ladder import ladder_report
-from ladderkit.linalg import DimensionMismatch, Field, intersect_kernels, kernel_basis, rref, solve_matrix
+from ladderkit.linalg import DimensionMismatch, Field, intersect_kernels, kernel_basis, rref, solve, solve_matrix
 from ladderkit.modules import (
     Bimodule,
     HomBasis,
@@ -54,8 +59,12 @@ from ladderkit.modules import (
 from ladderkit.recollement import build_recollement
 from ladderkit.verify import RECOLLEMENT_FIXTURES
 
+SRC = Path(modules.__file__).resolve().parent
 F = Field(101)
 K = ground_field_algebra(F)
+# rref calls of projective_cover(S^32) over k[x,y]/(x,y)^2: one for the
+# radical, one for the top and one per generator (deterministic)
+RREF_CALLS_KXY_OMEGA5 = 34
 
 
 def fraction_nullity(rows):
@@ -122,7 +131,6 @@ def test_hom_space_end_contains_identity():
     maps = hom_space(p1, p1)
     assert len(maps) >= 1
     span = maps.matrices.reshape(len(maps), -1)
-    from ladderkit.linalg import solve
 
     assert solve(span.T, F.eye(p1.dim).reshape(-1), F) is not None
 
@@ -207,10 +215,111 @@ def test_projective_cover_of_simple_over_dual_numbers():
     # kernel inside rad(P)
     ker = kernel_basis(surj.matrix, F)
     rad_rows = radical(cover).matrix.T
-    from ladderkit.linalg import solve
 
     for t in range(ker.shape[1]):
         assert solve(rad_rows.T, ker[:, t], F) is not None
+
+
+def _projective_cover_reference(m):
+    """projective_cover's greedy search with the covered top closed by
+    module_span_rows after each generator and membership tested by solve."""
+    a, f = m.algebra, m.field
+    top, proj = quotient_module(m, radical(m).matrix.T)
+    covered = f.zeros(0, top.dim)
+    gens = []
+    for i, e in enumerate(a.prim_idempotents):
+        cols = m.act_vector(e)
+        for t in range(m.dim):
+            if covered.shape[0] == top.dim:
+                break
+            v = cols[:, t]
+            w = f.matmul(proj.matrix, v)
+            if f.is_zero(w) or (covered.shape[0] and solve(covered.T, w, f) is not None):
+                continue
+            gens.append((i, v))
+            covered = module_span_rows(top, np.concatenate([covered, w.reshape(1, -1)], axis=0))
+    assert covered.shape[0] == top.dim
+    projectives = projective_indecomposables(a)
+    blocks = [
+        f.einsum("ar,abc,c->br", modules._projective_data(a)[i].embedding, m.action, v) for i, v in gens
+    ]
+    mat = np.concatenate(blocks, axis=1) if blocks else f.zeros(m.dim, 0)
+    return sum(projectives[i].dim for i, _ in gens), mat
+
+
+def _linear_nakayama(n, loewy, field):
+    arrows = [(i, i + 1, f"a{i}") for i in range(n - 1)]
+    rels = [tuple(f"a{i + k}" for k in range(loewy)) for i in range(n - loewy)]
+    return algebra_from_quiver(QuiverPresentation(n, arrows, rels, path_length_bound=loewy), field)
+
+
+def _local_kxy(field):
+    loops = [(0, 0, "x"), (0, 0, "y")]
+    rels = [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")]
+    return algebra_from_quiver(QuiverPresentation(1, loops, rels, path_length_bound=2), field)
+
+
+def _syzygy(cover, surj):
+    return submodule(cover, kernel_basis(surj.matrix, cover.field))[0]
+
+
+@pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
+def test_projective_cover_matches_greedy_span_reference(field):
+    """Same generators, cover and surjection as the closure-per-generator
+    search, on the regular module, the simples and seeded random modules of
+    every fixture (m2k and morita-square-k have isomorphic idempotents) and
+    the workload algebras, and on their first three syzygies."""
+    k = ground_field_algebra(field)
+    algebras = [load_fixture(name, field)[0] for name in fixture_names()]
+    algebras += [
+        _local_kxy(field),
+        build_triangular(k, 5),
+        _linear_nakayama(8, 3, field),
+        _cyclic_nakayama(4, 3, field),
+    ]
+    rng = np.random.default_rng(14)
+    checked = 0
+    for alg in algebras:
+        for m in [regular_module(alg), *simples(alg), *(random_module(alg, rng) for _ in range(3))]:
+            for _ in range(4):  # m, then its syzygies 1 to 3
+                cover, surj = projective_cover(m)
+                dim, mat = _projective_cover_reference(m)
+                assert cover.dim == dim and surj.matrix.dtype == mat.dtype, (alg, m)
+                assert np.array_equal(surj.matrix, mat), (alg, m)
+                checked += 1
+                m = _syzygy(cover, surj)
+                if m.dim == 0:
+                    break
+    assert checked > 150
+
+
+def test_projective_cover_grows_the_top_without_a_closure(monkeypatch):
+    """Over k[x,y]/(x,y)^2 the fifth syzygy of the simple is S^32: its cover
+    reduces one 3-row residual per generator and closes no span."""
+    from ladderkit import linalg
+
+    kxy = _local_kxy(F)
+    m = simples(kxy)[0]
+    for _ in range(5):
+        m = _syzygy(*projective_cover(m))
+    assert m.dim == 32
+    calls = {"rref": 0, "span": 0}
+    real_rref, real_span = linalg.rref, modules.module_span_rows
+
+    def counting_rref(a, field):
+        calls["rref"] += 1
+        return real_rref(a, field)
+
+    def counting_span(m, vectors):
+        calls["span"] += 1
+        return real_span(m, vectors)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(modules, "rref", counting_rref)
+    monkeypatch.setattr(modules, "module_span_rows", counting_span)
+    cover, surj = projective_cover(m)
+    assert calls == {"rref": RREF_CALLS_KXY_OMEGA5, "span": 0}
+    assert cover.dim == 96 and surj.is_surjective()
 
 
 def test_projective_cover_of_zero():
@@ -268,7 +377,6 @@ def test_resolution_exactness():
         assert rref(stacked, F).rank == rref(ker.T, F).rank
         # minimality: image inside rad of the previous term
         rad_rows = radical(res.terms[j - 1]).matrix.T
-        from ladderkit.linalg import solve
 
         for t in range(image.shape[1]):
             assert solve(rad_rows.T, image[:, t], F) is not None
@@ -406,6 +514,43 @@ def test_submodule_rejects_unreduced_basis():
         submodule(p1, basis)
     sub, _ = submodule(p1, F.eye(2))
     assert sub.dim == 2
+
+
+@pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
+def test_submodule_rejects_non_invariant_subspaces(field):
+    # P1 of t2 has basis (e1, a) with rad(P1) = span(a)
+    p1 = projective_indecomposables(build_triangular(ground_field_algebra(field), 2))[0]
+    assert p1.dim == 2
+    sub, _ = submodule(p1, field.asarray([[0], [1]]))
+    assert sub.dim == 1
+    # span(e1) is reduced; a.e1 = a fails on row 1, which is no unit row
+    with pytest.raises(AlgebraError, match="not invariant"):
+        submodule(p1, field.asarray([[1], [0]]))
+    # span(e1 + a): both rows are unit rows, coordinates are read off row 0,
+    # and only the repeated unit row 1 fails (e1.(e1 + a) = e1)
+    with pytest.raises(AlgebraError, match="not invariant"):
+        submodule(p1, field.asarray([[1], [1]]))
+
+
+def test_resolutions_leave_numpy_ma_unimported():
+    """np.setdiff1d, np.isin and np.unique import numpy.ma on first use, which
+    adds to the resident memory of every run; the engine does without them.
+    A fresh interpreter, because the test runner may import numpy.ma itself."""
+    code = (
+        "import sys\n"
+        "from ladderkit.fixtures import load_fixture\n"
+        "from ladderkit.linalg import Field\n"
+        "from ladderkit.modules import minimal_resolution, regular_module, simples\n"
+        "a, _ = load_fixture('preproj-a2', Field(101))\n"
+        "for m in [regular_module(a), *simples(a)]:\n"
+        "    minimal_resolution(m, 4)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    for path in SRC.glob("*.py"):
+        assert not re.search(r"\b(setdiff1d|isin|unique)\(", path.read_text()), path.name
 
 
 @pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
