@@ -38,7 +38,7 @@ for name in ("t2", "t3", "prop32-dual-numbers", "preproj-a2", "m2k", "ideal-chai
 alg, default_e = load_fixture("prop32-dual-numbers", F)
 rec = build_recollement(alg, parse_idempotent(alg, default_e))
 rep = ladder_report(rec, 12, 0)
-res = height_cross_check(rec, rep, samples=20, seed=0)
+res = height_cross_check(rep, samples=20, seed=0)
 print("\ncross-check on the block-ring fixture:", res["status"])
 for r in res["rungs"]:
     print(f"   {r['tower']}-rung {r['rung']}: verdict projective={r['projective_verdict']}, "

@@ -46,6 +46,7 @@ from .modules import (
     projective_indecomposables,
     simples,
     projective_cover,
+    cover_sequence,
     is_projective,
     minimal_resolution,
     dual,

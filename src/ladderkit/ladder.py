@@ -31,15 +31,14 @@ from .modules import (
     Bimodule,
     Module,
     bimodules_isomorphic,
+    cover_sequence,
     hom_module,
     hom_space,
     is_projective,
-    projective_cover,
     random_short_exact_sequence,
     regular_bimodule,
-    submodule,
 )
-from .linalg import kernel_basis, rref
+from .linalg import rref
 from .recollement import RecollementData
 
 __all__ = [
@@ -222,21 +221,18 @@ def _hom_functor_exact_on(m: Module, sequences) -> Optional[dict]:
     return None
 
 
-def height_cross_check(rec: RecollementData, report: LadderReport, samples: int = 30, seed: int = 0) -> dict:
+def height_cross_check(report: LadderReport, samples: int = 30, seed: int = 0) -> dict:
     """Independent oracle: a rung is projective iff Hom(M_j, -) preserves
     short exact sequences.  Probes each rung's tested one-sided module on its
     own cover sequence (which detects non-projectivity for certain) plus
     random sequences.  PASS iff every probe agrees with the stored verdict."""
     rng = np.random.default_rng(seed)
-    f = rec.field
     results = []
     for label, rungs in (("r", report.r_rungs), ("l", report.l_rungs)):
         for rung in rungs:
             m = rung.tested_module()
             a = m.algebra
-            cover, surj = projective_cover(m)
-            syz, incl0 = submodule(cover, kernel_basis(surj.matrix, f))
-            sequences = [(incl0, surj)]
+            sequences = [cover_sequence(m)]
             for _ in range(samples):
                 sequences.append(random_short_exact_sequence(a, rng))
             witness = _hom_functor_exact_on(m, sequences)

@@ -20,6 +20,8 @@ __all__ = [
     "rref",
     "rank",
     "kernel_basis",
+    "kernel_and_section",
+    "block_diag",
     "unit_rows",
     "quotient_coordinates",
     "solve",
@@ -282,6 +284,19 @@ def kernel_basis(a: np.ndarray, field: Field) -> np.ndarray:
     return _null_space(rref(a, field), a.shape[1], field)[0]
 
 
+def kernel_and_section(a: np.ndarray, field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """For a of full row rank: kernel_basis(a) and a section s, a @ s = 1,
+    from one rref of [a | 1].  Its left part is rref(a), as every pivot lies
+    there, and its right part the inverse of a's pivot columns."""
+    m, n = a.shape
+    r = rref(np.concatenate([a, field.eye(m)], axis=1), field)
+    if m and r.pivots[-1] >= n:
+        raise DimensionMismatch(f"a {m} x {n} matrix of rank below {m} has no section")
+    section = field.zeros(n, m)
+    section[list(r.pivots)] = r.matrix[:, n:]
+    return _null_space(r, n, field)[0], section
+
+
 def _null_space(r: RrefResult, ncols: int, field: Field) -> tuple[np.ndarray, np.ndarray]:
     is_free = np.ones(ncols, dtype=bool)
     is_free[list(r.pivots)] = False
@@ -345,6 +360,16 @@ def column_space_basis(a: np.ndarray, field: Field) -> np.ndarray:
     transposed (so the basis is the identity on its pivot rows)."""
     r = rref(a.T, field)
     return r.matrix[: r.rank].T
+
+
+def block_diag(field: Field, blocks: list) -> np.ndarray:
+    """Block-diagonal in the last two axes; leading axes as in each block."""
+    out = field.zeros(*blocks[0].shape[:-2], sum(b.shape[-2] for b in blocks), sum(b.shape[-1] for b in blocks))
+    r = c = 0
+    for b in blocks:
+        out[..., r : r + b.shape[-2], c : c + b.shape[-1]] = b
+        r, c = r + b.shape[-2], c + b.shape[-1]
+    return out
 
 
 def intersect_kernels(mats, ncols: int, field: Field) -> np.ndarray:

@@ -4,9 +4,9 @@ A left module is one action matrix per algebra basis element.  A bimodule
 stores its two one-sided actions; the left module over the enveloping algebra
 A (x) B^op (fixed Kronecker order) is only materialized when two bimodules
 must be compared, so large enveloping algebras never arise implicitly.
-Everything reduces to exact linear algebra.  Hom spaces are solved on the
-blocks e_j.N x e_i.M cut out by the distinguished idempotents, with only the
-remaining generators imposed, and come back in one canonical basis; tensor
+Everything reduces to exact linear algebra.  Hom spaces come back in one
+canonical basis, read off e_i.N out of a sum of projectives or a kept cover,
+else solved on the blocks e_j.N x e_i.M cut out by the idempotents; tensor
 products are quotients by balancing relations; projectivity is decided by
 projective-cover dimensions.
 """
@@ -22,7 +22,9 @@ import numpy as np
 from .algebra import Algebra, AlgebraError, FieldRestrictionError, enveloping, ground_field_algebra, opposite
 from .linalg import (
     Field,
+    block_diag,
     column_space_basis,
+    kernel_and_section,
     kernel_basis,
     quotient_coordinates,
     rank,
@@ -50,6 +52,7 @@ __all__ = [
     "simples",
     "simples_by_idempotent",
     "projective_cover",
+    "cover_sequence",
     "is_projective",
     "minimal_resolution",
     "dual",
@@ -71,6 +74,9 @@ __all__ = [
 class Module:
     """Left module over an algebra: one dim x dim action matrix per basis element."""
 
+    _summands = None  # (i, ...) on a direct sum of the A.e_i
+    _cover = None  # _Cover, once projective_cover ran
+
     def __init__(self, algebra: Algebra, action: np.ndarray, _validate=True):
         self.algebra = algebra
         f = algebra.field
@@ -85,7 +91,7 @@ class Module:
             self._validate()
 
     @classmethod
-    def _wrap(cls, algebra: Algebra, action: np.ndarray, split: tuple) -> "Module":
+    def _wrap(cls, algebra: Algebra, action: np.ndarray, split: tuple, summands: tuple) -> "Module":
         """A module on a read-only, reduced action array and its idempotent
         split, taken as they are: no copy, reduction or validation."""
         m = cls.__new__(cls)
@@ -94,6 +100,7 @@ class Module:
         m.dim = action.shape[1]
         m._split = split
         m._profile = None
+        m._summands = summands
         return m
 
     def _validate(self):
@@ -127,6 +134,8 @@ class Module:
         (d_i x dim) gives coordinates on it, and E_i = U_i P_i.  When E_i is a
         coordinate projection (the usual case) that rref is read off directly.
         """
+        if self._split is None and self._summands is not None:
+            self._split = _free_split(self.algebra, self._summands)
         if self._split is None:
             f = self.field
             eye = f.eye(self.dim)
@@ -268,14 +277,10 @@ def direct_sum(mods: Sequence[Module]) -> Module:
     if not mods:
         raise AlgebraError("direct sum needs at least one summand")
     a = mods[0].algebra
-    f = a.field
-    total = sum(m.dim for m in mods)
-    act = f.zeros(a.dim, total, total)
-    off = 0
-    for m in mods:
-        act[:, off : off + m.dim, off : off + m.dim] = m.action
-        off += m.dim
-    return Module(a, act, _validate=False)
+    out = Module(a, block_diag(a.field, [m.action for m in mods]), _validate=False)
+    if all(m._summands is not None for m in mods):
+        out._summands = tuple(i for m in mods for i in m._summands)
+    return out
 
 
 def module_span_rows(m: Module, vectors: np.ndarray) -> np.ndarray:
@@ -334,35 +339,48 @@ def quotient_module(m: Module, sub_rows: np.ndarray) -> tuple[Module, ModuleMap]
 def hom_space(m: Module, n: Module) -> HomBasis:
     """Canonical basis of Hom(m, n), stacked in a HomBasis.
 
-    Every intertwiner commutes with the distinguished idempotents, so it is
-    X = sum_i V_i Y_i P_i with V_i a basis of e_i.N and P_i the coordinates on
-    e_i.M (Hom(A.e_i, N) = e_i.N; Lux & Szoke, Exp. Math. 12, 2003).  Only the
-    generators outside the span of the idempotents are imposed: the residuals
-    X.A_g - B_g.X of every unknown's basis matrix form one batched product.
-    A single rref of [residuals | reversed basis matrices] then yields the
-    kernel already reduced: the unique basis that is the identity on the
-    coordinates where some map has its last nonzero row-major entry, listed
-    in increasing order of that coordinate.  Those coordinates are the rref's
-    pivots, read back through the reversal.
+    Hom(A.e_i, N) = e_i.N (Lux & Szoke, Exp. Math. 12, 2003), so a sum P of
+    projective indecomposables needs no system, and a module with a kept
+    cover pi: P -> M has Hom(M, N) = {psi.sigma : psi in Hom(P, N),
+    psi.ker(pi) = 0}, sigma a linear section.  Any other module solves
+    X = sum_i V_i Y_i P_i (V_i a basis of e_i.N, P_i coordinates on e_i.M)
+    under the generators beyond the idempotents, one batched product.
+    One rref of [conditions | reversed basis matrices] ends every path: its
+    rows past the condition pivots are the rref of the reversed Hom(m, n),
+    so the basis is the same unique one, the identity on the coordinates
+    where some map has its last nonzero row-major entry, in increasing order
+    of that coordinate (the pivots, read back through the reversal).
     """
     if not m.algebra.same_as(n.algebra):
         raise AlgebraError("hom_space needs modules over the same algebra")
     f = m.field
     size = n.dim * m.dim
+    empty = HomBasis(m, n, f.zeros(0, n.dim, m.dim), np.zeros(0, dtype=np.int64))
     if size == 0:
-        return HomBasis(m, n, f.zeros(0, n.dim, m.dim), np.zeros(0, dtype=np.int64))
-    blocks = [
-        f.einsum("na,bm->abnm", v, p).reshape(-1, n.dim, m.dim)
-        for (v, _), (_, p) in zip(n.idempotent_split(), m.idempotent_split())
-    ]
-    stack = np.concatenate(blocks)  # (unknowns, n, m)
+        return empty
+    free, covered = m._summands is not None, m._cover is not None
+    if free or covered:  # Hom(P, N), P = m or its cover
+        stack = _free_hom_stack(m._summands if free else m._cover.module._summands, n)
+    else:
+        blocks = [
+            f.einsum("na,bm->abnm", v, p).reshape(-1, n.dim, m.dim)
+            for (v, _), (_, p) in zip(n.idempotent_split(), m.idempotent_split())
+        ]
+        stack = np.concatenate(blocks)  # (unknowns, n, m)
     u = stack.shape[0]
     if u == 0:
-        return HomBasis(m, n, f.zeros(0, n.dim, m.dim), np.zeros(0, dtype=np.int64))
-    gens = m.algebra.generators_beyond_idempotents()
-    am = f.einsum("gi,iab->gab", gens, m.action)
-    bn = f.einsum("gi,iab->gab", gens, n.action)
-    res = f.normalize(f.matmul(stack[:, None], am[None]) - f.matmul(bn[None], stack[:, None])).reshape(u, -1)
+        return empty
+    if free:
+        res = f.zeros(u, 0)
+    elif covered:
+        kernel, section = _cover_arrays(m, section=True)
+        res = f.matmul(stack, kernel).reshape(u, n.dim * kernel.shape[1])
+        stack = f.matmul(stack, section)
+    else:
+        gens = m.algebra.generators_beyond_idempotents()
+        am = f.einsum("gi,iab->gab", gens, m.action)
+        bn = f.einsum("gi,iab->gab", gens, n.action)
+        res = f.normalize(f.matmul(stack[:, None], am[None]) - f.matmul(bn[None], stack[:, None])).reshape(u, -1)
     res = res[:, np.any(res != 0, axis=0)]  # drop conditions no unknown touches
     r = rref(np.concatenate([res, stack.reshape(u, -1)[:, ::-1]], axis=1), f)
     c = res.shape[1]
@@ -372,6 +390,19 @@ def hom_space(m: Module, n: Module) -> HomBasis:
     matrices = np.ascontiguousarray(rows).reshape(-1, n.dim, m.dim)
     matrices.setflags(write=False)
     return HomBasis(m, n, matrices, positions)
+
+
+def _free_hom_stack(summands: tuple, n: Module) -> np.ndarray:
+    """Basis of Hom(P, N), P the sum of the A.e_i, i in summands, stacked
+    (u, dim N, dim P): a.e_i |-> a.v on one summand, v a column of V_i."""
+    a, f = n.algebra, n.field
+    images = {}  # i -> (dim N, dim e_i.N, dim A.e_i)
+    for i in summands:
+        if i not in images:
+            v, emb = n.idempotent_split()[i][0], _projective_data(a)[i].embedding
+            img = f.matmul(emb.T, f.matmul(n.action, v).reshape(a.dim, -1)) if v.shape[1] else f.zeros(emb.shape[1], 0)
+            images[i] = img.reshape(emb.shape[1], n.dim, v.shape[1]).transpose(1, 2, 0)
+    return block_diag(f, [images[i] for i in summands]).transpose(1, 0, 2)
 
 
 @dataclass
@@ -480,13 +511,20 @@ def projective_indecomposables(a: Algebra) -> list[Module]:
     new list on each call.  While a caller holds them the same modules come
     back; otherwise the arrays kept on the algebra are wrapped again."""
     out = []
-    for entry in _projective_data(a):
+    for i, entry in enumerate(_projective_data(a)):
         p = entry.handed_out()
         if p is None:
-            p = Module._wrap(a, entry.action, entry.split)
+            p = Module._wrap(a, entry.action, entry.split, (i,))
             entry.handed_out = weakref.ref(p)
         out.append(p)
     return out
+
+
+def _free_split(a: Algebra, summands: tuple) -> tuple:
+    """idempotent_split of the sum of the A.e_i, i in summands: block
+    diagonal, as is the rref of a block-diagonal matrix."""
+    splits = [_projective_data(a)[i].split for i in summands]
+    return tuple(tuple(block_diag(a.field, [sp[j][k] for sp in splits]) for k in (0, 1)) for j in range(len(splits[0])))
 
 
 def simples_by_idempotent(a: Algebra) -> list[Module]:
@@ -530,12 +568,16 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
     pivots.  An accepted w adds the submodule A.w, which contains w: its
     rows are reduced against the covered rows and the residual's rref is
     inserted in pivot order, giving the unique rref of the sum.
+    The cover and the surjection's matrix are kept on m.
     """
     a = m.algebra
     f = m.field
+    if m._cover is not None:
+        return m._cover.module, ModuleMap(m._cover.module, m, m._cover.surj, _validate=False)
     if m.dim == 0:
         z = zero_module(a)
-        return z, ModuleMap(z, m, f.zeros(0, 0), _validate=False)
+        m._cover = _Cover(z, f.zeros(0, 0))
+        return z, ModuleMap(z, m, m._cover.surj, _validate=False)
     rad_incl = radical(m)
     top, proj = quotient_module(m, rad_incl.matrix.T)
     projectives = projective_indecomposables(a)
@@ -574,7 +616,37 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
         mat[:, off : off + p.dim] = f.einsum("ar,abc,c->br", emb, m.action, v)
         off += p.dim
     surj = ModuleMap(cover, m, mat, _validate=False)
+    m._cover = _Cover(cover, surj.matrix)
     return cover, surj
+
+
+@dataclass
+class _Cover:
+    """A kept cover pi: P -> M: no ModuleMap, which would point back to M."""
+
+    module: Module
+    surj: np.ndarray
+    kernel: Optional[np.ndarray] = None  # ker pi, on first use
+    section: Optional[np.ndarray] = None  # pi.sigma = 1, on first use
+
+
+def _cover_arrays(m: Module, section: bool = False) -> tuple:
+    """ker pi of m's kept cover and, if asked, a section sigma (pi.sigma = 1),
+    each computed once; both from one rref when both are new."""
+    c = m._cover
+    if section and c.section is None:
+        kernel, c.section = kernel_and_section(c.surj, m.field)
+        c.kernel = kernel if c.kernel is None else c.kernel
+    elif c.kernel is None:
+        c.kernel = kernel_basis(c.surj, m.field)
+    return c.kernel, c.section
+
+
+def cover_sequence(m: Module) -> tuple[ModuleMap, ModuleMap]:
+    """The inclusion of Omega(M) = ker pi into the cover P, and pi: P -> M."""
+    cover, surj = projective_cover(m)
+    _, incl = submodule(cover, _cover_arrays(m)[0])
+    return incl, surj
 
 
 def is_projective(m: Module) -> bool:
@@ -613,15 +685,15 @@ def minimal_resolution(m: Module, cutoff: int) -> Resolution:
     incl_prev: Optional[ModuleMap] = None
     finished = False
     for _ in range(cutoff + 1):
-        cover, surj = projective_cover(current)
+        incl, surj = cover_sequence(current)
+        cover = surj.source
         terms.append(cover)
         if incl_prev is None:
             diffs.append(surj)
         else:
             diffs.append(ModuleMap(cover, terms[-2], f.matmul(incl_prev.matrix, surj.matrix), _validate=False))
-        syz, incl_prev = submodule(cover, kernel_basis(surj.matrix, f))
-        current = syz
-        if syz.dim == 0:
+        incl_prev, current = incl, incl.source
+        if current.dim == 0:
             finished = True
             break
     return Resolution(m, terms, diffs, cutoff, finished=finished)

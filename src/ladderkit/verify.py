@@ -161,8 +161,8 @@ def _c5(ctx: _Ctx) -> dict:
 def _c6(ctx: _Ctx) -> dict:
     per_fixture = {}
     ok = True
-    for name, rec in ctx.recs.items():
-        res = height_cross_check(rec, ctx.ladders[name], samples=30, seed=ctx.seed)
+    for name in ctx.recs:
+        res = height_cross_check(ctx.ladders[name], samples=30, seed=ctx.seed)
         per_fixture[name] = {"status": res["status"]}
         ok = ok and res["status"] == "PASS"
     return _crit(6, "every tower rung's projectivity verdict agrees with the Hom-exactness probe", ok, per_fixture)

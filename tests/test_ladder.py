@@ -180,7 +180,7 @@ def test_matched_rungs_really_isomorphic():
 def test_height_cross_check_passes(name):
     rec = rec_for(name)
     rep = ladder_report(rec, 12, 0)
-    res = height_cross_check(rec, rep, samples=15, seed=0)
+    res = height_cross_check(rep, samples=15, seed=0)
     assert res["status"] == "PASS"
 
 
@@ -192,7 +192,7 @@ def test_height_cross_check_detects_corruption():
         rep.r_rungs[0].index, rep.r_rungs[0].bimodule, rep.r_rungs[0].side_tested, projective=False
     )
     rep.r_rungs[0] = corrupted
-    res = height_cross_check(rec, rep, samples=5, seed=0)
+    res = height_cross_check(rep, samples=5, seed=0)
     assert res["status"] == "FAIL"
 
 

@@ -13,7 +13,7 @@ from ladderkit.fixtures import load_fixture, parse_idempotent
 from ladderkit.homological import is_stratifying, spli_silp
 from ladderkit.ladder import ladder_report
 from ladderkit.linalg import Field
-from ladderkit.modules import projective_cover, projective_indecomposables
+from ladderkit.modules import cover_sequence, hom_space, projective_cover, projective_indecomposables, regular_module, simples
 from ladderkit.recollement import build_recollement
 from ladderkit.verify import RECOLLEMENT_FIXTURES
 
@@ -70,3 +70,18 @@ def test_projectives_rewrapped_from_cached_arrays(gc_off):
     for p in again:
         cover, surj = projective_cover(p)
         assert cover.dim == p.dim and surj.is_isomorphism()
+
+
+def test_module_with_kept_cover_dies_without_collector(gc_off):
+    # the module keeps its cover and arrays, never a map pointing back to it
+    t3 = build_triangular(ground_field_algebra(F), 3)
+    reg = regular_module(t3)
+    m = simples(t3)[0]
+    cover, surj = projective_cover(m)
+    assert cover.dim > m.dim
+    cover_sequence(m)
+    hb = [hom_space(m, reg), hom_space(m, m)]
+    assert [len(h) for h in hb] == [0, 1] and m._cover.section is not None  # the kept-cover path
+    refs = [weakref.ref(m), weakref.ref(cover)]
+    del m, cover, surj, hb
+    assert [r() for r in refs] == [None, None]

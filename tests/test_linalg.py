@@ -15,8 +15,10 @@ from ladderkit.linalg import (
     Field,
     _rref_numpy,
     _rref_rows,
+    block_diag,
     column_space_basis,
     intersect_kernels,
+    kernel_and_section,
     kernel_basis,
     quotient_coordinates,
     rank,
@@ -96,6 +98,36 @@ def test_kernel_sum_condition_f5():
     v = k[:, 0]
     assert (int(v[0]) + int(v[1])) % 5 == 0
     assert not np.all(v == 0)
+
+
+@pytest.mark.parametrize("field", [F101, F5, Q], ids=["F101", "F5", "Q"])
+def test_kernel_and_section_of_full_row_rank(field):
+    rng = np.random.default_rng(15)
+    for m, n in [(0, 3), (1, 1), (2, 5), (3, 3), (4, 9), (6, 8)]:
+        while True:
+            a = field.asarray(rng.integers(0, 5, size=(m, n)) * (rng.random((m, n)) < 0.6))
+            if rank(a, field) == m:
+                break
+        kernel, section = kernel_and_section(a, field)
+        assert kernel.dtype == a.dtype and np.array_equal(kernel, kernel_basis(a, field))
+        assert section.shape == (n, m) and field.equal(field.matmul(a, section), field.eye(m))
+        assert np.array_equal(section, solve_matrix(a, field.eye(m), field))
+    with pytest.raises(DimensionMismatch):
+        kernel_and_section(field.asarray([[1, 2], [2, 4]]), field)
+
+
+@pytest.mark.parametrize("field", [F101, Q], ids=["F101", "Q"])
+def test_block_diag_matches_scipy(field):
+    from scipy.linalg import block_diag as scipy_block_diag
+
+    rng = np.random.default_rng(16)
+    shapes = [(2, 3), (0, 2), (1, 1), (3, 0), (2, 2)]
+    blocks = [field.asarray(rng.integers(0, 9, size=(4,) + s)) for s in shapes]
+    got = block_diag(field, blocks)
+    assert got.dtype == blocks[0].dtype and got.shape == (4, 8, 8)
+    for k in range(4):
+        want = scipy_block_diag(*[b[k].astype(object) for b in blocks])
+        assert np.array_equal(got[k], want)
 
 
 def test_solve_identity():

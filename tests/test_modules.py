@@ -30,6 +30,7 @@ from ladderkit.modules import (
     Module,
     ModuleMap,
     algebra_radical_rows,
+    cover_sequence,
     direct_sum,
     dual,
     hom_into_regular,
@@ -766,6 +767,80 @@ def test_hom_space_zero_module_and_zero_hom():
     assert _assert_same_hom_basis(s1, s2) == 0  # no common idempotent block
     assert _assert_same_hom_basis(s1, p1) == 0  # a block, but the arrow kills it
     assert _assert_same_hom_basis(s2, p1) == 1
+
+
+# -- Hom out of sums of projectives and kept covers ---------------------------------
+
+
+def _bare(m):
+    """The same module without kept data: hom_space solves the linear system."""
+    return Module(m.algebra, m.action, _validate=False)
+
+
+def _assert_shortcut_matches_system(m, n):
+    got, want = hom_space(m, n), hom_space(_bare(m), n)
+    assert got.matrices.dtype == want.matrices.dtype and got.matrices.shape == want.matrices.shape
+    assert np.array_equal(got.matrices, want.matrices) and np.array_equal(got.positions, want.positions)
+    return len(got)
+
+
+@pytest.mark.parametrize(
+    "name,field",
+    [(name, F) for name in RECOLLEMENT_FIXTURES] + [(name, Field(None)) for name in ("t2", "prop32-dual-numbers")],
+)
+def test_hom_shortcuts_match_the_linear_system(name, field):
+    """Sums of projective indecomposables (shuffled, with repeats) and modules
+    with a kept cover (projective or not: the regular module, simples, seeded
+    random modules and their syzygies) give hom_space's basis of the linear
+    system, against every target, the zero module and Hom = 0 included."""
+    alg, _ = load_fixture(name, field)
+    rng = np.random.default_rng(15)
+    projs = projective_indecomposables(alg)
+    free = [direct_sum([projs[i] for i in rng.permutation(len(projs))]) for _ in range(2)]
+    free.append(direct_sum([projs[int(i)] for i in rng.integers(0, len(projs), size=3)]))
+    free += projs
+    for q in free:
+        assert q._summands is not None
+        assert all(np.array_equal(u, v) and u.dtype == v.dtype for pair in zip(q.idempotent_split(), _bare(q).idempotent_split()) for u, v in zip(*pair))
+    covered = [regular_module(alg), *simples(alg), *(random_module(alg, rng) for _ in range(3))]
+    for m in list(covered):
+        for _ in range(2):
+            incl, _ = cover_sequence(m)
+            m = incl.source
+            covered.append(m)
+    covered = [m for m in covered if m.dim and m._summands is None]  # a random module may be its free q0
+    for m in covered:
+        projective_cover(m)
+        assert m._cover is not None
+    z = zero_module(alg)
+    projective_cover(z)
+    targets = [z, regular_module(alg), *projs, *simples(alg), *(random_module(alg, rng) for _ in range(3))]
+    dims = [_assert_shortcut_matches_system(m, n) for m in free + covered + [z] for n in targets]
+    assert 0 in dims and max(dims) > 1
+
+
+def test_cover_kept_and_its_kernel_computed_once(monkeypatch):
+    """A second projective_cover returns the kept cover; minimal_resolution,
+    cover_sequence and hom_space share one kernel of each surjection."""
+    calls = []
+    real = modules.kernel_basis
+    monkeypatch.setattr(modules, "kernel_basis", lambda a, f: calls.append(a.shape) or real(a, f))
+    alg, _ = load_fixture("prop32-dual-numbers", F)
+    m = random_module(alg, np.random.default_rng(4))
+    while is_projective(m):
+        m = random_module(alg, np.random.default_rng(len(calls) + m.dim))
+    cover, surj = projective_cover(m)
+    again, surj2 = projective_cover(m)
+    assert again is cover and np.array_equal(surj.matrix, surj2.matrix)
+    calls.clear()
+    res = minimal_resolution(m, 3)
+    steps = len(calls)
+    assert steps == len(res.terms) and res.terms[0] is cover
+    cover_sequence(m)
+    hom_space(m, regular_module(alg))
+    assert len(calls) == steps
+    # kept arrays only: no ModuleMap on the module, which would point back to it
+    assert all(isinstance(x, (np.ndarray, type(None), Module)) for x in vars(m._cover).values())
 
 
 def test_idempotent_split_rejects_incomplete_system():
