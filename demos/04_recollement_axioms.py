@@ -53,9 +53,11 @@ failures = check_axioms(rec, 10, np.random.default_rng(0))
 print("\naxiom suite on 10 seeded trials:", "PASS" if not failures else failures)
 
 # --- exactness probes -------------------------------------------------------------------
+# each probe runs the functor on the cover and injective-envelope sequences of
+# the simples, which decides exactness for a left- or right-exact functor.
 # e is exact (it restricts along an idempotent); p is provably NOT exact here:
 # the quotient algebra is simple but not projective as a left module
-print("\nexactness probes on random short exact sequences:")
+print("\nexactness probes on the simples' cover and envelope sequences:")
 for name, fun in (("e", fe), ("l", fl), ("r", fr), ("q", fq), ("p", fp)):
-    res = probe_exactness(fun, samples=12, seed=5)
+    res = probe_exactness(fun)
     print(f"  {name}: {res['status']}" + ("" if res["status"] == "Exact" else f"  ({', '.join(res['problems'])})"))

@@ -57,7 +57,6 @@ from .modules import (
     is_isomorphic,
     bimodules_isomorphic,
     random_module,
-    random_short_exact_sequence,
 )
 from .recollement import (
     RecollementData,

@@ -527,9 +527,9 @@ def _ext_adjunction(left, right, rng, top: int, name: str) -> dict:
 
 
 def lemma_checks(rec: RecollementData, cutoff: int = 8, seed: int = 0, ext_top: int = 4) -> dict:
-    """Exactness-conditional checks: when the probe certifies the right (resp.
-    left) adjoint exact at sample scale, assert the spli inequality between
-    corner and middle and the Ext-adjunction dimension identities."""
+    """Exactness-conditional checks: when the probe finds the right (resp.
+    left) adjoint exact, assert the spli inequality between corner and middle
+    and the Ext-adjunction dimension identities."""
     rng = np.random.default_rng(seed)
     fe = rec.functor_e()
     fl = rec.functor_l()
@@ -537,7 +537,7 @@ def lemma_checks(rec: RecollementData, cutoff: int = 8, seed: int = 0, ext_top: 
     top = min(ext_top, cutoff)
     checks = []
     probed = {"r_exact": fr, "l_exact": fl, "q_exact": rec.functor_q(), "p_exact": rec.functor_p()}
-    probes = {key: probe_exactness(functor, samples=6, seed=seed + k) for k, (key, functor) in enumerate(probed.items())}
+    probes = {key: probe_exactness(functor) for key, functor in probed.items()}
 
     if probes["r_exact"]["status"] == "Exact":
         rep_gam = spli_silp(rec.gamma, cutoff)

@@ -67,7 +67,6 @@ __all__ = [
     "IsoResult",
     "serialize_module",
     "random_module",
-    "random_short_exact_sequence",
 ]
 
 
@@ -944,33 +943,3 @@ def random_module(a: Algebra, rng: np.random.Generator, max_summands: int = 3) -
     mat = f.einsum("s,sab->ab", f.asarray(coeff), homs.matrices)
     quot, _ = quotient_module(q0, column_space_basis(mat, f).T)
     return quot
-
-
-def random_short_exact_sequence(a: Algebra, rng: np.random.Generator, max_summands: int = 3):
-    """A random 0 -> A -> B -> C -> 0: random B, random generated submodule A.
-
-    Generators are pushed into rad(B) half of the time (when the radical is
-    computable); purely uniform vectors almost never generate proper radical
-    submodules, which are where exactness of functors actually fails.
-    Returns (inclusion, projection)."""
-    b = random_module(a, rng, max_summands)
-    f = a.field
-    if b.dim == 0:
-        z = zero_module(a)
-        return ModuleMap(z, b, f.zeros(0, 0), _validate=False), ModuleMap(b, z, f.zeros(0, 0), _validate=False)
-    try:
-        jrows = algebra_radical_rows(a)
-    except FieldRestrictionError:
-        jrows = f.zeros(0, a.dim)
-    k = int(rng.integers(1, 3))
-    vecs = f.asarray(rng.integers(0, f.p if f.is_prime_field else 7, size=(k, b.dim)))
-    for t in range(k):
-        if jrows.shape[0] and rng.integers(0, 2):
-            coeff = f.asarray(rng.integers(0, f.p if f.is_prime_field else 7, size=jrows.shape[0]))
-            moved = f.matmul(b.act_vector(f.matmul(coeff, jrows)), vecs[t])
-            if not f.is_zero(moved):
-                vecs[t] = moved
-    rows = module_span_rows(b, vecs)
-    _, incl = submodule(b, rows.T)
-    _, proj = quotient_module(b, rows)
-    return incl, proj

@@ -2,16 +2,19 @@
 
 Every module-level private function or class must be referred to somewhere
 in src/ outside its own definition, every name a module lists in a
-literal __all__ must be bound at its top level, and every parameter of every
-function (other than self/cls) must be read in its body.
+literal __all__ must be bound at its top level and read outside its own
+definition (in src/, tests/, demos/ or ladderbench/), and every parameter of
+every function (other than self/cls) must be read in its body.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ladderkit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ladderkit"
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+USERS = {path: ast.parse(path.read_text(), filename=str(path)) for d in ("tests", "demos", "ladderbench") for path in sorted((ROOT / d).rglob("*.py"))}
 
 
 def _names_in(node) -> Counter:
@@ -75,9 +78,31 @@ def test_all_entries_are_defined():
     assert missing == []
 
 
+def _uses_in(node) -> Counter:
+    """Names a subtree reads as variables or attributes; an import or a
+    re-export alone is not a use."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def test_all_entries_are_used():
+    """A name in a literal __all__ is read somewhere outside its own
+    definition: in src/ (its own module included, where a public type may be
+    read only as an annotation), tests/, demos/ or ladderbench/."""
+    total = sum((_uses_in(tree) for tree in [*TREES.values(), *USERS.values()]), Counter())
+    unused = []
+    for fname, tree in TREES.items():
+        defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for name in _literal_all(tree) or []:
+            own = _uses_in(defs[name])[name] if name in defs else 0
+            if total[name] - own == 0:
+                unused.append(f"{fname}:{name}")
+    assert unused == []
+
+
 def test_the_guard_sees_the_package():
     assert {"verify.py", "recollement.py", "homological.py"} <= set(TREES)
     assert sum(_literal_all(tree) is not None for tree in TREES.values()) >= 5
+    assert {"tests", "demos", "ladderbench"} == {path.relative_to(ROOT).parts[0] for path in USERS}
 
 
 def _unread_parameters(fn) -> list:

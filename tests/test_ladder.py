@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -180,20 +182,24 @@ def test_matched_rungs_really_isomorphic():
 def test_height_cross_check_passes(name):
     rec = rec_for(name)
     rep = ladder_report(rec, 12, 0)
-    res = height_cross_check(rep, samples=15, seed=0)
+    res = height_cross_check(rep)
     assert res["status"] == "PASS"
 
 
-def test_height_cross_check_detects_corruption():
-    rec = rec_for("t2")
-    rep = ladder_report(rec, 12, 0)
-    # deliberately flip one verdict (test-only mutation)
-    corrupted = TowerRung(
-        rep.r_rungs[0].index, rep.r_rungs[0].bimodule, rep.r_rungs[0].side_tested, projective=False
-    )
-    rep.r_rungs[0] = corrupted
-    res = height_cross_check(rep, samples=5, seed=0)
-    assert res["status"] == "FAIL"
+@pytest.mark.parametrize("name", RECOLLEMENT_FIXTURES)
+def test_height_cross_check_detects_corruption(name):
+    """Flipping the projectivity flag of any one rung, either way, makes the
+    cover-sequence probe disagree with it."""
+    rep = ladder_report(rec_for(name), 12, 0)
+    assert height_cross_check(rep)["status"] == "PASS"
+    for rungs in (rep.r_rungs, rep.l_rungs):
+        for k, rung in enumerate(rungs):
+            # deliberately flip one verdict (test-only mutation)
+            rungs[k] = dataclasses.replace(rung, projective=not rung.projective)
+            res = height_cross_check(rep)
+            rungs[k] = rung
+            assert res["status"] == "FAIL", (name, rung.side_tested, rung.index)
+            assert [r["rung"] for r in res["rungs"] if not r["agrees"]] == [rung.index]
 
 
 def test_report_serialization_round_trip():
