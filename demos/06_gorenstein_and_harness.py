@@ -70,17 +70,22 @@ print("stable Hom(l X, l X) =", stable_hom_dim(lx, lx),
       "= stable Hom(X, e l X) =", stable_hom_dim(x, fe.apply(lx).module))
 
 # --- the preservation harness -------------------------------------------------------------
+# each clause runs on the GP or GI modules among every indecomposable of the
+# middle and corner algebras (T2 is Nakayama, so its module pool is
+# certified); samples and seed only serve algebras without that certificate
 print("\nharness on the triangular fixture (relative gldim",
       relative_gldim(t2, 8).describe() + "):")
 rep = ladder_report(t2, 12, 0)
 res = preservation_harness(t2, rep, samples=3, seed=0, cutoff=8)
+print("  module pools:", res["pools"])
 for c in res["clauses"]:
     print(f"  [{c['status']:7s}] {c['clause']}")
 
+# the Ext adjunctions run on every pair of the two module pools
 lc = lemma_checks(t2, cutoff=6, seed=0)
 print("\nexactness-conditional lemma checks:", lc["status"])
 for c in lc["checks"]:
-    print("  ", c["check"], "->", "ok" if c["ok"] else "FAILED")
+    print("  ", c["check"], "->", "ok" if c["ok"] else "FAILED", c.get("pools", ""))
 
 # --- torsion pairs from the first upper adjoint ---------------------------------------
 # when the l-ladder reaches height two, Ker(l1) is a torsion class; the audit

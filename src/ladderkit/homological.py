@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -19,14 +18,15 @@ from .algebra import Algebra, AlgebraError, opposite
 from .linalg import Field, rref
 from .modules import (
     Module,
+    ModulePool,
     dual,
     hom_into_regular,
     hom_space,
     is_isomorphic,
     minimal_resolution,
+    module_pool,
     projective_cover,
     projective_indecomposables,
-    random_module,
     regular_module,
     simples,
     tensor_over,
@@ -35,6 +35,8 @@ from .recollement import (
     HomFunctor,
     RecollementData,
     TensorFunctor,
+    adjunction_mismatches,
+    applied_once,
     counit_e_r,
     counit_mu,
     probe_exactness,
@@ -59,8 +61,7 @@ __all__ = [
     "is_gorenstein_injective",
     "stable_hom_dim",
     "preservation_harness",
-    "stable_adjunction_mismatches",
-    "gorenstein_projective_pairs",
+    "gorenstein_projective_pools",
     "lemma_checks",
 ]
 
@@ -343,21 +344,6 @@ def stable_hom_dim(m: Module, n: Module) -> int:
 # -- Theorem-style harnesses ---------------------------------------------------------
 
 
-def _sample_modules_with(a: Algebra, rng, predicate, want: int, seed_pool) -> list[Module]:
-    """Up to `want` modules satisfying predicate: those of seed_pool first,
-    then nonzero random modules from at most 30 draws."""
-    out = [m for m in seed_pool if predicate(m)]
-    attempts = 0
-    while len(out) < want and attempts < 30:
-        m = random_module(a, rng, max_summands=2)
-        attempts += 1
-        if m.dim == 0:
-            continue
-        if predicate(m):
-            out.append(m)
-    return out[:want]
-
-
 def preservation_harness(
     rec: RecollementData,
     ladder: LadderReport,
@@ -368,7 +354,8 @@ def preservation_harness(
     """Check, clause by clause, that designated functors preserve Gorenstein
     projectivity/injectivity whenever this fixture meets the clause's ladder
     hypotheses, plus the stable-Hom adjunction identities.  Clauses with
-    unmet hypotheses are SKIPPED.
+    unmet hypotheses are SKIPPED.  Each runs on the GP or GI modules of the pools
+    of L and G (`samples` draws where not certified), naming them on failure.
 
     One table row per clause: its text, whether its hypotheses hold, and a
     check returning its failure records, run only when they hold.  A check
@@ -386,34 +373,30 @@ def preservation_harness(
     def gi(m):
         return is_gorenstein_injective(m, cutoff, _kept_report(opposite(m.algebra), cutoff)).is_yes
 
-    # GP samples start from the projectives, GI samples from the injectives;
-    # drawn in this order from the one rng
-    gp_lam, gp_gam = (_sample_modules_with(a, rng, gp, samples, projective_indecomposables(a)) for a in (lam, gam))
-    gi_lam, gi_gam = (
-        _sample_modules_with(a, rng, gi, samples, [dual(p) for p in projective_indecomposables(opposite(a))]) for a in (lam, gam)
-    )
+    pool_lam, pool_gam = module_pool(lam, samples, rng), module_pool(gam, samples, rng)
+    gp_lam, gp_gam, gi_lam, gi_gam = pool_lam.where(gp), pool_gam.where(gp), pool_lam.where(gi), pool_gam.where(gi)
     # each applied once per module, the values shared by all the checks
-    fe, fl, fr = (SimpleNamespace(apply=functools.cache(f.apply)) for f in (rec.functor_e(), rec.functor_l(), rec.functor_r()))
+    fe, fl, fr = map(applied_once, (rec.functor_e(), rec.functor_l(), rec.functor_r()))
     r1 = HomFunctor(ladder.r_rungs[1].bimodule) if len(ladder.r_rungs) > 1 else None
 
     def preserves(functor, xs, predicate, label):
         return [
-            {"input_dim": m.dim, "output_dim": out.dim, "property": label}
-            for m in xs
+            {"module": name, "input_dim": m.dim, "output_dim": out.dim, "property": label}
+            for name, m in xs.modules.items()
             if (out := functor.apply(m).module).dim and not predicate(out)
         ]
 
     def r1_r_iso():
         return [
-            {"input_dim": m.dim, "output_dim": back.dim, "property": "r1 r iso"}
-            for m in gi_gam
+            {"module": name, "input_dim": m.dim, "output_dim": back.dim, "property": "r1 r iso"}
+            for name, m in gi_gam.modules.items()
             if not is_isomorphic(m, back := r1.apply(fr.apply(m).module).module, seed=seed).is_yes
         ]
 
     def stable(left, right, xs, ys, name):
         return [
-            {"lhs": lhs, "rhs": rhs, "dims": [x.dim, y.dim], "identity": f"stable ({name})"}
-            for _, x, y, lhs, rhs in stable_adjunction_mismatches(left, right, zip(xs, ys))
+            {"x": x, "y": y, "lhs": lhs, "rhs": rhs, "identity": f"stable ({name})"}
+            for x, y, lhs, rhs in adjunction_mismatches(left, right, xs, ys, stable_hom_dim)
         ]
 
     corner_gp = functools.cache(lambda: preserves(fe, gp_lam, gp, "GP over corner"))
@@ -468,6 +451,7 @@ def preservation_harness(
         "clauses": clauses,
         "samples": samples,
         "seed": seed,
+        "pools": {"middle": pool_lam.to_json(), "corner": pool_gam.to_json()},
         "cutoff": cutoff,
         "relative_gldim": rel.to_json(),
         "gorenstein_middle": rep_lam.to_json(),
@@ -475,55 +459,29 @@ def preservation_harness(
     }
 
 
-def _iso_failures(rec: RecollementData, samples_gam, unit, functor, which: str) -> list:
-    """Records for the samples N where the map of unit(rec, N, functor(N)) is
-    not an isomorphism."""
-    return [{"identity": which, "dim": n.dim} for n in samples_gam if not unit(rec, n, functor.apply(n))[0].is_isomorphism()]
+def _iso_failures(rec: RecollementData, pool_gam: ModulePool, unit, functor, which: str) -> list:
+    """Records for the pool's modules N where unit(rec, N, functor(N)) is not an isomorphism."""
+    return [{"identity": which, "module": k, "dim": n.dim} for k, n in pool_gam.modules.items() if not unit(rec, n, functor.apply(n))[0].is_isomorphism()]
 
 
-def stable_adjunction_mismatches(left, right, pairs) -> list[tuple]:
-    """The stable Hom identity dim Hom(left x, y) = dim Hom(x, right y), modulo
-    projectives, of an adjoint pair left -| right on the given (x, y) pairs.
-    Returns (position from 1, x, y, lhs, rhs) for each pair where it fails."""
-    out = []
-    for k, (x, y) in enumerate(pairs, 1):
-        lhs = stable_hom_dim(left.apply(x).module, y)
-        rhs = stable_hom_dim(x, right.apply(y).module)
-        if lhs != rhs:
-            out.append((k, x, y, lhs, rhs))
-    return out
-
-
-def gorenstein_projective_pairs(rec: RecollementData, cutoff: int, seed: int, want: int, budget: int) -> list[tuple]:
-    """Up to `want` pairs (x, y) of nonzero Gorenstein projectives, x over the
-    corner and y over the middle algebra, from at most `budget` seeded draws
-    of random pairs."""
-    rng = np.random.default_rng(seed)
-    rep_gam, rep_lam = spli_silp(rec.gamma, cutoff), spli_silp(rec.lam, cutoff)
-    pairs = []
-    for _ in range(budget):
-        if len(pairs) == want:
-            break
-        x = random_module(rec.gamma, rng, max_summands=2)
-        y = random_module(rec.lam, rng, max_summands=2)
-        if x.dim == 0 or y.dim == 0:
-            continue
-        if is_gorenstein_projective(x, cutoff, rep_gam).is_yes and is_gorenstein_projective(y, cutoff, rep_lam).is_yes:
-            pairs.append((x, y))
-    return pairs
+def gorenstein_projective_pools(rec: RecollementData, cutoff: int, samples: int, seed: int) -> tuple[ModulePool, ModulePool]:
+    """The Gorenstein projectives of the module pools of the corner and the
+    middle algebra, in that order (one seeded rng where not certified)."""
+    rng, out = np.random.default_rng(seed), []
+    for a in (rec.gamma, rec.lam):
+        rep = spli_silp(a, cutoff)
+        out.append(module_pool(a, samples, rng).where(lambda m: is_gorenstein_projective(m, cutoff, rep).is_yes))
+    return tuple(out)
 
 
 def _ext_adjunction(left, right, rng, top: int, name: str) -> dict:
     """dim Ext^i(left x, y) = dim Ext^i(x, right y), i <= top, for an adjoint
-    pair left -| right on three seeded random pairs (x, y)."""
-    mismatches = []
-    for _ in range(3):
-        x = random_module(left.source_algebra, rng, max_summands=2)
-        y = random_module(right.source_algebra, rng, max_summands=2)
-        lhs = ext_dims(left.apply(x).module, y, top)
-        rhs = ext_dims(x, right.apply(y).module, top)
-        mismatches += [{"degree": d, "lhs": a, "rhs": b} for d, (a, b) in enumerate(zip(lhs, rhs)) if a != b]
-    return {"check": name, "ok": not mismatches, "mismatches": mismatches}
+    pair left -| right on every pair of the module pools of their sources
+    (three seeded draws each where not certified)."""
+    xs, ys = module_pool(left.source_algebra, 3, rng), module_pool(right.source_algebra, 3, rng)
+    found = adjunction_mismatches(left, right, xs, ys, lambda x, y: ext_dims(x, y, top))
+    mismatches = [{"x": nx, "y": ny, "degree": d, "lhs": a, "rhs": b} for nx, ny, ls, rs in found for d, (a, b) in enumerate(zip(ls, rs)) if a != b]
+    return {"check": name, "ok": not mismatches, "pools": {"x": xs.to_json(), "y": ys.to_json()}, "mismatches": mismatches}
 
 
 def lemma_checks(rec: RecollementData, cutoff: int = 8, seed: int = 0, ext_top: int = 4) -> dict:

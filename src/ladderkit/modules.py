@@ -67,6 +67,9 @@ __all__ = [
     "IsoResult",
     "serialize_module",
     "random_module",
+    "indecomposables",
+    "ModulePool",
+    "module_pool",
 ]
 
 
@@ -943,3 +946,87 @@ def random_module(a: Algebra, rng: np.random.Generator, max_summands: int = 3) -
     mat = f.einsum("s,sab->ab", f.asarray(coeff), homs.matrices)
     quot, _ = quotient_module(q0, column_space_basis(mat, f).T)
     return quot
+
+
+# -- indecomposables and module pools ---------------------------------------------
+
+
+def _radical_layers(p: Module) -> Optional[list]:
+    """Column bases in P of rad P, rad^2 P, ..., 0 when each rad^k P has a simple
+    top (dim Hom to the simples sums to 1); else None, as when J is out of reach."""
+    layers, m, incl = [], p, p.field.eye(p.dim)
+    while m.dim:
+        if sum(hom_profile(m)[2]) != 1:
+            return None
+        r = radical(m)
+        incl, m = p.field.matmul(incl, r.matrix), r.source
+        layers.append(incl)
+    return layers
+
+
+def _indecomposable_data(a: Algebra) -> Optional[list]:
+    """(i, k, arrays) per simple class i and 1 <= k <= length of P_i when every
+    projective indecomposable over a and over its opposite is uniserial, else
+    None; kept on a.  The P_i/rad^k P_i are then all the indecomposables of the
+    Nakayama algebra a, each once (Auslander, Reiten & Smalo, IV.2 and VI).
+    arrays (only arrays, as for A.e_i) are the action and the cover P_i ->
+    P_i/rad^k P_i with its kernel and a section; None when rad^k P_i = 0."""
+    if "indecomposables" not in a._derived:
+        projs = projective_indecomposables(a)
+        layers = [_radical_layers(p) for p in projs]
+        data = None
+        if None not in layers and all(_radical_layers(p) is not None for p in projective_indecomposables(opposite(a))):
+            data = []
+            for i in _simple_classes(a):
+                for k, cols in enumerate(layers[i][:-1], 1):
+                    quot, proj = quotient_module(projs[i], cols.T)
+                    kernel, section = kernel_and_section(proj.matrix, a.field)
+                    for x in (kernel, section):
+                        x.setflags(write=False)
+                    data.append((i, k, (quot.action, proj.matrix, kernel, section)))
+                data.append((i, len(layers[i]), None))
+        a._derived["indecomposables"] = data
+    return a._derived["indecomposables"]
+
+
+def indecomposables(a: Algebra) -> Optional[list[Module]]:
+    """Every indecomposable over a once, when a is certified Nakayama, else
+    None: the P_i/rad^k P_i, wrapped again from the kept arrays on each call,
+    each but P_i keeping its quotient map as its cover (Hom off e_i.N)."""
+    data = _indecomposable_data(a)
+    if data is None:
+        return None
+    projs, out = projective_indecomposables(a), []
+    for i, _, arrays in data:
+        m = projs[i]
+        if arrays is not None:
+            m = Module._wrap(a, arrays[0], None, None)
+            m._cover = _Cover(projs[i], *arrays[1:])
+        out.append(m)
+    return out
+
+
+@dataclass
+class ModulePool:
+    """Labelled modules to check additive claims on.  Certified: every
+    indecomposable once, so an additive claim that holds on the pool holds
+    for every module; else seeded samples, evidence only."""
+
+    modules: dict  # label -> Module
+    certified: bool
+
+    def where(self, predicate) -> "ModulePool":
+        return ModulePool({k: m for k, m in self.modules.items() if predicate(m)}, self.certified)
+
+    def to_json(self) -> dict:
+        return {"certified": self.certified, "modules": len(self.modules)}
+
+
+def module_pool(a: Algebra, samples: int, rng: np.random.Generator) -> ModulePool:
+    """The indecomposables over a, labelled P<i>/rad^<k>, when certified;
+    else the nonzero ones of `samples` seeded random modules."""
+    found = indecomposables(a)
+    if found is not None:
+        return ModulePool({f"P{i}/rad^{k}": m for (i, k, _), m in zip(_indecomposable_data(a), found)}, True)
+    drawn = (random_module(a, rng, max_summands=2) for _ in range(samples))
+    return ModulePool({f"sample {t}": m for t, m in enumerate(drawn) if m.dim}, False)

@@ -9,12 +9,16 @@ constructions with companion constructions on maps:
     l: Le (x)_G -                       r: Hom_G(eL, -)
 
 Axioms (adjunctions, q l = 0 = p r, the two canonical four-term exact
-sequences) are verified at runtime on concrete modules.
+sequences) are verified at runtime on concrete modules: every indecomposable
+where the module pool is certified.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,12 +39,13 @@ from .modules import (
     HomBasis,
     Module,
     ModuleMap,
+    ModulePool,
     TensorData,
     cover_sequence,
     dual,
     hom_module,
     hom_space,
-    random_module,
+    module_pool,
     quotient_module,
     serialize_module,
     simples,
@@ -61,6 +66,8 @@ __all__ = [
     "unit_e_l",
     "counit_e_r",
     "verify_canonical_sequences",
+    "applied_once",
+    "adjunction_mismatches",
     "check_axioms",
     "probe_exactness",
     "torsion_class_membership",
@@ -391,42 +398,50 @@ def _canonical_sequences(rec: RecollementData, m: Module, em: FunctorValue, qm: 
     return {"status": "PASS", "module_dim": m.dim}
 
 
-def check_axioms(rec: RecollementData, samples: int, rng: np.random.Generator) -> list[dict]:
-    """The recollement axioms on `samples` seeded random trials: the canonical
-    sequences at a random L-module M; q l = 0 = p r and the isos e l = 1 = e r
-    at a random G-module N; and dim Hom(F x, y) = dim Hom(x, G y) for the
-    adjoint pairs (l, e) and (e, r), and, when S is nonzero, (q, i) and (i, p)
-    at a random S-module.  Returns one record per failed check, [] if none."""
-    fe, fq, fp, fi = rec.functor_e(), rec.functor_q(), rec.functor_p(), rec.functor_i()
+def applied_once(functor) -> SimpleNamespace:
+    """The functor with `apply` cached per module, so checks sharing a module share its value."""
+    return SimpleNamespace(apply=functools.cache(functor.apply))
+
+
+def adjunction_mismatches(left, right, xs: ModulePool, ys: ModulePool, measure) -> list[tuple]:
+    """measure(left x, y) = measure(x, right y) for an adjoint pair left -| right
+    on every pair of the two pools, each functor applied once per module.
+    Returns (x's label, y's label, lhs, rhs) for each pair where they differ."""
+    lx = {nx: left.apply(x).module for nx, x in xs.modules.items()}
+    ry = {ny: right.apply(y).module for ny, y in ys.modules.items()}
+    out = []
+    for (nx, x), (ny, y) in itertools.product(xs.modules.items(), ys.modules.items()):
+        lhs, rhs = measure(lx[nx], y), measure(x, ry[ny])
+        if lhs != rhs:
+            out.append((nx, ny, lhs, rhs))
+    return out
+
+
+def check_axioms(rec: RecollementData, samples: int, rng: np.random.Generator) -> dict:
+    """The recollement axioms on the module pools of L, G and S (`samples` seeded
+    draws each where not certified): the canonical sequences at each L-module;
+    q l = 0 = p r and e l = 1 = e r at each G-module; dim Hom(F x, y) = dim Hom(x,
+    G y) for (l, e), (e, r), (q, i) and (i, p) on every pair.  All are additive,
+    so certified pools prove them for every module.  Returns the pools' sizes
+    and a record per failed check, naming its modules."""
+    pools = {side: module_pool(a, samples, rng) for side, a in (("middle", rec.lam), ("corner", rec.gamma), ("quotient", rec.sigma))}
+    fe, fq, fp, fi, fl, fr = map(applied_once, (rec.functor_e(), rec.functor_q(), rec.functor_p(), rec.functor_i(), rec.functor_l(), rec.functor_r()))
     failures = []
-    for t in range(samples):
-        m = random_module(rec.lam, rng, max_summands=2)
-        n = random_module(rec.gamma, rng, max_summands=2)
-        em, qm, pm = fe.apply(m), fq.apply(m), fp.apply(m)
-        seq = _canonical_sequences(rec, m, em, qm, pm)
+    for label, m in pools["middle"].modules.items():
+        seq = _canonical_sequences(rec, m, fe.apply(m), fq.apply(m), fp.apply(m))
         if seq["status"] != "PASS":
-            failures.append({"trial": t, "kind": "canonical", "detail": seq})
-        unit, l_n = unit_e_l(rec, n)
-        counit, r_n = counit_e_r(rec, n)
-        ln, rn = l_n.module, r_n.module
-        if fq.apply(ln).module.dim != 0:
-            failures.append({"trial": t, "kind": "q l != 0"})
-        if fp.apply(rn).module.dim != 0:
-            failures.append({"trial": t, "kind": "p r != 0"})
-        if not unit.is_isomorphism():
-            failures.append({"trial": t, "kind": "e l not iso"})
-        if not counit.is_isomorphism():
-            failures.append({"trial": t, "kind": "e r not iso"})
-        # (name, F x, y, x, G y) for each adjoint pair F -| G
-        adjoint = [("l, e", ln, m, n, em.module), ("e, r", em.module, n, m, rn)]
-        if rec.sigma.dim:
-            s = random_module(rec.sigma, rng, max_summands=2)
-            i_s = fi.apply(s).module
-            adjoint += [("q, i", qm.module, s, m, i_s), ("i, p", i_s, m, s, pm.module)]
-        for pair, fx, y, x, gy in adjoint:
-            if len(hom_space(fx, y)) != len(hom_space(x, gy)):
-                failures.append({"trial": t, "kind": f"adjunction ({pair})"})
-    return failures
+            failures.append({"kind": "canonical", "middle": label, "detail": seq})
+    for label, n in pools["corner"].modules.items():
+        ln, rn = fl.apply(n), fr.apply(n)
+        bad = {"q l != 0": fq.apply(ln.module).module.dim, "p r != 0": fp.apply(rn.module).module.dim}
+        bad |= {"e l not iso": not unit_e_l(rec, n, ln)[0].is_isomorphism(), "e r not iso": not counit_e_r(rec, n, rn)[0].is_isomorphism()}
+        failures += [{"kind": kind, "corner": label} for kind, b in bad.items() if b]
+    adjoint = [("l, e", fl, fe, "corner", "middle"), ("e, r", fe, fr, "middle", "corner")]
+    adjoint += [("q, i", fq, fi, "middle", "quotient"), ("i, p", fi, fp, "quotient", "middle")]
+    for pair, left, right, sx, sy in adjoint:
+        found = adjunction_mismatches(left, right, pools[sx], pools[sy], lambda x, y: len(hom_space(x, y)))
+        failures += [{"kind": f"adjunction ({pair})", sx: nx, sy: ny} for nx, ny, _, _ in found]
+    return {"pools": {side: pool.to_json() for side, pool in pools.items()}, "failures": failures}
 
 
 # -- exactness probes ----------------------------------------------------------------

@@ -15,7 +15,7 @@ CRITERIA_COUNT = 10
 
 # sha256 of the seed-0 `verify-paper --json` report.  Update it only in a change
 # that alters report bytes on purpose and says so in CHANGES.md.
-SEED0_REPORT_SHA256 = "d321fa738c43721e4cb276b432ad44033aab71ef219902e041addedc22d4e5b3"
+SEED0_REPORT_SHA256 = "fc0346cfef2223a282d6959b8195b2ead5edd58e4fb9acbf72ce7be768f47ca4"
 
 
 @pytest.fixture(scope="module")
@@ -70,12 +70,27 @@ def test_criterion_4_stratifying(suite_files):
     assert d["tor_dims"][1:] == [0] * 8
 
 
+# every indecomposable of each fixture (all are Nakayama): middle, corner and
+# quotient module pools, all certified
+POOL_SIZES = {
+    "t2": (3, 1, 1),
+    "t3": (6, 1, 3),
+    "preproj-a2": (4, 1, 1),
+    "prop32-dual-numbers": (7, 2, 1),
+    "morita-square-k": (4, 1, 1),
+    "m2k": (1, 1, 0),
+    "ideal-chain": (15, 3, 4),
+}
+
+
 def test_criterion_5_axioms_all_fixtures(suite_files):
     d = _criteria(suite_files[2])[5]["details"]
     assert len(d) == 7
     for name, rec in d.items():
         assert rec["failures"] == [], name
-        assert rec["trials"] == 20
+        pools = [rec["pools"][side] for side in ("middle", "corner", "quotient")]
+        assert all(p["certified"] for p in pools), name
+        assert tuple(p["modules"] for p in pools) == POOL_SIZES[name], name
 
 
 def test_criterion_6_oracle_agreement(suite_files):
@@ -99,12 +114,19 @@ def test_criterion_8_no_failing_clauses(suite_files):
         assert all(c["status"] in ("PASS", "SKIPPED") for c in rec["clauses"])
 
 
+# pairs of Gorenstein-projective indecomposables (corner x middle) per
+# qualifying fixture; prop32-dual-numbers has l-height 1
+GP_PAIRS = {"t2": 2, "t3": 3, "preproj-a2": 4, "morita-square-k": 4, "m2k": 1, "ideal-chain": 10}
+
+
 def test_criterion_9_stable_pairs(suite_files):
     d = _criteria(suite_files[2])[9]["details"]
-    ran = [v for v in d.values() if v["status"] != "SKIPPED"]
-    assert ran, "at least one fixture must qualify"
-    for v in ran:
-        assert v["status"] == "PASS" and v["pairs"] == 10
+    ran = {name: v for name, v in d.items() if v["status"] != "SKIPPED"}
+    assert ran.keys() == GP_PAIRS.keys()
+    for name, v in ran.items():
+        assert v["status"] == "PASS" and v["pairs"] == GP_PAIRS[name], name
+        assert v["pools"]["corner"]["certified"] and v["pools"]["middle"]["certified"], name
+        assert v["pools"]["corner"]["modules"] * v["pools"]["middle"]["modules"] == v["pairs"], name
 
 
 def test_criterion_10_determinism_from_cli(suite_files):

@@ -18,7 +18,7 @@ from ladderkit.fixtures import fixture_names, load_fixture, parse_idempotent
 from ladderkit.homological import (
     Bound,
     ext_dim,
-    gorenstein_projective_pairs,
+    gorenstein_projective_pools,
     ext_dims,
     injective_dimension,
     is_gorenstein_injective,
@@ -340,7 +340,8 @@ def test_harness_reads_one_gorenstein_report_per_algebra(monkeypatch):
     preservation_harness(rec, rep, samples=3, seed=0, cutoff=8)
     assert calls == [rec.lam, rec.gamma]
     calls.clear()
-    assert gorenstein_projective_pairs(rec, 8, 0, want=2, budget=20)
+    xs, ys = gorenstein_projective_pools(rec, 8, 20, 0)
+    assert xs.modules and ys.modules
     assert calls == [rec.gamma, rec.lam]
 
 

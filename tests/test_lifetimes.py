@@ -13,8 +13,18 @@ from ladderkit.fixtures import load_fixture, parse_idempotent
 from ladderkit.homological import is_stratifying, spli_silp
 from ladderkit.ladder import ladder_report
 from ladderkit.linalg import Field
-from ladderkit.modules import cover_sequence, hom_space, projective_cover, projective_indecomposables, regular_module, simples
-from ladderkit.recollement import build_recollement
+from ladderkit.modules import (
+    Module,
+    cover_sequence,
+    hom_space,
+    indecomposables,
+    module_pool,
+    projective_cover,
+    projective_indecomposables,
+    regular_module,
+    simples,
+)
+from ladderkit.recollement import build_recollement, check_axioms
 from ladderkit.verify import RECOLLEMENT_FIXTURES
 
 F = Field(101)
@@ -85,3 +95,22 @@ def test_module_with_kept_cover_dies_without_collector(gc_off):
     refs = [weakref.ref(m), weakref.ref(cover)]
     del m, cover, surj, hb
     assert [r() for r in refs] == [None, None]
+
+
+@pytest.mark.parametrize("name", ["t3", "ideal-chain"])
+def test_module_pool_dies_without_collector(name, gc_off):
+    # the algebra keeps the pool as arrays; each call wraps them again, and
+    # a wrapped module keeps its cover, never a map pointing back to it
+    alg, default_e = load_fixture(name, F)
+    rec = build_recollement(alg, parse_idempotent(alg, default_e))
+    assert check_axioms(rec, 2, np.random.default_rng(0))["failures"] == []
+    pool = module_pool(alg, 2, np.random.default_rng(0))
+    mods = list(pool.modules.values())
+    reg = regular_module(alg)
+    hb = [hom_space(m, reg) for m in mods]  # the kept-cover path
+    kept = alg._derived["indecomposables"]
+    assert len(kept) == len(mods) and not any(isinstance(v, Module) for _, _, arrays in kept for v in arrays or ())
+    assert [m.action is n.action for m, n in zip(mods, indecomposables(alg))] == [True] * len(mods)
+    refs = [weakref.ref(x) for x in (alg, rec.gamma, rec.sigma, *mods)]
+    del alg, rec, pool, mods, reg, hb, kept
+    assert [r() for r in refs] == [None] * len(refs)

@@ -350,20 +350,20 @@ def test_carrier_hom_dimension_vector_space_duality():
 
 @pytest.mark.parametrize("name", RECOLLEMENT_FIXTURES)
 def test_check_axioms_pass_on_fixtures(name):
-    assert check_axioms(rec_for(name), 4, np.random.default_rng(0)) == []
+    assert check_axioms(rec_for(name), 4, np.random.default_rng(0))["failures"] == []
 
 
 def test_check_axioms_detects_broken_unit():
     # with e's coordinates in Le zeroed, the unit N -> e l N is the zero map
     rec = rec_for("t2")
     broken = dataclasses.replace(rec, e_in_lambda_e=F.zeros(*rec.e_in_lambda_e.shape))
-    failures = check_axioms(broken, 4, np.random.default_rng(0))
+    failures = check_axioms(broken, 4, np.random.default_rng(0))["failures"]
     assert {f["kind"] for f in failures} == {"e l not iso"}
 
 
 def test_check_axioms_applies_each_functor_once_per_module(monkeypatch):
-    # per trial: e at M, l(N) and r(N); q at M and l(N); p at M and r(N);
-    # i at q(M), p(M) and a random S-module
+    # e at each L-module M of the pool and at l(N) and r(N) for each G-module
+    # N; q at M and l(N); p at M and r(N); i at q(M), p(M) and each S-module
     from ladderkit.recollement import SubquotientFunctor
 
     rec = rec_for("t2")
@@ -377,8 +377,11 @@ def test_check_axioms_applies_each_functor_once_per_module(monkeypatch):
         return apply(self, m)
 
     monkeypatch.setattr(SubquotientFunctor, "apply", counting_apply)
-    assert check_axioms(rec, 20, np.random.default_rng(0)) == []
-    assert calls == {"e": 60, "q": 40, "p": 40, "i": 60}
+    res = check_axioms(rec, 20, np.random.default_rng(0))
+    assert res["failures"] == []
+    m, n, s = (res["pools"][side]["modules"] for side in ("middle", "corner", "quotient"))
+    assert (m, n, s) == (3, 1, 1)
+    assert calls == {"e": m + 2 * n, "q": m + n, "p": m + n, "i": 2 * m + s} == {"e": 5, "q": 4, "p": 4, "i": 7}
 
 
 def test_exact_at_needs_zero_composite_as_well_as_ranks():
