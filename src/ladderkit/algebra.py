@@ -84,11 +84,11 @@ class Algebra:
         self.right_mult = np.ascontiguousarray(self.mult.transpose(1, 2, 0))
         self.mult.setflags(write=False)
         self.unit.setflags(write=False)
-        self._generators = None
-        self._extra_generators = None
         # the opposite this algebra built, or a weakref to the algebra it is the opposite of
         self._opposite = None
-        # data the module layer derives once per algebra (projectives, radical)
+        # what A and A^op share (generators, radical rows, simple classes), one dict for both
+        self._shared: dict = {}
+        # data derived once for this algebra alone (projectives, pools, Gorenstein reports)
         self._derived: dict = {}
         if _validate:
             self._validate()
@@ -174,47 +174,34 @@ class Algebra:
     # -- generators (used to shrink intertwiner systems) -------------------
 
     def generators(self) -> np.ndarray:
-        """A small generating set (as rows), found greedily.
-
-        Starts from the unit and the distinguished idempotents and adds basis
-        vectors until the generated subalgebra is everything.  Generators are
-        equivalent to the full basis for intertwining conditions.
-        """
-        if self._generators is not None:
-            return self._generators
-        f = self.field
-        if self.dim == 0:
-            self._generators = f.zeros(0, 0)
-            return self._generators
-        gens = [self.unit] + list(self.prim_idempotents)
-        span = self._subalgebra_span(gens)
-        for t in range(self.dim):
-            if span.shape[0] == self.dim:
-                break
-            v = f.zeros(self.dim)
-            v[t] = f.one
-            if in_span(span, v, f):
-                continue
-            gens.append(v)
+        """A small generating set (as rows): the unit, the distinguished
+        idempotents, then basis vectors added greedily until the generated
+        subalgebra is everything.  Generators are equivalent to the full basis
+        for intertwining conditions.  The same elements generate the opposite,
+        so the set is kept in the store shared with it."""
+        if "generators" not in self._shared:
+            f = self.field
+            gens = [self.unit, *self.prim_idempotents] if self.dim else []
             span = self._subalgebra_span(gens)
-        if span.shape[0] != self.dim:
-            raise AlgebraError("generator search failed to exhaust the algebra")
-        self._generators = f.asarray(np.stack(gens)) if gens else f.zeros(0, self.dim)
-        return self._generators
+            for t in range(self.dim):
+                if span.shape[0] == self.dim:
+                    break
+                v = f.zeros(self.dim)
+                v[t] = f.one
+                if not in_span(span, v, f):
+                    gens.append(v)
+                    span = self._subalgebra_span(gens)
+            if span.shape[0] != self.dim:
+                raise AlgebraError("generator search failed to exhaust the algebra")
+            self._shared["generators"] = f.asarray(np.stack(gens)) if gens else f.zeros(0, self.dim)
+        return self._shared["generators"]
 
     def generators_beyond_idempotents(self) -> np.ndarray:
-        """The generators (rows) outside the span of the distinguished
+        """The generators (rows) after the unit and the distinguished
         idempotents.  A linear map that commutes with every e_i commutes with
         their whole span, unit included, so intertwining conditions need only
         these."""
-        if self._extra_generators is None:
-            f = self.field
-            gens = self.generators()
-            if self.prim_idempotents:
-                r = rref(np.stack(self.prim_idempotents), f)
-                gens = [g for g in gens if not in_span(r.matrix[: r.rank], g, f)]
-            self._extra_generators = f.asarray(np.stack(gens)) if len(gens) else f.zeros(0, self.dim)
-        return self._extra_generators
+        return self.generators()[1 + len(self.prim_idempotents) :]
 
     def _subalgebra_span(self, gens) -> np.ndarray:
         """Reduced row basis of the subalgebra generated by gens (the unit
@@ -401,14 +388,14 @@ def opposite(a: Algebra) -> Algebra:
 
     Built once per algebra, which keeps it; the opposite links back by a weak
     reference, so opposite(opposite(a)) is a while a is alive and neither
-    keeps the other in a reference cycle.
+    keeps the other in a reference cycle.  Both read one shared store.
     """
     op = a._opposite
     if isinstance(op, weakref.ref):
         op = op()
     if op is None:
         op = Algebra(a.field, a.mult.transpose(1, 0, 2), a.unit, a.prim_idempotents, a.labels, _validate=False)
-        op._generators = a._generators
+        op._shared = a._shared
         op._opposite = weakref.ref(a)
         a._opposite = op
     return op
@@ -429,10 +416,11 @@ def _product_algebra(a: Algebra, b: Algebra, op_right: bool) -> Algebra:
     idems = [f.normalize(np.kron(ea, eb)) for ea in a.prim_idempotents for eb in b.prim_idempotents]
     prod = Algebra(f, _product_constants(a, b, op_right), unit, idems, _validate=False)
     if a.dim and b.dim:
-        # A (x) 1 and 1 (x) B generate the product, so generator sets combine
-        gens = [f.normalize(np.kron(g, b.unit)) for g in a.generators()]
-        gens += [f.normalize(np.kron(a.unit, g)) for g in b.generators()]
-        prod._generators = f.asarray(np.stack(gens))
+        # the e (x) f sum to e (x) 1 and 1 (x) f, so with g (x) 1 and 1 (x) g for
+        # the further generators g of A and B they generate A (x) 1 and 1 (x) B
+        rest = [np.kron(g, b.unit) for g in a.generators_beyond_idempotents()]
+        rest += [np.kron(a.unit, g) for g in b.generators_beyond_idempotents()]
+        prod._shared["generators"] = f.asarray(np.stack([unit, *idems, *(f.normalize(g) for g in rest)]))
     return prod
 
 
@@ -538,7 +526,7 @@ def quotient_by_idempotent_ideal(a: Algebra, e: Idempotent) -> tuple[Algebra, Qu
 # -- block matrix algebras ---------------------------------------------------
 
 
-def _block_matrix_algebra(base: Algebra, entry_bases, labels_prefix="E") -> Algebra:
+def _block_matrix_algebra(base: Algebra, entry_bases) -> Algebra:
     """n x n matrix algebra whose (i, j) entry is a given subspace of base.
 
     entry_bases[i][j] is a (dim_base, k_ij) column-basis array (k_ij may be 0).
@@ -603,7 +591,7 @@ def _block_matrix_algebra(base: Algebra, entry_bases, labels_prefix="E") -> Alge
     labels = []
     for (i, j, b) in blocks:
         for t in range(b.shape[1]):
-            labels.append(f"{labels_prefix}[{i + 1},{j + 1}]:{t}")
+            labels.append(f"E[{i + 1},{j + 1}]:{t}")
     return Algebra(f, c, unit, idems, labels=labels)
 
 

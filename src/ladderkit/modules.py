@@ -1,9 +1,9 @@
 """Finite-dimensional modules, bimodules, Hom spaces, covers and resolutions.
 
 A left module is one action matrix per algebra basis element.  A bimodule
-stores its two one-sided actions; the left module over the enveloping algebra
-A (x) B^op (fixed Kronecker order) is only materialized when two bimodules
-must be compared, so large enveloping algebras never arise implicitly.
+stores its two one-sided actions; its left module over the enveloping algebra
+A (x) B^op the caller passes in is only materialized when two bimodules must
+be compared, so large enveloping algebras never arise implicitly.
 Everything reduces to exact linear algebra.  Hom spaces come back in one
 canonical basis, read off e_i.N out of a sum of projectives or a kept cover,
 else solved on the blocks e_j.N x e_i.M cut out by the idempotents; tensor
@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraError, FieldRestrictionError, enveloping, ground_field_algebra, opposite
+from .algebra import Algebra, AlgebraError, FieldRestrictionError, ground_field_algebra, opposite
 from .linalg import (
     Field,
     block_diag,
@@ -216,7 +216,6 @@ class Bimodule:
         self.left_action = f.asarray(left_action)
         self.right_action = f.asarray(right_action)
         self.dim = self.left_action.shape[1] if left.dim else self.right_action.shape[1]
-        self._env: Optional[Algebra] = None
         self._env_module: Optional[Module] = None
         if _validate:
             Module(left, self.left_action)
@@ -245,13 +244,9 @@ class Bimodule:
         """The same space as a (B^op, A^op)-bimodule; pure data swap."""
         return Bimodule(opposite(self.right), opposite(self.left), self.right_action, self.left_action, _validate=False)
 
-    def env_module(self, env: Optional[Algebra] = None) -> Module:
-        """The left module over A (x) B^op; env may be supplied to share one
-        algebra object across many bimodules."""
-        if env is None:
-            if self._env is None:
-                self._env = enveloping(self.left, self.right)
-            env = self._env
+    def env_module(self, env: Algebra) -> Module:
+        """The left module over env = A (x) B^op, one algebra object shared
+        across many bimodules."""
         if self._env_module is None or not self._env_module.algebra.same_as(env):
             f = self.field
             act = f.einsum("iab,jbc->ijac", self.left_action, self.right_action)
@@ -450,20 +445,20 @@ class HomBasis:
 
 def algebra_radical_rows(a: Algebra) -> np.ndarray:
     """Row basis of the Jacobson radical via the trace form of the regular
-    representation; exact for char 0 or p > dim.  Computed once per algebra
-    and returned read-only."""
+    representation; exact for char 0 or p > dim.  Read-only, computed once
+    and shared with the opposite: J(A) = J(A^op), and so is its rref basis."""
     f = a.field
     if f.is_prime_field and f.p <= a.dim:
         raise FieldRestrictionError(f"trace-form radical needs p > dim ({f.p} <= {a.dim})")
-    if "radical_rows" not in a._derived:
+    if "radical_rows" not in a._shared:
         if a.dim == 0:
             rows = f.zeros(0, 0)
         else:
             t = f.einsum("iab,jba->ij", a.left_mult, a.left_mult)
             rows = np.ascontiguousarray(kernel_basis(t, f).T)
         rows.setflags(write=False)
-        a._derived["radical_rows"] = rows
-    return a._derived["radical_rows"]
+        a._shared["radical_rows"] = rows
+    return a._shared["radical_rows"]
 
 
 def _radical_action(m: Module) -> tuple[np.ndarray, np.ndarray]:
@@ -540,17 +535,17 @@ def simples_by_idempotent(a: Algebra) -> list[Module]:
 
 
 def _simple_classes(a: Algebra, tops: Optional[list] = None) -> tuple:
-    """Indices i, one per class of isomorphic tops S_i = top(A.e_i), kept on
-    the algebra as ints.  S_i ~ S_j exactly when e_i acts nontrivially on
-    S_j, so the first index of each class is chosen deterministically."""
-    if "simple_classes" not in a._derived:
+    """Indices i, one per class of isomorphic tops S_i = top(A.e_i), shared
+    with the opposite as ints.  S_i ~ S_j exactly when e_i acts nontrivially
+    on S_j, so the first index of each class is chosen deterministically."""
+    if "simple_classes" not in a._shared:
         tops = simples_by_idempotent(a) if tops is None else tops
         chosen: list[int] = []
         for i, (s, e_i) in enumerate(zip(tops, a.prim_idempotents)):
             if not any(tops[j].dim == s.dim and rank(tops[j].act_vector(e_i), a.field) > 0 for j in chosen):
                 chosen.append(i)
-        a._derived["simple_classes"] = tuple(chosen)
-    return a._derived["simple_classes"]
+        a._shared["simple_classes"] = tuple(chosen)
+    return a._shared["simple_classes"]
 
 
 def simples(a: Algebra) -> list[Module]:
@@ -877,7 +872,10 @@ def hom_profile(m: Module) -> tuple:
     return m._profile
 
 
-def is_isomorphic(m: Module, n: Module, trials: int = 64, seed: int = 0) -> IsoResult:
+_ISO_TRIALS = 64  # random combinations of a Hom basis tried before "probably_no"
+
+
+def is_isomorphic(m: Module, n: Module, seed: int = 0) -> IsoResult:
     """Randomized isomorphism test with deterministic No certificates.
 
     No when dimensions or Hom profiles against the simples differ (ranks of
@@ -901,7 +899,7 @@ def is_isomorphic(m: Module, n: Module, trials: int = 64, seed: int = 0) -> IsoR
         if rref(mat, f).rank == m.dim:
             return IsoResult("yes", witness=basis.map(s))
     rng = np.random.default_rng(seed)
-    for t in range(trials):
+    for t in range(_ISO_TRIALS):
         if f.is_prime_field:
             coeff = f.asarray(rng.integers(0, f.p, size=len(basis)))
         else:
@@ -909,12 +907,12 @@ def is_isomorphic(m: Module, n: Module, trials: int = 64, seed: int = 0) -> IsoR
         cand = f.einsum("s,sab->ab", coeff, basis.matrices)
         if rref(cand, f).rank == m.dim:
             return IsoResult("yes", witness=ModuleMap(m, n, cand, _validate=False), trials=t + 1)
-    return IsoResult("probably_no", trials=trials)
+    return IsoResult("probably_no", trials=_ISO_TRIALS)
 
 
-def bimodules_isomorphic(m: Bimodule, n: Bimodule, env: Optional[Algebra] = None, trials: int = 64, seed: int = 0) -> IsoResult:
-    """Isomorphism of bimodules = isomorphism over the enveloping algebra."""
-    return is_isomorphic(m.env_module(env), n.env_module(env), trials=trials, seed=seed)
+def bimodules_isomorphic(m: Bimodule, n: Bimodule, env: Algebra, seed: int = 0) -> IsoResult:
+    """Isomorphism of bimodules = isomorphism over the enveloping algebra env."""
+    return is_isomorphic(m.env_module(env), n.env_module(env), seed=seed)
 
 
 # -- serialization -----------------------------------------------------------------

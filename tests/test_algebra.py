@@ -23,6 +23,7 @@ from ladderkit.algebra import (
 )
 from ladderkit.fixtures import load_fixture, parse_idempotent
 from ladderkit.linalg import DIM_BOUND, Field, in_span, rref, solve
+from ladderkit.modules import _simple_classes, algebra_radical_rows
 from ladderkit.verify import RECOLLEMENT_FIXTURES
 
 F = Field(101)
@@ -374,8 +375,8 @@ def _closure_corpus(field, max_dim):
     """The fixtures, t_2..t_8, three cyclic and one linear Nakayama algebra and
     k[x,y]/(x,y)^2, with their opposites, two corners each and enveloping
     algebras, of dimension at most max_dim.  Pairs (algebra, searched):
-    tensor products (enveloping algebras, the Morita square and its
-    opposite) are handed their factors' generators, the rest search."""
+    tensor products (enveloping algebras, the Morita square) are handed
+    their factors' generators, opposites share them, the rest search."""
     k = ground_field_algebra(field)
     # (dimension, builder): only what fits within max_dim is built
     builders = [(_FIXTURE_DIMS[name], lambda name=name: load_fixture(name, field)[0]) for name in RECOLLEMENT_FIXTURES]
@@ -397,8 +398,9 @@ def _closure_corpus(field, max_dim):
         if len(a.prim_idempotents) > 1:
             idems.append(field.normalize(a.unit - a.prim_idempotents[0]))
         corners = [corner(a, Idempotent(a, e))[0] for e in idems]
-        # flags first: building a product computes its factors' generators
-        out += [(x, x._generators is None) for x in [a, opposite(a), *corners]]
+        # flags first: building a product computes its factors' generators;
+        # the opposite reads its partner's from the store they share
+        out += [(x, "generators" not in x._shared) for x in [a, *corners]] + [(opposite(a), False)]
         out += [(enveloping(c, a), False) for c in corners if c.dim * a.dim <= max_dim]
         if a.dim * a.dim <= max_dim:
             out.append((enveloping(a, a), False))
@@ -420,6 +422,52 @@ def test_generator_closure_matches_pairwise_squaring(field, max_dim):
             got = alg._subalgebra_span(list(sub))
             assert np.array_equal(got, _subalgebra_span_reference(alg, list(sub))), (alg, len(sub))
     assert sum(searched for _, searched in algebras) > 30
+
+
+def _beyond_idempotents_reference(alg):
+    """The filter generators_beyond_idempotents used before it became a
+    slice: the generators outside the span of the distinguished idempotents."""
+    f = alg.field
+    gens = alg.generators()
+    if alg.prim_idempotents:
+        r = rref(np.stack(alg.prim_idempotents), f)
+        gens = [g for g in gens if not in_span(r.matrix[: r.rank], g, f)]
+    return f.asarray(np.stack(gens)) if len(gens) else f.zeros(0, alg.dim)
+
+
+@pytest.mark.parametrize("field, max_dim", [(Field(101), 66), (Field(None), 12)], ids=["F101", "Q"])
+def test_generators_beyond_idempotents_match_the_span_filter(field, max_dim):
+    algebras = _closure_corpus(field, max_dim)
+    assert any(not searched for _, searched in algebras)  # products and opposites included
+    for alg, _ in algebras:
+        got, want = alg.generators_beyond_idempotents(), _beyond_idempotents_reference(alg)
+        assert got.shape == want.shape and np.array_equal(got, want), alg
+        assert np.array_equal(alg.generators()[: 1 + len(alg.prim_idempotents)], np.stack([alg.unit, *alg.prim_idempotents]))
+
+
+_STORE_CASES = {
+    "t3": lambda: load_fixture("t3", F)[0],
+    "morita-square-k": lambda: load_fixture("morita-square-k", F)[0],
+    "enveloping": lambda: enveloping(load_fixture("t2", F)[0], load_fixture("t3", F)[0]),
+}
+
+
+@pytest.mark.parametrize("opposite_first", [True, False], ids=["opposite-first", "opposite-after"])
+@pytest.mark.parametrize("name", sorted(_STORE_CASES))
+def test_opposite_shares_generators_radical_and_simple_classes(name, opposite_first):
+    a = _STORE_CASES[name]()
+    op = opposite(a) if opposite_first else None
+    derived = [a.generators(), algebra_radical_rows(a), _simple_classes(a)]
+    op = op or opposite(a)
+    assert op.generators() is derived[0]
+    assert algebra_radical_rows(op) is derived[1]
+    assert _simple_classes(op) is derived[2]
+    # what the opposite would derive on its own: the same radical rows and
+    # simple classes, and the shared generators generate it
+    alone = Algebra(F, op.mult, op.unit, op.prim_idempotents, _validate=False)
+    assert np.array_equal(algebra_radical_rows(alone), derived[1])
+    assert _simple_classes(alone) == derived[2]
+    assert alone._subalgebra_span(list(derived[0])).shape[0] == a.dim
 
 
 @pytest.mark.parametrize("name", RECOLLEMENT_FIXTURES)

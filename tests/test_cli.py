@@ -97,6 +97,8 @@ LADDER_SHA256 = {
     "t2": "5e9de38bfbf90175cab852fdd02d6e3320a6e3501ebdeac94de878e6546add12",
     "preproj-a2": "c2b76497cb6c36b181a8f1f5d6a57ba19d1783d30444e5bbef9c89612c7baf8b",
     "prop32-dual-numbers": "4c30c409111fb09ebff477d3ec9d9312449df8a8ba8ec41b4ef459613b8ad703",
+    # a tensor product, whose generators are built from its factors'
+    "morita-square-k": "c2b76497cb6c36b181a8f1f5d6a57ba19d1783d30444e5bbef9c89612c7baf8b",
 }
 
 

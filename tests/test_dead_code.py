@@ -3,8 +3,9 @@
 Every module-level private function or class must be referred to somewhere
 in src/ outside its own definition, every name a module lists in a
 literal __all__ must be bound at its top level and read outside its own
-definition (in src/, tests/, demos/ or ladderbench/), and every parameter of
-every function (other than self/cls) must be read in its body.
+definition (in src/, tests/, demos/ or ladderbench/), every parameter of
+every function (other than self/cls) must be read in its body, and every
+defaulted parameter must be set by some call.
 """
 
 import ast
@@ -120,3 +121,49 @@ def test_parameters_are_used():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 unread += [f"{fname}:{node.name}({p})" for p in _unread_parameters(node)]
     assert unread == []
+
+
+def _callees() -> list:
+    """(name a call uses, function) for every function in src/: a function
+    or method under its own name, an __init__ under its class's name."""
+    out = []
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                out += [(node.name, f) for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name != "__init__":
+                out.append((node.name, node))
+    return out
+
+
+def _set_by(call: ast.Call, fn) -> set:
+    """The parameters of fn that a call sets, by position or by keyword; a
+    keyword passed a variable of its own name (trials=trials) only passes
+    the caller's parameter on and sets nothing."""
+    positional = [p.arg for p in (*fn.args.posonlyargs, *fn.args.args)]
+    if positional[:1] in (["self"], ["cls"]):
+        positional = positional[1:]
+    ahead = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)), len(call.args))
+    by_keyword = {kw.arg for kw in call.keywords if kw.arg is not None and not (isinstance(kw.value, ast.Name) and kw.value.id == kw.arg)}
+    return {*positional[:ahead], *by_keyword}
+
+
+def test_options_are_set_by_some_call():
+    """Every defaulted parameter of a function in src/ is set by some call in
+    src/, tests/, demos/ or ladderbench/; one that never is takes one value
+    only and belongs in the body as a constant."""
+    callees = _callees()
+    calls: dict = {}
+    for tree in [*TREES.values(), *USERS.values()]:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute)):
+                calls.setdefault(call.func.id if isinstance(call.func, ast.Name) else call.func.attr, []).append(call)
+    unset = []
+    for name, fn in callees:
+        args = fn.args
+        positional = [*args.posonlyargs, *args.args]
+        defaulted = [p.arg for p in positional[len(positional) - len(args.defaults) :]]
+        defaulted += [p.arg for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        set_somewhere = set().union(*(_set_by(call, fn) for call in calls.get(name, [])))
+        unset += [f"{name}({p})" for p in defaulted if p not in set_somewhere]
+    assert unset == []

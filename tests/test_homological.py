@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,7 @@ from ladderkit.algebra import (
 from ladderkit.fixtures import fixture_names, load_fixture, parse_idempotent
 from ladderkit.homological import (
     Bound,
+    GPVerdict,
     ext_dim,
     gorenstein_projective_pools,
     ext_dims,
@@ -35,9 +34,12 @@ from ladderkit.homological import (
 )
 from ladderkit.ladder import ladder_report
 from ladderkit.recollement import build_recollement as _br
-from ladderkit.linalg import Field, kernel_basis
+from ladderkit.linalg import Field, kernel_basis, rref
 from ladderkit.modules import (
     dual,
+    hom_into_regular,
+    hom_space,
+    indecomposables,
     is_isomorphic,
     projective_cover,
     projective_indecomposables,
@@ -45,6 +47,7 @@ from ladderkit.modules import (
     regular_module,
     simples,
     submodule,
+    zero_module,
 )
 from ladderkit.recollement import HomFunctor, SubquotientFunctor, TensorFunctor, build_recollement
 from ladderkit.verify import RECOLLEMENT_FIXTURES
@@ -239,28 +242,25 @@ def test_relative_gldim():
 
 def test_gp_projectives_always_yes():
     t2 = build_triangular(K, 2)
-    rep = spli_silp(t2, 8)
     for p in projective_indecomposables(t2):
-        v = is_gorenstein_projective(p, 8, ambient=rep)
+        v = is_gorenstein_projective(p, 8)
         assert v.is_yes and not v.qualified
 
 
 def test_gp_over_self_injective_everything():
     pp = preprojective_a2(F)
-    rep = spli_silp(pp, 8)
     rng = np.random.default_rng(3)
     for s in simples(pp):
-        assert is_gorenstein_projective(s, 8, ambient=rep).is_yes
+        assert is_gorenstein_projective(s, 8).is_yes
     m = random_module(pp, rng)
-    assert is_gorenstein_projective(m, 8, ambient=rep).is_yes
-    assert is_gorenstein_injective(m, 8, ambient_op=spli_silp(opposite(pp), 8)).is_yes
+    assert is_gorenstein_projective(m, 8).is_yes
+    assert is_gorenstein_injective(m, 8).is_yes
 
 
 def test_gp_simple_over_t2_no():
     t2 = build_triangular(K, 2)
-    rep = spli_silp(t2, 8)
     s1 = simples(t2)[0]
-    v = is_gorenstein_projective(s1, 8, ambient=rep)
+    v = is_gorenstein_projective(s1, 8)
     assert not v.is_yes
     assert "Ext^1" in v.reason
     # subsumption: a GP module has vanishing Ext against the regular module
@@ -269,12 +269,19 @@ def test_gp_simple_over_t2_no():
 
 
 def test_gp_cutoff_qualification():
+    # the dual numbers are certified Gorenstein (self-injective): exact verdict
     dn = dual_numbers_algebra(F)
-    s = simples(dn)[0]
-    # without an ambient certificate the verdict is cutoff-qualified
-    assert is_gorenstein_projective(s, 6).qualified
-    rep = spli_silp(dn, 6)
-    assert not is_gorenstein_projective(s, 6, ambient=rep).qualified
+    assert not is_gorenstein_projective(simples(dn)[0], 6).qualified
+    # the middle algebra of prop32-dual-numbers is not certified within the
+    # cutoff, so a yes there is cutoff-qualified
+    lam = rec_for("prop32-dual-numbers").lam
+    assert spli_silp(lam, 8).describe() == "Unknown(cutoff=8)"
+    v = is_gorenstein_projective(projective_indecomposables(lam)[0], 8)
+    assert v.is_yes and v.qualified
+    # a zero module is an exact yes before any report is read
+    fresh = rec_for("prop32-dual-numbers").lam
+    assert is_gorenstein_projective(zero_module(fresh), 8) == GPVerdict("yes", False, 8)
+    assert ("gorenstein", 8) not in fresh._derived
 
 
 # -- stable Hom -------------------------------------------------------------------
@@ -328,21 +335,45 @@ def test_harness_self_injective_runs_all_clauses():
 def test_harness_reads_one_gorenstein_report_per_algebra(monkeypatch):
     import ladderkit.homological as hom
 
-    calls = []
+    built = []
 
-    def counted(a, cutoff=8):
-        calls.append(a)
-        return spli_silp(a, cutoff)
+    def counted(a, cutoff, _build=hom._gorenstein_report):
+        built.append(a)
+        return _build(a, cutoff)
 
-    monkeypatch.setattr(hom, "spli_silp", counted)
+    monkeypatch.setattr(hom, "_gorenstein_report", counted)
     rec = rec_for("preproj-a2")
     rep = ladder_report(rec, 12, 0)
     preservation_harness(rec, rep, samples=3, seed=0, cutoff=8)
-    assert calls == [rec.lam, rec.gamma]
-    calls.clear()
+    assert built == [rec.lam, rec.gamma]  # the GP and GI tests read these, and their swaps on the opposites
+    built.clear()
     xs, ys = gorenstein_projective_pools(rec, 8, 20, 0)
-    assert xs.modules and ys.modules
-    assert calls == [rec.gamma, rec.lam]
+    assert xs.modules and ys.modules and built == []
+    fresh = rec_for("preproj-a2")
+    gorenstein_projective_pools(fresh, 8, 20, 0)
+    assert built == [fresh.gamma, fresh.lam]
+
+
+def test_harness_classifies_only_the_pools_met_clauses_read(monkeypatch):
+    """On prop32-dual-numbers (l-height 1) the met clauses read only the
+    middle algebra's GP list, so no corner pool module is classified."""
+    import ladderkit.homological as hom
+
+    tested = []
+    for fn in ("is_gorenstein_projective", "is_gorenstein_injective"):
+
+        def counted(m, *args, _test=getattr(hom, fn), **kwargs):
+            tested.append(m)
+            return _test(m, *args, **kwargs)
+
+        monkeypatch.setattr(hom, fn, counted)
+    rec = rec_for("prop32-dual-numbers")
+    res = preservation_harness(rec, ladder_report(rec, 12, 0), samples=3, seed=0, cutoff=8)
+    assert res["status"] == "PASS" and res["pools"]["corner"]["certified"]
+    corner_pool = [m.action for m in indecomposables(rec.gamma)]
+    middle_pool = [m.action for m in indecomposables(rec.lam)]
+    assert corner_pool and not any(m.action is x for m in tested for x in corner_pool)
+    assert any(m.action is x for m in tested for x in middle_pool)
 
 
 @pytest.mark.parametrize("name", ["preproj-a2", "t2"])
@@ -364,6 +395,28 @@ def test_harness_applies_each_functor_once_per_module(monkeypatch, name):
     assert keys and len(set(keys)) == len(keys)
 
 
+def _gp_full(m, cutoff):
+    """The full Gorenstein-projectivity test, which reads no report: Ext^1 ..
+    Ext^cutoff against the regular module on both sides, and biduality.
+    Returns (status, reason)."""
+    f = m.field
+    exts = ext_dims(m, regular_module(m.algebra), cutoff)
+    for i in range(1, cutoff + 1):
+        if exts[i] != 0:
+            return "no", f"Ext^{i}(M, algebra) has dimension {exts[i]}"
+    mt, hb1 = hom_into_regular(m)
+    reg_op = regular_module(mt.algebra)
+    exts_t = ext_dims(mt, reg_op, cutoff)
+    for i in range(1, cutoff + 1):
+        if exts_t[i] != 0:
+            return "no", f"Ext^{i}(transpose dual, opposite algebra) nonzero"
+    hb2 = hom_space(mt, reg_op)
+    bidual = hb2.coords(hb1.matrices.transpose(2, 1, 0), f).T
+    if not (len(hb2) == m.dim and rref(bidual, f).rank == m.dim):
+        return "no", "biduality map is not an isomorphism"
+    return "yes", None
+
+
 def _syzygy(m):
     cover, surj = projective_cover(m)
     return submodule(cover, kernel_basis(surj.matrix, m.field))[0]
@@ -371,8 +424,10 @@ def _syzygy(m):
 
 @pytest.mark.parametrize("name", RECOLLEMENT_FIXTURES)
 def test_ambient_only_qualifies_the_gp_verdict(name):
-    """The kept report's shortcut (Ext up to the G-dimension only) against
-    the full test, for GP and GI over both algebras and their opposites."""
+    """The GP and GI tests, which read the ambient algebra's kept report
+    (Ext up to the G-dimension only where it is certified), against the full
+    test, over both algebras and their opposites: the report changes only
+    whether a yes is cutoff-qualified."""
     for field in (F, Field(None)):
         alg, default_e = load_fixture(name, field)
         rec = build_recollement(alg, parse_idempotent(alg, default_e))
@@ -380,8 +435,7 @@ def test_ambient_only_qualifies_the_gp_verdict(name):
         for a in (rec.lam, rec.gamma, opposite(rec.lam), opposite(rec.gamma)):
             if field.p is None and a.dim > 12:
                 continue  # ideal-chain's 22-dim middle costs about a minute over Q; F_101 covers it
-            rep, rep_op = spli_silp(a, 8), spli_silp(opposite(a), 8)
-            certified = rep.gorenstein == "yes"
+            certified, certified_op = (spli_silp(x, 8).gorenstein == "yes" for x in (a, opposite(a)))
             omegas = [_syzygy(s) for s in simples(a)]
             pool = (
                 projective_indecomposables(a)
@@ -391,12 +445,12 @@ def test_ambient_only_qualifies_the_gp_verdict(name):
                 + [random_module(a, rng, max_summands=2) for _ in range(5)]
             )
             for m in pool:
-                for full, short in (
-                    (is_gorenstein_projective(m, 8), is_gorenstein_projective(m, 8, ambient=rep)),
-                    (is_gorenstein_injective(m, 8), is_gorenstein_injective(m, 8, ambient_op=rep_op)),
+                for full, short, cert in (
+                    (_gp_full(m, 8), is_gorenstein_projective(m, 8), certified),
+                    (_gp_full(dual(m), 8), is_gorenstein_injective(m, 8), certified_op),
                 ):
-                    assert (full.status, full.reason) == (short.status, short.reason), (name, field, m.dim)
-                    assert short.qualified == (not certified and short.is_yes), (name, field, m.dim)
+                    assert full == (short.status, short.reason), (name, field, m.dim)
+                    assert short.qualified == (not cert and short.is_yes and m.dim > 0), (name, field, m.dim)
 
 
 def _count_engine_calls(monkeypatch):
@@ -420,25 +474,14 @@ def _count_engine_calls(monkeypatch):
 
 def test_certified_self_injective_gp_test_solves_nothing(monkeypatch):
     pp = preprojective_a2(F)
-    rep, rep_op = spli_silp(pp, 8), spli_silp(opposite(pp), 8)
+    assert spli_silp(pp, 8).describe() == "Yes(0)"
     rng = np.random.default_rng(2)
     pool = projective_indecomposables(pp) + simples(pp) + [random_module(pp, rng, max_summands=2) for _ in range(3)]
     calls = _count_engine_calls(monkeypatch)
     for m in pool:
-        assert is_gorenstein_projective(m, 8, ambient=rep).is_yes
-        assert is_gorenstein_injective(m, 8, ambient_op=rep_op).is_yes
+        assert is_gorenstein_projective(m, 8).is_yes
+        assert is_gorenstein_injective(m, 8).is_yes
     assert calls == []
-    # an equal report that is not the one kept on the algebra runs the full test
-    assert is_gorenstein_projective(simples(pp)[0], 8, ambient=dataclasses.replace(rep)).is_yes
-    assert "minimal_resolution" in calls and "hom_space" in calls
-
-
-def test_wrong_algebras_report_falls_back_to_the_full_test():
-    pp_rep = spli_silp(preprojective_a2(F), 8)
-    assert pp_rep.describe() == "Yes(0)"
-    t2 = build_triangular(K, 2)
-    v = is_gorenstein_projective(simples(t2)[0], 8, ambient=pp_rep)
-    assert (v.status, v.reason, v.qualified) == ("no", "Ext^1(M, algebra) has dimension 1", False)
 
 
 @pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
@@ -481,8 +524,6 @@ def test_lemma_checks_prop32():
 
 def test_stable_adjunction_on_t2():
     rec = rec_for("t2")
-    rep_lam = spli_silp(rec.lam, 8)
-    rep_gam = spli_silp(rec.gamma, 8)
     rng = np.random.default_rng(5)
     fe, fl = rec.functor_e(), rec.functor_l()
     pairs = 0
@@ -491,9 +532,9 @@ def test_stable_adjunction_on_t2():
         y = random_module(rec.lam, rng, max_summands=2)
         if x.dim == 0 or y.dim == 0:
             continue
-        if not is_gorenstein_projective(x, 8, ambient=rep_gam).is_yes:
+        if not is_gorenstein_projective(x, 8).is_yes:
             continue
-        if not is_gorenstein_projective(y, 8, ambient=rep_lam).is_yes:
+        if not is_gorenstein_projective(y, 8).is_yes:
             continue
         pairs += 1
         assert stable_hom_dim(fl.apply(x).module, y) == stable_hom_dim(x, fe.apply(y).module)
@@ -507,17 +548,15 @@ def test_stable_adjunction_nontrivial_corner():
     rec = build_recollement(t2a, Idempotent(t2a, t2a.prim_idempotents[1]))
     rep = ladder_report(rec, 8, 0)
     assert rep.l_verdict.meets(2) and rep.r_verdict.meets(3)
-    rep_lam = spli_silp(rec.lam, 8)
-    rep_gam = spli_silp(rec.gamma, 8)
-    assert rep_gam.gdim == 0  # the corner is the dual numbers, self-injective
+    assert spli_silp(rec.gamma, 8).gdim == 0  # the corner is the dual numbers, self-injective
     rng = np.random.default_rng(6)
     fe, fl = rec.functor_e(), rec.functor_l()
     # pinned nonzero instance: X the corner simple (GP: the corner is
     # self-injective), Y = l(X) (GP: one-sided socle module over the middle)
     s = simples(rec.gamma)[0]
     ls = fl.apply(s).module
-    assert is_gorenstein_projective(s, 8, ambient=rep_gam).is_yes
-    assert is_gorenstein_projective(ls, 8, ambient=rep_lam).is_yes
+    assert is_gorenstein_projective(s, 8).is_yes
+    assert is_gorenstein_projective(ls, 8).is_yes
     lhs = stable_hom_dim(fl.apply(s).module, ls)
     rhs = stable_hom_dim(s, fe.apply(ls).module)
     assert lhs == rhs == 1
@@ -527,9 +566,9 @@ def test_stable_adjunction_nontrivial_corner():
         y = random_module(rec.lam, rng, max_summands=2)
         if x.dim == 0 or y.dim == 0:
             continue
-        if not is_gorenstein_projective(x, 8, ambient=rep_gam).is_yes:
+        if not is_gorenstein_projective(x, 8).is_yes:
             continue
-        if not is_gorenstein_projective(y, 8, ambient=rep_lam).is_yes:
+        if not is_gorenstein_projective(y, 8).is_yes:
             continue
         checked += 1
         assert stable_hom_dim(fl.apply(x).module, y) == stable_hom_dim(x, fe.apply(y).module)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ladderkit.fixtures import load_fixture, parse_idempotent
-from ladderkit.algebra import Idempotent, QuiverPresentation, algebra_from_quiver
+from ladderkit.algebra import Algebra, Idempotent, QuiverPresentation, algebra_from_quiver, build_triangular, ground_field_algebra
 from ladderkit.ladder import (
     HeightVerdict,
     TowerRung,
@@ -373,3 +373,20 @@ def test_periodic_tower_ends_at_first_repeat(name, rungs):
     rep = ladder_report(rec_for(name), 12, 0)
     assert len(rep.r_rungs) == len(rep.l_rungs) == rungs
     assert rep.r_verdict.first_repeat_index == rep.l_verdict.first_repeat_index == rungs - 1
+
+
+@pytest.mark.parametrize("name", ["t3", "t5", "cyclic3_2"])
+def test_towers_search_no_generators(monkeypatch, name):
+    """Every rung algebra is the corner, the middle algebra or an opposite
+    of one; an opposite reads its partner's generators from the store they
+    share, so no greedy search runs once the recollement is built."""
+    if name == "cyclic3_2":
+        rec = _cyclic_nakayama_recollement(3, 2)
+    else:
+        alg = build_triangular(ground_field_algebra(F), int(name[1:]))
+        rec = build_recollement(alg, Idempotent(alg, alg.prim_idempotents[-1]))
+    closures = []
+    search = Algebra._subalgebra_span
+    monkeypatch.setattr(Algebra, "_subalgebra_span", lambda self, gens: closures.append(self) or search(self, gens))
+    rep = ladder_report(rec, 12, 0)
+    assert rep.r_rungs and rep.l_rungs and closures == []

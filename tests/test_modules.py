@@ -22,7 +22,7 @@ from ladderkit.algebra import (
     preprojective_a2,
 )
 from ladderkit.fixtures import fixture_names, load_fixture, parse_idempotent
-from ladderkit.ladder import ladder_report
+from ladderkit.ladder import _env_for, ladder_report
 from ladderkit.linalg import DimensionMismatch, Field, intersect_kernels, kernel_basis, rank, rref, solve, solve_matrix
 from ladderkit.modules import (
     Bimodule,
@@ -965,11 +965,12 @@ def test_hom_profile_matches_hom_space_reference(name, field):
         assert hom_profile(m) is hom_profile(m)  # kept on the module
     if field.p is None and name == "ideal-chain":
         return  # over Q, the projectives of its rungs' 66-dim enveloping algebras take seconds each
-    rep = ladder_report(build_recollement(alg, parse_idempotent(alg, default_e)), 12, 0)
-    rungs = rep.r_rungs + rep.l_rungs
+    rec = build_recollement(alg, parse_idempotent(alg, default_e))
+    rep = ladder_report(rec, 12, 0)
+    rungs = [(rung, r_side) for rungs, r_side in ((rep.r_rungs, True), (rep.l_rungs, False)) for rung in rungs]
     assert rungs
-    for rung in rungs:
-        m = rung.bimodule.env_module()
+    for rung, r_side in rungs:
+        m = rung.bimodule.env_module(_env_for(rec, rung.index, r_side))
         assert hom_profile(m) == _hom_profile_reference(m)
 
 
