@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DIM_BOUND, Field, column_space_basis, in_span, quotient_coordinates, rank, rref, solve, solve_matrix, unit_rows
+from .linalg import DIM_BOUND, Field, column_space_basis, in_span, kernel_basis, quotient_coordinates, rank, rref, solve, solve_matrix, unit_rows
 
 __all__ = [
     "AlgebraError",
     "FieldRestrictionError",
     "Algebra",
     "Idempotent",
+    "algebra_radical_rows",
     "QuiverPresentation",
     "CornerEmbedding",
     "QuotientProjection",
@@ -175,19 +176,27 @@ class Algebra:
 
     def generators(self) -> np.ndarray:
         """A small generating set (as rows): the unit, the distinguished
-        idempotents, then basis vectors added greedily until the generated
-        subalgebra is everything.  Generators are equivalent to the full basis
-        for intertwining conditions.  The same elements generate the opposite,
-        so the set is kept in the store shared with it."""
+        idempotents, then candidates added greedily until the generated
+        subalgebra is everything: lifts of a basis of J/J^2 (with the
+        idempotents they generate a basic algebra), then basis vectors.
+        Generators are equivalent to the full basis for intertwining
+        conditions.  The same elements generate the opposite, so the set is
+        kept in the store shared with it."""
         if "generators" not in self._shared:
             f = self.field
             gens = [self.unit, *self.prim_idempotents] if self.dim else []
             span = self._subalgebra_span(gens)
-            for t in range(self.dim):
+            try:  # J's rows reduced against rref(J^2), then one rref
+                j = algebra_radical_rows(self)
+                squares = f.matmul(f.einsum("gi,iab->gab", j, self.left_mult), j.T)  # [a, :, b] = J_a.J_b
+                sq = rref(squares.transpose(0, 2, 1).reshape(len(j) ** 2, self.dim), f)
+                top = rref(f.normalize(j - f.matmul(j[:, list(sq.pivots)], sq.matrix[: sq.rank])), f)
+                lifts = top.matrix[: top.rank]
+            except FieldRestrictionError:  # p <= dim: the trace form is out of reach
+                lifts = []
+            for v in [*lifts, *f.eye(self.dim)]:
                 if span.shape[0] == self.dim:
                     break
-                v = f.zeros(self.dim)
-                v[t] = f.one
                 if not in_span(span, v, f):
                     gens.append(v)
                     span = self._subalgebra_span(gens)
@@ -202,6 +211,13 @@ class Algebra:
         their whole span, unit included, so intertwining conditions need only
         these."""
         return self.generators()[1 + len(self.prim_idempotents) :]
+
+    def generator_products(self) -> np.ndarray:
+        """The products g.b_j, (g, dim, dim), of the generators g after the
+        unit with the basis, as coefficient rows; computed once."""
+        if "generator_products" not in self._derived:
+            self._derived["generator_products"] = self.field.einsum("gi,iab->gab", self.generators()[1:], self.mult)
+        return self._derived["generator_products"]
 
     def _subalgebra_span(self, gens) -> np.ndarray:
         """Reduced row basis of the subalgebra generated by gens (the unit
@@ -224,6 +240,20 @@ class Algebra:
             frontier = r.matrix[[k for k, c in enumerate(r.pivots) if c not in pivots]]
             rows, pivots = r.matrix[: r.rank], set(r.pivots)
         return rows
+
+
+def algebra_radical_rows(a: Algebra) -> np.ndarray:
+    """Row basis of the Jacobson radical via the trace form of the regular
+    representation; exact for char 0 or p > dim.  Read-only, computed once
+    and shared with the opposite: J(A) = J(A^op), and so is its rref basis."""
+    f = a.field
+    if f.is_prime_field and f.p <= a.dim:
+        raise FieldRestrictionError(f"trace-form radical needs p > dim ({f.p} <= {a.dim})")
+    if "radical_rows" not in a._shared:
+        rows = np.ascontiguousarray(kernel_basis(f.einsum("iab,jba->ij", a.left_mult, a.left_mult), f).T)
+        rows.setflags(write=False)
+        a._shared["radical_rows"] = rows
+    return a._shared["radical_rows"]
 
 
 @dataclass(frozen=True)

@@ -259,7 +259,7 @@ def relative_gldim(rec: RecollementData, cutoff: int = 8) -> Bound:
 # -- Gorenstein projective / injective ----------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GPVerdict:
     status: str  # "yes" | "no"
     qualified: bool  # True when only cutoff-certified
@@ -284,7 +284,14 @@ def is_gorenstein_projective(m: Module, cutoff: int = 8) -> GPVerdict:
     is exact.  Verdict and reason are the full test's: id A = d, so a nonzero
     Ext^i(M, A) has i <= d and the first one is the same.  Otherwise the full
     test runs and a yes is cutoff-qualified.  A zero module is an exact yes.
+    Kept on m per cutoff, and on the kept arrays a pool module wraps.
     """
+    if cutoff not in m._gp_verdicts:
+        m._gp_verdicts[cutoff] = _gp_verdict(m, cutoff)
+    return m._gp_verdicts[cutoff]
+
+
+def _gp_verdict(m: Module, cutoff: int) -> GPVerdict:
     if m.dim == 0:
         return GPVerdict("yes", False, cutoff)
     a = m.algebra

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraError, FieldRestrictionError, ground_field_algebra, opposite
+from .algebra import Algebra, AlgebraError, FieldRestrictionError, algebra_radical_rows, ground_field_algebra, opposite
 from .linalg import (
     Field,
     block_diag,
@@ -46,7 +46,6 @@ __all__ = [
     "module_span_rows",
     "hom_space",
     "HomBasis",
-    "algebra_radical_rows",
     "radical",
     "projective_indecomposables",
     "simples",
@@ -89,20 +88,17 @@ class Module:
         self.action.setflags(write=False)
         self._split = None
         self._profile = None
+        self._gp_verdicts = {}  # cutoff -> GPVerdict, see is_gorenstein_projective
         if _validate:
             self._validate()
 
     @classmethod
-    def _wrap(cls, algebra: Algebra, action: np.ndarray, split: tuple, summands: tuple) -> "Module":
-        """A module on a read-only, reduced action array and its idempotent
-        split, taken as they are: no copy, reduction or validation."""
+    def _wrap(cls, algebra: Algebra, action: np.ndarray, split: tuple, summands: tuple, gp_verdicts: dict) -> "Module":
+        """A module on a read-only, reduced action array, its idempotent split
+        and kept GP verdicts, taken as they are: no copy, reduction or validation."""
         m = cls.__new__(cls)
-        m.algebra = algebra
-        m.action = action
-        m.dim = action.shape[1]
-        m._split = split
-        m._profile = None
-        m._summands = summands
+        m.algebra, m.action, m.dim = algebra, action, action.shape[1]
+        m._split, m._profile, m._gp_verdicts, m._summands = split, None, gp_verdicts, summands
         return m
 
     def _validate(self):
@@ -114,11 +110,14 @@ class Module:
         unit_act = self.act_vector(self.algebra.unit)
         if not f.equal(unit_act, f.eye(self.dim)):
             raise AlgebraError("unit does not act as the identity")
-        lhs = f.einsum("iab,jbc->ijac", self.action, self.action)
-        rhs = f.einsum("ijk,kac->ijac", self.algebra.mult, self.action)
+        # x.(y.v) = (xy).v for the generators x after the unit and the basis y:
+        # the x it holds for form a subalgebra containing 1, so all of A
+        acts = f.einsum("gi,iab->gab", self.algebra.generators()[1:], self.action)
+        lhs = f.einsum("iab,jbc->ijac", acts, self.action)
+        rhs = f.einsum("ijk,kac->ijac", self.algebra.generator_products(), self.action)
         if not f.equal(lhs, rhs):
             bad = np.nonzero(f.normalize(lhs - rhs))
-            raise AlgebraError(f"representation property fails at basis pair ({bad[0][0]}, {bad[1][0]})")
+            raise AlgebraError(f"representation property fails at generator {bad[0][0]}, basis element {bad[1][0]}")
 
     def act_vector(self, x) -> np.ndarray:
         """Matrix by which the algebra element with coefficient vector x acts."""
@@ -308,7 +307,7 @@ def submodule(m: Module, incl_cols: np.ndarray) -> tuple[Module, ModuleMap]:
     if incl_cols.shape[1] == 0:
         sub = zero_module(m.algebra)
         return sub, ModuleMap(sub, m, f.zeros(m.dim, 0), _validate=False)
-    moved = f.matmul(m.action, incl_cols)
+    moved = _act_on_columns(m, incl_cols)
     coords = unit_rows(incl_cols)
     act = moved[:, coords]
     # incl_cols @ act equals moved on the coordinate rows by construction;
@@ -319,6 +318,22 @@ def submodule(m: Module, incl_cols: np.ndarray) -> tuple[Module, ModuleMap]:
         raise AlgebraError("subspace is not invariant under the action")
     sub = Module(m.algebra, act, _validate=False)
     return sub, ModuleMap(sub, m, incl_cols, _validate=False)
+
+
+def _act_on_columns(m: Module, cols: np.ndarray) -> np.ndarray:
+    """m.action @ cols.  On a sum of projective indecomposables the rows of
+    the summands A.e_i take i's kept action, one product per distinct i."""
+    f, k = m.field, cols.shape[1]
+    if m._summands is None:
+        return f.matmul(m.action, cols)
+    data = _projective_data(m.algebra)
+    ends = np.cumsum([data[i].action.shape[1] for i in m._summands])
+    out = np.empty((m.algebra.dim, m.dim, k), dtype=cols.dtype)
+    for i in dict.fromkeys(m._summands):
+        p = data[i].action
+        rows = np.concatenate([np.arange(end - p.shape[1], end) for end, j in zip(ends, m._summands) if j == i])
+        out[:, rows] = f.matmul(p[:, None], cols[rows].reshape(-1, p.shape[1], k)).reshape(p.shape[0], rows.size, k)
+    return out
 
 
 def quotient_module(m: Module, sub_rows: np.ndarray) -> tuple[Module, ModuleMap]:
@@ -443,24 +458,6 @@ class HomBasis:
 # -- radical, covers, projectivity --------------------------------------------
 
 
-def algebra_radical_rows(a: Algebra) -> np.ndarray:
-    """Row basis of the Jacobson radical via the trace form of the regular
-    representation; exact for char 0 or p > dim.  Read-only, computed once
-    and shared with the opposite: J(A) = J(A^op), and so is its rref basis."""
-    f = a.field
-    if f.is_prime_field and f.p <= a.dim:
-        raise FieldRestrictionError(f"trace-form radical needs p > dim ({f.p} <= {a.dim})")
-    if "radical_rows" not in a._shared:
-        if a.dim == 0:
-            rows = f.zeros(0, 0)
-        else:
-            t = f.einsum("iab,jba->ij", a.left_mult, a.left_mult)
-            rows = np.ascontiguousarray(kernel_basis(t, f).T)
-        rows.setflags(write=False)
-        a._shared["radical_rows"] = rows
-    return a._shared["radical_rows"]
-
-
 def _radical_action(m: Module) -> tuple[np.ndarray, np.ndarray]:
     """J(algebra) acting on m, one contraction over the radical rows, laid out
     side by side (dim, r*dim), whose columns span rad(M) = J.M, and stacked
@@ -487,6 +484,7 @@ class _ProjectiveData:
     embedding: np.ndarray  # columns into the regular module, elements of A
     split: tuple
     handed_out: weakref.ref
+    gp_verdicts: dict  # cutoff -> GPVerdict of A.e_i
 
 
 def _projective_data(a: Algebra) -> list[_ProjectiveData]:
@@ -498,7 +496,7 @@ def _projective_data(a: Algebra) -> list[_ProjectiveData]:
             cols = column_space_basis(a.right_mult_matrix(e), a.field)
             sub, _ = submodule(reg, cols)
             cols.setflags(write=False)
-            data.append(_ProjectiveData(sub.action, cols, sub.idempotent_split(), weakref.ref(sub)))
+            data.append(_ProjectiveData(sub.action, cols, sub.idempotent_split(), weakref.ref(sub), {}))
         a._derived["projectives"] = data
     return a._derived["projectives"]
 
@@ -511,7 +509,7 @@ def projective_indecomposables(a: Algebra) -> list[Module]:
     for i, entry in enumerate(_projective_data(a)):
         p = entry.handed_out()
         if p is None:
-            p = Module._wrap(a, entry.action, entry.split, (i,))
+            p = Module._wrap(a, entry.action, entry.split, (i,), entry.gp_verdicts)
             entry.handed_out = weakref.ref(p)
         out.append(p)
     return out
@@ -967,8 +965,9 @@ def _indecomposable_data(a: Algebra) -> Optional[list]:
     projective indecomposable over a and over its opposite is uniserial, else
     None; kept on a.  The P_i/rad^k P_i are then all the indecomposables of the
     Nakayama algebra a, each once (Auslander, Reiten & Smalo, IV.2 and VI).
-    arrays (only arrays, as for A.e_i) are the action and the cover P_i ->
-    P_i/rad^k P_i with its kernel and a section; None when rad^k P_i = 0."""
+    arrays (no modules, as for A.e_i) are the action, the cover P_i ->
+    P_i/rad^k P_i with its kernel and a section, and the module's GP
+    verdicts; None when rad^k P_i = 0."""
     if "indecomposables" not in a._derived:
         projs = projective_indecomposables(a)
         layers = [_radical_layers(p) for p in projs]
@@ -981,7 +980,7 @@ def _indecomposable_data(a: Algebra) -> Optional[list]:
                     kernel, section = kernel_and_section(proj.matrix, a.field)
                     for x in (kernel, section):
                         x.setflags(write=False)
-                    data.append((i, k, (quot.action, proj.matrix, kernel, section)))
+                    data.append((i, k, (quot.action, proj.matrix, kernel, section, {})))
                 data.append((i, len(layers[i]), None))
         a._derived["indecomposables"] = data
     return a._derived["indecomposables"]
@@ -998,8 +997,8 @@ def indecomposables(a: Algebra) -> Optional[list[Module]]:
     for i, _, arrays in data:
         m = projs[i]
         if arrays is not None:
-            m = Module._wrap(a, arrays[0], None, None)
-            m._cover = _Cover(projs[i], *arrays[1:])
+            m = Module._wrap(a, arrays[0], None, None, arrays[-1])
+            m._cover = _Cover(projs[i], *arrays[1:-1])
         out.append(m)
     return out
 

@@ -6,9 +6,11 @@ import pytest
 from ladderkit.algebra import (
     AlgebraError,
     Algebra,
+    FieldRestrictionError,
     Idempotent,
     QuiverPresentation,
     algebra_from_quiver,
+    algebra_radical_rows,
     algebra_from_structure_constants,
     build_ideal_matrix_algebra,
     build_morita_square,
@@ -22,8 +24,8 @@ from ladderkit.algebra import (
     quotient_by_idempotent_ideal,
 )
 from ladderkit.fixtures import load_fixture, parse_idempotent
-from ladderkit.linalg import DIM_BOUND, Field, in_span, rref, solve
-from ladderkit.modules import _simple_classes, algebra_radical_rows
+from ladderkit.linalg import DIM_BOUND, Field, in_span, kernel_basis, rref, solve
+from ladderkit.modules import _simple_classes
 from ladderkit.verify import RECOLLEMENT_FIXTURES
 
 F = Field(101)
@@ -257,8 +259,6 @@ def test_full_ideal_gives_matrix_algebra():
     assert m2.dim == 4
     ref = matrix_units_2x2(F)
     # same dimension and semisimple structure; check the trace form is nondegenerate
-    from ladderkit.modules import algebra_radical_rows
-
     assert algebra_radical_rows(m2).shape[0] == 0
     assert algebra_radical_rows(ref).shape[0] == 0
 
@@ -333,16 +333,43 @@ def _subalgebra_span_reference(alg, gens):
         rows = r.matrix[: r.rank]
 
 
+def _radical_square_rows(alg):
+    """Reduced rows of J^2, from all pairwise products of J's rows."""
+    f = alg.field
+    j = algebra_radical_rows(alg)
+    left = f.einsum("ai,ijk->ajk", j, alg.mult)
+    r = rref(f.einsum("bj,ajk->abk", j, left).reshape(-1, alg.dim), f)
+    return r.matrix[: r.rank]
+
+
+def _radical_top_reference(alg):
+    """Reduced rows of the elements of J that vanish on the pivot columns of
+    rref(J^2): the complement of J^2 in J that generators() lifts J/J^2 to."""
+    f = alg.field
+    try:
+        j = algebra_radical_rows(alg)
+    except FieldRestrictionError:
+        return f.zeros(0, alg.dim)
+    sq = rref(_radical_square_rows(alg), f)
+    coeffs = kernel_basis(j[:, list(sq.pivots)].T, f).T
+    r = rref(f.matmul(coeffs, j), f)
+    return r.matrix[: r.rank]
+
+
 def _generators_reference(alg):
-    """Algebra.generators' greedy search on the reference span."""
+    """Algebra.generators' greedy search on the reference span: the lifts of
+    a basis of J/J^2 first, then the basis vectors."""
     f = alg.field
     gens = [alg.unit] + list(alg.prim_idempotents)
     span = _subalgebra_span_reference(alg, gens)
+    candidates = list(_radical_top_reference(alg))
     for t in range(alg.dim):
-        if span.shape[0] == alg.dim:
-            break
         v = f.zeros(alg.dim)
         v[t] = f.one
+        candidates.append(v)
+    for v in candidates:
+        if span.shape[0] == alg.dim:
+            break
         if not in_span(span, v, f):
             gens.append(v)
             span = _subalgebra_span_reference(alg, gens)
@@ -422,6 +449,39 @@ def test_generator_closure_matches_pairwise_squaring(field, max_dim):
             got = alg._subalgebra_span(list(sub))
             assert np.array_equal(got, _subalgebra_span_reference(alg, list(sub))), (alg, len(sub))
     assert sum(searched for _, searched in algebras) > 30
+
+
+@pytest.mark.parametrize("field, max_dim", [(Field(101), 66), (Field(None), 22)], ids=["F101", "Q"])
+def test_generators_beyond_idempotents_lift_a_basis_of_the_radical_top(field, max_dim):
+    # over a basic algebra (A/J = k^n, n the number of distinguished
+    # idempotents) the idempotents and any lift of a basis of J/J^2 generate,
+    # and the search finds exactly that many further generators; m2k and the
+    # algebras built on it have J = 0 but are not basic.  Tensor products are
+    # handed their factors' generators, g (x) 1 with g (x) e_j inside, so they
+    # may need fewer
+    checked = 0
+    for alg, searched in _closure_corpus(field, max_dim):
+        if not searched:
+            continue
+        j = algebra_radical_rows(alg)
+        if alg.dim - j.shape[0] != len(alg.prim_idempotents):
+            continue
+        top = j.shape[0] - _radical_square_rows(alg).shape[0]
+        assert len(alg.generators_beyond_idempotents()) == top, alg
+        checked += 1
+    assert checked > 30
+
+
+@pytest.mark.parametrize("n, p", [(3, 5), (4, 3)])
+def test_generators_without_the_trace_form_still_generate(n, p):
+    # p <= dim puts the radical out of reach: the candidates are the basis vectors
+    field = Field(p)
+    alg = build_triangular(ground_field_algebra(field), n)
+    with pytest.raises(FieldRestrictionError):
+        algebra_radical_rows(alg)
+    gens = alg.generators()
+    assert alg._subalgebra_span(list(gens)).shape[0] == alg.dim
+    assert np.array_equal(gens, _generators_reference(alg))
 
 
 def _beyond_idempotents_reference(alg):

@@ -41,6 +41,7 @@ from ladderkit.modules import (
     hom_space,
     indecomposables,
     is_isomorphic,
+    module_pool,
     projective_cover,
     projective_indecomposables,
     random_module,
@@ -493,6 +494,25 @@ def test_gorenstein_report_kept_once_and_swapped_onto_the_opposite(field):
         assert spli_silp(a, 8) is spli_silp(a, 8)
         fresh_op = hom._gorenstein_report(opposite(a), 8)
         assert spli_silp(opposite(a), 8).to_json() == fresh_op.to_json() == hom._gorenstein_report(a, 8).opposite().to_json()
+
+
+def test_gp_verdicts_kept_with_the_pool_arrays(monkeypatch):
+    # a second pool wraps the kept arrays again and reads their verdicts,
+    # as c9 reads what c8 classified; another cutoff is a new verdict
+    import ladderkit.homological as hom
+
+    rec = rec_for("t3")
+    computed = []
+    full = hom._gp_verdict
+    monkeypatch.setattr(hom, "_gp_verdict", lambda m, cutoff: computed.append(cutoff) or full(m, cutoff))
+    first = gorenstein_projective_pools(rec, 8, 4, 0)
+    n = len(computed)
+    assert n == sum(len(module_pool(a, 4, np.random.default_rng(0)).modules) for a in (rec.gamma, rec.lam))
+    again = gorenstein_projective_pools(rec, 8, 4, 0)
+    assert len(computed) == n
+    assert [p.modules.keys() for p in first] == [p.modules.keys() for p in again]
+    gorenstein_projective_pools(rec, 6, 4, 0)
+    assert computed[n:] == [6] * n
 
 
 def test_gdim_comparison_under_l_height_three():

@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 import sympy
 
-from ladderkit.algebra import FieldRestrictionError, QuiverPresentation, algebra_from_quiver, dual_numbers_algebra
+from ladderkit.algebra import FieldRestrictionError, QuiverPresentation, algebra_from_quiver, algebra_radical_rows, dual_numbers_algebra
 from ladderkit.fixtures import load_fixture, parse_idempotent
 from ladderkit.linalg import Field
 from ladderkit.modules import (
     Module,
     ModuleMap,
-    algebra_radical_rows,
     hom_space,
     indecomposables,
     is_isomorphic,

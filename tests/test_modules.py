@@ -15,6 +15,7 @@ from ladderkit.algebra import (
     Idempotent,
     QuiverPresentation,
     algebra_from_quiver,
+    algebra_radical_rows,
     build_triangular,
     dual_numbers_algebra,
     ground_field_algebra,
@@ -29,7 +30,6 @@ from ladderkit.modules import (
     HomBasis,
     Module,
     ModuleMap,
-    algebra_radical_rows,
     cover_sequence,
     direct_sum,
     dual,
@@ -41,6 +41,7 @@ from ladderkit.modules import (
     is_isomorphic,
     is_projective,
     minimal_resolution,
+    module_pool,
     module_span_rows,
     projective_cover,
     projective_indecomposables,
@@ -637,6 +638,77 @@ def test_module_map_rejects_non_intertwiner():
     e11[0, 0] = 1
     with pytest.raises(AlgebraError, match="does not intertwine"):
         ModuleMap(reg, reg, e11)
+
+
+def test_module_rejects_a_unit_that_does_not_act_as_the_identity():
+    # t2's regular action with e1 acting twice over: 1 = e1 + e2 no longer acts as I
+    t2 = build_triangular(K, 2)
+    act = t2.left_mult.copy()
+    e1 = int(np.flatnonzero(t2.prim_idempotents[0])[0])
+    act[e1] = F.normalize(2 * act[e1])
+    with pytest.raises(AlgebraError, match="unit does not act as the identity"):
+        Module(t2, act)
+
+
+def test_module_rejects_a_broken_representation_property():
+    # x |-> L(x)^T keeps rho(1) = I but multiplies in the opposite order
+    t2 = build_triangular(K, 2)
+    with pytest.raises(AlgebraError, match="representation property fails at generator"):
+        Module(t2, t2.left_mult.transpose(0, 2, 1))
+
+
+def _fails_module_axioms_reference(a, action, f):
+    """The full-basis check: rho(1) = I and rho(b_i) rho(b_j) = rho(b_i b_j)
+    for every pair of basis elements."""
+    if not f.equal(f.einsum("i,iab->ab", a.unit, action), f.eye(action.shape[1])):
+        return True
+    return not f.equal(f.matmul(action[:, None], action[None]), f.einsum("ijk,kac->ijac", a.mult, action))
+
+
+@pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
+def test_module_check_on_generators_matches_the_full_basis_check(field):
+    # every single-entry mutant of every fixture pool (pools over algebras of
+    # dimension at most 12 over Q): the check on generators x basis raises
+    # exactly when the full-basis check fails
+    mutants = raised = 0
+    for name in RECOLLEMENT_FIXTURES:
+        a = load_fixture(name, field)[0]
+        if field.p is None and a.dim > 12:
+            continue
+        for m in module_pool(a, 4, np.random.default_rng(0)).modules.values():
+            assert not _fails_module_axioms_reference(a, m.action, field)
+            Module(a, m.action)
+            for idx in np.ndindex(*m.action.shape):
+                act = m.action.copy()
+                act[idx] = field.normalize(act[idx] + field.one)
+                try:
+                    Module(a, act)
+                except AlgebraError:
+                    fails = True
+                else:
+                    fails = False
+                assert fails == _fails_module_axioms_reference(a, act, field), (name, m.dim, idx)
+                mutants, raised = mutants + 1, raised + fails
+    assert raised > mutants // 2 and mutants > (500 if field.p is None else 4000)
+
+
+@pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
+def test_action_on_columns_per_summand_matches_the_dense_product(field):
+    # sums of projectives in shuffled orders with repeated indices, against
+    # the dense product with the block-diagonal action
+    rng = np.random.default_rng(7)
+    for name in ("t3", "preproj-a2", "prop32-dual-numbers", "ideal-chain"):
+        a = load_fixture(name, field)[0]
+        if field.p is None and a.dim > 12:
+            continue
+        projs = projective_indecomposables(a)
+        for _ in range(3):
+            idx = [int(i) for i in rng.permutation([*range(len(projs)), *rng.integers(0, len(projs), size=2)])]
+            m = direct_sum([projs[i] for i in idx])
+            assert m._summands == tuple(idx)
+            cols = field.asarray(rng.integers(-3, 4, size=(m.dim, 4)))
+            got = modules._act_on_columns(m, cols)
+            assert got.dtype == cols.dtype and np.array_equal(got, field.matmul(m.action, cols)), (name, idx)
 
 
 def test_hom_from_projective_counts_idempotent_part():
