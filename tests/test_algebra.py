@@ -1,4 +1,6 @@
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,8 +26,9 @@ from ladderkit.algebra import (
     quotient_by_idempotent_ideal,
 )
 from ladderkit.fixtures import load_fixture, parse_idempotent
-from ladderkit.linalg import DIM_BOUND, Field, in_span, kernel_basis, rref, solve
+from ladderkit.linalg import DIM_BOUND, Field, in_span, kernel_basis, rank, rref, solve, solve_matrix
 from ladderkit.modules import _simple_classes
+from ladderkit.recollement import build_recollement
 from ladderkit.verify import RECOLLEMENT_FIXTURES
 
 F = Field(101)
@@ -70,8 +73,12 @@ def test_broken_associativity_reports_triple():
         c[j, 0, j] = 1
     c[1, 1, 2] = 1  # a*a = b
     c[2, 1, 1] = 1  # b*a = a
-    with pytest.raises(AlgebraError, match="associativity"):
+    with pytest.raises(AlgebraError, match=r"^associativity fails at basis triple \(i=1, x=1, j=1\)$"):
         algebra_from_structure_constants(F, c, [1, 0, 0], [[1, 0, 0]])
+    # the reported triple is a failing one: (b_1 b_1) b_1 = b_2 b_1 = b_1, b_1 (b_1 b_1) = b_1 b_2 = 0
+    alg = Algebra(F, c, [1, 0, 0], [[1, 0, 0]], _validate=False)
+    b = F.eye(3)
+    assert not F.equal(alg.multiply(alg.multiply(b[1], b[1]), b[1]), alg.multiply(b[1], alg.multiply(b[1], b[1])))
 
 
 def test_unit_failure_detected():
@@ -85,6 +92,209 @@ def test_bad_idempotent_system_detected():
     k = ground_field_algebra(F)
     with pytest.raises(AlgebraError, match="idempotent"):
         algebra_from_structure_constants(F, k.mult, k.unit, [[2]])
+
+
+@pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
+def test_idempotent_system_errors_name_the_first_failing_pair(field):
+    t3 = build_triangular(ground_field_algebra(field), 3)
+    e1, e2, e3 = t3.prim_idempotents
+    cases = [
+        ([e1, e2, e2], "idempotent system fails at pair (1, 2)"),  # e2 e2 = e2, not 0; the sum is wrong too
+        ([e1, e3, field.normalize(e2 + e3)], "idempotent system fails at pair (1, 2)"),  # e3 (e2 + e3) = e3
+        ([e3, e2, field.normalize(e1 + e1)], "idempotent system fails at pair (2, 2)"),  # (2 e1)^2 = 4 e1
+        ([e1, e2], "idempotents do not sum to the unit"),
+        ([e3, e1], "idempotents do not sum to the unit"),
+    ]
+    for idems, message in cases:
+        alg = Algebra(field, t3.mult, t3.unit, idems, _validate=False)
+        assert _validate_reference(alg) == message
+        with pytest.raises(AlgebraError) as err:
+            algebra_from_structure_constants(field, t3.mult, t3.unit, idems)
+        assert str(err.value) == message
+    algebra_from_structure_constants(field, t3.mult, t3.unit, [e2, e3, e1])  # any order passes
+
+
+# -- the support check against the dense one -----------------------------------
+
+
+def _validate_reference(alg):
+    """The dense check _validate ran before it restricted associativity to
+    the support of each L_i: 2 d^5 operations, then k^2 products of
+    idempotents.  Returns the error message it raises, or None."""
+    f, d = alg.field, alg.dim
+    if d == 0:
+        return "zero algebra cannot carry idempotents" if alg.prim_idempotents else None
+    ident = f.eye(d)
+    if not f.equal(alg.left_mult_matrix(alg.unit), ident):
+        return "unit fails unit*b_i = b_i"
+    if not f.equal(alg.right_mult_matrix(alg.unit), ident):
+        return "unit fails b_i*unit = b_i"
+    for i in range(d):
+        li = alg.left_mult[i]
+        lhs = f.matmul(alg.right_mult, li)
+        rhs = f.matmul(li[None, :, :], alg.right_mult)
+        if not f.equal(lhs, rhs):
+            j = next(j for j in range(d) if not f.equal(lhs[j], rhs[j]))
+            x = int(np.nonzero(f.normalize(lhs[j] - rhs[j]))[1][0])
+            return f"associativity fails at basis triple (i={i}, x={x}, j={j})"
+    if not alg.prim_idempotents:
+        return "a complete system of primitive idempotents is required"
+    total = f.zeros(d)
+    for a, ea in enumerate(alg.prim_idempotents):
+        total = f.normalize(total + ea)
+        for b, eb in enumerate(alg.prim_idempotents):
+            if not f.equal(alg.multiply(ea, eb), ea if a == b else f.zeros(d)):
+                return f"idempotent system fails at pair ({a}, {b})"
+    if not f.equal(total, alg.unit):
+        return "idempotents do not sum to the unit"
+    return None
+
+
+def _validate_message(alg):
+    try:
+        alg._validate()
+    except AlgebraError as err:
+        return str(err)
+    return None
+
+
+def _rejecting_comparisons(alg, i):
+    """Which of _validate's three comparisons fail at i, read off the dense
+    pair R_j L_i, L_i R_j.  Both vanish where the row k is not a row of L_i
+    and the column x not a column of it; a difference at a row and a column
+    of L_i is the core block, one off its rows is R_j L_i there, one off its
+    columns is L_i R_j there."""
+    f = alg.field
+    li = alg.left_mult[i]
+    rows, cols = (li != 0).any(1), (li != 0).any(0)
+    diff = f.normalize(f.matmul(alg.right_mult, li) - f.matmul(li[None, :, :], alg.right_mult)) != 0  # [j, k, x]
+    assert not diff[:, ~rows][:, :, ~cols].any()
+    parts = {"core": diff[:, rows][:, :, cols], "lhs off rows": diff[:, ~rows], "rhs off cols": diff[:, rows][:, :, ~cols]}
+    return frozenset(name for name, part in parts.items() if part.any())
+
+
+def _assert_same_verdict(alg, seen):
+    """The support check and the dense one raise the same message, or neither
+    raises; an associativity failure is filed under the comparisons that
+    reject it."""
+    got, want = _validate_message(alg), _validate_reference(alg)
+    assert got == want, (alg, got, want)
+    if got is not None and got.startswith("associativity"):
+        seen[_rejecting_comparisons(alg, int(got.split("i=")[1].split(",")[0]))] += 1
+    return got is None
+
+
+def _entry(field, rng):
+    """A nonzero field element: signed fractions over Q."""
+    if field.p is None:
+        return Fraction(int(rng.integers(1, 6)) * int(rng.choice([-1, 1])), int(rng.integers(1, 4)))
+    return int(rng.integers(1, field.p))
+
+
+def _random_unital(field, d, density, rng):
+    """b_0 is the unit; each structure constant of b_i b_j (i, j >= 1) is
+    nonzero with the given probability."""
+    c = field.zeros(d, d, d)
+    for j in range(d):
+        c[0, j, j] = c[j, 0, j] = field.one
+    for idx in zip(*np.nonzero(rng.random((d - 1, d - 1, d)) < density)):
+        c[idx[0] + 1, idx[1] + 1, idx[2]] = _entry(field, rng)
+    unit = field.zeros(d)
+    unit[0] = field.one
+    # the unit alone, or b_1 and 1 - b_1: the idempotent check runs where associativity holds
+    b1 = field.eye(d)[1]
+    idems = [unit] if rng.random() < 0.5 else [b1, field.normalize(unit - b1)]
+    return Algebra(field, c, unit, idems, _validate=False)
+
+
+def _dense_basis_change(alg, rng):
+    """alg in a random basis b'_a = sum_i t[i, a] b_i: dense structure constants."""
+    f, d = alg.field, alg.dim
+    t = f.asarray(rng.integers(0, f.p, size=(d, d)))
+    while rank(t, f) < d:
+        t = f.asarray(rng.integers(0, f.p, size=(d, d)))
+    tinv = solve_matrix(t, f.eye(d), f)
+    c = f.matmul(f.einsum("ia,jb,ijk->abk", t, t, alg.mult), tinv.T)
+    return Algebra(f, c, f.matmul(tinv, alg.unit), [f.matmul(tinv, e) for e in alg.prim_idempotents], _validate=False)
+
+
+def _resolution_corpus(field):
+    """The resolutions workload's algebras on their unpermuted bases."""
+    k = ground_field_algebra(field)
+    out = [build_triangular(k, n) for n in range(2, 9)]
+    out += [_linear_nakayama(n, loewy, field) for n, loewy in [(6, 2), (8, 2), (10, 2), (8, 3), (10, 3)]]
+    return out + [_local_kxy(field)]
+
+
+def _with_corners_and_quotients(algebras):
+    """Each algebra, then its corner and quotient at the first and the last vertex."""
+    out = []
+    for a in algebras:
+        out.append(a)
+        for ei in {0: a.prim_idempotents[0], 1: a.prim_idempotents[-1]}.values():
+            e = Idempotent(a, ei)
+            out += [corner(a, e)[0], quotient_by_idempotent_ideal(a, e)[0]]
+    return [a for a in out if a.dim]
+
+
+def _mutants(alg, count, rng):
+    """count single-entry mutants (one structure constant plus one) at
+    random positions, and count that make a zero product b_i b_j nonzero."""
+    f = alg.field
+    positions = [tuple(int(t) for t in np.unravel_index(rng.integers(alg.mult.size), alg.mult.shape)) for _ in range(count)]
+    zero_pairs = np.argwhere((alg.mult == 0).all(2))
+    for i, j in zero_pairs[rng.permutation(len(zero_pairs))[:count]]:
+        positions.append((int(i), int(j), int(rng.integers(alg.dim))))
+    for idx in positions:
+        c = alg.mult.copy()
+        c[idx] = f.normalize(c[idx] + f.one)
+        yield Algebra(f, c, alg.unit, alg.prim_idempotents, _validate=False)
+
+
+# each comparison alone rejects some algebra: none of the three is redundant
+_EACH_COMPARISON_ALONE = {frozenset({"core"}), frozenset({"lhs off rows"}), frozenset({"rhs off cols"})}
+
+
+@pytest.mark.parametrize("field", [Field(3), F, Field(None)], ids=["F3", "F101", "Q"])
+def test_support_check_matches_dense_check_on_random_constants(field):
+    rng = np.random.default_rng(31)
+    seen = Counter()
+    verdicts = []
+    for density in (0.05, 0.1, 0.2, 0.5, 1.0):
+        for d in range(2, 7):
+            for _ in range(8):
+                alg = _random_unital(field, d, density, rng)
+                verdicts.append(_assert_same_verdict(alg, seen))
+                if verdicts[-1]:  # mutate what passes
+                    for m in _mutants(alg, 4, rng):
+                        _assert_same_verdict(m, seen)
+    assert 10 < sum(verdicts) < len(verdicts) - 10
+    assert _EACH_COMPARISON_ALONE <= set(seen), seen
+
+
+@pytest.mark.parametrize("field, max_dim", [(F, 66), (Field(None), 7)], ids=["F101", "Q"])
+def test_support_check_matches_dense_check_on_mutants(field, max_dim):
+    # single-entry mutants of the fixtures, the resolutions workload's
+    # algebras, their corners and quotients, and (F_101) the fixtures in a
+    # dense random basis
+    rng = np.random.default_rng(32)
+    algebras = [load_fixture(name, field)[0] for name in RECOLLEMENT_FIXTURES]
+    if field.p is not None:
+        algebras += _resolution_corpus(field)
+    algebras = [a for a in _with_corners_and_quotients(algebras) if a.dim <= max_dim]
+    if field.p is not None:
+        algebras += [_dense_basis_change(a, rng) for a in algebras if a.dim <= 7]
+    seen = Counter()
+    mutants = rejected = 0
+    for alg in algebras:
+        assert _assert_same_verdict(alg, seen)
+        for m in _mutants(alg, 16 if alg.dim <= 12 else 6, rng):
+            rejected += not _assert_same_verdict(m, seen)
+            mutants += 1
+    assert mutants > (300 if field.p is None else 2000)
+    # most mutants break the unit axioms first; those that keep them reach associativity
+    assert rejected > mutants // 2 and sum(seen.values()) > mutants // 20
+    assert _EACH_COMPARISON_ALONE <= set(seen), seen
 
 
 # -- quivers -----------------------------------------------------------------
@@ -540,6 +750,58 @@ def test_corner_coordinates_match_solve(name):
         assert len(sub.prim_idempotents) == len(absorbed) > 0
         for got, ei in zip(sub.prim_idempotents, absorbed):
             assert np.array_equal(got, solve(emb.matrix, ei, F))
+
+
+def _absorbed_reference(a, e):
+    """The loop corner ran before it read the absorbed idempotents from one
+    contraction: e_i with e e_i = e_i = e_i e, in order."""
+    f = a.field
+    return [ei for ei in a.prim_idempotents if f.equal(a.multiply(e, ei), ei) and f.equal(a.multiply(ei, e), ei)]
+
+
+@pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
+def test_corner_reads_the_absorbed_idempotents_of_the_loop(field):
+    checked = 0
+    for name in RECOLLEMENT_FIXTURES[:-1]:  # ideal-chain's 2^3 corners add nothing here
+        alg = load_fixture(name, field)[0]
+        k = len(alg.prim_idempotents)
+        for mask in range(1, 2**k):
+            e = field.normalize(sum((alg.prim_idempotents[t] for t in range(k) if mask >> t & 1), field.zeros(alg.dim)))
+            sub, emb = corner(alg, Idempotent(alg, e))
+            want = _absorbed_reference(alg, e)
+            assert len(sub.prim_idempotents) == len(want)
+            for got, ei in zip(sub.prim_idempotents, want):
+                assert np.array_equal(field.matmul(emb.matrix, got), ei)
+            checked += 1
+    assert checked > 20
+    # E11 + E21 and E22 + E21 in t2 are idempotents that absorb no
+    # distinguished idempotent; the second absorbs E22 on one side only
+    t2 = load_fixture("t2", field)[0]
+    e11, e21, e22 = (t2.element_from_label(f"E[{s}]:0") for s in ("1,1", "2,1", "2,2"))
+    for e in (field.normalize(e11 + e21), field.normalize(e22 + e21)):
+        assert _absorbed_reference(t2, e) == []
+        with pytest.raises(AlgebraError, match="sum of distinguished primitive idempotents"):
+            corner(t2, Idempotent(t2, e))
+    assert field.equal(t2.multiply(e, e22), e22) and not field.equal(t2.multiply(e22, e), e22)
+
+
+@pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
+@pytest.mark.parametrize("name", RECOLLEMENT_FIXTURES)
+def test_enveloping_vectors_match_kron(name, field):
+    # the unit, idempotents and generators of G (x) L^op and L (x) G^op are
+    # the np.kron products of the factors' vectors
+    alg, default_e = load_fixture(name, field)
+    rec = build_recollement(alg, parse_idempotent(alg, default_e))
+    for env, a, b in [(rec.env_gl, rec.gamma, rec.lam), (rec.env_lg, rec.lam, rec.gamma)]:
+        unit = field.normalize(np.kron(a.unit, b.unit))
+        idems = [field.normalize(np.kron(x, y)) for x in a.prim_idempotents for y in b.prim_idempotents]
+        rest = [np.kron(g, b.unit) for g in a.generators_beyond_idempotents()]
+        rest += [np.kron(a.unit, g) for g in b.generators_beyond_idempotents()]
+        assert env.unit.dtype == unit.dtype and np.array_equal(env.unit, unit)
+        assert len(env.prim_idempotents) == len(idems)
+        assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(env.prim_idempotents, idems))
+        gens = env.generators()
+        assert np.array_equal(gens, field.asarray(np.stack([unit, *idems, *(field.normalize(g) for g in rest)])))
 
 
 def test_dimension_bound_rejects_before_allocating():
