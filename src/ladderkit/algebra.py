@@ -184,25 +184,24 @@ class Algebra:
 
     def generators(self) -> np.ndarray:
         """A small generating set (as rows): the unit, the distinguished
-        idempotents, then candidates added greedily until the generated
-        subalgebra is everything: lifts of a basis of J/J^2 (with the
-        idempotents they generate a basic algebra), then basis vectors.
-        Generators are equivalent to the full basis for intertwining
-        conditions.  The same elements generate the opposite, so the set is
-        kept in the store shared with it."""
+        idempotents and lifts of a basis of J/J^2, closed once (they generate
+        a basic algebra), then basis vectors added greedily until the
+        generated subalgebra is everything.  Generators are equivalent to the
+        full basis for intertwining conditions.  The same elements generate
+        the opposite, so the set is kept in the store shared with it."""
         if "generators" not in self._shared:
             f = self.field
             gens = [self.unit, *self.prim_idempotents] if self.dim else []
-            span = self._subalgebra_span(gens)
             try:  # J's rows reduced against rref(J^2), then one rref
                 j = algebra_radical_rows(self)
                 squares = f.matmul(f.einsum("gi,iab->gab", j, self.left_mult), j.T)  # [a, :, b] = J_a.J_b
                 sq = rref(squares.transpose(0, 2, 1).reshape(len(j) ** 2, self.dim), f)
                 top = rref(f.normalize(j - f.matmul(j[:, list(sq.pivots)], sq.matrix[: sq.rank])), f)
-                lifts = top.matrix[: top.rank]
+                gens += list(top.matrix[: top.rank])
             except FieldRestrictionError:  # p <= dim: the trace form is out of reach
-                lifts = []
-            for v in [*lifts, *f.eye(self.dim)]:
+                pass
+            span = self._subalgebra_span(gens)
+            for v in f.eye(self.dim):
                 if span.shape[0] == self.dim:
                     break
                 if not in_span(span, v, f):

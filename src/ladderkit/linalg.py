@@ -105,6 +105,8 @@ class Field:
             return np.asarray(data, dtype=np.int64) % self.p
         a = np.array(data, dtype=object, copy=True)
         flat = a.reshape(-1)
+        if all(type(v) is Fraction for v in flat.tolist()):  # already field form: the copy is the result
+            return a
         for i, v in enumerate(flat):
             flat[i] = Fraction(v)
         return flat.reshape(a.shape)

@@ -13,6 +13,7 @@ projective-cover dimensions.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -604,12 +605,14 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
         raise AlgebraError("projective cover construction failed to cover the top")
     summands = [projectives[i] for i, _ in gens]
     cover = direct_sum(summands) if summands else zero_module(a)
-    mat = f.zeros(m.dim, cover.dim)
-    off = 0
-    for (i, v), p in zip(gens, summands):
-        emb = _projective_data(a)[i].embedding
-        mat[:, off : off + p.dim] = f.einsum("ar,abc,c->br", emb, m.action, v)
-        off += p.dim
+    # the generators come grouped by summand index i: per group, [b, k, r] is
+    # the image x.v_k of the r-th basis vector x of A.e_i, from two products
+    blocks = []
+    for i, group in itertools.groupby(gens, key=lambda g: g[0]):
+        vs = np.stack([v for _, v in group])
+        images = f.matmul(f.matmul(m.action, vs.T).transpose(1, 2, 0), _projective_data(a)[i].embedding)
+        blocks.append(images.reshape(m.dim, -1))
+    mat = np.concatenate(blocks, axis=1) if blocks else f.zeros(m.dim, 0)
     surj = ModuleMap(cover, m, mat, _validate=False)
     m._cover = _Cover(cover, surj.matrix)
     return cover, surj

@@ -92,8 +92,18 @@ class RecollementData:
     lambda_e_basis: np.ndarray  # (dim L, dim Le) column basis of Le
     e_in_e_lambda: np.ndarray  # coordinates of e in e_lambda_basis
     e_in_lambda_e: np.ndarray  # coordinates of e in lambda_e_basis
-    env_gl: Algebra  # G (x) L^op, shared by all (G, L) rungs
-    env_lg: Algebra  # L (x) G^op
+
+    @functools.cached_property
+    def env_gl(self) -> Algebra:
+        """G (x) L^op, shared by all (G, L) rungs; built on first read, since
+        only the towers and c2 read it.  Raises AlgebraError over F_p when
+        dim G * dim L exceeds DIM_BOUND."""
+        return enveloping(self.gamma, self.lam)
+
+    @functools.cached_property
+    def env_lg(self) -> Algebra:
+        """L (x) G^op, built on first read."""
+        return enveloping(self.lam, self.gamma)
 
     @property
     def field(self) -> Field:
@@ -189,8 +199,6 @@ def build_recollement(lam: Algebra, e: Idempotent) -> RecollementData:
         lambda_e_basis=bl,
         e_in_e_lambda=e.element[rows_e],
         e_in_lambda_e=e.element[rows_l],
-        env_gl=enveloping(gamma, lam),
-        env_lg=enveloping(lam, gamma),
     )
 
 

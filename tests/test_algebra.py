@@ -25,7 +25,7 @@ from ladderkit.algebra import (
     preprojective_a2,
     quotient_by_idempotent_ideal,
 )
-from ladderkit.fixtures import load_fixture, parse_idempotent
+from ladderkit.fixtures import fixture_names, load_fixture, parse_idempotent
 from ladderkit.linalg import DIM_BOUND, Field, in_span, kernel_basis, rank, rref, solve, solve_matrix
 from ladderkit.modules import _simple_classes
 from ladderkit.recollement import build_recollement
@@ -566,12 +566,13 @@ def _radical_top_reference(alg):
     return r.matrix[: r.rank]
 
 
-def _generators_reference(alg):
-    """Algebra.generators' greedy search on the reference span: the lifts of
-    a basis of J/J^2 first, then the basis vectors."""
+def _generators_reference(alg, span_of=_subalgebra_span_reference):
+    """Algebra.generators' greedy search, by default on the reference span:
+    the lifts of a basis of J/J^2 first, then the basis vectors, each added
+    with a closure of its own unless the span already holds it."""
     f = alg.field
     gens = [alg.unit] + list(alg.prim_idempotents)
-    span = _subalgebra_span_reference(alg, gens)
+    span = span_of(alg, gens)
     candidates = list(_radical_top_reference(alg))
     for t in range(alg.dim):
         v = f.zeros(alg.dim)
@@ -582,7 +583,7 @@ def _generators_reference(alg):
             break
         if not in_span(span, v, f):
             gens.append(v)
-            span = _subalgebra_span_reference(alg, gens)
+            span = span_of(alg, gens)
     assert span.shape[0] == alg.dim
     return f.asarray(np.stack(gens))
 
@@ -692,6 +693,50 @@ def test_generators_without_the_trace_form_still_generate(n, p):
     gens = alg.generators()
     assert alg._subalgebra_span(list(gens)).shape[0] == alg.dim
     assert np.array_equal(gens, _generators_reference(alg))
+
+
+def _permuted(alg, perm):
+    """The same algebra in the basis b'_i = b_perm[i]."""
+    mult = alg.mult[np.ix_(perm, perm, perm)]
+    return algebra_from_structure_constants(alg.field, mult, alg.unit[perm], [e[perm] for e in alg.prim_idempotents])
+
+
+def _one_closure_corpus(field):
+    """Every fixture with its opposite, and its corner and its nonzero
+    quotient at the default idempotent."""
+    out = []
+    for name in fixture_names():
+        a, default_e = load_fixture(name, field)
+        out += [a, opposite(a)]
+        if default_e is not None:
+            e = parse_idempotent(a, default_e)
+            out += [corner(a, e)[0], quotient_by_idempotent_ideal(a, e)[0]]
+    return [a for a in out if a.dim]
+
+
+def _resolutions_corpus_permuted(field, seed):
+    """The algebras of the resolutions benchmark, each in a seeded basis order."""
+    k = ground_field_algebra(field)
+    algebras = [build_triangular(k, n) for n in range(2, 9)]
+    algebras += [_linear_nakayama(n, loewy, field) for n, loewy in [(6, 2), (8, 2), (10, 2), (8, 3), (10, 3)]]
+    algebras.append(_local_kxy(field))
+    rng = np.random.default_rng(seed)
+    return [_permuted(a, rng.permutation(a.dim)) for a in algebras]
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(5), Field(101), Field(None)], ids=["F3", "F5", "F101", "Q"])
+def test_one_closure_over_all_lifts_matches_the_greedy_lift_loop(field):
+    # one closure over the idempotents and all the lifts of a basis of J/J^2
+    # gives the rows of the loop that closed once per lift; over F_3 and F_5
+    # most of the corpus has p <= dim, where only basis vectors are searched
+    algebras = _one_closure_corpus(field)
+    if field.p == 101:
+        algebras += _resolutions_corpus_permuted(field, 5)
+    for alg in algebras:
+        gens = alg.generators()
+        assert np.array_equal(gens, _generators_reference(alg, span_of=Algebra._subalgebra_span)), alg
+        assert alg._subalgebra_span(list(gens)).shape[0] == alg.dim, alg
+    assert len(algebras) == (29 + 13 if field.p == 101 else 29)
 
 
 def _beyond_idempotents_reference(alg):

@@ -47,7 +47,7 @@ def test_recollement_pass_dies_without_collector(name, gc_off):
     ladder_report(rec, 12, 0)
     spli_silp(alg, 4)
     is_stratifying(rec, 4)
-    refs = [weakref.ref(x) for x in (alg, opposite(alg), rec.gamma, rec.sigma, rec.env_gl, projective_indecomposables(alg)[0])]
+    refs = [weakref.ref(x) for x in (alg, opposite(alg), rec.gamma, rec.sigma, rec.env_gl, rec.env_lg, projective_indecomposables(alg)[0])]
     del alg, rec
     assert [r() for r in refs] == [None] * len(refs)
 

@@ -57,6 +57,56 @@ def test_matmul_exact_at_largest_accepted_prime():
         assert int(got[0, 0]) == sum((p - 1) * (p - 1) for _ in range(k)) % p
 
 
+def _asarray_q_reference(data):
+    """Field.asarray over Q before it returned Fraction input as copied: every
+    entry wrapped in Fraction again."""
+    a = np.array(data, dtype=object, copy=True)
+    flat = a.reshape(-1)
+    for i, v in enumerate(flat):
+        flat[i] = Fraction(v)
+    return flat.reshape(a.shape)
+
+
+def test_asarray_q_returns_a_fresh_array():
+    src = Q.asarray([[Fraction(1, 2), Fraction(0)], [Fraction(-3), Fraction(5, 7)]])
+    before = src.copy()
+    got = Q.asarray(src)
+    assert got is not src and not np.shares_memory(got, src)
+    got.setflags(write=False)
+    assert src.flags.writeable
+    src[0, 0] = Fraction(9)
+    assert got[0, 0] == Fraction(1, 2)
+    src[0, 0] = before[0, 0]
+    got = Q.asarray(src)
+    got[1, 1] = Fraction(4)
+    assert np.array_equal(src, before)
+
+
+def test_asarray_q_converts_mixed_integers_and_fractions():
+    data = [[1, np.int64(-2), Fraction(3, 4)], [np.int64(0), 7, Fraction(-1, 3)]]
+    got = Q.asarray(data)
+    assert got.dtype == object and got.shape == (2, 3)
+    assert all(type(x) is Fraction for x in got.flat)
+    assert got.tolist() == [[1, -2, Fraction(3, 4)], [0, 7, Fraction(-1, 3)]]
+    assert all(type(x) is Fraction for x in Q.asarray(np.arange(6, dtype=np.int64).reshape(2, 3)).flat)
+    assert Q.asarray(np.empty((0, 3), dtype=object)).shape == (0, 3)
+
+
+def test_asarray_q_fraction_input_matches_the_entry_loop():
+    rng = np.random.default_rng(31)
+    for shape in [(0,), (5,), (3, 4), (2, 3, 4), (4, 0, 2)]:
+        for mixed in (False, True):
+            nums, dens = rng.integers(-9, 10, size=shape), rng.integers(1, 7, size=shape)
+            data = np.empty(shape, dtype=object)
+            for idx in np.ndindex(*shape):
+                data[idx] = Fraction(int(nums[idx]), int(dens[idx]))
+                if mixed and rng.random() < 0.3:
+                    data[idx] = int(nums[idx]) if rng.random() < 0.5 else np.int64(nums[idx])
+            got, want = Q.asarray(data), _asarray_q_reference(data)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert all(type(x) is Fraction for x in got.flat)
+
+
 def test_rref_identity():
     ident = F101.eye(3)
     r = rref(ident, F101)
@@ -434,7 +484,6 @@ def test_solve_matrix_matches_sympy(field):
 # every contraction spec the engine passes to Field.einsum
 EINSUM_SPECS = [
     "abk,tk->abt",
-    "ar,abc,c->br",
     "gi,iab->gab",
     "i,iab->ab",
     "i,j,ijk->k",
@@ -451,8 +500,9 @@ EINSUM_SPECS = [
     "na,bm->abnm",
     "s,sab->ab",
 ]
-# the two halves of the pairwise products in test_algebra's closure reference
-REFERENCE_SPECS = ["ai,ijk->ajk", "bj,ajk->abk"]
+# the two halves of the pairwise products in test_algebra's closure reference,
+# and test_modules' per-generator projective cover blocks
+REFERENCE_SPECS = ["ai,ijk->ajk", "bj,ajk->abk", "ar,abc,c->br"]
 
 # (a, b) shapes: broadcast stacks, vectors and empty inner or outer sizes
 MATMUL_SHAPES = [

@@ -269,7 +269,10 @@ def test_projective_cover_matches_greedy_span_reference(field):
     """Same generators, cover and surjection as the closure-per-generator
     search, on the regular module, the simples and seeded random modules of
     every fixture (m2k and morita-square-k have isomorphic idempotents) and
-    the workload algebras, and on their first three syzygies."""
+    the workload algebras, and on their first three syzygies.  The reference
+    builds the surjection one generator at a time; projective_cover groups
+    the generators by summand index, so covers with a repeated index and
+    covers with several indices are counted."""
     k = ground_field_algebra(field)
     algebras = [load_fixture(name, field)[0] for name in fixture_names()]
     algebras += [
@@ -279,7 +282,7 @@ def test_projective_cover_matches_greedy_span_reference(field):
         _cyclic_nakayama(4, 3, field),
     ]
     rng = np.random.default_rng(14)
-    checked = 0
+    checked = repeated = mixed = 0
     for alg in algebras:
         for m in [regular_module(alg), *simples(alg), *(random_module(alg, rng) for _ in range(3))]:
             for _ in range(4):  # m, then its syzygies 1 to 3
@@ -288,10 +291,13 @@ def test_projective_cover_matches_greedy_span_reference(field):
                 assert cover.dim == dim and surj.matrix.dtype == mat.dtype, (alg, m)
                 assert np.array_equal(surj.matrix, mat), (alg, m)
                 checked += 1
+                indices = cover._summands or ()
+                repeated += len(set(indices)) < len(indices)
+                mixed += len(set(indices)) > 1
                 m = _syzygy(cover, surj)
                 if m.dim == 0:
                     break
-    assert checked > 150
+    assert checked > 150 and repeated > 10 and mixed > 10, (checked, repeated, mixed)
 
 
 def test_projective_cover_grows_the_top_without_a_closure(monkeypatch):

@@ -1,10 +1,12 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from ladderkit.algebra import AlgebraError, Idempotent, build_triangular, dual_numbers_algebra, ground_field_algebra, opposite, preprojective_a2
 from ladderkit.fixtures import load_fixture, parse_idempotent
+from ladderkit.homological import is_stratifying, spli_silp
 from ladderkit.linalg import Field, solve
 from ladderkit.modules import Module, ModuleMap, hom_space, is_isomorphic, is_projective, random_module, simples, regular_module
 from ladderkit.recollement import (
@@ -382,6 +384,61 @@ def test_check_axioms_applies_each_functor_once_per_module(monkeypatch):
     m, n, s = (res["pools"][side]["modules"] for side in ("middle", "corner", "quotient"))
     assert (m, n, s) == (3, 1, 1)
     assert calls == {"e": m + 2 * n, "q": m + n, "p": m + n, "i": 2 * m + s} == {"e": 5, "q": 4, "p": 4, "i": 7}
+
+
+@pytest.fixture
+def product_builds(monkeypatch):
+    """(dim A, dim B, op_right) of every product algebra built while the test runs."""
+    import ladderkit.algebra as algebra_module
+
+    builds = []
+    build = algebra_module._product_algebra
+
+    def counting_build(a, b, op_right):
+        builds.append((a.dim, b.dim, op_right))
+        return build(a, b, op_right)
+
+    monkeypatch.setattr(algebra_module, "_product_algebra", counting_build)
+    return builds
+
+
+@pytest.mark.parametrize("name", RECOLLEMENT_FIXTURES)
+def test_enveloping_algebras_are_built_on_first_read(name, product_builds):
+    alg, default_e = load_fixture(name, F)
+    product_builds.clear()  # the Morita square is itself a tensor product
+    rec = build_recollement(alg, parse_idempotent(alg, default_e))
+    is_stratifying(rec, 4)
+    spli_silp(alg, 4)
+    assert check_axioms(rec, 4, np.random.default_rng(0))["failures"] == []
+    assert product_builds == []
+    ladder_report(rec, 12, 0)
+    assert rec.env_gl is rec.env_gl and rec.env_lg is rec.env_lg
+    # at most one build per side, whether the towers or the reads above made it
+    g, lam = rec.gamma.dim, rec.lam.dim
+    assert sorted(product_builds) == sorted([(g, lam, True), (lam, g, True)])
+
+
+def test_stratifying_builds_no_enveloping_algebra(product_builds):
+    # dim G = 16: each product would hold 352^3 structure constants
+    alg, _ = load_fixture("ideal-chain", F)
+    rec = build_recollement(alg, parse_idempotent(alg, "e1+e2+e3+e4+e6"))
+    res = is_stratifying(rec, 4)
+    assert (res["status"], res["tor_dims"]) == ("Yes", [21, 0, 0, 0, 0])
+    assert rec.gamma.dim * rec.lam.dim == 352
+    assert product_builds == []
+
+
+def test_dimension_bound_fails_on_the_first_enveloping_read():
+    # dim G * dim L = 21 * 28 = 588 > DIM_BOUND: only what reads the
+    # enveloping algebras is refused
+    t7 = build_triangular(K, 7)
+    rec = build_recollement(t7, parse_idempotent(t7, "e1+e2+e3+e4+e5+e6"))
+    assert (rec.gamma.dim, rec.lam.dim) == (21, 28)
+    assert is_stratifying(rec, 2)["status"] == "Yes"
+    assert spli_silp(t7, 2).gorenstein == "yes"
+    message = "algebra dimension 588 exceeds 512: int64 arithmetic over F_p is exact only up to there"
+    with pytest.raises(AlgebraError, match=re.escape(message)):
+        ladder_report(rec, 12, 0)
 
 
 def test_exact_at_needs_zero_composite_as_well_as_ranks():
