@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra, opposite
+from .algebra import opposite
 from .modules import (
     Bimodule,
     Module,
@@ -127,14 +127,6 @@ def _next_rung(rec: RecollementData, bimod: Bimodule, index: int, r_side: bool) 
     return out.flip()
 
 
-def _env_for(rec: RecollementData, index: int, r_side: bool) -> Algebra:
-    """The enveloping algebra over which rung `index` is a bimodule."""
-    even = index % 2 == 0
-    if r_side:
-        return rec.env_gl if even else rec.env_lg
-    return rec.env_lg if even else rec.env_gl
-
-
 def _tower(rec: RecollementData, max_steps: int, seed: int, r_side: bool) -> tuple[list[TowerRung], HeightVerdict]:
     """Build the tower one rung at a time and decide the height on the way."""
     rungs: list[TowerRung] = []
@@ -146,9 +138,8 @@ def _tower(rec: RecollementData, max_steps: int, seed: int, r_side: bool) -> tup
         rungs.append(TowerRung(jp, current, side, is_projective(tested)))
         if not rungs[-1].projective:
             return rungs, HeightVerdict("exact", n=jp + 1, failing_rung=jp)
-        env = _env_for(rec, jp, r_side)
         for j in range(jp % 2, jp, 2):
-            res = bimodules_isomorphic(rungs[j].bimodule, current, env=env, seed=seed)
+            res = bimodules_isomorphic(rungs[j].bimodule, current, seed=seed)
             if res.kind == "probably_no":
                 randomized = True
             elif res.kind == "yes":

@@ -1,9 +1,8 @@
 """Finite-dimensional modules, bimodules, Hom spaces, covers and resolutions.
 
 A left module is one action matrix per algebra basis element.  A bimodule
-stores its two one-sided actions; its left module over the enveloping algebra
-A (x) B^op the caller passes in is only materialized when two bimodules must
-be compared, so large enveloping algebras never arise implicitly.
+stores its two one-sided actions, and hom_space, hom_profile and
+is_isomorphic take it as a module over A (x) B^op read off those actions.
 Everything reduces to exact linear algebra.  Hom spaces come back in one
 canonical basis, read off e_i.N out of a sum of projectives or a kept cover,
 else solved on the blocks e_j.N x e_i.M cut out by the idempotents; tensor
@@ -139,31 +138,44 @@ class Module:
         if self._split is None and self._summands is not None:
             self._split = _free_split(self.algebra, self._summands)
         if self._split is None:
-            f = self.field
-            eye = f.eye(self.dim)
-            split = []
-            for e in self.algebra.prim_idempotents:
-                act = self.act_vector(e)
-                support = np.flatnonzero(np.diagonal(act))
-                if np.count_nonzero(act) == support.size:
-                    split.append((eye[:, support], act[support]))
-                    continue
-                r = rref(act.T, f)
-                split.append((r.matrix[: r.rank].T, act[list(r.pivots)]))
-            if sum(u.shape[1] for u, _ in split) != self.dim:
-                raise AlgebraError("the distinguished idempotents do not split the module: sum of dim e_i.M != dim M")
-            self._split = tuple(split)
+            self._split = _split_by(self.field, self.dim, [self.act_vector(e) for e in self.algebra.prim_idempotents])
         return self._split
+
+    def _acts(self, rows) -> np.ndarray:
+        """The elements rows(algebra) acting, stacked (g, dim, dim)."""
+        return self.field.einsum("gi,iab->gab", rows(self.algebra), self.action)
+
+    def _class_indices(self) -> tuple:  # into idempotent_split, one per class of simples
+        return _simple_classes(self.algebra)
+
+    def _over_same(self, other) -> bool:
+        return self.algebra.same_as(other.algebra)
 
     def __repr__(self):
         return f"Module(dim={self.dim} over {self.algebra!r})"
 
 
+def _split_by(f: Field, dim: int, acts) -> tuple:
+    """Module.idempotent_split from the actions E_i of the idempotents."""
+    eye = f.eye(dim)
+    split = []
+    for act in acts:
+        support = np.flatnonzero(np.diagonal(act))
+        if np.count_nonzero(act) == support.size:
+            split.append((eye[:, support], act[support]))
+            continue
+        r = rref(act.T, f)
+        split.append((r.matrix[: r.rank].T, act[list(r.pivots)]))
+    if sum(u.shape[1] for u, _ in split) != dim:
+        raise AlgebraError("the distinguished idempotents do not split the module: sum of dim e_i.M != dim M")
+    return tuple(split)
+
+
 class ModuleMap:
-    """A linear map intertwining two modules over the same algebra."""
+    """A linear map intertwining two modules, or two bimodules, over the same algebras."""
 
     def __init__(self, source: Module, target: Module, matrix: np.ndarray, _validate=True):
-        if not source.algebra.same_as(target.algebra):
+        if not source._over_same(target):
             raise AlgebraError("module map needs source and target over the same algebra")
         self.source = source
         self.target = target
@@ -175,9 +187,8 @@ class ModuleMap:
 
     def _validate(self):
         f = self.source.field
-        gens = self.source.algebra.generators()
-        lhs = f.matmul(self.matrix, f.einsum("gi,iab->gab", gens, self.source.action))
-        rhs = f.matmul(f.einsum("gi,iab->gab", gens, self.target.action), self.matrix)
+        lhs = f.matmul(self.matrix, self.source._acts(Algebra.generators))
+        rhs = f.matmul(self.target._acts(Algebra.generators), self.matrix)
         if not f.equal(lhs, rhs):
             raise AlgebraError("matrix does not intertwine the actions")
 
@@ -205,18 +216,24 @@ class Bimodule:
     left; right_action[j] is the matrix of x -> x.b_j.  The validation checks
     both representation properties and that the actions commute (on generator
     pairs, which suffices by bilinearity).
+
+    As a module over A (x) B^op, its idempotents are the e_a (x) f_b, a-major,
+    its further generators g (x) 1 and 1 (x) h, and its radical J(A) (x) B^op
+    + A (x) J(B^op) over a perfect field (Pierce, Associative Algebras), all
+    read off the two actions: the product algebra is never built.
     """
+
+    _summands = _cover = None  # never a kept sum of projectives, never covered
 
     def __init__(self, left: Algebra, right: Algebra, left_action, right_action, _validate=True):
         if left.field != right.field:
             raise AlgebraError("bimodule factors need a common field")
         f = left.field
-        self.left = left
-        self.right = right
+        self.left, self.right = left, right
         self.left_action = f.asarray(left_action)
         self.right_action = f.asarray(right_action)
         self.dim = self.left_action.shape[1] if left.dim else self.right_action.shape[1]
-        self._env_module: Optional[Module] = None
+        self._split = self._profile = None
         if _validate:
             Module(left, self.left_action)
             Module(opposite(right), self.right_action)
@@ -224,9 +241,8 @@ class Bimodule:
                 raise AlgebraError(
                     f"left action has dimension {self.left_action.shape[1]}, right action dimension {self.right_action.shape[1]}"
                 )
-            lg = f.einsum("gi,iab->gab", left.generators(), self.left_action)[:, None]
-            rh = f.einsum("gi,iab->gab", right.generators(), self.right_action)[None]
-            if not f.equal(f.matmul(lg, rh), f.matmul(rh, lg)):
+            lg, rh = np.split(self._acts(Algebra.generators), [len(left.generators())])
+            if not f.equal(f.matmul(lg[:, None], rh[None]), f.matmul(rh[None], lg[:, None])):
                 raise AlgebraError("left and right actions do not commute")
 
     @property
@@ -244,15 +260,26 @@ class Bimodule:
         """The same space as a (B^op, A^op)-bimodule; pure data swap."""
         return Bimodule(opposite(self.right), opposite(self.left), self.right_action, self.left_action, _validate=False)
 
-    def env_module(self, env: Algebra) -> Module:
-        """The left module over env = A (x) B^op, one algebra object shared
-        across many bimodules."""
-        if self._env_module is None or not self._env_module.algebra.same_as(env):
-            f = self.field
-            act = f.einsum("iab,jbc->ijac", self.left_action, self.right_action)
-            act = act.reshape(self.left.dim * self.right.dim, self.dim, self.dim)
-            self._env_module = Module(env, act, _validate=False)
-        return self._env_module
+    def _acts(self, rows) -> np.ndarray:
+        """rows(A) acting on the left, then rows(B) on the right, stacked."""
+        f = self.field
+        left, right = f.einsum("gi,iab->gab", rows(self.left), self.left_action), f.einsum("gi,iab->gab", rows(self.right), self.right_action)
+        return np.concatenate([left, right])
+
+    def idempotent_split(self) -> tuple:
+        """Module.idempotent_split over the e_a (x) f_b, acting as E_a F_b; computed once."""
+        if self._split is None:
+            es, fs = np.split(self._acts(lambda a: np.stack(a.prim_idempotents)), [len(self.left.prim_idempotents)])
+            self._split = _split_by(self.field, self.dim, self.field.matmul(es[:, None], fs[None]).reshape(-1, self.dim, self.dim))
+        return self._split
+
+    def _class_indices(self) -> tuple:
+        """Pairs (a, b) of the factors' class representatives, a-major: the S_a (x) S_b."""
+        k = len(self.right.prim_idempotents)
+        return tuple(a * k + b for a in _simple_classes(self.left) for b in _simple_classes(self.right))
+
+    def _over_same(self, other) -> bool:
+        return self.left.same_as(other.left) and self.right.same_as(other.right)
 
     def __repr__(self):
         return f"Bimodule(dim={self.dim}, left {self.left!r}, right {self.right!r})"
@@ -364,7 +391,7 @@ def hom_space(m: Module, n: Module) -> HomBasis:
     where some map has its last nonzero row-major entry, in increasing order
     of that coordinate (the pivots, read back through the reversal).
     """
-    if not m.algebra.same_as(n.algebra):
+    if not m._over_same(n):
         raise AlgebraError("hom_space needs modules over the same algebra")
     f = m.field
     size = n.dim * m.dim
@@ -390,9 +417,7 @@ def hom_space(m: Module, n: Module) -> HomBasis:
         res = f.matmul(stack, kernel).reshape(u, n.dim * kernel.shape[1])
         stack = f.matmul(stack, section)
     else:
-        gens = m.algebra.generators_beyond_idempotents()
-        am = f.einsum("gi,iab->gab", gens, m.action)
-        bn = f.einsum("gi,iab->gab", gens, n.action)
+        am, bn = m._acts(Algebra.generators_beyond_idempotents), n._acts(Algebra.generators_beyond_idempotents)
         res = f.normalize(f.matmul(stack[:, None], am[None]) - f.matmul(bn[None], stack[:, None])).reshape(u, -1)
     res = res[:, np.any(res != 0, axis=0)]  # drop conditions no unknown touches
     r = rref(np.concatenate([res, stack.reshape(u, -1)[:, ::-1]], axis=1), f)
@@ -460,12 +485,11 @@ class HomBasis:
 
 
 def _radical_action(m: Module) -> tuple[np.ndarray, np.ndarray]:
-    """J(algebra) acting on m, one contraction over the radical rows, laid out
+    """The radical rows acting on m (on both sides of a bimodule), laid out
     side by side (dim, r*dim), whose columns span rad(M) = J.M, and stacked
     (r*dim, dim), whose kernel is soc(M) = {x : J.x = 0}."""
-    jrows = algebra_radical_rows(m.algebra)
-    jact = m.field.einsum("gi,iab->gab", jrows, m.action)
-    n, r = m.dim, jrows.shape[0]
+    jact = m._acts(algebra_radical_rows)
+    n, r = m.dim, jact.shape[0]
     return jact.transpose(1, 0, 2).reshape(n, r * n), jact.reshape(r * n, n)
 
 
@@ -855,14 +879,16 @@ def hom_profile(m: Module) -> tuple:
     simple S_i (empty when the radical is out of reach of the field).  Those
     are ranks of e_i on top(M) and soc(M): e_i.X ~ Hom(A.e_i, X) = Hom(S_i, X)
     for semisimple X, and Hom between semisimples has symmetric dimension, so
-    dim Hom(M, S_i) = dim e_i.M - dim e_i.rad(M), dim Hom(S_i, M) = dim e_i.soc(M)."""
+    dim Hom(M, S_i) = dim e_i.M - dim e_i.rad(M), dim Hom(S_i, M) = dim e_i.soc(M).
+    For an (A, B)-bimodule, rad(M) = J(A).M + M.J(B) and the S_i are the
+    S_a (x) S_b: the profile is empty only where J(A) or J(B) is out of reach."""
     if m._profile is None:
         f = m.field
         split = m.idempotent_split()  # P_i gives coordinates on e_i.M, so dim e_i.X = rank(P_i X)
         idem_dims = tuple(p.shape[0] for _, p in split)
         try:
             spans, stacked = _radical_action(m)
-            coords = [split[i][1] for i in _simple_classes(m.algebra)]
+            coords = [split[i][1] for i in m._class_indices()]
         except FieldRestrictionError:
             to_s = from_s = ()
         else:
@@ -882,8 +908,9 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0) -> IsoResult:
     No when dimensions or Hom profiles against the simples differ (ranks of
     the idempotents on top and socle, see hom_profile); Yes with an
     invertible intertwiner as proof; ProbablyNo after the sampling budget.
+    m and n may both be (A, B)-bimodules: a witness commutes with both actions.
     """
-    if not m.algebra.same_as(n.algebra):
+    if not m._over_same(n):
         raise AlgebraError("modules live over different algebras")
     f = m.field
     if m.dim != n.dim:
@@ -911,9 +938,9 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0) -> IsoResult:
     return IsoResult("probably_no", trials=_ISO_TRIALS)
 
 
-def bimodules_isomorphic(m: Bimodule, n: Bimodule, env: Algebra, seed: int = 0) -> IsoResult:
-    """Isomorphism of bimodules = isomorphism over the enveloping algebra env."""
-    return is_isomorphic(m.env_module(env), n.env_module(env), seed=seed)
+def bimodules_isomorphic(m: Bimodule, n: Bimodule, seed: int = 0) -> IsoResult:
+    """is_isomorphic on two bimodules, under a name of its own so that a tracer can count rung pairs."""
+    return is_isomorphic(m, n, seed=seed)
 
 
 # -- serialization -----------------------------------------------------------------

@@ -29,7 +29,6 @@ from .algebra import (
     Idempotent,
     QuotientProjection,
     corner,
-    enveloping,
     opposite,
     quotient_by_idempotent_ideal,
 )
@@ -92,18 +91,6 @@ class RecollementData:
     lambda_e_basis: np.ndarray  # (dim L, dim Le) column basis of Le
     e_in_e_lambda: np.ndarray  # coordinates of e in e_lambda_basis
     e_in_lambda_e: np.ndarray  # coordinates of e in lambda_e_basis
-
-    @functools.cached_property
-    def env_gl(self) -> Algebra:
-        """G (x) L^op, shared by all (G, L) rungs; built on first read, since
-        only the towers and c2 read it.  Raises AlgebraError over F_p when
-        dim G * dim L exceeds DIM_BOUND."""
-        return enveloping(self.gamma, self.lam)
-
-    @functools.cached_property
-    def env_lg(self) -> Algebra:
-        """L (x) G^op, built on first read."""
-        return enveloping(self.lam, self.gamma)
 
     @property
     def field(self) -> Field:

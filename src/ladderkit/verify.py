@@ -22,7 +22,7 @@ from .homological import (
     spli_silp,
     stable_hom_dim,
 )
-from .ladder import _env_for, height_cross_check, ladder_report
+from .ladder import height_cross_check, ladder_report
 from .linalg import Field
 from .modules import hom_profile
 from .recollement import adjunction_mismatches, build_recollement, check_axioms
@@ -108,14 +108,8 @@ def _c2(ctx: _Ctx) -> dict:
     )
     if ok:
         rv = rep.r_verdict
-        rec = ctx.recs["preproj-a2"]
-        a = rep.r_rungs[rv.matched_rung].bimodule
-        b = rep.r_rungs[rv.first_repeat_index].bimodule
-        env = _env_for(rec, rv.matched_rung, r_side=True)
-        pa = hom_profile(a.env_module(env))
-        pb = hom_profile(b.env_module(env))
-        details["matched_rung_profiles_equal"] = pa == pb
-        ok = ok and pa == pb
+        same = hom_profile(rep.r_rungs[rv.matched_rung].bimodule) == hom_profile(rep.r_rungs[rv.first_repeat_index].bimodule)
+        details["matched_rung_profiles_equal"] = ok = same
     return _crit(2, "two-vertex self-injective fixture: infinite ladders of period 3 within 12 rungs", ok, details)
 
 

@@ -827,7 +827,8 @@ def test_enveloping_vectors_match_kron(name, field):
     # the np.kron products of the factors' vectors
     alg, default_e = load_fixture(name, field)
     rec = build_recollement(alg, parse_idempotent(alg, default_e))
-    for env, a, b in [(rec.env_gl, rec.gamma, rec.lam), (rec.env_lg, rec.lam, rec.gamma)]:
+    for a, b in [(rec.gamma, rec.lam), (rec.lam, rec.gamma)]:
+        env = enveloping(a, b)
         unit = field.normalize(np.kron(a.unit, b.unit))
         idems = [field.normalize(np.kron(x, y)) for x in a.prim_idempotents for y in b.prim_idempotents]
         rest = [np.kron(g, b.unit) for g in a.generators_beyond_idempotents()]

@@ -291,3 +291,12 @@ def test_algebra_beyond_dimension_bound_exits_2(tmp_path, capsys, spec):
     path.write_text(json.dumps(spec))
     assert main(["ladder", "--algebra", str(path)]) == EXIT_INPUT
     assert "exceeds 512" in capsys.readouterr().err
+
+
+def test_ladder_accepts_recollement_beyond_the_enveloping_bound(tmp_path, capsys):
+    # t_7 at e1+...+e6: dim G * dim L = 21 * 28 = 588 > 512, each factor below
+    path = tmp_path / "t7.json"
+    path.write_text(json.dumps({"kind": "triangular", "base": "ground", "n": 7}))
+    assert main(["ladder", "--algebra", str(path), "--idempotent", "e1+e2+e3+e4+e5+e6"]) == 0
+    out = capsys.readouterr().out
+    assert "r-height: Exact(2)" in out and "l-height: AtLeast(13)" in out

@@ -8,12 +8,11 @@ from ladderkit.algebra import Algebra, Idempotent, QuiverPresentation, algebra_f
 from ladderkit.ladder import (
     HeightVerdict,
     TowerRung,
-    _env_for,
     _next_rung,
     height_cross_check,
     ladder_report,
 )
-from ladderkit.linalg import Field
+from ladderkit.linalg import Field, rank
 from ladderkit.modules import bimodules_isomorphic, hom_space, is_projective
 from ladderkit.recollement import build_recollement
 from ladderkit.verify import EXPECTED_TOWERS, RECOLLEMENT_FIXTURES
@@ -171,11 +170,16 @@ def test_matched_rungs_really_isomorphic():
     v = rep.r_verdict
     a = rep.r_rungs[v.matched_rung].bimodule
     b = rep.r_rungs[v.first_repeat_index].bimodule
-    res = bimodules_isomorphic(a, b, env=rec.env_gl, seed=0)
+    res = bimodules_isomorphic(a, b, seed=0)
     assert res.is_yes
+    # the witness is invertible and commutes with both actions
+    w = res.witness.matrix
+    assert rank(w, F) == a.dim == b.dim
+    for x, y in ((a.left_action, b.left_action), (a.right_action, b.right_action)):
+        assert F.equal(F.matmul(w, x), F.matmul(y, w))
     # the in-between rungs are pairwise non-isomorphic to rung 0
     mid = rep.r_rungs[v.matched_rung + 2].bimodule
-    assert bimodules_isomorphic(a, mid, env=rec.env_gl, seed=0).kind == "no"
+    assert bimodules_isomorphic(a, mid, seed=0).kind == "no"
 
 
 @pytest.mark.parametrize("name", ["t2", "prop32-dual-numbers", "preproj-a2", "ideal-chain"])
@@ -326,8 +330,7 @@ def _two_pass_reference(rec, max_steps, seed, r_side):
     randomized = False
     for jp in range(1, len(rungs)):
         for j in range(jp % 2, jp, 2):
-            env = _env_for(rec, j, r_side)
-            res = bimodules_isomorphic(rungs[j].bimodule, rungs[jp].bimodule, env=env, seed=seed)
+            res = bimodules_isomorphic(rungs[j].bimodule, rungs[jp].bimodule, seed=seed)
             if res.kind == "probably_no":
                 randomized = True
             elif res.kind == "yes":

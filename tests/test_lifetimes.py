@@ -16,6 +16,7 @@ from ladderkit.linalg import Field
 from ladderkit.modules import (
     Module,
     cover_sequence,
+    hom_profile,
     hom_space,
     indecomposables,
     module_pool,
@@ -44,12 +45,15 @@ def gc_off():
 def test_recollement_pass_dies_without_collector(name, gc_off):
     alg, default_e = load_fixture(name, F)
     rec = build_recollement(alg, parse_idempotent(alg, default_e))
-    ladder_report(rec, 12, 0)
+    rung = ladder_report(rec, 12, 0).r_rungs[-1].bimodule
     spli_silp(alg, 4)
     is_stratifying(rec, 4)
-    refs = [weakref.ref(x) for x in (alg, opposite(alg), rec.gamma, rec.sigma, rec.env_gl, rec.env_lg, projective_indecomposables(alg)[0])]
-    del alg, rec
+    # a rung keeps its idempotent split and profile as arrays and ints only
+    kept = (rung.idempotent_split(), hom_profile(rung))
+    refs = [weakref.ref(x) for x in (alg, opposite(alg), rec.gamma, rec.sigma, rung, projective_indecomposables(alg)[0])]
+    del alg, rec, rung
     assert [r() for r in refs] == [None] * len(refs)
+    assert kept[0] and kept[1][0]
 
 
 def test_opposite_does_not_keep_its_algebra_alive(gc_off):

@@ -18,12 +18,13 @@ from ladderkit.algebra import (
     algebra_radical_rows,
     build_triangular,
     dual_numbers_algebra,
+    enveloping,
     ground_field_algebra,
     opposite,
     preprojective_a2,
 )
 from ladderkit.fixtures import fixture_names, load_fixture, parse_idempotent
-from ladderkit.ladder import _env_for, ladder_report
+from ladderkit.ladder import ladder_report
 from ladderkit.linalg import DimensionMismatch, Field, intersect_kernels, kernel_basis, rank, rref, solve, solve_matrix
 from ladderkit.modules import (
     Bimodule,
@@ -853,18 +854,83 @@ def test_hom_functor_ranks_match_the_kron_reference(name, field):
     assert proper
 
 
+def _enveloping_modules(rungs) -> list:
+    """The dense reference: each rung bimodule M as a left module over
+    A (x) B^op, acting by (a (x) b).x = a.x.b; one product algebra per pair
+    of factors."""
+    envs, out = {}, []
+    for rung in rungs:
+        b = rung.bimodule
+        key = (id(b.left), id(b.right))
+        if key not in envs:
+            envs[key] = enveloping(b.left, b.right)
+        act = b.field.einsum("iab,jbc->ijac", b.left_action, b.right_action)
+        out.append(Module(envs[key], act.reshape(-1, b.dim, b.dim), _validate=False))
+    return out
+
+
+def _assert_rungs_match_enveloping_reference(rep, seed=0) -> int:
+    """On every same-parity rung pair of both towers, the bimodules and their
+    enveloping modules give the same Hom basis, profile and isomorphism test
+    (kind, trials, certificate, witness); returns the number of pairs."""
+    pairs = 0
+    for rungs in (rep.r_rungs, rep.l_rungs):
+        refs = _enveloping_modules(rungs)
+        for j, (rung, ref) in enumerate(zip(rungs, refs)):
+            b = rung.bimodule
+            assert hom_profile(b) == hom_profile(ref)
+            for other, other_ref in zip(rungs[j % 2 :: 2], refs[j % 2 :: 2]):
+                c = other.bimodule
+                got, want = hom_space(b, c), hom_space(ref, other_ref)
+                assert got.source is b and got.target is c
+                assert np.array_equal(got.matrices, want.matrices) and np.array_equal(got.positions, want.positions)
+                res, res_ref = is_isomorphic(b, c, seed), is_isomorphic(ref, other_ref, seed)
+                assert (res.kind, res.trials, res.certificate) == (res_ref.kind, res_ref.trials, res_ref.certificate)
+                assert (res.witness is None) == (res_ref.witness is None)
+                if res.witness is not None:
+                    assert np.array_equal(res.witness.matrix, res_ref.witness.matrix)
+                pairs += 1
+    return pairs
+
+
 def test_hom_space_matches_reference_over_enveloping_algebra():
-    # the enveloping algebra's generators start with sums of idempotents
+    pairs, kinds = 0, set()
+    for name in RECOLLEMENT_FIXTURES:
+        alg, e = load_fixture(name, F)
+        rep = ladder_report(build_recollement(alg, parse_idempotent(alg, e)), 12, 0)
+        pairs += _assert_rungs_match_enveloping_reference(rep)
+        kinds |= {rep.r_verdict.kind, rep.l_verdict.kind}
+    assert pairs >= 90 and kinds == {"exact", "periodic_infinite"}
+    # the reference itself: over the enveloping algebra, whose generators
+    # start with sums of idempotents, hom_space matches the kron reference
     alg, e = load_fixture("preproj-a2", F)
-    rec = build_recollement(alg, parse_idempotent(alg, e))
-    rep = ladder_report(rec, 6, 0)
-    rungs = [r.bimodule for r in rep.r_rungs + rep.l_rungs]
-    mods = [b.env_module(rec.env_gl) for b in rungs if b.left.same_as(rec.gamma) and b.right.same_as(rec.lam)]
-    assert len(mods) >= 2
-    assert len(rec.env_gl.generators_beyond_idempotents()) < len(rec.env_gl.generators())
+    rep = ladder_report(build_recollement(alg, parse_idempotent(alg, e)), 6, 0)
+    mods = _enveloping_modules(rep.r_rungs[::2])
+    env = mods[0].algebra
+    assert len(mods) >= 2 and len(env.generators_beyond_idempotents()) < len(env.generators())
     for m in mods:
         for n in mods:
             _assert_same_hom_basis(m, n)
+
+
+def test_rung_profiles_where_the_enveloping_radical_is_out_of_reach():
+    # dim G * dim L >= 101 > dim G, dim L: over F_101 the trace-form radical
+    # of G (x) L^op is out of reach, the factors' radicals are not
+    def rungs_over(p, idempotent):
+        alg, _ = load_fixture("ideal-chain", Field(p))
+        rep = ladder_report(build_recollement(alg, parse_idempotent(alg, idempotent)), 12, 0)
+        return rep.r_rungs + rep.l_rungs
+
+    for idempotent, env_dim in (("e1+e3+e6", 132), ("e1+e3+e4+e5+e6", 330)):
+        rungs = rungs_over(101, idempotent)
+        assert rungs[0].bimodule.left.dim * rungs[0].bimodule.right.dim == env_dim
+        profiles = [hom_profile(r.bimodule) for r in rungs]
+        assert all(p[2] and p[3] for p in profiles)
+        assert hom_profile(_enveloping_modules(rungs[:1])[0])[2:] == ((), ())
+        rungs_353 = rungs_over(353, idempotent)
+        assert [hom_profile(r.bimodule) for r in rungs_353] == profiles
+        if env_dim == 132:  # over F_353 a 330-dim enveloping algebra's radical takes about a minute
+            assert [hom_profile(m) for m in _enveloping_modules(rungs_353)] == profiles
 
 
 def test_hom_space_matches_reference_in_unadapted_bases():
@@ -1043,13 +1109,14 @@ def test_hom_profile_matches_hom_space_reference(name, field):
         assert hom_profile(m) is hom_profile(m)  # kept on the module
     if field.p is None and name == "ideal-chain":
         return  # over Q, the projectives of its rungs' 66-dim enveloping algebras take seconds each
-    rec = build_recollement(alg, parse_idempotent(alg, default_e))
-    rep = ladder_report(rec, 12, 0)
-    rungs = [(rung, r_side) for rungs, r_side in ((rep.r_rungs, True), (rep.l_rungs, False)) for rung in rungs]
+    rep = ladder_report(build_recollement(alg, parse_idempotent(alg, default_e)), 12, 0)
+    rungs = rep.r_rungs + rep.l_rungs
     assert rungs
-    for rung, r_side in rungs:
-        m = rung.bimodule.env_module(_env_for(rec, rung.index, r_side))
-        assert hom_profile(m) == _hom_profile_reference(m)
+    for rung, ref in zip(rungs, _enveloping_modules(rungs)):
+        assert hom_profile(rung.bimodule) == _hom_profile_reference(ref)
+        assert hom_profile(rung.bimodule) is hom_profile(rung.bimodule)
+    if field.p is None:  # over F_101 in test_hom_space_matches_reference_over_enveloping_algebra
+        assert _assert_rungs_match_enveloping_reference(rep)
 
 
 @pytest.mark.parametrize("name,p", [("t3", 5), ("preproj-a2", 3)])
