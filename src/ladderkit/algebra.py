@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DIM_BOUND, Field, column_space_basis, in_span, kernel_basis, quotient_coordinates, rank, rref, solve, solve_matrix, unit_rows
+from .linalg import DIM_BOUND, Field, column_space_basis, in_span, kernel_basis, quotient_coordinates, rank, rref, solve_matrix, unit_rows
 
 __all__ = [
     "AlgebraError",
@@ -310,10 +310,10 @@ def dual_numbers_algebra(field: Field) -> Algebra:
 class QuiverPresentation:
     """Bound quiver with monomial relations.
 
-    Arrows are (source, target, name) with 0-based vertices.  A relation is a
-    tuple of arrow names in traversal order (first arrow applied first).  The
-    presentation must be finite-dimensional: every path one longer than
-    path_length_bound has to die in the relations.
+    Arrows are (source, target, name) with 0-based vertices in
+    0..vertices-1.  A relation is a tuple of arrow names in traversal order
+    (first arrow applied first).  The presentation must be finite-dimensional:
+    every path one longer than path_length_bound has to die in the relations.
     """
 
     vertices: int
@@ -329,6 +329,9 @@ class QuiverPresentation:
         names = [a[2] for a in self.arrows]
         if len(set(names)) != len(names):
             raise AlgebraError("arrow names must be distinct")
+        for s, t, n in self.arrows:
+            if not (0 <= s < self.vertices and 0 <= t < self.vertices):
+                raise AlgebraError(f"arrow {n!r} joins {s} -> {t}, outside the vertices 0..{self.vertices - 1}")
         for r in self.monomial_relations:
             if not r:
                 raise AlgebraError("empty relation")
@@ -341,80 +344,49 @@ class QuiverPresentation:
 def algebra_from_quiver(q: QuiverPresentation, field: Field) -> Algebra:
     """Path algebra of a bound quiver; basis = nonzero paths, unit = sum of trivial paths.
 
-    Paths are stored in traversal order; the product p*q concatenates q-then-p
-    (apply q first), matching composition of left-module actions.
+    The basis is the trivial paths e1..en, then the nonzero paths by length,
+    each layer in the order it was grown.  A path is stored as its arrow word
+    in traversal order; the product p*q concatenates q-then-p (apply q first),
+    matching composition of left-module actions.  With monomial relations a
+    path is zero exactly when it contains a relation, so a nonzero path
+    extended by one arrow dies only by a relation that ends at that arrow.
     """
     names = [a[2] for a in q.arrows]
-    rels = [tuple(names.index(n) for n in r) for r in q.monomial_relations]
-
-    def killed(path):
-        for r in rels:
-            L = len(r)
-            for s in range(len(path) - L + 1):
-                if tuple(path[s : s + L]) == r:
-                    return True
-        return False
-
-    paths = [("v", i) for i in range(q.vertices)]
-    frontier = [()]  # arrow-index tuples, grown by length
-    layer = [(a,) for a in range(len(q.arrows)) if not killed((a,))]
+    ends_at = [[] for _ in names]  # relations as arrow words, by their last arrow
+    for r in q.monomial_relations:
+        ends_at[names.index(r[-1])].append(tuple(names.index(n) for n in r))
+    out_of = [[a for a, arrow in enumerate(q.arrows) if arrow[0] == v] for v in range(q.vertices)]
+    words = []  # the nonzero paths of length >= 1, by length
+    layer = [(a,) for a in range(len(names))]
     length = 1
-    while layer:
+    while layer := [w for w in layer if all(w[-len(r) :] != r for r in ends_at[w[-1]])]:
         if length > q.path_length_bound:
             raise AlgebraError(
                 f"quiver presentation is not finite-dimensional within bound {q.path_length_bound}:"
                 f" nonzero path of length {length} exists"
             )
-        paths.extend(("p", p) for p in layer)
-        nxt = []
-        for p in layer:
-            tail_target = q.arrows[p[-1]][1]
-            for a in range(len(q.arrows)):
-                if q.arrows[a][0] == tail_target and not killed(p + (a,)):
-                    nxt.append(p + (a,))
-        layer = nxt
+        words += layer
+        layer = [w + (a,) for w in layer for a in out_of[q.arrows[w[-1]][1]]]
         length += 1
 
-    index = {p: i for i, p in enumerate(paths)}
-    d = len(paths)
+    n = q.vertices
+    d = n + len(words)
     _check_dim(field, d)
-
-    def src(p):
-        return p[1] if p[0] == "v" else q.arrows[p[1][0]][0]
-
-    def tgt(p):
-        return p[1] if p[0] == "v" else q.arrows[p[1][-1]][1]
-
+    index = {w: n + k for k, w in enumerate(words)}
+    src = np.array([*range(n), *(q.arrows[w[0]][0] for w in words)], dtype=np.intp)
+    tgt = np.array([*range(n), *(q.arrows[w[-1]][1] for w in words)], dtype=np.intp)
+    # e_t b = b = b e_s for a path b from s to t; a nonzero path w is b_i b_j
+    # for each split w = (path j, then path i), whose halves are nonzero too
+    splits = [(index[w[s:]], index[w[:s]], k) for w, k in index.items() for s in range(1, len(w))]
     c = field.zeros(d, d, d)
-    for i, pi in enumerate(paths):
-        for j, pj in enumerate(paths):
-            # product b_i * b_j applies pj first, then pi
-            if src(pi) != tgt(pj):
-                continue
-            if pi[0] == "v":
-                c[i, j, j] = field.one
-            elif pj[0] == "v":
-                c[i, j, i] = field.one
-            else:
-                prod = pj[1] + pi[1]
-                if ("p", prod) in index:
-                    c[i, j, index[("p", prod)]] = field.one
-                # otherwise the concatenation hits a relation and the product is 0
-
+    every = np.arange(d)
+    c[tgt, every, every] = field.one
+    c[every, src, every] = field.one
+    c[tuple(np.array(splits, dtype=np.intp).reshape(-1, 3).T)] = field.one
     unit = field.zeros(d)
-    idems = []
-    for v in range(q.vertices):
-        unit[index[("v", v)]] = field.one
-        e = field.zeros(d)
-        e[index[("v", v)]] = field.one
-        idems.append(e)
-
-    def label(p):
-        if p[0] == "v":
-            return f"e{p[1] + 1}"
-        return "*".join(q.arrows[a][2] for a in reversed(p[1]))
-
-    return Algebra(field, c, unit, idems, labels=[label(p) for p in paths])
+    unit[:n] = field.one
+    labels = [f"e{v + 1}" for v in range(n)] + ["*".join(names[a] for a in reversed(w)) for w in words]
+    return Algebra(field, c, unit, list(field.eye(d)[:n]), labels=labels)
 
 
 # -- functorial constructions ----------------------------------------------
@@ -568,14 +540,17 @@ def quotient_by_idempotent_ideal(a: Algebra, e: Idempotent) -> tuple[Algebra, Qu
 def _block_matrix_algebra(base: Algebra, entry_bases) -> Algebra:
     """n x n matrix algebra whose (i, j) entry is a given subspace of base.
 
-    entry_bases[i][j] is a (dim_base, k_ij) column-basis array (k_ij may be 0).
-    Products must land in the target entry subspace, otherwise the data does
-    not define an algebra and an error names the violating block product.
+    entry_bases[i][j] is a (dim_base, k_ij) column-basis array (k_ij may be 0);
+    the basis is the nonzero entries' bases in row-major block order.  All
+    products of a composable block pair (i, j) * (j, l) come from one
+    contraction and are solved against entry (i, l) at once; they must land
+    there, otherwise the data does not define an algebra and an error names
+    the first violating block pair.  Each diagonal entry must contain the
+    unit and the distinguished idempotents of base, which it inherits.
     """
     f = base.field
     n = len(entry_bases)
-    blocks = []  # (i, j, basis)
-    offsets = {}
+    blocks = {}  # (i, j) -> (offset, basis), row-major
     dim = 0
     for i in range(n):
         for j in range(n):
@@ -585,106 +560,88 @@ def _block_matrix_algebra(base: Algebra, entry_bases) -> Algebra:
                 r = rank(b, f)
                 if r < k:
                     raise AlgebraError(f"entry ({i + 1},{j + 1}) basis is rank-deficient: {k} vectors of rank {r}")
-                offsets[(i, j)] = dim
-                blocks.append((i, j, b))
+                blocks[(i, j)] = (dim, b)
                 dim += k
     _check_dim(f, dim)
     c = f.zeros(dim, dim, dim)
-    for (i, j, bij) in blocks:
-        o1 = offsets[(i, j)]
-        for (k, l, bkl) in blocks:
+    for (i, j), (o1, bij) in blocks.items():
+        for (k, l), (o2, bkl) in blocks.items():
             if j != k:
                 continue
-            o2 = offsets[(k, l)]
-            if (i, l) not in offsets:
-                # all products must die
-                for s in range(bij.shape[1]):
-                    for t in range(bkl.shape[1]):
-                        if not f.is_zero(base.multiply(bij[:, s], bkl[:, t])):
-                            raise AlgebraError(f"block product ({i},{j})*({k},{l}) leaves the entry pattern")
+            s, t = bij.shape[1], bkl.shape[1]
+            prods = f.einsum("ia,jb,ijk->abk", bij, bkl, base.mult).reshape(s * t, base.dim).T
+            if (i, l) not in blocks:
+                if not f.is_zero(prods):
+                    raise AlgebraError(f"block product ({i},{j})*({k},{l}) leaves the entry pattern")
                 continue
-            o3 = offsets[(i, l)]
-            bil = next(b for (p, q, b) in blocks if (p, q) == (i, l))
-            for s in range(bij.shape[1]):
-                for t in range(bkl.shape[1]):
-                    prod = base.multiply(bij[:, s], bkl[:, t])
-                    coords = solve(bil, prod, f)
-                    if coords is None:
-                        raise AlgebraError(f"block product ({i},{j})*({k},{l}) not contained in entry ({i},{l})")
-                    c[o1 + s, o2 + t, o3 : o3 + bil.shape[1]] = coords
+            o3, bil = blocks[(i, l)]
+            coords = solve_matrix(bil, prods, f)
+            if coords is None:
+                raise AlgebraError(f"block product ({i},{j})*({k},{l}) not contained in entry ({i},{l})")
+            c[o1 : o1 + s, o2 : o2 + t, o3 : o3 + bil.shape[1]] = coords.reshape(-1, s, t).transpose(1, 2, 0)
     unit = f.zeros(dim)
     idems = []
-    base_id = f.eye(base.dim)
+    wanted = np.stack([base.unit, *base.prim_idempotents], axis=1)
     for i in range(n):
-        bii = entry_bases[i][i]
-        coords = solve_matrix(bii, base.unit.reshape(-1, 1), f)
+        coords = solve_matrix(entry_bases[i][i], wanted, f)
         if coords is None:
             raise AlgebraError("diagonal entries must contain the unit of the base")
-        unit[offsets[(i, i)] : offsets[(i, i)] + bii.shape[1]] += coords[:, 0]
-        for eb in base.prim_idempotents:
-            ce = solve(bii, eb, f)
-            v = f.zeros(dim)
-            v[offsets[(i, i)] : offsets[(i, i)] + bii.shape[1]] = ce
-            idems.append(v)
-    unit = f.normalize(unit)
-    labels = []
-    for (i, j, b) in blocks:
-        for t in range(b.shape[1]):
-            labels.append(f"E[{i + 1},{j + 1}]:{t}")
+        o = blocks[(i, i)][0]
+        embedded = f.zeros(wanted.shape[1], dim)
+        embedded[:, o : o + coords.shape[0]] = coords.T
+        unit[o : o + coords.shape[0]] = coords[:, 0]
+        idems += list(embedded[1:])
+    labels = [f"E[{i + 1},{j + 1}]:{t}" for (i, j), (_, b) in blocks.items() for t in range(b.shape[1])]
     return Algebra(f, c, unit, idems, labels=labels)
 
 
 def _check_two_sided_ideal(base: Algebra, ideal: np.ndarray):
+    """Reject a column basis whose span is not a two-sided ideal of base.
+
+    The products b_i v_t and v_t b_i of all basis elements with all ideal
+    vectors come from one contraction per side; each is reduced against the
+    rref of the ideal, and the first nonzero residue, in (t, i, left before
+    right) order, names its product."""
     f = base.field
-    rows = ideal.T  # ideal vectors as rows
-    r = rref(rows, f)
-    span = r.matrix[: r.rank]
-    for t in range(ideal.shape[1]):
-        v = ideal[:, t]
-        for i in range(base.dim):
-            b = f.zeros(base.dim)
-            b[i] = f.one
-            if not in_span(span, base.multiply(b, v), f):
-                raise AlgebraError(f"not an ideal: b_{i} * v_{t} leaves the span")
-            if not in_span(span, base.multiply(v, b), f):
-                raise AlgebraError(f"not an ideal: v_{t} * b_{i} leaves the span")
+    r = rref(ideal.T, f)
+    # [t, i, 0] = b_i v_t and [t, i, 1] = v_t b_i, from c^op[j, i] = c[i, j] and c
+    prods = np.stack([f.einsum("is,iab->sab", ideal, c) for c in (base.mult.transpose(1, 0, 2), base.mult)], axis=2)
+    residue = f.normalize(prods - f.matmul(prods[..., list(r.pivots)], r.matrix[: r.rank]))
+    bad = np.argwhere((residue != 0).any(-1))  # entries are reduced: compare directly
+    if len(bad):
+        t, i, right = bad[0]
+        raise AlgebraError(f"not an ideal: v_{t} * b_{i} leaves the span" if right else f"not an ideal: b_{i} * v_{t} leaves the span")
 
 
 def build_ideal_matrix_algebra(base: Algebra, ideal_basis, n: int) -> Algebra:
     """n x n matrix algebra with full base on and below the diagonal and a
     two-sided ideal above it; a decreasing chain I_1 >= ... >= I_{n-1} may be
     supplied (one ideal per column beyond the first) for the chain variant.
+    I_k >= I_{k+1} is the rank test rank [I_k | I_{k+1}] = rank I_k.
     """
     f = base.field
     if n < 1:
         raise AlgebraError("n must be at least 1")
     if isinstance(ideal_basis, (list, tuple)) and ideal_basis and isinstance(ideal_basis[0], np.ndarray):
         chain = [f.asarray(b) for b in ideal_basis]
-    else:
+    else:  # one ideal in every column: a chain by itself, checked once
         chain = [f.asarray(ideal_basis)] * (n - 1) if n > 1 else []
     if n > 1 and len(chain) != n - 1:
         raise AlgebraError(f"need {n - 1} ideals for the chain variant, got {len(chain)}")
-    for b in chain:
+    for b in {id(b): b for b in chain}.values():
         _check_two_sided_ideal(base, b)
     for a, b in zip(chain, chain[1:]):
-        arows = rref(a.T, f)
-        for t in range(b.shape[1]):
-            if not in_span(arows.matrix[: arows.rank], b[:, t], f):
-                raise AlgebraError("ideals must form a decreasing chain I_1 >= ... >= I_{n-1}")
+        if a is not b and rank(np.concatenate([a, b], axis=1), f) != rank(a, f):
+            raise AlgebraError("ideals must form a decreasing chain I_1 >= ... >= I_{n-1}")
     full = f.eye(base.dim)
     entries = [[full if i >= j else chain[j - 1] for j in range(n)] for i in range(n)]
     return _block_matrix_algebra(base, entries)
 
 
 def build_triangular(base: Algebra, n: int) -> Algebra:
-    """Lower triangular n x n matrices over base."""
-    if n < 1:
-        raise AlgebraError("n must be at least 1")
-    f = base.field
-    zero = f.zeros(base.dim, 0)
-    full = f.eye(base.dim)
-    entries = [[full if i >= j else zero for j in range(n)] for i in range(n)]
-    return _block_matrix_algebra(base, entries)
+    """Lower triangular n x n matrices over base: the ideal matrix algebra
+    with the zero ideal above the diagonal."""
+    return build_ideal_matrix_algebra(base, base.field.zeros(base.dim, 0), n)
 
 
 def preprojective_a2(field: Field) -> Algebra:

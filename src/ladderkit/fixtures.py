@@ -137,6 +137,8 @@ def _field_from_json(spec: dict, default_prime: int = 101) -> Field:
     fs = spec.get("field")
     if fs is None:
         return Field(default_prime)
+    if not isinstance(fs, dict):
+        raise AlgebraError(f"'field' must be a JSON object, got {fs!r}")
     if fs.get("rational"):
         return Field(None)
     return Field(int(fs.get("prime", default_prime)))
@@ -150,30 +152,37 @@ def _base_from_json(payload, field: Field) -> Algebra:
     raise AlgebraError("base must be 'ground' or a nested algebra spec")
 
 
+def _key(spec: dict, key: str):
+    """A required key of an algebra spec."""
+    if key not in spec:
+        raise AlgebraError(f"algebra spec of kind {spec.get('kind')!r} lacks the required key {key!r}")
+    return spec[key]
+
+
 def _algebra_from_json(spec: dict, field: Field) -> Algebra:
     kind = spec.get("kind")
     if kind == "structure_constants":
         return algebra_from_structure_constants(
-            field, spec["mult"], spec["unit"], spec["prim_idempotents"], labels=spec.get("labels")
+            field, _key(spec, "mult"), _key(spec, "unit"), _key(spec, "prim_idempotents"), labels=spec.get("labels")
         )
     if kind == "quiver":
         q = QuiverPresentation(
-            vertices=spec["vertices"],
-            arrows=[tuple(a) for a in spec["arrows"]],
+            vertices=_key(spec, "vertices"),
+            arrows=[tuple(a) for a in _key(spec, "arrows")],
             monomial_relations=[tuple(r) for r in spec.get("relations", [])],
             path_length_bound=spec.get("path_length_bound", 8),
         )
         return algebra_from_quiver(q, field)
     if kind == "triangular":
-        return build_triangular(_base_from_json(spec.get("base"), field), int(spec["n"]))
+        return build_triangular(_base_from_json(spec.get("base"), field), int(_key(spec, "n")))
     if kind == "ideal_matrix":
         base = _base_from_json(spec.get("base"), field)
         if "ideals" in spec:
             # each ideal is a list of basis vectors in base coordinates
             ideals = [field.asarray(np.array(b, dtype=object).tolist()).reshape(-1, base.dim).T for b in spec["ideals"]]
-            return build_ideal_matrix_algebra(base, ideals, int(spec["n"]))
-        ideal = field.asarray(spec["ideal"]).reshape(-1, base.dim).T
-        return build_ideal_matrix_algebra(base, ideal, int(spec["n"]))
+            return build_ideal_matrix_algebra(base, ideals, int(_key(spec, "n")))
+        ideal = field.asarray(_key(spec, "ideal")).reshape(-1, base.dim).T
+        return build_ideal_matrix_algebra(base, ideal, int(_key(spec, "n")))
     if kind == "morita_square":
         return build_morita_square(_base_from_json(spec.get("base"), field))
     raise AlgebraError(f"unknown algebra kind {kind!r}")
@@ -193,6 +202,8 @@ def load_algebra_spec(path_or_name: str, default_prime: int = 101):
         raise AlgebraError(f"{path_or_name!r} is neither a fixture name nor a readable file")
     except json.JSONDecodeError as exc:
         raise AlgebraError(f"could not parse {path_or_name}: {exc}")
+    if not isinstance(spec, dict):
+        raise AlgebraError(f"algebra spec in {path_or_name} must be a JSON object, got {type(spec).__name__}")
     field = _field_from_json(spec, default_prime)
     alg = _algebra_from_json(spec, field)
     return alg, spec.get("idempotent"), field

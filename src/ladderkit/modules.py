@@ -794,39 +794,23 @@ def _balanced_tensor(f: Field, b: Algebra, right_action, left_action) -> TensorD
 
 
 def tensor_over(a_mod, b_mod) -> tuple:
-    """Balanced tensor product over the shared middle algebra.
+    """Balanced tensor product over the shared middle algebra B.
 
     a_mod: Bimodule (A, B) or a plain right B-module (a Module over B^op);
-    b_mod: Bimodule (B, C) or a plain left B-module.  Returns a pair
-    (result, TensorData) where the result keeps whatever outer structure the
-    inputs carry: a (A, C)-bimodule, a one-sided module, or a plain vector
-    space as a module over the ground field.
+    b_mod: a left B-module.  Returns a pair (result, TensorData): a left
+    A-module when a_mod is a bimodule, otherwise a plain vector space as a
+    module over the ground field.
     """
     if isinstance(a_mod, Bimodule):
-        b = a_mod.right
-        f = a_mod.field
-        ra = a_mod.right_action
+        b, ra = a_mod.right, a_mod.right_action
     else:
-        b = opposite(a_mod.algebra)  # a_mod is a module over B^op
-        f = a_mod.field
-        ra = a_mod.action
-    if isinstance(b_mod, Bimodule):
-        if not b_mod.left.same_as(b):
-            raise AlgebraError("tensor factors do not share the middle algebra")
-        la = b_mod.left_action
-    else:
-        if not b_mod.algebra.same_as(b):
-            raise AlgebraError("tensor factors do not share the middle algebra")
-        la = b_mod.action
-    td = _balanced_tensor(f, b, ra, la)
-    left_act = td.induced(f, op_left=a_mod.left_action) if isinstance(a_mod, Bimodule) else None
-    right_act = td.induced(f, op_right=b_mod.right_action) if isinstance(b_mod, Bimodule) else None
-    if left_act is not None and right_act is not None:
-        return Bimodule(a_mod.left, b_mod.right, left_act, right_act), td
-    if left_act is not None:
-        return Module(a_mod.left, left_act), td
-    if right_act is not None:
-        return Module(opposite(b_mod.right), right_act), td
+        b, ra = opposite(a_mod.algebra), a_mod.action  # a_mod is a module over B^op
+    if not b_mod.algebra.same_as(b):
+        raise AlgebraError("tensor factors do not share the middle algebra")
+    f = a_mod.field
+    td = _balanced_tensor(f, b, ra, b_mod.action)
+    if isinstance(a_mod, Bimodule):
+        return Module(a_mod.left, td.induced(f, op_left=a_mod.left_action)), td
     return Module(ground_field_algebra(f), f.eye(td.proj.shape[0])[None], _validate=False), td
 
 

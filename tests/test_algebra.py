@@ -24,7 +24,9 @@ from ladderkit.algebra import (
     opposite,
     preprojective_a2,
     quotient_by_idempotent_ideal,
+    tensor_product_algebra,
 )
+from ladderkit.algebra import _block_matrix_algebra
 from ladderkit.fixtures import fixture_names, load_fixture, parse_idempotent
 from ladderkit.linalg import DIM_BOUND, Field, in_span, kernel_basis, rank, rref, solve, solve_matrix
 from ladderkit.modules import _simple_classes
@@ -865,3 +867,295 @@ def test_quotient_structure_matches_triple_contraction(name, field):
         quo, qp = quotient_by_idempotent_ideal(alg, Idempotent(alg, ei))
         prods = field.einsum("ia,jb,ijk->abk", qp.section, qp.section, alg.mult)
         assert np.array_equal(quo.mult, field.einsum("abk,tk->abt", prods, qp.projection)), (name, ei)
+
+
+# -- the builders against the per-element loops they replaced --------------------
+
+
+def _quiver_reference(q, field):
+    """Path algebra of a bound quiver: every relation tested at every position
+    of each new path, one structure constant per pair of paths."""
+    names = [a[2] for a in q.arrows]
+    rels = [tuple(names.index(n) for n in r) for r in q.monomial_relations]
+
+    def killed(path):
+        for r in rels:
+            L = len(r)
+            for s in range(len(path) - L + 1):
+                if tuple(path[s : s + L]) == r:
+                    return True
+        return False
+
+    paths = [("v", i) for i in range(q.vertices)]
+    layer = [(a,) for a in range(len(q.arrows)) if not killed((a,))]
+    length = 1
+    while layer:
+        if length > q.path_length_bound:
+            raise AlgebraError(
+                f"quiver presentation is not finite-dimensional within bound {q.path_length_bound}:"
+                f" nonzero path of length {length} exists"
+            )
+        paths.extend(("p", p) for p in layer)
+        nxt = []
+        for p in layer:
+            tail_target = q.arrows[p[-1]][1]
+            for a in range(len(q.arrows)):
+                if q.arrows[a][0] == tail_target and not killed(p + (a,)):
+                    nxt.append(p + (a,))
+        layer = nxt
+        length += 1
+
+    index = {p: i for i, p in enumerate(paths)}
+    d = len(paths)
+
+    def src(p):
+        return p[1] if p[0] == "v" else q.arrows[p[1][0]][0]
+
+    def tgt(p):
+        return p[1] if p[0] == "v" else q.arrows[p[1][-1]][1]
+
+    c = field.zeros(d, d, d)
+    for i, pi in enumerate(paths):
+        for j, pj in enumerate(paths):
+            # product b_i * b_j applies pj first, then pi
+            if src(pi) != tgt(pj):
+                continue
+            if pi[0] == "v":
+                c[i, j, j] = field.one
+            elif pj[0] == "v":
+                c[i, j, i] = field.one
+            else:
+                prod = pj[1] + pi[1]
+                if ("p", prod) in index:
+                    c[i, j, index[("p", prod)]] = field.one
+
+    unit = field.zeros(d)
+    idems = []
+    for v in range(q.vertices):
+        unit[index[("v", v)]] = field.one
+        e = field.zeros(d)
+        e[index[("v", v)]] = field.one
+        idems.append(e)
+
+    def label(p):
+        if p[0] == "v":
+            return f"e{p[1] + 1}"
+        return "*".join(q.arrows[a][2] for a in reversed(p[1]))
+
+    return Algebra(field, c, unit, idems, labels=[label(p) for p in paths])
+
+
+def _block_matrix_reference(base, entry_bases):
+    """Block matrix algebra with one multiply and one solve per pair of basis vectors."""
+    f = base.field
+    n = len(entry_bases)
+    blocks = []  # (i, j, basis)
+    offsets = {}
+    dim = 0
+    for i in range(n):
+        for j in range(n):
+            b = entry_bases[i][j]
+            k = b.shape[1]
+            if k:
+                r = rank(b, f)
+                if r < k:
+                    raise AlgebraError(f"entry ({i + 1},{j + 1}) basis is rank-deficient: {k} vectors of rank {r}")
+                offsets[(i, j)] = dim
+                blocks.append((i, j, b))
+                dim += k
+    c = f.zeros(dim, dim, dim)
+    for (i, j, bij) in blocks:
+        o1 = offsets[(i, j)]
+        for (k, l, bkl) in blocks:
+            if j != k:
+                continue
+            o2 = offsets[(k, l)]
+            if (i, l) not in offsets:
+                for s in range(bij.shape[1]):
+                    for t in range(bkl.shape[1]):
+                        if not f.is_zero(base.multiply(bij[:, s], bkl[:, t])):
+                            raise AlgebraError(f"block product ({i},{j})*({k},{l}) leaves the entry pattern")
+                continue
+            o3 = offsets[(i, l)]
+            bil = next(b for (p, q, b) in blocks if (p, q) == (i, l))
+            for s in range(bij.shape[1]):
+                for t in range(bkl.shape[1]):
+                    prod = base.multiply(bij[:, s], bkl[:, t])
+                    coords = solve(bil, prod, f)
+                    if coords is None:
+                        raise AlgebraError(f"block product ({i},{j})*({k},{l}) not contained in entry ({i},{l})")
+                    c[o1 + s, o2 + t, o3 : o3 + bil.shape[1]] = coords
+    unit = f.zeros(dim)
+    idems = []
+    for i in range(n):
+        bii = entry_bases[i][i]
+        coords = solve_matrix(bii, base.unit.reshape(-1, 1), f)
+        if coords is None:
+            raise AlgebraError("diagonal entries must contain the unit of the base")
+        unit[offsets[(i, i)] : offsets[(i, i)] + bii.shape[1]] += coords[:, 0]
+        for eb in base.prim_idempotents:
+            ce = solve(bii, eb, f)
+            v = f.zeros(dim)
+            v[offsets[(i, i)] : offsets[(i, i)] + bii.shape[1]] = ce
+            idems.append(v)
+    unit = f.normalize(unit)
+    labels = []
+    for (i, j, b) in blocks:
+        for t in range(b.shape[1]):
+            labels.append(f"E[{i + 1},{j + 1}]:{t}")
+    return Algebra(f, c, unit, idems, labels=labels)
+
+
+def _two_sided_ideal_reference(base, ideal):
+    """One in_span solve per product of a basis element with an ideal vector."""
+    f = base.field
+    r = rref(ideal.T, f)
+    span = r.matrix[: r.rank]
+    for t in range(ideal.shape[1]):
+        v = ideal[:, t]
+        for i in range(base.dim):
+            b = f.zeros(base.dim)
+            b[i] = f.one
+            if not in_span(span, base.multiply(b, v), f):
+                raise AlgebraError(f"not an ideal: b_{i} * v_{t} leaves the span")
+            if not in_span(span, base.multiply(v, b), f):
+                raise AlgebraError(f"not an ideal: v_{t} * b_{i} leaves the span")
+
+
+def _ideal_matrix_reference(base, chain):
+    """build_ideal_matrix_algebra for a list of n - 1 ideals, the chain
+    checked one in_span solve per vector."""
+    f = base.field
+    for b in chain:
+        _two_sided_ideal_reference(base, b)
+    for a, b in zip(chain, chain[1:]):
+        arows = rref(a.T, f)
+        for t in range(b.shape[1]):
+            if not in_span(arows.matrix[: arows.rank], b[:, t], f):
+                raise AlgebraError("ideals must form a decreasing chain I_1 >= ... >= I_{n-1}")
+    n = len(chain) + 1
+    full = f.eye(base.dim)
+    return _block_matrix_reference(base, [[full if i >= j else chain[j - 1] for j in range(n)] for i in range(n)])
+
+
+def _triangular_reference(base, n):
+    f = base.field
+    zero, full = f.zeros(base.dim, 0), f.eye(base.dim)
+    return _block_matrix_reference(base, [[full if i >= j else zero for j in range(n)] for i in range(n)])
+
+
+_PREPROJ_A2 = QuiverPresentation(2, [(0, 1, "a"), (1, 0, "b")], [("a", "b"), ("b", "a")], path_length_bound=2)
+
+
+def _nakayama_presentations():
+    """The benchmark's cyclic and linear Nakayama algebras and k[x,y]/(x,y)^2."""
+    out = {}
+    for n, loewy in [(3, 2), (3, 3), (4, 3), (5, 4), (6, 5)]:
+        arrows = [(i, (i + 1) % n, f"a{i}") for i in range(n)]
+        out[f"cyclic{n}_{loewy}"] = QuiverPresentation(n, arrows, [tuple(f"a{(i + k) % n}" for k in range(loewy)) for i in range(n)], loewy)
+    for n, loewy in [(6, 2), (8, 2), (10, 2), (8, 3), (10, 3)]:
+        arrows = [(i, i + 1, f"a{i}") for i in range(n - 1)]
+        out[f"linear{n}_{loewy}"] = QuiverPresentation(n, arrows, [tuple(f"a{i + k}" for k in range(loewy)) for i in range(n - loewy)], loewy)
+    out["kxy"] = QuiverPresentation(1, [(0, 0, "x"), (0, 0, "y")], [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")], 2)
+    return out
+
+
+def _builder_corpus(field):
+    """(name, built, reference) for every fixture but the hand-written dual
+    numbers, t_1..t_8, the benchmark's quiver algebras, triangular,
+    ideal-matrix and Morita builds over the dual numbers and over t_2, and
+    quivers with loops, a length-1 relation and no vertices."""
+    k, dn = ground_field_algebra(field), dual_numbers_algebra(field)
+    t2 = build_triangular(k, 2)
+    x = field.asarray(dn.element_from_label("x")).reshape(2, 1)
+    e21, e22 = t2.element_from_label("E[2,1]:0"), t2.element_from_label("E[2,2]:0")
+    column, rad = np.stack([e21, e22], axis=1), field.asarray(e21).reshape(3, 1)
+    fixtures = {
+        "t2": lambda: _triangular_reference(k, 2),
+        "t3": lambda: _triangular_reference(k, 3),
+        "preproj-a2": lambda: _quiver_reference(_PREPROJ_A2, field),
+        "prop32-dual-numbers": lambda: _ideal_matrix_reference(dn, [x]),
+        "morita-square-k": lambda: tensor_product_algebra(_quiver_reference(_PREPROJ_A2, field), k),
+        "m2k": lambda: _ideal_matrix_reference(k, [field.eye(1)]),
+        "ideal-chain": lambda: _ideal_matrix_reference(_triangular_reference(k, 2), [column, rad]),
+    }
+    assert set(fixtures) == set(fixture_names()) - {"dual-numbers"}
+    out = [(name, load_fixture(name, field)[0], ref()) for name, ref in fixtures.items()]
+    out += [(f"t{n}", build_triangular(k, n), _triangular_reference(k, n)) for n in range(1, 9)]
+    quivers = {
+        **_nakayama_presentations(),
+        "loops": QuiverPresentation(2, [(0, 0, "x"), (0, 1, "a"), (1, 1, "y")], [("x", "x"), ("y", "y"), ("x", "a", "y")], 4),
+        "length-1-relation": QuiverPresentation(2, [(0, 1, "a"), (0, 1, "b")], [("b",)], 2),
+        "no-vertices": QuiverPresentation(0, []),
+    }
+    out += [(name, algebra_from_quiver(q, field), _quiver_reference(q, field)) for name, q in quivers.items()]
+    for name, base in (("dual-numbers", dn), ("t2", t2)):
+        out.append((f"triangular3/{name}", build_triangular(base, 3), _triangular_reference(base, 3)))
+        out.append((f"morita/{name}", build_morita_square(base), tensor_product_algebra(_quiver_reference(_PREPROJ_A2, field), base)))
+    out += [
+        ("ideal3/dual-numbers", build_ideal_matrix_algebra(dn, x, 3), _ideal_matrix_reference(dn, [x, x])),
+        ("full-ideal/dual-numbers", build_ideal_matrix_algebra(dn, field.eye(2), 2), _ideal_matrix_reference(dn, [field.eye(2)])),
+        ("column-ideal/t2", build_ideal_matrix_algebra(t2, column, 3), _ideal_matrix_reference(t2, [column, column])),
+    ]
+    return out
+
+
+@pytest.mark.parametrize("field", [Field(101), Field(3), Field(None)], ids=["F101", "F3", "Q"])
+def test_builders_match_the_per_element_loops(field):
+    corpus = _builder_corpus(field)
+    assert len(corpus) == 36
+    for name, got, want in corpus:
+        assert got.field == want.field and got.mult.dtype == want.mult.dtype, name
+        assert np.array_equal(got.mult, want.mult), name
+        assert np.array_equal(got.unit, want.unit), name
+        assert len(got.prim_idempotents) == len(want.prim_idempotents), name
+        assert all(np.array_equal(a, b) for a, b in zip(got.prim_idempotents, want.prim_idempotents)), name
+        assert got.labels == want.labels, name
+
+
+def _rejections(field):
+    """(built, reference, exact message) for each input the builders reject;
+    the last three reach _block_matrix_algebra's own checks, which no public
+    builder does."""
+    k, dn, t2 = ground_field_algebra(field), dual_numbers_algebra(field), build_triangular(ground_field_algebra(field), 2)
+    x = field.asarray(dn.element_from_label("x")).reshape(2, 1)
+    e11, e21, e22 = (t2.element_from_label(f"E[{i}]:0") for i in ("1,1", "2,1", "2,2"))
+    one_and_e21 = np.stack([e21, t2.unit], axis=1)  # v_1 = 1, so b_0 * v_1 = E11 leaves the span
+    right_only = field.asarray(e22).reshape(3, 1)  # A.E22 = span{E22}, but E22 * E21 = E21
+    rad, column = field.asarray(e21).reshape(3, 1), np.stack([e21, e22], axis=1)
+    loop = QuiverPresentation(1, [(0, 0, "x")], path_length_bound=4)
+    full, zero, full_t2 = field.eye(1), field.zeros(1, 0), field.eye(3)
+    first_column = field.asarray(e11).reshape(3, 1)
+    blocks = [
+        ([[full, full], [full, zero]], k, "block product (1,0)*(0,1) leaves the entry pattern"),
+        ([[full_t2, first_column], [full_t2, full_t2]], t2, "block product (0,0)*(0,1) not contained in entry (0,1)"),
+        ([[field.eye(2), field.zeros(2, 0)], [field.eye(2), x]], dn, "diagonal entries must contain the unit of the base"),
+    ]
+    return [
+        (lambda: build_ideal_matrix_algebra(t2, one_and_e21, 2), lambda: _ideal_matrix_reference(t2, [one_and_e21]), "not an ideal: b_0 * v_1 leaves the span"),
+        (lambda: build_ideal_matrix_algebra(t2, right_only, 2), lambda: _ideal_matrix_reference(t2, [right_only]), "not an ideal: v_0 * b_1 leaves the span"),
+        (lambda: build_ideal_matrix_algebra(t2, [rad, column], 3), lambda: _ideal_matrix_reference(t2, [rad, column]), "ideals must form a decreasing chain I_1 >= ... >= I_{n-1}"),
+        (lambda: build_ideal_matrix_algebra(dn, np.concatenate([x, x], axis=1), 2), lambda: _ideal_matrix_reference(dn, [np.concatenate([x, x], axis=1)]), "entry (1,2) basis is rank-deficient: 2 vectors of rank 1"),
+        (lambda: algebra_from_quiver(loop, field), lambda: _quiver_reference(loop, field), "quiver presentation is not finite-dimensional within bound 4: nonzero path of length 5 exists"),
+        *((lambda e=e, b=b: _block_matrix_algebra(b, e), lambda e=e, b=b: _block_matrix_reference(b, e), message) for e, b, message in blocks),
+    ]
+
+
+@pytest.mark.parametrize("field", [Field(101), Field(3), Field(None)], ids=["F101", "F3", "Q"])
+def test_builders_reject_with_the_per_element_messages(field):
+    cases = _rejections(field)
+    assert len(cases) == 8
+    for built, reference, message in cases:
+        for build in (built, reference):
+            with pytest.raises(AlgebraError) as exc:
+                build()
+            assert str(exc.value) == message
+
+
+def test_arrows_must_join_vertices_of_the_quiver():
+    for arrow in ((0, 2, "a"), (-1, 0, "a")):
+        with pytest.raises(AlgebraError) as exc:
+            QuiverPresentation(2, [arrow])
+        assert str(exc.value) == f"arrow 'a' joins {arrow[0]} -> {arrow[1]}, outside the vertices 0..1"
+    with pytest.raises(AlgebraError, match="arrow 'x' joins 0 -> 0, outside the vertices 0..-1"):
+        QuiverPresentation(0, [(0, 0, "x")])

@@ -300,3 +300,28 @@ def test_ladder_accepts_recollement_beyond_the_enveloping_bound(tmp_path, capsys
     assert main(["ladder", "--algebra", str(path), "--idempotent", "e1+e2+e3+e4+e5+e6"]) == 0
     out = capsys.readouterr().out
     assert "r-height: Exact(2)" in out and "l-height: AtLeast(13)" in out
+
+
+def test_arrow_outside_the_vertices_exits_2(tmp_path, capsys):
+    spec = {"kind": "quiver", "vertices": 2, "arrows": [[0, 1, "a"], [0, 5, "b"]], "idempotent": "e2"}
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(spec))
+    assert main(["ladder", "--algebra", str(path)]) == EXIT_INPUT
+    assert "input error: arrow 'b' joins 0 -> 5, outside the vertices 0..1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ([1, 2], "must be a JSON object, got list"),
+        ({"kind": "structure_constants"}, "algebra spec of kind 'structure_constants' lacks the required key 'mult'"),
+        ({"field": 7, "kind": "quiver", "vertices": 1, "arrows": []}, "'field' must be a JSON object, got 7"),
+    ],
+    ids=["not-an-object", "missing-key", "field-not-an-object"],
+)
+def test_malformed_spec_exits_2(tmp_path, capsys, spec, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(spec))
+    assert main(["gorenstein", "--algebra", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err

@@ -3,9 +3,10 @@
 Every module-level private function or class must be referred to somewhere
 in src/ outside its own definition, every name a module lists in a
 literal __all__ must be bound at its top level and read outside its own
-definition (in src/, tests/, demos/ or ladderbench/), every parameter of
-every function (other than self/cls) must be read in its body, and every
-defaulted parameter must be set by some call.
+definition (in src/, tests/, demos/ or ladderbench/), every name a module
+imports must be read in it, every parameter of every function (other than
+self/cls) must be read in its body, and every defaulted parameter must be
+set by some call.
 """
 
 import ast
@@ -97,6 +98,20 @@ def test_all_entries_are_used():
             own = _uses_in(defs[name])[name] if name in defs else 0
             if total[name] - own == 0:
                 unused.append(f"{fname}:{name}")
+    assert unused == []
+
+
+def test_imports_are_used():
+    """Every name a module of src/ imports at top level is read in it as a
+    variable; the package __init__ is exempt, since it imports to re-export."""
+    unused = []
+    for fname, tree in TREES.items():
+        if fname == "__init__.py":
+            continue
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                unused += [f"{fname}:{a.asname or a.name}" for a in node.names if (a.asname or a.name).split(".")[0] not in read]
     assert unused == []
 
 
