@@ -323,6 +323,9 @@ class QuiverPresentation:
 
     def __init__(self, vertices, arrows, monomial_relations=(), path_length_bound=8):
         object.__setattr__(self, "vertices", int(vertices))
+        arrows = [tuple(a) for a in arrows]
+        if bad := [a for a in arrows if len(a) != 3]:
+            raise AlgebraError(f"arrow {bad[0]} is not (source, target, name)")
         object.__setattr__(self, "arrows", tuple((int(s), int(t), str(n)) for (s, t, n) in arrows))
         object.__setattr__(self, "monomial_relations", tuple(tuple(r) for r in monomial_relations))
         object.__setattr__(self, "path_length_bound", int(path_length_bound))
@@ -335,6 +338,8 @@ class QuiverPresentation:
         for r in self.monomial_relations:
             if not r:
                 raise AlgebraError("empty relation")
+            if unknown := [n for n in r if n not in names]:
+                raise AlgebraError(f"relation {r} uses the unknown arrow {unknown[0]!r}")
             idx = [names.index(n) for n in r]
             for u, v in zip(idx, idx[1:]):
                 if self.arrows[u][1] != self.arrows[v][0]:

@@ -152,11 +152,26 @@ def _base_from_json(payload, field: Field) -> Algebra:
     raise AlgebraError("base must be 'ground' or a nested algebra spec")
 
 
-def _key(spec: dict, key: str):
-    """A required key of an algebra spec."""
-    if key not in spec:
+def _key(spec: dict, key: str, ok=None, kind="", default=None):
+    """A key of an algebra spec, required unless it has a default, of the kind ok accepts."""
+    if key not in spec and default is None:
         raise AlgebraError(f"algebra spec of kind {spec.get('kind')!r} lacks the required key {key!r}")
-    return spec[key]
+    value = spec.get(key, default)
+    if ok is not None and not ok(value):
+        raise AlgebraError(f"{key!r} must be {kind}, got {value!r}")
+    return value
+
+
+def _is_int(v) -> bool:
+    return type(v) is int  # neither a bool, nor a float, nor a string
+
+
+def _is_list_of(ok):
+    return lambda v: isinstance(v, list) and all(ok(x) for x in v)
+
+
+def _is_arrow(a) -> bool:
+    return isinstance(a, list) and len(a) == 3 and _is_int(a[0]) and _is_int(a[1]) and isinstance(a[2], str)
 
 
 def _algebra_from_json(spec: dict, field: Field) -> Algebra:
@@ -167,22 +182,22 @@ def _algebra_from_json(spec: dict, field: Field) -> Algebra:
         )
     if kind == "quiver":
         q = QuiverPresentation(
-            vertices=_key(spec, "vertices"),
-            arrows=[tuple(a) for a in _key(spec, "arrows")],
-            monomial_relations=[tuple(r) for r in spec.get("relations", [])],
-            path_length_bound=spec.get("path_length_bound", 8),
+            vertices=_key(spec, "vertices", _is_int, "an integer"),
+            arrows=_key(spec, "arrows", _is_list_of(_is_arrow), "a list of [source, target, name]"),
+            monomial_relations=_key(spec, "relations", _is_list_of(_is_list_of(lambda n: isinstance(n, str))), "a list of lists of arrow names", []),
+            path_length_bound=_key(spec, "path_length_bound", _is_int, "an integer", 8),
         )
         return algebra_from_quiver(q, field)
     if kind == "triangular":
-        return build_triangular(_base_from_json(spec.get("base"), field), int(_key(spec, "n")))
+        return build_triangular(_base_from_json(spec.get("base"), field), _key(spec, "n", _is_int, "an integer"))
     if kind == "ideal_matrix":
         base = _base_from_json(spec.get("base"), field)
         if "ideals" in spec:
             # each ideal is a list of basis vectors in base coordinates
             ideals = [field.asarray(np.array(b, dtype=object).tolist()).reshape(-1, base.dim).T for b in spec["ideals"]]
-            return build_ideal_matrix_algebra(base, ideals, int(_key(spec, "n")))
+            return build_ideal_matrix_algebra(base, ideals, _key(spec, "n", _is_int, "an integer"))
         ideal = field.asarray(_key(spec, "ideal")).reshape(-1, base.dim).T
-        return build_ideal_matrix_algebra(base, ideal, int(_key(spec, "n")))
+        return build_ideal_matrix_algebra(base, ideal, _key(spec, "n", _is_int, "an integer"))
     if kind == "morita_square":
         return build_morita_square(_base_from_json(spec.get("base"), field))
     raise AlgebraError(f"unknown algebra kind {kind!r}")

@@ -92,15 +92,6 @@ class Module:
         if _validate:
             self._validate()
 
-    @classmethod
-    def _wrap(cls, algebra: Algebra, action: np.ndarray, split: tuple, summands: tuple, gp_verdicts: dict) -> "Module":
-        """A module on a read-only, reduced action array, its idempotent split
-        and kept GP verdicts, taken as they are: no copy, reduction or validation."""
-        m = cls.__new__(cls)
-        m.algebra, m.action, m.dim = algebra, action, action.shape[1]
-        m._split, m._profile, m._gp_verdicts, m._summands = split, None, gp_verdicts, summands
-        return m
-
     def _validate(self):
         f = self.algebra.field
         if self.algebra.dim == 0:
@@ -210,12 +201,15 @@ class ModuleMap:
 
 
 class Bimodule:
-    """(A, B)-bimodule stored by its one-sided actions.
+    """(A, B)-bimodule: the pair of its one-sided modules, built once and kept.
 
     left_action[i] is the matrix of the i-th basis element of A acting on the
-    left; right_action[j] is the matrix of x -> x.b_j.  The validation checks
-    both representation properties and that the actions commute (on generator
-    pairs, which suffices by bilinearity).
+    left, the action of left_restrict(); right_action[j] is the matrix of
+    x -> x.b_j, the action of right_restrict(), a left module over B^op.
+    Whatever a side keeps (its cover, split and profile) serves every later
+    reader of that side.  The validation checks both representation
+    properties and that the actions commute (on generator pairs, which
+    suffices by bilinearity).
 
     As a module over A (x) B^op, its idempotents are the e_a (x) f_b, a-major,
     its further generators g (x) 1 and 1 (x) h, and its radical J(A) (x) B^op
@@ -224,19 +218,16 @@ class Bimodule:
     """
 
     _summands = _cover = None  # never a kept sum of projectives, never covered
+    _split = _profile = None  # computed once, on first use
 
     def __init__(self, left: Algebra, right: Algebra, left_action, right_action, _validate=True):
         if left.field != right.field:
             raise AlgebraError("bimodule factors need a common field")
         f = left.field
         self.left, self.right = left, right
-        self.left_action = f.asarray(left_action)
-        self.right_action = f.asarray(right_action)
-        self.dim = self.left_action.shape[1] if left.dim else self.right_action.shape[1]
-        self._split = self._profile = None
+        self._sides = (Module(left, left_action, _validate), Module(opposite(right), right_action, _validate))
+        self.dim = self._sides[0 if left.dim else 1].dim
         if _validate:
-            Module(left, self.left_action)
-            Module(opposite(right), self.right_action)
             if self.left_action.shape[1] != self.right_action.shape[1]:
                 raise AlgebraError(
                     f"left action has dimension {self.left_action.shape[1]}, right action dimension {self.right_action.shape[1]}"
@@ -249,22 +240,30 @@ class Bimodule:
     def field(self) -> Field:
         return self.left.field
 
+    @property
+    def left_action(self) -> np.ndarray:
+        return self._sides[0].action
+
+    @property
+    def right_action(self) -> np.ndarray:
+        return self._sides[1].action
+
     def left_restrict(self) -> Module:
-        return Module(self.left, self.left_action, _validate=False)
+        return self._sides[0]
 
     def right_restrict(self) -> Module:
         """The right B-module structure, as a left module over B^op."""
-        return Module(opposite(self.right), self.right_action, _validate=False)
+        return self._sides[1]
 
     def flip(self) -> "Bimodule":
-        """The same space as a (B^op, A^op)-bimodule; pure data swap."""
-        return Bimodule(opposite(self.right), opposite(self.left), self.right_action, self.left_action, _validate=False)
+        """The same space as a (B^op, A^op)-bimodule, on the same two modules swapped."""
+        out = Bimodule.__new__(Bimodule)
+        out.left, out.right, out.dim, out._sides = self._sides[1].algebra, opposite(self.left), self.dim, self._sides[::-1]
+        return out
 
     def _acts(self, rows) -> np.ndarray:
-        """rows(A) acting on the left, then rows(B) on the right, stacked."""
-        f = self.field
-        left, right = f.einsum("gi,iab->gab", rows(self.left), self.left_action), f.einsum("gi,iab->gab", rows(self.right), self.right_action)
-        return np.concatenate([left, right])
+        """rows(A) acting on the left, then rows(B) on the right (B^op has B's rows), stacked."""
+        return np.concatenate([side._acts(rows) for side in self._sides])
 
     def idempotent_split(self) -> tuple:
         """Module.idempotent_split over the e_a (x) f_b, acting as E_a F_b; computed once."""
@@ -433,14 +432,15 @@ def hom_space(m: Module, n: Module) -> HomBasis:
 def _free_hom_stack(summands: tuple, n: Module) -> np.ndarray:
     """Basis of Hom(P, N), P the sum of the A.e_i, i in summands, stacked
     (u, dim N, dim P): a.e_i |-> a.v on one summand, v a column of V_i."""
-    a, f = n.algebra, n.field
-    images = {}  # i -> (dim N, dim e_i.N, dim A.e_i)
-    for i in summands:
-        if i not in images:
-            v, emb = n.idempotent_split()[i][0], _projective_data(a)[i].embedding
-            img = f.matmul(emb.T, f.matmul(n.action, v).reshape(a.dim, -1)) if v.shape[1] else f.zeros(emb.shape[1], 0)
-            images[i] = img.reshape(emb.shape[1], n.dim, v.shape[1]).transpose(1, 2, 0)
-    return block_diag(f, [images[i] for i in summands]).transpose(1, 0, 2)
+    images = {i: _maps_out_of_projective(n, i, n.idempotent_split()[i][0]) for i in set(summands)}  # (dim N, dim e_i.N, dim A.e_i)
+    return block_diag(n.field, [images[i] for i in summands]).transpose(1, 0, 2)
+
+
+def _maps_out_of_projective(n: Module, i: int, vs: np.ndarray) -> np.ndarray:
+    """[b, k, r] = (x_r.v_k)_b, x_r the basis of A.e_i and v_k the columns of
+    vs, vectors of e_i.N: the maps A.e_i -> N, x |-> x.v_k, from two products."""
+    f = n.field
+    return f.matmul(f.matmul(n.action, vs).transpose(1, 2, 0), _projective_data(n.algebra)[i].embedding)
 
 
 @dataclass
@@ -484,60 +484,69 @@ class HomBasis:
 # -- radical, covers, projectivity --------------------------------------------
 
 
-def _radical_action(m: Module) -> tuple[np.ndarray, np.ndarray]:
-    """The radical rows acting on m (on both sides of a bimodule), laid out
-    side by side (dim, r*dim), whose columns span rad(M) = J.M, and stacked
-    (r*dim, dim), whose kernel is soc(M) = {x : J.x = 0}."""
-    jact = m._acts(algebra_radical_rows)
-    n, r = m.dim, jact.shape[0]
-    return jact.transpose(1, 0, 2).reshape(n, r * n), jact.reshape(r * n, n)
+def _acting_layouts(acts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elements acting on M, stacked (r, dim, dim), laid out side by side
+    (dim, r*dim), whose columns span their images (rad(M) = J.M for the rows
+    of J), and stacked (r*dim, dim), whose kernel is soc(M) = {x : J.x = 0}."""
+    r, n = acts.shape[:2]
+    return acts.transpose(1, 0, 2).reshape(n, r * n), acts.reshape(r * n, n)
 
 
 def radical(m: Module) -> ModuleMap:
-    """Inclusion of rad(M) = J(algebra) . M."""
-    spans, _ = _radical_action(m)
+    """Inclusion of rad(M) = J(algebra) . M (on both sides of a bimodule)."""
+    spans, _ = _acting_layouts(m._acts(algebra_radical_rows))
     _, inclusion = submodule(m, column_space_basis(spans, m.field) if spans.size else spans)
     return inclusion
 
 
 @dataclass
-class _ProjectiveData:
-    """What an algebra keeps of A.e_i: arrays, and a weak reference to the
-    module last handed out, so nothing kept refers back to the algebra."""
+class _Kept:
+    """What an algebra keeps of one of its modules, A.e_i or a pool module
+    P_i/rad^k P_i: arrays, dicts and a weak reference to the module last
+    handed out, so nothing kept refers back to the algebra."""
 
     action: np.ndarray
-    embedding: np.ndarray  # columns into the regular module, elements of A
     split: tuple
-    handed_out: weakref.ref
-    gp_verdicts: dict  # cutoff -> GPVerdict of A.e_i
+    index: int  # i: the module is A.e_i, or a quotient of it
+    gp_verdicts: dict  # cutoff -> GPVerdict, see is_gorenstein_projective
+    embedding: Optional[np.ndarray] = None  # A.e_i: columns into the regular module, elements of A
+    cover: Optional[tuple] = None  # a quotient: the surjection from A.e_i, its kernel and a section
+    handed_out: Optional[weakref.ref] = None
 
 
-def _projective_data(a: Algebra) -> list[_ProjectiveData]:
-    """One entry per distinguished idempotent, built once per algebra."""
+def _hand_out(a: Algebra, kept: _Kept) -> Module:
+    """The module last handed out for kept while a caller holds it; else
+    the kept arrays wrapped again, taken as they are: no copy or validation.
+    A quotient of A.e_i keeps its surjection from A.e_i as its cover."""
+    m = kept.handed_out() if kept.handed_out else None
+    if m is None:
+        m = Module.__new__(Module)
+        m.algebra, m.action, m.dim, m._split, m._profile = a, kept.action, kept.action.shape[1], kept.split, None
+        m._gp_verdicts, m._summands = kept.gp_verdicts, (kept.index,) if kept.cover is None else None
+        if kept.cover is not None:
+            m._cover = _Cover(_hand_out(a, _projective_data(a)[kept.index]), *kept.cover)
+        kept.handed_out = weakref.ref(m)
+    return m
+
+
+def _projective_data(a: Algebra) -> list[_Kept]:
+    """One record per distinguished idempotent, built once per algebra."""
     if "projectives" not in a._derived:
         reg = regular_module(a)
         data = []
-        for e in a.prim_idempotents:
+        for i, e in enumerate(a.prim_idempotents):
             cols = column_space_basis(a.right_mult_matrix(e), a.field)
             sub, _ = submodule(reg, cols)
             cols.setflags(write=False)
-            data.append(_ProjectiveData(sub.action, cols, sub.idempotent_split(), weakref.ref(sub), {}))
+            data.append(_Kept(sub.action, sub.idempotent_split(), i, {}, embedding=cols))
         a._derived["projectives"] = data
     return a._derived["projectives"]
 
 
 def projective_indecomposables(a: Algebra) -> list[Module]:
     """The modules A.e_i for the distinguished primitive idempotents, in a
-    new list on each call.  While a caller holds them the same modules come
-    back; otherwise the arrays kept on the algebra are wrapped again."""
-    out = []
-    for i, entry in enumerate(_projective_data(a)):
-        p = entry.handed_out()
-        if p is None:
-            p = Module._wrap(a, entry.action, entry.split, (i,), entry.gp_verdicts)
-            entry.handed_out = weakref.ref(p)
-        out.append(p)
-    return out
+    new list on each call, handed out from the records kept on the algebra."""
+    return [_hand_out(a, kept) for kept in _projective_data(a)]
 
 
 def _free_split(a: Algebra, summands: tuple) -> tuple:
@@ -549,12 +558,7 @@ def _free_split(a: Algebra, summands: tuple) -> tuple:
 
 def simples_by_idempotent(a: Algebra) -> list[Module]:
     """top(P_i) for each distinguished idempotent (iso repeats possible)."""
-    out = []
-    for p in projective_indecomposables(a):
-        rad_incl = radical(p)
-        top, _ = quotient_module(p, rad_incl.matrix.T)
-        out.append(top)
-    return out
+    return [quotient_module(p, radical(p).matrix.T)[0] for p in projective_indecomposables(a)]
 
 
 def _simple_classes(a: Algebra, tops: Optional[list] = None) -> tuple:
@@ -590,16 +594,14 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
     inserted in pivot order, giving the unique rref of the sum.
     The cover and the surjection's matrix are kept on m.
     """
-    a = m.algebra
-    f = m.field
+    a, f = m.algebra, m.field
     if m._cover is not None:
         return m._cover.module, ModuleMap(m._cover.module, m, m._cover.surj, _validate=False)
     if m.dim == 0:
         z = zero_module(a)
         m._cover = _Cover(z, f.zeros(0, 0))
         return z, ModuleMap(z, m, m._cover.surj, _validate=False)
-    rad_incl = radical(m)
-    top, proj = quotient_module(m, rad_incl.matrix.T)
+    top, proj = quotient_module(m, radical(m).matrix.T)
     projectives = projective_indecomposables(a)
     covered = f.zeros(0, top.dim)
     pivots: list[int] = []
@@ -629,13 +631,9 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
         raise AlgebraError("projective cover construction failed to cover the top")
     summands = [projectives[i] for i, _ in gens]
     cover = direct_sum(summands) if summands else zero_module(a)
-    # the generators come grouped by summand index i: per group, [b, k, r] is
-    # the image x.v_k of the r-th basis vector x of A.e_i, from two products
-    blocks = []
-    for i, group in itertools.groupby(gens, key=lambda g: g[0]):
-        vs = np.stack([v for _, v in group])
-        images = f.matmul(f.matmul(m.action, vs.T).transpose(1, 2, 0), _projective_data(a)[i].embedding)
-        blocks.append(images.reshape(m.dim, -1))
+    # the generators come grouped by summand index i, one block of maps per group
+    groups = itertools.groupby(gens, key=lambda g: g[0])
+    blocks = [_maps_out_of_projective(m, i, np.stack([v for _, v in g], axis=1)).reshape(m.dim, -1) for i, g in groups]
     mat = np.concatenate(blocks, axis=1) if blocks else f.zeros(m.dim, 0)
     surj = ModuleMap(cover, m, mat, _validate=False)
     m._cover = _Cover(cover, surj.matrix)
@@ -801,14 +799,11 @@ def tensor_over(a_mod, b_mod) -> tuple:
     A-module when a_mod is a bimodule, otherwise a plain vector space as a
     module over the ground field.
     """
-    if isinstance(a_mod, Bimodule):
-        b, ra = a_mod.right, a_mod.right_action
-    else:
-        b, ra = opposite(a_mod.algebra), a_mod.action  # a_mod is a module over B^op
-    if not b_mod.algebra.same_as(b):
+    right = a_mod.right_restrict() if isinstance(a_mod, Bimodule) else a_mod  # a module over B^op
+    if not b_mod.algebra.same_as(opposite(right.algebra)):
         raise AlgebraError("tensor factors do not share the middle algebra")
     f = a_mod.field
-    td = _balanced_tensor(f, b, ra, b_mod.action)
+    td = _balanced_tensor(f, b_mod.algebra, right.action, b_mod.action)
     if isinstance(a_mod, Bimodule):
         return Module(a_mod.left, td.induced(f, op_left=a_mod.left_action)), td
     return Module(ground_field_algebra(f), f.eye(td.proj.shape[0])[None], _validate=False), td
@@ -825,17 +820,10 @@ def hom_module(m_bimod: Bimodule, n) -> tuple:
     (f.c)(x) = f(x).c.  Returns (module, HomBasis).
     """
     f = m_bimod.field
-    a = m_bimod.left
-    m_left = m_bimod.left_restrict()
-    if isinstance(n, Bimodule):
-        if not n.left.same_as(a):
-            raise AlgebraError("hom_module needs matching left algebras")
-        n_left = n.left_restrict()
-    else:
-        if not n.algebra.same_as(a):
-            raise AlgebraError("hom_module needs matching left algebras")
-        n_left = n
-    hb = hom_space(m_left, n_left)
+    n_left = n.left_restrict() if isinstance(n, Bimodule) else n
+    if not n_left.algebra.same_as(m_bimod.left):
+        raise AlgebraError("hom_module needs matching left algebras")
+    hb = hom_space(m_bimod.left_restrict(), n_left)
     b_act = hb.induced(hb, f, pre=m_bimod.right_action)
     if isinstance(n, Bimodule):
         return Bimodule(m_bimod.right, n.right, b_act, hb.induced(hb, f, post=n.right_action)), hb
@@ -871,7 +859,7 @@ def hom_profile(m: Module) -> tuple:
         split = m.idempotent_split()  # P_i gives coordinates on e_i.M, so dim e_i.X = rank(P_i X)
         idem_dims = tuple(p.shape[0] for _, p in split)
         try:
-            spans, stacked = _radical_action(m)
+            spans, stacked = _acting_layouts(m._acts(algebra_radical_rows))
             coords = [split[i][1] for i in m._class_indices()]
         except FieldRestrictionError:
             to_s = from_s = ()
@@ -974,47 +962,37 @@ def _radical_layers(p: Module) -> Optional[list]:
     return layers
 
 
-def _indecomposable_data(a: Algebra) -> Optional[list]:
-    """(i, k, arrays) per simple class i and 1 <= k <= length of P_i when every
-    projective indecomposable over a and over its opposite is uniserial, else
-    None; kept on a.  The P_i/rad^k P_i are then all the indecomposables of the
-    Nakayama algebra a, each once (Auslander, Reiten & Smalo, IV.2 and VI).
-    arrays (no modules, as for A.e_i) are the action, the cover P_i ->
-    P_i/rad^k P_i with its kernel and a section, and the module's GP
-    verdicts; None when rad^k P_i = 0."""
+def _indecomposable_data(a: Algebra) -> Optional[dict]:
+    """One record per simple class i and 1 <= k <= length of P_i, labelled
+    P<i>/rad^<k>, when every projective indecomposable over a and over its
+    opposite is uniserial, else None; kept on a.  The P_i/rad^k P_i are then
+    all the indecomposables of the Nakayama algebra a, each once (Auslander,
+    Reiten & Smalo, IV.2 and VI).  Where rad^k P_i = 0 the record is A.e_i's
+    own; else it keeps the quotient map P_i -> P_i/rad^k P_i as a cover."""
     if "indecomposables" not in a._derived:
         projs = projective_indecomposables(a)
         layers = [_radical_layers(p) for p in projs]
         data = None
         if None not in layers and all(_radical_layers(p) is not None for p in projective_indecomposables(opposite(a))):
-            data = []
+            data = {}
             for i in _simple_classes(a):
                 for k, cols in enumerate(layers[i][:-1], 1):
                     quot, proj = quotient_module(projs[i], cols.T)
                     kernel, section = kernel_and_section(proj.matrix, a.field)
                     for x in (kernel, section):
                         x.setflags(write=False)
-                    data.append((i, k, (quot.action, proj.matrix, kernel, section, {})))
-                data.append((i, len(layers[i]), None))
+                    data[f"P{i}/rad^{k}"] = _Kept(quot.action, quot.idempotent_split(), i, {}, cover=(proj.matrix, kernel, section))
+                data[f"P{i}/rad^{len(layers[i])}"] = _projective_data(a)[i]
         a._derived["indecomposables"] = data
     return a._derived["indecomposables"]
 
 
 def indecomposables(a: Algebra) -> Optional[list[Module]]:
     """Every indecomposable over a once, when a is certified Nakayama, else
-    None: the P_i/rad^k P_i, wrapped again from the kept arrays on each call,
-    each but P_i keeping its quotient map as its cover (Hom off e_i.N)."""
+    None: the P_i/rad^k P_i, handed out from the records kept on a, each but
+    P_i keeping its quotient map as its cover (Hom off e_i.N)."""
     data = _indecomposable_data(a)
-    if data is None:
-        return None
-    projs, out = projective_indecomposables(a), []
-    for i, _, arrays in data:
-        m = projs[i]
-        if arrays is not None:
-            m = Module._wrap(a, arrays[0], None, None, arrays[-1])
-            m._cover = _Cover(projs[i], *arrays[1:-1])
-        out.append(m)
-    return out
+    return None if data is None else [_hand_out(a, kept) for kept in data.values()]
 
 
 @dataclass
@@ -1038,6 +1016,6 @@ def module_pool(a: Algebra, samples: int, rng: np.random.Generator) -> ModulePoo
     else the nonzero ones of `samples` seeded random modules."""
     found = indecomposables(a)
     if found is not None:
-        return ModulePool({f"P{i}/rad^{k}": m for (i, k, _), m in zip(_indecomposable_data(a), found)}, True)
+        return ModulePool(dict(zip(_indecomposable_data(a), found)), True)
     drawn = (random_module(a, rng, max_summands=2) for _ in range(samples))
     return ModulePool({f"sample {t}": m for t, m in enumerate(drawn) if m.dim}, False)

@@ -32,7 +32,7 @@ from .algebra import (
     opposite,
     quotient_by_idempotent_ideal,
 )
-from .linalg import Field, column_space_basis, intersect_kernels, kernel_basis, quotient_coordinates, rank, unit_rows
+from .linalg import Field, column_space_basis, kernel_basis, quotient_coordinates, rank, unit_rows
 from .modules import (
     Bimodule,
     HomBasis,
@@ -40,6 +40,7 @@ from .modules import (
     ModuleMap,
     ModulePool,
     TensorData,
+    _acting_layouts,
     cover_sequence,
     dual,
     hom_module,
@@ -124,21 +125,13 @@ class RecollementData:
     def _carve_corner(self, m: Module) -> tuple[np.ndarray, np.ndarray]:
         return _with_unit_coords(column_space_basis(m.act_vector(self.e.element), m.field), m.field)
 
-    def _ideal_acting(self, m: Module) -> np.ndarray:
-        """The actions on M of the row basis of LeL, stacked."""
-        return m.field.einsum("it,iab->tab", self.ideal_rows.T, m.action)
-
     def _carve_top(self, m: Module) -> tuple[np.ndarray, np.ndarray]:
-        f = m.field
-        if self.ideal_rows.shape[0] == 0 or m.dim == 0:
-            sub_rows = f.zeros(0, m.dim)
-        else:
-            sub_rows = column_space_basis(np.concatenate(list(self._ideal_acting(m)), axis=1), f).T
-        proj, sect = quotient_coordinates(sub_rows, f)
-        return sect, proj
+        spans, _ = _acting_layouts(m._acts(lambda _: self.ideal_rows))
+        return quotient_coordinates(column_space_basis(spans, m.field).T, m.field)[::-1]  # (section, projection)
 
     def _carve_socle(self, m: Module) -> tuple[np.ndarray, np.ndarray]:
-        return _with_unit_coords(intersect_kernels(self._ideal_acting(m), m.dim, m.field), m.field)
+        _, stacked = _acting_layouts(m._acts(lambda _: self.ideal_rows))
+        return _with_unit_coords(kernel_basis(stacked, m.field), m.field)
 
 
 def _with_unit_coords(cols: np.ndarray, f: Field) -> tuple[np.ndarray, np.ndarray]:

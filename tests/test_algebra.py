@@ -1159,3 +1159,12 @@ def test_arrows_must_join_vertices_of_the_quiver():
         assert str(exc.value) == f"arrow 'a' joins {arrow[0]} -> {arrow[1]}, outside the vertices 0..1"
     with pytest.raises(AlgebraError, match="arrow 'x' joins 0 -> 0, outside the vertices 0..-1"):
         QuiverPresentation(0, [(0, 0, "x")])
+
+
+def test_quiver_errors_name_the_arrow_and_the_relation():
+    with pytest.raises(AlgebraError) as exc:
+        QuiverPresentation(2, [(0, 1, "a"), (0, 1)])
+    assert str(exc.value) == "arrow (0, 1) is not (source, target, name)"
+    with pytest.raises(AlgebraError) as exc:
+        QuiverPresentation(2, [(0, 1, "a")], [("a", "z")])
+    assert str(exc.value) == "relation ('a', 'z') uses the unknown arrow 'z'"

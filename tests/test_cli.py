@@ -316,8 +316,27 @@ def test_arrow_outside_the_vertices_exits_2(tmp_path, capsys):
         ([1, 2], "must be a JSON object, got list"),
         ({"kind": "structure_constants"}, "algebra spec of kind 'structure_constants' lacks the required key 'mult'"),
         ({"field": 7, "kind": "quiver", "vertices": 1, "arrows": []}, "'field' must be a JSON object, got 7"),
+        ({"kind": "quiver", "vertices": 2, "arrows": 5}, "'arrows' must be a list of [source, target, name], got 5"),
+        ({"kind": "quiver", "vertices": 2, "arrows": [[0, 1]]}, "'arrows' must be a list of [source, target, name], got [[0, 1]]"),
+        ({"kind": "triangular", "n": [2]}, "'n' must be an integer, got [2]"),
+        (
+            {"kind": "quiver", "vertices": 2, "arrows": [[0, 1, "a"], [1, 0, "b"]], "relations": ["ab"]},
+            "'relations' must be a list of lists of arrow names, got ['ab']",
+        ),
+        ({"kind": "quiver", "vertices": "2", "arrows": []}, "'vertices' must be an integer, got '2'"),
+        ({"kind": "quiver", "vertices": 1, "arrows": [], "path_length_bound": 2.5}, "'path_length_bound' must be an integer, got 2.5"),
     ],
-    ids=["not-an-object", "missing-key", "field-not-an-object"],
+    ids=[
+        "not-an-object",
+        "missing-key",
+        "field-not-an-object",
+        "arrows-not-a-list",
+        "arrow-of-two",
+        "n-not-an-integer",
+        "relation-a-string",
+        "vertices-a-string",
+        "bound-a-float",
+    ],
 )
 def test_malformed_spec_exits_2(tmp_path, capsys, spec, message):
     path = tmp_path / "malformed.json"

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import ladderkit.ladder as ladder_mod
+import ladderkit.modules as modules
 from ladderkit.fixtures import load_fixture, parse_idempotent
 from ladderkit.algebra import Algebra, Idempotent, QuiverPresentation, algebra_from_quiver, build_triangular, ground_field_algebra
 from ladderkit.ladder import (
@@ -13,7 +15,7 @@ from ladderkit.ladder import (
     ladder_report,
 )
 from ladderkit.linalg import Field, rank
-from ladderkit.modules import bimodules_isomorphic, hom_space, is_projective
+from ladderkit.modules import Module, bimodules_isomorphic, hom_profile, hom_space, is_projective, projective_cover, regular_module
 from ladderkit.recollement import build_recollement
 from ladderkit.verify import EXPECTED_TOWERS, RECOLLEMENT_FIXTURES
 
@@ -116,8 +118,6 @@ def test_tower_recurrence_dimension_consistency():
     # dim of rung j+1 equals the Hom dimension computed independently
     rec = rec_for("prop32-dual-numbers")
     rungs = ladder_report(rec, 12, 0).r_rungs
-    from ladderkit.modules import regular_module
-
     for j in range(len(rungs) - 1):
         rung = rungs[j]
         target = rec.gamma if j % 2 == 0 else rec.lam
@@ -393,3 +393,59 @@ def test_towers_search_no_generators(monkeypatch, name):
     monkeypatch.setattr(Algebra, "_subalgebra_span", lambda self, gens: closures.append(self) or search(self, gens))
     rep = ladder_report(rec, 12, 0)
     assert rep.r_rungs and rep.l_rungs and closures == []
+
+
+# -- a bimodule keeps its two one-sided modules -------------------------------------
+
+
+def _rungs(name, field):
+    alg, default_e = load_fixture(name, field)
+    rep = ladder_report(build_recollement(alg, parse_idempotent(alg, default_e)), 12, 0)
+    return rep.r_rungs + rep.l_rungs
+
+
+# ideal-chain is left to F_101, as in the other rung tests over Q: over Q
+# the solved Hom systems of its fresh sides cost seconds
+_RUNG_INPUTS = [(name, f) for f in (F, Field(None)) for name in RECOLLEMENT_FIXTURES if f.p or name != "ideal-chain"]
+
+
+@pytest.mark.parametrize("name, field", _RUNG_INPUTS, ids=[f"{n}-{'F101' if f.p else 'Q'}" for n, f in _RUNG_INPUTS])
+def test_rung_sides_are_kept_and_match_fresh_modules(name, field):
+    rungs = _rungs(name, field)
+    assert rungs
+    for rung in rungs:
+        b = rung.bimodule
+        flipped = b.flip().flip()
+        assert flipped.left_restrict() is b.left_restrict() and flipped.right_restrict() is b.right_restrict()
+        for side in (b.left_restrict, b.right_restrict):
+            kept = side()
+            assert side() is kept
+            fresh = Module(kept.algebra, kept.action.copy())
+            assert np.array_equal(kept.action, fresh.action)
+            for (u, p), (fu, fp) in zip(kept.idempotent_split(), fresh.idempotent_split(), strict=True):
+                assert np.array_equal(u, fu) and np.array_equal(p, fp)
+            assert hom_profile(kept) == hom_profile(fresh)
+            projective_cover(kept)  # the kept side reads Hom off its cover, the fresh one solves
+            reg = regular_module(kept.algebra)
+            covered, solved = hom_space(kept, reg), hom_space(fresh, reg)
+            assert fresh._cover is None
+            assert np.array_equal(covered.matrices, solved.matrices) and np.array_equal(covered.positions, solved.positions)
+
+
+def test_towers_solve_no_hom_system_for_a_one_sided_source(monkeypatch):
+    """Each side a tower tests for projectivity keeps its cover, so the next
+    rung's Hom and the cross-check read Hom off that cover; only the
+    isomorphism tests between rungs solve, with bimodule sources."""
+    sources = []
+    full = modules.hom_space
+
+    def traced(m, n):
+        sources.append((type(m), m._summands is None and m._cover is None))
+        return full(m, n)
+
+    monkeypatch.setattr(modules, "hom_space", traced)
+    monkeypatch.setattr(ladder_mod, "hom_space", traced)
+    for name in RECOLLEMENT_FIXTURES:
+        height_cross_check(ladder_report(rec_for(name), 12, 0))
+    assert (Module, False) in sources
+    assert (Module, True) not in sources

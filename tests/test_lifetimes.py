@@ -2,6 +2,7 @@
 algebra or a module points back at it, so nothing waits for the cyclic
 garbage collector.  Every test here runs with the collector disabled."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -48,10 +49,13 @@ def test_recollement_pass_dies_without_collector(name, gc_off):
     rung = ladder_report(rec, 12, 0).r_rungs[-1].bimodule
     spli_silp(alg, 4)
     is_stratifying(rec, 4)
-    # a rung keeps its idempotent split and profile as arrays and ints only
+    # a rung keeps its idempotent split and profile as arrays and ints only,
+    # and its two one-sided modules, each with its cover, never the rung
     kept = (rung.idempotent_split(), hom_profile(rung))
-    refs = [weakref.ref(x) for x in (alg, opposite(alg), rec.gamma, rec.sigma, rung, projective_indecomposables(alg)[0])]
-    del alg, rec, rung
+    sides = [rung.left_restrict(), rung.right_restrict()]
+    covers = [projective_cover(side)[0] for side in sides]
+    refs = [weakref.ref(x) for x in (alg, opposite(alg), rec.gamma, rec.sigma, rung, projective_indecomposables(alg)[0], *sides, *covers)]
+    del alg, rec, rung, sides, covers
     assert [r() for r in refs] == [None] * len(refs)
     assert kept[0] and kept[1][0]
 
@@ -103,8 +107,9 @@ def test_module_with_kept_cover_dies_without_collector(gc_off):
 
 @pytest.mark.parametrize("name", ["t3", "ideal-chain"])
 def test_module_pool_dies_without_collector(name, gc_off):
-    # the algebra keeps the pool as arrays; each call wraps them again, and
-    # a wrapped module keeps its cover, never a map pointing back to it
+    # the algebra keeps the pool as records of arrays; a call hands out the
+    # modules still held, else wraps the arrays again, and a wrapped module
+    # keeps its cover, never a map pointing back to it
     alg, default_e = load_fixture(name, F)
     rec = build_recollement(alg, parse_idempotent(alg, default_e))
     assert check_axioms(rec, 2, np.random.default_rng(0))["failures"] == []
@@ -112,8 +117,10 @@ def test_module_pool_dies_without_collector(name, gc_off):
     mods = list(pool.modules.values())
     reg = regular_module(alg)
     hb = [hom_space(m, reg) for m in mods]  # the kept-cover path
-    kept = alg._derived["indecomposables"]
-    assert len(kept) == len(mods) and not any(isinstance(v, Module) for _, _, arrays in kept for v in arrays or ())
+    kept = [*alg._derived["indecomposables"].values(), *alg._derived["projectives"]]
+    values = [getattr(r, x.name) for r in kept for x in dataclasses.fields(r)]
+    assert len(alg._derived["indecomposables"]) == len(mods)
+    assert not any(isinstance(v, Module) for x in values for v in (x if isinstance(x, tuple) else (x,)))
     assert [m.action is n.action for m, n in zip(mods, indecomposables(alg))] == [True] * len(mods)
     refs = [weakref.ref(x) for x in (alg, rec.gamma, rec.sigma, *mods)]
     del alg, rec, pool, mods, reg, hb, kept

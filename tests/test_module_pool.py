@@ -19,6 +19,9 @@ from ladderkit.modules import (
     indecomposables,
     is_isomorphic,
     module_pool,
+    projective_indecomposables,
+    quotient_module,
+    radical,
     random_module,
     zero_module,
 )
@@ -85,6 +88,24 @@ def test_pool_rewraps_the_kept_arrays():
     first, again = indecomposables(alg), indecomposables(alg)
     assert [m.action is n.action for m, n in zip(first, again)] == [True] * len(first)
     assert all(not m.action.flags.writeable for m in again)
+
+
+@pytest.mark.parametrize("name", ["t3", "ideal-chain"])
+def test_pool_hands_out_the_held_modules(name):
+    # while held, a second call gives the same modules; each is P_i/rad^k P_i,
+    # rebuilt here from k radicals of P_i
+    alg, _ = load_fixture(name, F)
+    pool = module_pool(alg, 2, np.random.default_rng(0))
+    again = indecomposables(alg)
+    assert [m is n for m, n in zip(pool.modules.values(), again, strict=True)] == [True] * len(again)
+    for label, m in pool.modules.items():
+        i, k = map(int, label[1:].split("/rad^"))
+        p = projective_indecomposables(alg)[i]
+        sub, incl = p, F.eye(p.dim)
+        for _ in range(k):
+            r = radical(sub)
+            sub, incl = r.source, F.matmul(incl, r.matrix)
+        assert np.array_equal(m.action, quotient_module(p, incl.T)[0].action)
 
 
 def test_pool_samples_when_a_radical_layer_is_not_simple():
