@@ -51,10 +51,11 @@ for probe in (regular_module(rec.lam), m):
 # --- all of the above on every indecomposable, as `ladderkit recollement` runs it ---
 # T2 is a Nakayama algebra (its projectives are uniserial on both sides), so
 # the module pool holds every indecomposable once, P_i/rad^k P_i; each axiom
-# is additive, so passing on the pool proves it for every module.  The
-# sample count and rng only serve algebras without that certificate.
-print("\nthe middle algebra's indecomposables:", list(module_pool(rec.lam, 10, np.random.default_rng(0)).modules))
-res = check_axioms(rec, 10, np.random.default_rng(0))
+# is additive, so passing on the pool proves it for every module.  Without
+# that certificate the pool adds the duals of the opposite's P_i/rad^k P_i,
+# and a pass is evidence only.
+print("\nthe middle algebra's indecomposables:", list(module_pool(rec.lam).modules))
+res = check_axioms(rec)
 print("axiom suite on the module pools", res["pools"], "->", "PASS" if not res["failures"] else res["failures"])
 
 # --- exactness probes -------------------------------------------------------------------

@@ -139,9 +139,9 @@ def _field_from_json(spec: dict, default_prime: int = 101) -> Field:
         return Field(default_prime)
     if not isinstance(fs, dict):
         raise AlgebraError(f"'field' must be a JSON object, got {fs!r}")
-    if fs.get("rational"):
+    if _key(fs, "rational", lambda v: type(v) is bool, "true or false", False):
         return Field(None)
-    return Field(int(fs.get("prime", default_prime)))
+    return Field(_key(fs, "prime", _is_int, "an integer", default_prime))
 
 
 def _base_from_json(payload, field: Field) -> Algebra:
@@ -152,12 +152,12 @@ def _base_from_json(payload, field: Field) -> Algebra:
     raise AlgebraError("base must be 'ground' or a nested algebra spec")
 
 
-def _key(spec: dict, key: str, ok=None, kind="", default=None):
-    """A key of an algebra spec, required unless it has a default, of the kind ok accepts."""
-    if key not in spec and default is None:
+def _key(spec: dict, key: str, ok=None, kind="", default=...):
+    """A key of an algebra spec, required unless it has a default; any other value is of the kind ok accepts."""
+    if key not in spec and default is ...:
         raise AlgebraError(f"algebra spec of kind {spec.get('kind')!r} lacks the required key {key!r}")
     value = spec.get(key, default)
-    if ok is not None and not ok(value):
+    if value is not default and ok is not None and not ok(value):
         raise AlgebraError(f"{key!r} must be {kind}, got {value!r}")
     return value
 
@@ -170,21 +170,29 @@ def _is_list_of(ok):
     return lambda v: isinstance(v, list) and all(ok(x) for x in v)
 
 
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
 def _is_arrow(a) -> bool:
-    return isinstance(a, list) and len(a) == 3 and _is_int(a[0]) and _is_int(a[1]) and isinstance(a[2], str)
+    return isinstance(a, list) and len(a) == 3 and _is_int(a[0]) and _is_int(a[1]) and _is_str(a[2])
+
+
+def _is_idempotent_spec(v) -> bool:
+    return _is_str(v) or _is_list_of(lambda x: _is_int(x) or _is_str(x))(v)
 
 
 def _algebra_from_json(spec: dict, field: Field) -> Algebra:
     kind = spec.get("kind")
     if kind == "structure_constants":
-        return algebra_from_structure_constants(
-            field, _key(spec, "mult"), _key(spec, "unit"), _key(spec, "prim_idempotents"), labels=spec.get("labels")
-        )
+        mult, unit = _key(spec, "mult"), _key(spec, "unit")
+        idempotents = _key(spec, "prim_idempotents", _is_list_of(lambda e: isinstance(e, list)), "a list of coefficient vectors")
+        return algebra_from_structure_constants(field, mult, unit, idempotents, _key(spec, "labels", _is_list_of(_is_str), "a list of strings", None))
     if kind == "quiver":
         q = QuiverPresentation(
             vertices=_key(spec, "vertices", _is_int, "an integer"),
             arrows=_key(spec, "arrows", _is_list_of(_is_arrow), "a list of [source, target, name]"),
-            monomial_relations=_key(spec, "relations", _is_list_of(_is_list_of(lambda n: isinstance(n, str))), "a list of lists of arrow names", []),
+            monomial_relations=_key(spec, "relations", _is_list_of(_is_list_of(_is_str)), "a list of lists of arrow names", []),
             path_length_bound=_key(spec, "path_length_bound", _is_int, "an integer", 8),
         )
         return algebra_from_quiver(q, field)
@@ -194,7 +202,8 @@ def _algebra_from_json(spec: dict, field: Field) -> Algebra:
         base = _base_from_json(spec.get("base"), field)
         if "ideals" in spec:
             # each ideal is a list of basis vectors in base coordinates
-            ideals = [field.asarray(np.array(b, dtype=object).tolist()).reshape(-1, base.dim).T for b in spec["ideals"]]
+            ideals = _key(spec, "ideals", _is_list_of(lambda b: isinstance(b, list)), "a list of lists of basis vectors")
+            ideals = [field.asarray(np.array(b, dtype=object).tolist()).reshape(-1, base.dim).T for b in ideals]
             return build_ideal_matrix_algebra(base, ideals, _key(spec, "n", _is_int, "an integer"))
         ideal = field.asarray(_key(spec, "ideal")).reshape(-1, base.dim).T
         return build_ideal_matrix_algebra(base, ideal, _key(spec, "n", _is_int, "an integer"))
@@ -220,5 +229,5 @@ def load_algebra_spec(path_or_name: str, default_prime: int = 101):
     if not isinstance(spec, dict):
         raise AlgebraError(f"algebra spec in {path_or_name} must be a JSON object, got {type(spec).__name__}")
     field = _field_from_json(spec, default_prime)
-    alg = _algebra_from_json(spec, field)
-    return alg, spec.get("idempotent"), field
+    idempotent = _key(spec, "idempotent", _is_idempotent_spec, "a string like 'e1+e2' or a list of coefficients", None)
+    return _algebra_from_json(spec, field), idempotent, field

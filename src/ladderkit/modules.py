@@ -66,7 +66,6 @@ __all__ = [
     "IsoResult",
     "serialize_module",
     "random_module",
-    "indecomposables",
     "ModulePool",
     "module_pool",
 ]
@@ -946,60 +945,58 @@ def random_module(a: Algebra, rng: np.random.Generator, max_summands: int = 3) -
     return quot
 
 
-# -- indecomposables and module pools ---------------------------------------------
+# -- module pools -----------------------------------------------------------------
 
 
-def _radical_layers(p: Module) -> Optional[list]:
-    """Column bases in P of rad P, rad^2 P, ..., 0 when each rad^k P has a simple
-    top (dim Hom to the simples sums to 1); else None, as when J is out of reach."""
-    layers, m, incl = [], p, p.field.eye(p.dim)
+def _radical_layers(p: Module) -> tuple[list, bool]:
+    """Column bases in P of rad P, rad^2 P, ..., 0, and whether each rad^k P
+    has a simple top (dim Hom to the simples sums to 1).  Raises
+    FieldRestrictionError where J is out of reach."""
+    layers, m, incl, simple_tops = [], p, p.field.eye(p.dim), True
     while m.dim:
-        if sum(hom_profile(m)[2]) != 1:
-            return None
+        simple_tops = simple_tops and sum(hom_profile(m)[2]) == 1
         r = radical(m)
         incl, m = p.field.matmul(incl, r.matrix), r.source
         layers.append(incl)
-    return layers
+    return layers, simple_tops
 
 
-def _indecomposable_data(a: Algebra) -> Optional[dict]:
+def _indecomposable_data(a: Algebra) -> tuple[dict, bool]:
     """One record per simple class i and 1 <= k <= length of P_i, labelled
-    P<i>/rad^<k>, when every projective indecomposable over a and over its
-    opposite is uniserial, else None; kept on a.  The P_i/rad^k P_i are then
-    all the indecomposables of the Nakayama algebra a, each once (Auslander,
-    Reiten & Smalo, IV.2 and VI).  Where rad^k P_i = 0 the record is A.e_i's
-    own; else it keeps the quotient map P_i -> P_i/rad^k P_i as a cover."""
-    if "indecomposables" not in a._derived:
+    P<i>/rad^<k>, with the certificate that every projective indecomposable
+    over a and over its opposite is uniserial; kept on a.  Each P_i/rad^k P_i
+    has a simple top, so is indecomposable; certified, they are all the
+    indecomposables of the Nakayama algebra a, each once (Auslander, Reiten &
+    Smalo, IV.2 and VI).  Where rad^k P_i = 0 the record is A.e_i's own; else
+    it keeps the quotient map P_i -> P_i/rad^k P_i as a cover.  Where J is
+    out of reach, the records are the A.e_i, labelled P<i>, uncertified."""
+    if "pool" not in a._derived:
         projs = projective_indecomposables(a)
-        layers = [_radical_layers(p) for p in projs]
-        data = None
-        if None not in layers and all(_radical_layers(p) is not None for p in projective_indecomposables(opposite(a))):
+        try:
+            layers = [_radical_layers(p) for p in projs]
+        except FieldRestrictionError:
+            data, uniserial = {f"P{i}": kept for i, kept in enumerate(_projective_data(a))}, False
+        else:
             data = {}
             for i in _simple_classes(a):
-                for k, cols in enumerate(layers[i][:-1], 1):
+                for k, cols in enumerate(layers[i][0][:-1], 1):
                     quot, proj = quotient_module(projs[i], cols.T)
                     kernel, section = kernel_and_section(proj.matrix, a.field)
                     for x in (kernel, section):
                         x.setflags(write=False)
                     data[f"P{i}/rad^{k}"] = _Kept(quot.action, quot.idempotent_split(), i, {}, cover=(proj.matrix, kernel, section))
-                data[f"P{i}/rad^{len(layers[i])}"] = _projective_data(a)[i]
-        a._derived["indecomposables"] = data
-    return a._derived["indecomposables"]
-
-
-def indecomposables(a: Algebra) -> Optional[list[Module]]:
-    """Every indecomposable over a once, when a is certified Nakayama, else
-    None: the P_i/rad^k P_i, handed out from the records kept on a, each but
-    P_i keeping its quotient map as its cover (Hom off e_i.N)."""
-    data = _indecomposable_data(a)
-    return None if data is None else [_hand_out(a, kept) for kept in data.values()]
+                data[f"P{i}/rad^{len(layers[i][0])}"] = _projective_data(a)[i]
+            uniserial = all(simple for _, simple in layers) and all(_radical_layers(p)[1] for p in projective_indecomposables(opposite(a)))
+        a._derived["pool"] = data, uniserial
+    return a._derived["pool"]
 
 
 @dataclass
 class ModulePool:
     """Labelled modules to check additive claims on.  Certified: every
     indecomposable once, so an additive claim that holds on the pool holds
-    for every module; else seeded samples, evidence only."""
+    for every module; else indecomposables with a simple top or a simple
+    socle, evidence only."""
 
     modules: dict  # label -> Module
     certified: bool
@@ -1011,11 +1008,13 @@ class ModulePool:
         return {"certified": self.certified, "modules": len(self.modules)}
 
 
-def module_pool(a: Algebra, samples: int, rng: np.random.Generator) -> ModulePool:
-    """The indecomposables over a, labelled P<i>/rad^<k>, when certified;
-    else the nonzero ones of `samples` seeded random modules."""
-    found = indecomposables(a)
-    if found is not None:
-        return ModulePool(dict(zip(_indecomposable_data(a), found)), True)
-    drawn = (random_module(a, rng, max_summands=2) for _ in range(samples))
-    return ModulePool({f"sample {t}": m for t, m in enumerate(drawn) if m.dim}, False)
+def module_pool(a: Algebra) -> ModulePool:
+    """The modules of the records kept on a, handed out.  Certified, they are
+    the indecomposables; else the duals D(<label>) of the opposite's records
+    follow, the socle layers of the injectives."""
+    records, certified = _indecomposable_data(a)
+    modules = {label: _hand_out(a, kept) for label, kept in records.items()}
+    if not certified:
+        op = opposite(a)
+        modules |= {f"D({label})": dual(_hand_out(op, kept)) for label, kept in _indecomposable_data(op)[0].items()}
+    return ModulePool(modules, certified)

@@ -405,14 +405,14 @@ def adjunction_mismatches(left, right, xs: ModulePool, ys: ModulePool, measure) 
     return out
 
 
-def check_axioms(rec: RecollementData, samples: int, rng: np.random.Generator) -> dict:
-    """The recollement axioms on the module pools of L, G and S (`samples` seeded
-    draws each where not certified): the canonical sequences at each L-module;
-    q l = 0 = p r and e l = 1 = e r at each G-module; dim Hom(F x, y) = dim Hom(x,
-    G y) for (l, e), (e, r), (q, i) and (i, p) on every pair.  All are additive,
-    so certified pools prove them for every module.  Returns the pools' sizes
-    and a record per failed check, naming its modules."""
-    pools = {side: module_pool(a, samples, rng) for side, a in (("middle", rec.lam), ("corner", rec.gamma), ("quotient", rec.sigma))}
+def check_axioms(rec: RecollementData) -> dict:
+    """The recollement axioms on the module pools of L, G and S: the canonical
+    sequences at each L-module; q l = 0 = p r and e l = 1 = e r at each
+    G-module; dim Hom(F x, y) = dim Hom(x, G y) for (l, e), (e, r), (q, i) and
+    (i, p) on every pair.  All are additive, so certified pools prove them for
+    every module.  Returns the pools' sizes and a record per failed check,
+    naming its modules."""
+    pools = {side: module_pool(a) for side, a in (("middle", rec.lam), ("corner", rec.gamma), ("quotient", rec.sigma))}
     fe, fq, fp, fi, fl, fr = map(applied_once, (rec.functor_e(), rec.functor_q(), rec.functor_p(), rec.functor_i(), rec.functor_l(), rec.functor_r()))
     failures = []
     for label, m in pools["middle"].modules.items():

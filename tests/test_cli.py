@@ -36,7 +36,7 @@ def test_ladder_json_deterministic(tmp_path):
 
 def test_recollement_command(tmp_path, capsys):
     out = tmp_path / "rec.json"
-    assert main(["recollement", "--algebra", "t2", "--samples", "5", "--json", str(out)]) == 0
+    assert main(["recollement", "--algebra", "t2", "--json", str(out)]) == 0
     text = capsys.readouterr().out
     assert "3 middle indecomposables, 1 corner indecomposables, 1 quotient indecomposables: PASS" in text
     payload = json.loads(out.read_text())
@@ -45,15 +45,24 @@ def test_recollement_command(tmp_path, capsys):
     assert payload["failures"] == []
 
 
-def test_recollement_command_samples_where_not_certified(tmp_path, capsys):
+def test_recollement_command_where_not_certified(tmp_path, capsys):
     # over F_5 the trace-form radical of t3 (dim 6) is out of reach, so its
-    # pool is 5 seeded draws (the nonzero ones); the corner and the quotient
-    # algebra (dims 1 and 3) are still certified
+    # pool is the three A.e_i and their three duals over the opposite; the
+    # corner and the quotient algebra (dims 1 and 3) are still certified
     out = tmp_path / "rec.json"
-    assert main(["recollement", "--algebra", "t3", "--prime", "5", "--samples", "5", "--json", str(out)]) == 0
-    assert " middle samples, 1 corner indecomposables, 3 quotient indecomposables: PASS" in capsys.readouterr().out
+    assert main(["recollement", "--algebra", "t3", "--prime", "5", "--json", str(out)]) == 0
+    assert "6 middle pool modules, 1 corner indecomposables, 3 quotient indecomposables: PASS" in capsys.readouterr().out
     pools = json.loads(out.read_text())["pools"]
-    assert not pools["middle"]["certified"] and 0 < pools["middle"]["modules"] <= 5
+    assert pools["middle"] == {"certified": False, "modules": 6}
+
+
+def test_recollement_command_on_a_quiver_spec_beyond_nakayama(tmp_path, capsys):
+    # the path algebra of A_3 oriented 1 -> 2 <- 3 is not Nakayama: its pool
+    # holds 9 modules, each indecomposable, meeting all 6 classes
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps({"kind": "quiver", "vertices": 3, "arrows": [[0, 1, "a"], [2, 1, "b"]]}))
+    assert main(["recollement", "--algebra", str(path), "--idempotent", "e1"]) == 0
+    assert "9 middle pool modules, 1 corner indecomposables, 3 quotient indecomposables: PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -66,18 +75,20 @@ def test_recollement_command_samples_where_not_certified(tmp_path, capsys):
     ids=["max-steps", "cutoff", "samples"],
 )
 def test_counts_below_one_exit_2(argv, capsys):
+    # --samples is no option any more: the pools are deterministic
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_INPUT
-    assert "must be at least 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ("unrecognized arguments: --samples 0" if "--samples" in argv else "must be at least 1") in err
 
 
 # sha256 of `harness --algebra A --json` at the default seed and prime; these
 # reports are not covered by the verify-paper digest.  Update one only in a
 # change that alters the harness report on purpose and says so in CHANGES.md.
 HARNESS_SHA256 = {
-    "t2": "3a3de2c2ed1416486927bc5bd3ab2cd7c3d113f34f83136287e3be4d734246a3",
-    "prop32-dual-numbers": "29c9f3590742f9caaf21a2661c786f8c4e7ca2e7f819b82bac9f28258ee560f0",
+    "t2": "627f4d030f268c6cf092a5c37e721f5379220237b3b54e45b4a7f386dcc343fc",
+    "prop32-dual-numbers": "2a82d009d871aefc45e9e528c177af7283d9cd1179b02845f223f3f2cb1dac92",
 }
 
 
@@ -162,7 +173,7 @@ def test_gorenstein_command(capsys):
 
 def test_harness_command(tmp_path, capsys):
     out = tmp_path / "h.json"
-    assert main(["harness", "--algebra", "t2", "--samples", "10", "--json", str(out)]) == 0
+    assert main(["harness", "--algebra", "t2", "--json", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["status"] == "PASS"
     assert payload["lemma_checks"]["probes"]["p_exact"]["status"] == "Failed"
@@ -260,17 +271,17 @@ def test_version_flag(capsys):
 
 
 def test_verify_paper_verdicts_stable_across_seeds(tmp_path):
-    # verdicts must not depend on the seed; only witnesses may differ.  c5 and
-    # c9 run on every indecomposable of the (certified) fixtures, so their
-    # details do not depend on it either, byte for byte
+    # verdicts must not depend on the seed; only witnesses may differ.  c4 to
+    # c9 read no seed (the pools are deterministic), so their details do not
+    # depend on it either, byte for byte
     reports = []
     for seed in (0, 1, 2):
         path = tmp_path / f"s{seed}.json"
-        assert main(["verify-paper", "--seed", str(seed), "--samples", "3", "--json", str(path)]) == 0
+        assert main(["verify-paper", "--seed", str(seed), "--json", str(path)]) == 0
         reports.append({c["criterion"]: c for c in json.loads(path.read_text())["criteria"]})
     for r in reports[1:]:
         assert {n: c["status"] for n, c in r.items()} == {n: c["status"] for n, c in reports[0].items()}
-        for n in (5, 9):
+        for n in range(4, 10):
             assert json_bytes(r[n]["details"]) == json_bytes(reports[0][n]["details"])
 
 
@@ -310,6 +321,9 @@ def test_arrow_outside_the_vertices_exits_2(tmp_path, capsys):
     assert "input error: arrow 'b' joins 0 -> 5, outside the vertices 0..1" in capsys.readouterr().err
 
 
+_K2 = {"kind": "structure_constants", "mult": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "unit": [1, 1], "prim_idempotents": [[1, 0], [0, 1]]}  # k x k
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [
@@ -325,6 +339,16 @@ def test_arrow_outside_the_vertices_exits_2(tmp_path, capsys):
         ),
         ({"kind": "quiver", "vertices": "2", "arrows": []}, "'vertices' must be an integer, got '2'"),
         ({"kind": "quiver", "vertices": 1, "arrows": [], "path_length_bound": 2.5}, "'path_length_bound' must be an integer, got 2.5"),
+        ({"field": {"prime": 7.9}, "kind": "quiver", "vertices": 1, "arrows": []}, "'prime' must be an integer, got 7.9"),
+        ({"field": {"prime": "7"}, "kind": "quiver", "vertices": 1, "arrows": []}, "'prime' must be an integer, got '7'"),
+        ({"field": {"rational": "false"}, "kind": "quiver", "vertices": 1, "arrows": []}, "'rational' must be true or false, got 'false'"),
+        ({**_K2, "labels": "ab"}, "'labels' must be a list of strings, got 'ab'"),
+        ({**_K2, "prim_idempotents": 5}, "'prim_idempotents' must be a list of coefficient vectors, got 5"),
+        (
+            {"kind": "quiver", "vertices": 2, "arrows": [], "idempotent": {"e": 1}},
+            "'idempotent' must be a string like 'e1+e2' or a list of coefficients, got {'e': 1}",
+        ),
+        ({"kind": "ideal_matrix", "n": 2, "ideals": 5}, "'ideals' must be a list of lists of basis vectors, got 5"),
     ],
     ids=[
         "not-an-object",
@@ -336,6 +360,13 @@ def test_arrow_outside_the_vertices_exits_2(tmp_path, capsys):
         "relation-a-string",
         "vertices-a-string",
         "bound-a-float",
+        "prime-a-float",
+        "prime-a-string",
+        "rational-a-string",
+        "labels-a-string",
+        "idempotents-not-a-list",
+        "idempotent-an-object",
+        "ideals-not-a-list",
     ],
 )
 def test_malformed_spec_exits_2(tmp_path, capsys, spec, message):

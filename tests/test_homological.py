@@ -39,7 +39,6 @@ from ladderkit.modules import (
     dual,
     hom_into_regular,
     hom_space,
-    indecomposables,
     is_isomorphic,
     module_pool,
     projective_cover,
@@ -307,7 +306,7 @@ def test_stable_hom_examples():
 def test_preservation_harness_no_failures(name):
     rec = rec_for(name)
     rep = ladder_report(rec, 12, 0)
-    res = preservation_harness(rec, rep, samples=3, seed=0, cutoff=8)
+    res = preservation_harness(rec, rep, seed=0, cutoff=8)
     assert res["status"] == "PASS"
     statuses = {c["status"] for c in res["clauses"]}
     assert "FAIL" not in statuses
@@ -316,7 +315,7 @@ def test_preservation_harness_no_failures(name):
 def test_harness_skips_low_height_clauses():
     rec = rec_for("prop32-dual-numbers")  # l-height 1
     rep = ladder_report(rec, 12, 0)
-    res = preservation_harness(rec, rep, samples=3, seed=0, cutoff=8)
+    res = preservation_harness(rec, rep, seed=0, cutoff=8)
     skipped = [c for c in res["clauses"] if c["status"] == "SKIPPED"]
     assert skipped  # every l-height >= 2 clause must be gated off
 
@@ -324,7 +323,7 @@ def test_harness_skips_low_height_clauses():
 def test_harness_self_injective_runs_all_clauses():
     rec = rec_for("preproj-a2")
     rep = ladder_report(rec, 12, 0)
-    res = preservation_harness(rec, rep, samples=3, seed=0, cutoff=8)
+    res = preservation_harness(rec, rep, seed=0, cutoff=8)
     by_status = {}
     for c in res["clauses"]:
         by_status.setdefault(c["status"], []).append(c["clause"])
@@ -345,13 +344,13 @@ def test_harness_reads_one_gorenstein_report_per_algebra(monkeypatch):
     monkeypatch.setattr(hom, "_gorenstein_report", counted)
     rec = rec_for("preproj-a2")
     rep = ladder_report(rec, 12, 0)
-    preservation_harness(rec, rep, samples=3, seed=0, cutoff=8)
+    preservation_harness(rec, rep, seed=0, cutoff=8)
     assert built == [rec.lam, rec.gamma]  # the GP and GI tests read these, and their swaps on the opposites
     built.clear()
-    xs, ys = gorenstein_projective_pools(rec, 8, 20, 0)
+    xs, ys = gorenstein_projective_pools(rec, 8)
     assert xs.modules and ys.modules and built == []
     fresh = rec_for("preproj-a2")
-    gorenstein_projective_pools(fresh, 8, 20, 0)
+    gorenstein_projective_pools(fresh, 8)
     assert built == [fresh.gamma, fresh.lam]
 
 
@@ -369,10 +368,10 @@ def test_harness_classifies_only_the_pools_met_clauses_read(monkeypatch):
 
         monkeypatch.setattr(hom, fn, counted)
     rec = rec_for("prop32-dual-numbers")
-    res = preservation_harness(rec, ladder_report(rec, 12, 0), samples=3, seed=0, cutoff=8)
+    res = preservation_harness(rec, ladder_report(rec, 12, 0), seed=0, cutoff=8)
     assert res["status"] == "PASS" and res["pools"]["corner"]["certified"]
-    corner_pool = [m.action for m in indecomposables(rec.gamma)]
-    middle_pool = [m.action for m in indecomposables(rec.lam)]
+    corner_pool = [m.action for m in module_pool(rec.gamma).modules.values()]
+    middle_pool = [m.action for m in module_pool(rec.lam).modules.values()]
     assert corner_pool and not any(m.action is x for m in tested for x in corner_pool)
     assert any(m.action is x for m in tested for x in middle_pool)
 
@@ -391,7 +390,7 @@ def test_harness_applies_each_functor_once_per_module(monkeypatch, name):
     rec = rec_for(name)
     rep = ladder_report(rec, 12, 0)
     applied.clear()
-    preservation_harness(rec, rep, samples=3, seed=0, cutoff=8)
+    preservation_harness(rec, rep, seed=0, cutoff=8)
     keys = [(functor, id(m)) for functor, m in applied]
     assert keys and len(set(keys)) == len(keys)
 
@@ -505,13 +504,13 @@ def test_gp_verdicts_kept_with_the_pool_arrays(monkeypatch):
     computed = []
     full = hom._gp_verdict
     monkeypatch.setattr(hom, "_gp_verdict", lambda m, cutoff: computed.append(cutoff) or full(m, cutoff))
-    first = gorenstein_projective_pools(rec, 8, 4, 0)
+    first = gorenstein_projective_pools(rec, 8)
     n = len(computed)
-    assert n == sum(len(module_pool(a, 4, np.random.default_rng(0)).modules) for a in (rec.gamma, rec.lam))
-    again = gorenstein_projective_pools(rec, 8, 4, 0)
+    assert n == sum(len(module_pool(a).modules) for a in (rec.gamma, rec.lam))
+    again = gorenstein_projective_pools(rec, 8)
     assert len(computed) == n
     assert [p.modules.keys() for p in first] == [p.modules.keys() for p in again]
-    gorenstein_projective_pools(rec, 6, 4, 0)
+    gorenstein_projective_pools(rec, 6)
     assert computed[n:] == [6] * n
 
 
@@ -525,7 +524,7 @@ def test_gdim_comparison_under_l_height_three():
 
 
 def test_lemma_checks_t2():
-    res = lemma_checks(rec_for("t2"), cutoff=6, seed=0)
+    res = lemma_checks(rec_for("t2"), cutoff=6)
     assert res["status"] == "PASS"
     assert res["probes"]["r_exact"]["status"] == "Exact"
     assert res["probes"]["q_exact"]["status"] == "Exact"
@@ -536,7 +535,7 @@ def test_lemma_checks_t2():
 
 
 def test_lemma_checks_prop32():
-    res = lemma_checks(rec_for("prop32-dual-numbers"), cutoff=6, seed=0)
+    res = lemma_checks(rec_for("prop32-dual-numbers"), cutoff=6)
     assert res["status"] == "PASS"
     # l is not exact here, so only the (e, r) side is asserted
     assert res["probes"]["l_exact"]["status"] == "Failed"

@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ladderkit.algebra import build_triangular, ground_field_algebra, opposite
+from ladderkit.algebra import QuiverPresentation, algebra_from_quiver, build_triangular, ground_field_algebra, opposite
 from ladderkit.fixtures import load_fixture, parse_idempotent
 from ladderkit.homological import is_stratifying, spli_silp
 from ladderkit.ladder import ladder_report
@@ -19,7 +19,6 @@ from ladderkit.modules import (
     cover_sequence,
     hom_profile,
     hom_space,
-    indecomposables,
     module_pool,
     projective_cover,
     projective_indecomposables,
@@ -112,16 +111,30 @@ def test_module_pool_dies_without_collector(name, gc_off):
     # keeps its cover, never a map pointing back to it
     alg, default_e = load_fixture(name, F)
     rec = build_recollement(alg, parse_idempotent(alg, default_e))
-    assert check_axioms(rec, 2, np.random.default_rng(0))["failures"] == []
-    pool = module_pool(alg, 2, np.random.default_rng(0))
+    assert check_axioms(rec)["failures"] == []
+    pool = module_pool(alg)
     mods = list(pool.modules.values())
     reg = regular_module(alg)
     hb = [hom_space(m, reg) for m in mods]  # the kept-cover path
-    kept = [*alg._derived["indecomposables"].values(), *alg._derived["projectives"]]
+    records, certified = alg._derived["pool"]
+    kept = [*records.values(), *alg._derived["projectives"]]
     values = [getattr(r, x.name) for r in kept for x in dataclasses.fields(r)]
-    assert len(alg._derived["indecomposables"]) == len(mods)
+    assert certified and len(records) == len(mods)
     assert not any(isinstance(v, Module) for x in values for v in (x if isinstance(x, tuple) else (x,)))
-    assert [m.action is n.action for m, n in zip(mods, indecomposables(alg))] == [True] * len(mods)
+    assert [m.action is n.action for m, n in zip(mods, module_pool(alg).modules.values())] == [True] * len(mods)
     refs = [weakref.ref(x) for x in (alg, rec.gamma, rec.sigma, *mods)]
-    del alg, rec, pool, mods, reg, hb, kept
+    del alg, rec, pool, mods, reg, hb, kept, records
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_uncertified_pool_dies_without_collector(gc_off):
+    # the path algebra of A_3 oriented 1 -> 2 <- 3 is not Nakayama: its pool
+    # adds the duals of the records kept on the opposite
+    alg = algebra_from_quiver(QuiverPresentation(3, [(0, 1, "a"), (2, 1, "b")], []), F)
+    rec = build_recollement(alg, parse_idempotent(alg, "e2"))
+    assert check_axioms(rec)["failures"] == []
+    pool = module_pool(alg)
+    assert not pool.certified and any(label.startswith("D(") for label in pool.modules)
+    refs = [weakref.ref(x) for x in (alg, opposite(alg), rec.gamma, *pool.modules.values())]
+    del alg, rec, pool
     assert [r() for r in refs] == [None] * len(refs)

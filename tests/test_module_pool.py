@@ -1,7 +1,7 @@
-"""The certified module pool: every indecomposable of a Nakayama algebra once,
-checked against brute force, and the seeded fallback where the certificate
-fails.  The pooled recollement axioms must catch a functor broken on one
-indecomposable that seeded sampling never reaches."""
+"""The module pool: every indecomposable of a Nakayama algebra once, checked
+against brute force, and modules with a simple top or socle where the
+certificate fails.  The pooled recollement axioms must catch a functor broken
+on one indecomposable that seeded sampling never reaches."""
 
 import itertools
 
@@ -15,8 +15,8 @@ from ladderkit.linalg import Field
 from ladderkit.modules import (
     Module,
     ModuleMap,
+    hom_profile,
     hom_space,
-    indecomposables,
     is_isomorphic,
     module_pool,
     projective_indecomposables,
@@ -25,6 +25,8 @@ from ladderkit.modules import (
     random_module,
     zero_module,
 )
+from ladderkit.homological import lemma_checks, preservation_harness
+from ladderkit.ladder import ladder_report
 from ladderkit.recollement import FunctorValue, SubquotientFunctor, build_recollement, check_axioms
 from ladderkit.verify import RECOLLEMENT_FIXTURES
 
@@ -65,7 +67,7 @@ def _multiplicities(pool, m) -> dict:
 def test_pool_modules_are_pairwise_non_isomorphic_and_keep_their_covers(name):
     rec = rec_for(name)
     for a in (rec.lam, rec.gamma, rec.sigma):
-        pool = module_pool(a, 5, np.random.default_rng(0))
+        pool = module_pool(a)
         assert pool.certified
         mods = list(pool.modules.values())
         for x, y in itertools.combinations(mods, 2):
@@ -85,7 +87,7 @@ def test_pool_modules_are_pairwise_non_isomorphic_and_keep_their_covers(name):
 
 def test_pool_rewraps_the_kept_arrays():
     alg, _ = load_fixture("t3", F)
-    first, again = indecomposables(alg), indecomposables(alg)
+    first, again = (list(module_pool(alg).modules.values()) for _ in range(2))
     assert [m.action is n.action for m, n in zip(first, again)] == [True] * len(first)
     assert all(not m.action.flags.writeable for m in again)
 
@@ -95,8 +97,8 @@ def test_pool_hands_out_the_held_modules(name):
     # while held, a second call gives the same modules; each is P_i/rad^k P_i,
     # rebuilt here from k radicals of P_i
     alg, _ = load_fixture(name, F)
-    pool = module_pool(alg, 2, np.random.default_rng(0))
-    again = indecomposables(alg)
+    pool = module_pool(alg)
+    again = list(module_pool(alg).modules.values())
     assert [m is n for m, n in zip(pool.modules.values(), again, strict=True)] == [True] * len(again)
     for label, m in pool.modules.items():
         i, k = map(int, label[1:].split("/rad^"))
@@ -108,26 +110,69 @@ def test_pool_hands_out_the_held_modules(name):
         assert np.array_equal(m.action, quotient_module(p, incl.T)[0].action)
 
 
-def test_pool_samples_when_a_radical_layer_is_not_simple():
-    # k[x, y]/(x, y)^2: rad P / rad^2 P = S^2
+def test_pool_adds_the_duals_when_a_radical_layer_is_not_simple():
+    # k[x, y]/(x, y)^2: rad P / rad^2 P = S^2, so P0 is not uniserial; the
+    # pool is P0/rad^k and the duals of the opposite's P0/rad^k
     kxy = _local_kxy(F)
-    assert indecomposables(kxy) is None
-    pool = module_pool(kxy, 6, np.random.default_rng(0))
-    assert not pool.certified and pool.to_json() == {"certified": False, "modules": len(pool.modules)}
-    assert pool.modules and all(label.startswith("sample ") and m.dim for label, m in pool.modules.items())
+    pool = module_pool(kxy)
+    assert not pool.certified and pool.to_json() == {"certified": False, "modules": 4}
+    assert list(pool.modules) == ["P0/rad^1", "P0/rad^2", "D(P0/rad^1)", "D(P0/rad^2)"]
+    assert [m.dim for m in pool.modules.values()] == [1, 3, 1, 3]
+    for m in pool.modules.values():
+        m._validate()
 
 
-def test_pool_samples_where_the_radical_is_out_of_reach():
-    # over F_5 the trace-form radical of t3 (dim 6) is out of reach
+def test_pool_keeps_the_projectives_where_the_radical_is_out_of_reach():
+    # over F_5 the trace-form radical of t3 (dim 6) is out of reach: the pool
+    # is the A.e_i and the duals of the opposite's, the injectives
     f5 = Field(5)
     rec = rec_for("t3", f5)
     with pytest.raises(FieldRestrictionError):
         algebra_radical_rows(rec.lam)
-    assert indecomposables(rec.lam) is None
-    assert not module_pool(rec.lam, 4, np.random.default_rng(0)).certified
-    res = check_axioms(rec, 4, np.random.default_rng(0))
+    pool = module_pool(rec.lam)
+    assert not pool.certified and list(pool.modules) == ["P0", "P1", "P2", "D(P0)", "D(P1)", "D(P2)"]
+    assert [m.dim for m in pool.modules.values()] == [3, 2, 1, 1, 2, 3]
+    res = check_axioms(rec)
     assert res["failures"] == []
-    assert not res["pools"]["middle"]["certified"] and res["pools"]["quotient"] == {"certified": True, "modules": 3}
+    assert res["pools"]["middle"] == {"certified": False, "modules": 6} and res["pools"]["quotient"] == {"certified": True, "modules": 3}
+
+
+def _a3(field=F):
+    # the path algebra of A_3 oriented 1 -> 2 <- 3: representation-finite, not
+    # Nakayama; the A.e_i are uniserial, but over the opposite rad P_2 = S_1 + S_3
+    return algebra_from_quiver(QuiverPresentation(3, [(0, 1, "a"), (2, 1, "b")], []), field)
+
+
+def test_a3_pool_is_deterministic_and_meets_every_indecomposable():
+    a = _a3()
+    pool, again = module_pool(a), module_pool(a)
+    assert not pool.certified and list(pool.modules) == list(again.modules)
+    assert all(np.array_equal(m.action, n.action) for m, n in zip(pool.modules.values(), again.modules.values()))
+    classes: list = []
+    for m in pool.modules.values():
+        m._validate()
+        same = [c for c in classes if is_isomorphic(m, c[0]).is_yes]
+        assert len(same) <= 1
+        if same:
+            same[0].append(m)
+        else:
+            classes.append([m])
+    # Gabriel: one indecomposable per positive root of A_3, six in all
+    dim_vectors = sorted(tuple(hom_profile(c[0])[1]) for c in classes)
+    assert dim_vectors == sorted([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)])
+    assert len(pool.modules) == 9
+
+
+@pytest.mark.parametrize("vertex", ["e1", "e2", "e3"])
+def test_a3_recollements_pass_on_the_pool(vertex):
+    a = _a3()
+    rec = build_recollement(a, parse_idempotent(a, vertex))
+    res = check_axioms(rec)
+    assert res["failures"] == [] and res["pools"]["middle"] == {"certified": False, "modules": 9}
+    harness = preservation_harness(rec, ladder_report(rec, 12, 0))
+    assert harness["status"] == "PASS" and harness["pools"]["middle"]["modules"] == 9
+    lemmas = lemma_checks(rec)
+    assert lemmas["status"] == "PASS" and all(c["ok"] for c in lemmas["checks"])
 
 
 # -- brute force ----------------------------------------------------------------------
@@ -167,7 +212,7 @@ def _t2_modules(field, top_dim):
 )
 def test_every_small_module_is_a_sum_of_pool_modules(build, modules, count):
     a = build()
-    pool = module_pool(a, 0, None)
+    pool = module_pool(a)
     assert pool.certified
     dims = {label: m.dim for label, m in pool.modules.items()}
     seen = 0
@@ -187,7 +232,7 @@ def test_sampled_modules_decompose_into_the_pool(name):
     rec = rec_for(name)
     rng = np.random.default_rng(0)
     for a in (rec.lam, rec.gamma):
-        pool = module_pool(a, 0, None)
+        pool = module_pool(a)
         for _ in range(8):
             m = random_module(a, rng, max_summands=2)
             if m.dim:
@@ -197,7 +242,7 @@ def test_sampled_modules_decompose_into_the_pool(name):
 
 def test_pooled_axioms_catch_q_broken_on_an_unsampled_indecomposable(monkeypatch):
     rec = rec_for("t3")
-    pool = module_pool(rec.lam, 0, None)
+    pool = module_pool(rec.lam)
     label = "P0/rad^1"  # the simple S_0: e S_0 = 0 and q(S_0) = S_0
     x = pool.modules[label]
     assert rec.functor_q().apply(x).module.dim == 1
@@ -225,6 +270,6 @@ def test_pooled_axioms_catch_q_broken_on_an_unsampled_indecomposable(monkeypatch
         return v
 
     monkeypatch.setattr(SubquotientFunctor, "apply", broken)
-    failures = check_axioms(rec, 20, np.random.default_rng(0))["failures"]
+    failures = check_axioms(rec)["failures"]
     assert failures and all(f["middle"] == label for f in failures)
     assert {f["kind"] for f in failures} >= {"canonical", "adjunction (q, i)"}

@@ -682,7 +682,7 @@ def test_module_check_on_generators_matches_the_full_basis_check(field):
         a = load_fixture(name, field)[0]
         if field.p is None and a.dim > 12:
             continue
-        for m in module_pool(a, 4, np.random.default_rng(0)).modules.values():
+        for m in module_pool(a).modules.values():
             assert not _fails_module_axioms_reference(a, m.action, field)
             Module(a, m.action)
             for idx in np.ndindex(*m.action.shape):

@@ -352,14 +352,14 @@ def test_carrier_hom_dimension_vector_space_duality():
 
 @pytest.mark.parametrize("name", RECOLLEMENT_FIXTURES)
 def test_check_axioms_pass_on_fixtures(name):
-    assert check_axioms(rec_for(name), 4, np.random.default_rng(0))["failures"] == []
+    assert check_axioms(rec_for(name))["failures"] == []
 
 
 def test_check_axioms_detects_broken_unit():
     # with e's coordinates in Le zeroed, the unit N -> e l N is the zero map
     rec = rec_for("t2")
     broken = dataclasses.replace(rec, e_in_lambda_e=F.zeros(*rec.e_in_lambda_e.shape))
-    failures = check_axioms(broken, 4, np.random.default_rng(0))["failures"]
+    failures = check_axioms(broken)["failures"]
     assert {f["kind"] for f in failures} == {"e l not iso"}
 
 
@@ -379,7 +379,7 @@ def test_check_axioms_applies_each_functor_once_per_module(monkeypatch):
         return apply(self, m)
 
     monkeypatch.setattr(SubquotientFunctor, "apply", counting_apply)
-    res = check_axioms(rec, 20, np.random.default_rng(0))
+    res = check_axioms(rec)
     assert res["failures"] == []
     m, n, s = (res["pools"][side]["modules"] for side in ("middle", "corner", "quotient"))
     assert (m, n, s) == (3, 1, 1)
@@ -411,7 +411,7 @@ def test_enveloping_algebras_are_built_on_first_read(name, product_builds):
     rec = build_recollement(alg, parse_idempotent(alg, default_e))
     is_stratifying(rec, 4)
     spli_silp(alg, 4)
-    assert check_axioms(rec, 4, np.random.default_rng(0))["failures"] == []
+    assert check_axioms(rec)["failures"] == []
     rep = ladder_report(rec, 12, 0)
     if name == "preproj-a2":  # c2 compares the profiles of this fixture's matched rungs
         c2 = _c2(SimpleNamespace(ladders={name: rep}))
