@@ -5,10 +5,13 @@ b_i * b_j = sum_k c[i, j, k] b_k, together with the unit and a distinguished
 complete system of primitive orthogonal idempotents.  All constructors verify
 associativity, the unit axioms and the idempotent system eagerly (except for
 constructions like enveloping products whose axioms follow from the inputs').
-Associativity is checked on the support of each left multiplication L_i: b_i x
-lies in the span of L_i's nonzero rows and depends only on its nonzero columns,
-so the d^3 equations of one i cost d^2 |rows| |cols| operations, not 2 d^5.  The
-structure constants of path algebras and their quotients are almost all zero.
+The structure constants of path algebras and their quotients are almost all
+zero, so each algebra keeps its nonzero entries (i, j, k, c), and the checks
+and spans that would multiply the dense array out run as sparse joins over
+them: associativity sums (b_i b_j) b_k and b_i (b_j b_k) per key (i, j, k, n)
+from the products of two nonzero entries each, which is as many products as
+the basis has nonzero triple products, not 2 d^5.  The same joins span the
+ideal AeA and form the trace form of the radical.
 """
 
 from __future__ import annotations
@@ -56,6 +59,44 @@ def _check_dim(field: Field, dim: int) -> None:
     """Reject an F_p algebra beyond DIM_BOUND, where int64 products could wrap."""
     if field.is_prime_field and dim > DIM_BOUND:
         raise AlgebraError(f"algebra dimension {dim} exceeds {DIM_BOUND}: int64 arithmetic over F_p is exact only up to there")
+
+
+# A sparse join below (associativity, the span of AeA, the trace form) forms
+# at most this many products at once.  The fixtures and workload algebras have
+# a few thousand and fit in one slice; a dense structure tensor is never
+# multiplied out whole (d^5 products for associativity).  Over F_p each product
+# is below p^2 < 2^30, so sums of a slice and a carried sum stay exact in int64.
+JOIN_PRODUCTS = 2**16
+
+
+def _join_slices(counts: np.ndarray):
+    """The pairs of a sparse join, driver-major, in slices of at most
+    JOIN_PRODUCTS: driver t takes part in counts[t] pairs.  Yields, per slice,
+    each pair's driver and its offset among that driver's pairs, and the
+    driver of the next slice's first pair (len(counts) after the last slice),
+    whose pairs may have begun in this one."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, JOIN_PRODUCTS):
+        pairs = np.arange(start, min(start + JOIN_PRODUCTS, total))
+        drivers = np.searchsorted(ends, pairs, side="right")
+        nxt = int(np.searchsorted(ends, pairs[-1] + 1, side="right"))
+        yield drivers, pairs - ends[drivers] + counts[drivers], nxt
+
+
+def _grouped(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of keys in 0..n-1 sorted by key, and where each key's run
+    starts: the positions of key m are order[at[m] : at[m + 1]]."""
+    order = np.argsort(keys, kind="stable")
+    return order, np.searchsorted(keys[order], np.arange(n + 1))
+
+
+def _summed(field: Field, keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, with the reduced sum of vals over each."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[first], field.normalize(np.add.reduceat(vals[order], first))
 
 
 class Algebra:
@@ -151,22 +192,16 @@ class Algebra:
             raise AlgebraError("unit fails unit*b_i = b_i")
         if not f.equal(ru, ident):
             raise AlgebraError("unit fails b_i*unit = b_i")
-        # associativity via operator identity: R_j L_i = L_i R_j for all i, j
-        # spells out (b_i x) b_j = b_i (x b_j) for every basis triple.  Only
-        # L_i's nonzero rows and columns enter: R_j L_i vanishes off its
-        # columns and needs only its rows, L_i R_j the other way round, so the
-        # same d^3 equations per i cost d^2 |rows| |cols|, not 2 d^5
-        nz = self.mult != 0  # [i, m, k] = L_i[k, m] != 0
-        for i, rows, cols in zip(range(d), nz.any(1), nz.any(2)):
-            core = self.left_mult[i][np.ix_(rows, cols)]
-            lhs = f.matmul(self.right_mult[:, :, rows], core)  # (R_j L_i)[:, cols]
-            rhs = f.matmul(core, self.right_mult[:, cols])  # (L_i R_j)[rows]
-            if not (f.equal(lhs[:, rows], rhs[:, :, cols]) and f.is_zero(lhs[:, ~rows]) and f.is_zero(rhs[:, :, ~cols])):
-                li = self.left_mult[i]  # the dense pair names the failing triple
-                lhs, rhs = f.matmul(self.right_mult, li), f.matmul(li[None, :, :], self.right_mult)
-                j = next(j for j in range(d) if not f.equal(lhs[j], rhs[j]))
-                x = int(np.nonzero(f.normalize(lhs[j] - rhs[j]))[1][0])
-                raise AlgebraError(f"associativity fails at basis triple (i={i}, x={x}, j={j})")
+        # associativity on the nonzero constants; the smallest failing i goes
+        # through the dense pair R_j L_i, L_i R_j, whose first difference
+        # (b_i x) b_j != b_i (x b_j) names the triple
+        i = self._associativity_failure()
+        if i is not None:
+            li = self.left_mult[i]
+            lhs, rhs = f.matmul(self.right_mult, li), f.matmul(li[None, :, :], self.right_mult)
+            j = next(j for j in range(d) if not f.equal(lhs[j], rhs[j]))
+            x = int(np.nonzero(f.normalize(lhs[j] - rhs[j]))[1][0])
+            raise AlgebraError(f"associativity fails at basis triple (i={i}, x={x}, j={j})")
         # idempotent system: [a, b] = e_a e_b from one contraction, against diag(e_a)
         if not self.prim_idempotents:
             raise AlgebraError("a complete system of primitive idempotents is required")
@@ -179,6 +214,50 @@ class Algebra:
             raise AlgebraError(f"idempotent system fails at pair ({bad[0][0]}, {bad[0][1]})")
         if not f.equal(f.normalize(es.sum(0)), self.unit):
             raise AlgebraError("idempotents do not sum to the unit")
+
+    def nonzeros(self) -> tuple:
+        """The nonzero structure constants c[i, j, k] = c as four read-only
+        arrays i, j, k, c, sorted by (i, j, k); computed once."""
+        if "nonzeros" not in self._derived:
+            nz = self.mult != 0
+            entries = (*np.nonzero(nz), self.mult[nz])
+            for a in entries:
+                a.setflags(write=False)
+            self._derived["nonzeros"] = entries
+        return self._derived["nonzeros"]
+
+    def _associativity_failure(self):
+        """The smallest i with (b_i b_j) b_k != b_i (b_j b_k) for some j, k,
+        or None.  Both sides are sums over products of two nonzero entries,
+        keyed (i, j, k, n) for the coefficient of b_n:
+            (b_i b_j) b_k = sum_m c[i, j, m] c[m, k, .],
+            b_i (b_j b_k) = sum_m c[j, k, m] c[i, m, .].
+        Each entry t drives both: as (i, j, m) it meets the entries (m, k, n),
+        then as (i, m, n) the entries (j, k, m).  The drivers are sorted by i,
+        so after each slice every key below the next driver's i is complete;
+        the others carry over as sums."""
+        f, d = self.field, self.dim
+        i, j, k, c = self.nonzeros()
+        by_first, first_at = _grouped(i, d)  # the entries (m, ., .)
+        by_third, third_at = _grouped(k, d)  # the entries (., ., m)
+        n_left, n_right = np.diff(first_at)[k], np.diff(third_at)[j]
+        keys, sums = np.zeros(0, dtype=np.int64), f.zeros(0)
+        for t, off, nxt in _join_slices(n_left + n_right):
+            left = off < n_left[t]
+            tl, tr = t[left], t[~left]
+            ul = by_first[first_at[k[tl]] + off[left]]
+            ur = by_third[third_at[j[tr]] + off[~left] - n_left[tr]]
+            keys, sums = _summed(
+                f,
+                np.concatenate([keys, ((i[tl] * d + j[tl]) * d + j[ul]) * d + k[ul], ((i[tr] * d + i[ur]) * d + j[ur]) * d + k[tr]]),
+                np.concatenate([sums, c[tl] * c[ul], -(c[tr] * c[ur])]),
+            )
+            done = keys < (i[nxt] if nxt < len(i) else d) * d**3
+            bad = np.flatnonzero(done & (sums != 0))
+            if bad.size:
+                return int(keys[bad[0]] // d**3)
+            keys, sums = keys[~done], sums[~done]
+        return None
 
     # -- generators (used to shrink intertwiner systems) -------------------
 
@@ -257,10 +336,24 @@ def algebra_radical_rows(a: Algebra) -> np.ndarray:
     if f.is_prime_field and f.p <= a.dim:
         raise FieldRestrictionError(f"trace-form radical needs p > dim ({f.p} <= {a.dim})")
     if "radical_rows" not in a._shared:
-        rows = np.ascontiguousarray(kernel_basis(f.einsum("iab,jba->ij", a.left_mult, a.left_mult), f).T)
+        rows = np.ascontiguousarray(kernel_basis(_trace_form(a), f).T)
         rows.setflags(write=False)
         a._shared["radical_rows"] = rows
     return a._shared["radical_rows"]
+
+
+def _trace_form(a: Algebra) -> np.ndarray:
+    """The Gram matrix tr(L_i L_j) = sum_{m, n} c[i, m, n] c[j, n, m], from
+    the nonzero constants: entry t = (i, m, n) meets the entries (j, n, m)."""
+    f, d = a.field, a.dim
+    i, j, k, c = a.nonzeros()
+    by_pair, pair_at = _grouped(j * d + k, d * d)  # the entries (., n, m), by n * d + m
+    counts = np.diff(pair_at)[k * d + j]
+    gram = f.zeros(d * d)
+    for t, off, _ in _join_slices(counts):
+        u = by_pair[pair_at[k[t] * d + j[t]] + off]
+        np.add.at(gram, i[t] * d + i[u], c[t] * c[u])
+    return f.normalize(gram).reshape(d, d)
 
 
 @dataclass(frozen=True)
@@ -507,9 +600,22 @@ class QuotientProjection:
 
 
 def _ideal_span_rows(a: Algebra, ev: np.ndarray) -> np.ndarray:
-    f = a.field
-    w = a.left_mult_matrix(ev)  # columns e*b_j
-    vecs = f.einsum("iab,bj->ija", a.left_mult, w).reshape(-1, a.dim)
+    """rref rows of AeA, spanned by the products b_i (e b_j) = sum_m w[m, j] c[i, m, .]
+    with w[:, j] = e b_j: entry t = (i, m, n) meets the nonzeros w[m, j].  Only
+    the nonzero products reach the rref, one row per (i, j)."""
+    f, d = a.field, a.dim
+    i, j, k, c = a.nonzeros()
+    w = a.left_mult_matrix(ev)
+    wm, wj = np.nonzero(w != 0)
+    by_row, w_at = _grouped(wm, d)
+    keys, sums = np.zeros(0, dtype=np.int64), f.zeros(0)
+    for t, off, _ in _join_slices(np.diff(w_at)[j]):
+        u = by_row[w_at[j[t]] + off]
+        keys, sums = _summed(f, np.concatenate([keys, (i[t] * d + wj[u]) * d + k[t]]), np.concatenate([sums, c[t] * w[wm[u], wj[u]]]))
+    keys, sums = keys[sums != 0], sums[sums != 0]
+    new_row = np.diff(keys // d, prepend=-1) != 0  # keys ascend, so each row's entries are adjacent
+    vecs = f.zeros(int(new_row.sum()), d)
+    vecs[np.cumsum(new_row) - 1, keys % d] = sums
     r = rref(vecs, f)
     return r.matrix[: r.rank]
 

@@ -114,8 +114,13 @@ def load_fixture(name: str, field: Field) -> tuple[Algebra, Optional[str]]:
 
 def parse_idempotent(algebra: Algebra, spec) -> Idempotent:
     """Idempotent from 'e1', 'e1+e3' (1-based distinguished idempotents) or a
-    coefficient vector."""
+    coefficient vector: a list, or a string holding a JSON list."""
     f = algebra.field
+    if isinstance(spec, str) and spec.lstrip().startswith("["):
+        try:
+            spec = json.loads(spec)
+        except json.JSONDecodeError as exc:
+            raise AlgebraError(f"bad idempotent vector {spec!r}: {exc}")
     if isinstance(spec, str):
         total = f.zeros(algebra.dim)
         for part in spec.split("+"):
@@ -127,6 +132,10 @@ def parse_idempotent(algebra: Algebra, spec) -> Idempotent:
                 raise AlgebraError(f"idempotent index {part} out of range (1..{len(algebra.prim_idempotents)})")
             total = f.normalize(total + algebra.prim_idempotents[idx])
         return Idempotent(algebra, total)
+    if not _is_list_of(_is_coefficient)(spec):
+        raise AlgebraError(f"idempotent vector {spec!r} must be a list of integer (or string) coefficients")
+    if len(spec) != algebra.dim:
+        raise AlgebraError(f"idempotent vector has {len(spec)} coefficients, the algebra has dimension {algebra.dim}")
     return Idempotent(algebra, f.asarray(spec))
 
 
@@ -178,15 +187,25 @@ def _is_arrow(a) -> bool:
     return isinstance(a, list) and len(a) == 3 and _is_int(a[0]) and _is_int(a[1]) and _is_str(a[2])
 
 
+def _is_coefficient(v) -> bool:
+    return _is_int(v) or _is_str(v)  # a string such as "1/2" is read as a fraction
+
+
+def _is_coefficients(v) -> bool:
+    """Nested lists of coefficients: never a float, which F_p would truncate."""
+    return isinstance(v, list) and all(_is_coefficients(x) if isinstance(x, list) else _is_coefficient(x) for x in v)
+
+
 def _is_idempotent_spec(v) -> bool:
-    return _is_str(v) or _is_list_of(lambda x: _is_int(x) or _is_str(x))(v)
+    return _is_str(v) or _is_list_of(_is_coefficient)(v)
 
 
 def _algebra_from_json(spec: dict, field: Field) -> Algebra:
     kind = spec.get("kind")
     if kind == "structure_constants":
-        mult, unit = _key(spec, "mult"), _key(spec, "unit")
-        idempotents = _key(spec, "prim_idempotents", _is_list_of(lambda e: isinstance(e, list)), "a list of coefficient vectors")
+        mult = _key(spec, "mult", _is_coefficients, "a nested list of integer coefficients")
+        unit = _key(spec, "unit", _is_coefficients, "a list of integer coefficients")
+        idempotents = _key(spec, "prim_idempotents", _is_list_of(_is_coefficients), "a list of coefficient vectors")
         return algebra_from_structure_constants(field, mult, unit, idempotents, _key(spec, "labels", _is_list_of(_is_str), "a list of strings", None))
     if kind == "quiver":
         q = QuiverPresentation(
@@ -202,10 +221,10 @@ def _algebra_from_json(spec: dict, field: Field) -> Algebra:
         base = _base_from_json(spec.get("base"), field)
         if "ideals" in spec:
             # each ideal is a list of basis vectors in base coordinates
-            ideals = _key(spec, "ideals", _is_list_of(lambda b: isinstance(b, list)), "a list of lists of basis vectors")
+            ideals = _key(spec, "ideals", _is_list_of(_is_coefficients), "a list of lists of basis vectors")
             ideals = [field.asarray(np.array(b, dtype=object).tolist()).reshape(-1, base.dim).T for b in ideals]
             return build_ideal_matrix_algebra(base, ideals, _key(spec, "n", _is_int, "an integer"))
-        ideal = field.asarray(_key(spec, "ideal")).reshape(-1, base.dim).T
+        ideal = field.asarray(_key(spec, "ideal", _is_coefficients, "a list of basis vectors of integer coefficients")).reshape(-1, base.dim).T
         return build_ideal_matrix_algebra(base, ideal, _key(spec, "n", _is_int, "an integer"))
     if kind == "morita_square":
         return build_morita_square(_base_from_json(spec.get("base"), field))

@@ -101,10 +101,14 @@ class Module:
         if not f.equal(unit_act, f.eye(self.dim)):
             raise AlgebraError("unit does not act as the identity")
         # x.(y.v) = (xy).v for the generators x after the unit and the basis y:
-        # the x it holds for form a subalgebra containing 1, so all of A
-        acts = f.einsum("gi,iab->gab", self.algebra.generators()[1:], self.action)
-        lhs = f.einsum("iab,jbc->ijac", acts, self.action)
-        rhs = f.einsum("ijk,kac->ijac", self.algebra.generator_products(), self.action)
+        # the x it holds for form a subalgebra containing 1, so all of A.  Both
+        # sides, [x, y, a, c], come from one 2-D product each
+        gens = self.algebra.generators()[1:]
+        g, d, n = len(gens), self.algebra.dim, self.dim
+        acts = f.einsum("gi,iab->gab", gens, self.action)
+        lhs = f.matmul(acts.reshape(g * n, n), self.action.transpose(1, 0, 2).reshape(n, d * n))
+        lhs = lhs.reshape(g, n, d, n).transpose(0, 2, 1, 3)
+        rhs = f.matmul(self.algebra.generator_products().reshape(g * d, d), self.action.reshape(d, n * n)).reshape(g, d, n, n)
         if not f.equal(lhs, rhs):
             bad = np.nonzero(f.normalize(lhs - rhs))
             raise AlgebraError(f"representation property fails at generator {bad[0][0]}, basis element {bad[1][0]}")

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -26,7 +27,7 @@ from ladderkit.algebra import (
     quotient_by_idempotent_ideal,
     tensor_product_algebra,
 )
-from ladderkit.algebra import _block_matrix_algebra
+from ladderkit.algebra import JOIN_PRODUCTS, _block_matrix_algebra, _ideal_span_rows, _trace_form
 from ladderkit.fixtures import fixture_names, load_fixture, parse_idempotent
 from ladderkit.linalg import DIM_BOUND, Field, in_span, kernel_basis, rank, rref, solve, solve_matrix
 from ladderkit.modules import _simple_classes
@@ -116,12 +117,12 @@ def test_idempotent_system_errors_name_the_first_failing_pair(field):
     algebra_from_structure_constants(field, t3.mult, t3.unit, [e2, e3, e1])  # any order passes
 
 
-# -- the support check against the dense one -----------------------------------
+# -- the join check against the dense one -------------------------------------
 
 
 def _validate_reference(alg):
-    """The dense check _validate ran before it restricted associativity to
-    the support of each L_i: 2 d^5 operations, then k^2 products of
+    """The dense check _validate ran before it checked associativity on the
+    nonzero structure constants: 2 d^5 operations, then k^2 products of
     idempotents.  Returns the error message it raises, or None."""
     f, d = alg.field, alg.dim
     if d == 0:
@@ -160,29 +161,28 @@ def _validate_message(alg):
     return None
 
 
-def _rejecting_comparisons(alg, i):
-    """Which of _validate's three comparisons fail at i, read off the dense
-    pair R_j L_i, L_i R_j.  Both vanish where the row k is not a row of L_i
-    and the column x not a column of it; a difference at a row and a column
-    of L_i is the core block, one off its rows is R_j L_i there, one off its
-    columns is L_i R_j there."""
-    f = alg.field
-    li = alg.left_mult[i]
-    rows, cols = (li != 0).any(1), (li != 0).any(0)
-    diff = f.normalize(f.matmul(alg.right_mult, li) - f.matmul(li[None, :, :], alg.right_mult)) != 0  # [j, k, x]
-    assert not diff[:, ~rows][:, :, ~cols].any()
-    parts = {"core": diff[:, rows][:, :, cols], "lhs off rows": diff[:, ~rows], "rhs off cols": diff[:, rows][:, :, ~cols]}
-    return frozenset(name for name, part in parts.items() if part.any())
+def _rejecting_sides(alg, i):
+    """Through which side of the join the check rejects at i, read off dense
+    sums: at a failing key (j, k, n), (b_i b_j) b_k = sum_m c[i,j,m] c[m,k,n]
+    and b_i (b_j b_k) = sum_m c[j,k,m] c[i,m,n] differ.  The key is "left"
+    when only the left join has products there, "right" when only the right
+    one has, else "both"."""
+    f, c = alg.field, alg.mult
+    nz = (c != 0).astype(np.int64)
+    left, right = f.einsum("jm,mkn->jkn", c[i], c), f.einsum("jkm,mn->jkn", c, c[i])
+    has_left, has_right = np.einsum("jm,mkn->jkn", nz[i], nz) > 0, np.einsum("jkm,mn->jkn", nz, nz[i]) > 0
+    failing = f.normalize(left - right) != 0
+    parts = {"left": has_left & ~has_right, "right": has_right & ~has_left, "both": has_left & has_right}
+    return frozenset(name for name, part in parts.items() if (failing & part).any())
 
 
 def _assert_same_verdict(alg, seen):
-    """The support check and the dense one raise the same message, or neither
-    raises; an associativity failure is filed under the comparisons that
-    reject it."""
+    """The join check and the dense one raise the same message, or neither
+    raises; an associativity failure is filed under the sides that reject it."""
     got, want = _validate_message(alg), _validate_reference(alg)
     assert got == want, (alg, got, want)
     if got is not None and got.startswith("associativity"):
-        seen[_rejecting_comparisons(alg, int(got.split("i=")[1].split(",")[0]))] += 1
+        seen[_rejecting_sides(alg, int(got.split("i=")[1].split(",")[0]))] += 1
     return got is None
 
 
@@ -253,8 +253,9 @@ def _mutants(alg, count, rng):
         yield Algebra(f, c, alg.unit, alg.prim_idempotents, _validate=False)
 
 
-# each comparison alone rejects some algebra: none of the three is redundant
-_EACH_COMPARISON_ALONE = {frozenset({"core"}), frozenset({"lhs off rows"}), frozenset({"rhs off cols"})}
+# some algebras are rejected only at keys where the left join alone has
+# products, some only where the right one alone has: neither join is redundant
+_EACH_SIDE_ALONE = {frozenset({"left"}), frozenset({"right"})}
 
 
 @pytest.mark.parametrize("field", [Field(3), F, Field(None)], ids=["F3", "F101", "Q"])
@@ -271,7 +272,7 @@ def test_support_check_matches_dense_check_on_random_constants(field):
                     for m in _mutants(alg, 4, rng):
                         _assert_same_verdict(m, seen)
     assert 10 < sum(verdicts) < len(verdicts) - 10
-    assert _EACH_COMPARISON_ALONE <= set(seen), seen
+    assert _EACH_SIDE_ALONE <= set(seen), seen
 
 
 @pytest.mark.parametrize("field, max_dim", [(F, 66), (Field(None), 7)], ids=["F101", "Q"])
@@ -296,7 +297,96 @@ def test_support_check_matches_dense_check_on_mutants(field, max_dim):
     assert mutants > (300 if field.p is None else 2000)
     # most mutants break the unit axioms first; those that keep them reach associativity
     assert rejected > mutants // 2 and sum(seen.values()) > mutants // 20
-    assert _EACH_COMPARISON_ALONE <= set(seen), seen
+    assert _EACH_SIDE_ALONE <= set(seen), seen
+
+
+def test_dense_basis_change_is_checked_in_bounded_slices():
+    # a 24-dim algebra in a dense basis has d^5 = 8.0M products per side; the
+    # join forms them JOIN_PRODUCTS at a time.  A slice holds at most 16
+    # int64 arrays of that length (pairs, drivers, offsets, partners, keys,
+    # values, sort order and sorted copies); beside it live the carried sums
+    # of one i (d^3 keys and values) and the kept nonzeros (4 arrays)
+    rng = np.random.default_rng(33)
+    cyclic = _cyclic_nakayama(6, 4, F)
+    dense = _dense_basis_change(cyclic, rng)
+    d, nnz = dense.dim, np.count_nonzero(dense.mult)
+    assert d >= 24 and 2 * d**5 > 100 * JOIN_PRODUCTS and nnz > d**3 // 2
+    tracemalloc.start()
+    try:
+        got = _validate_message(dense)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is None and _validate_reference(dense) is None
+    assert peak < 16 * 8 * JOIN_PRODUCTS + 2 * 8 * d**3 + 4 * 8 * nnz, peak
+    # a mutant that keeps the unit and breaks associativity, in a dense basis
+    broken = next(m for m in _mutants(cyclic, 40, rng) if (_validate_reference(m) or "").startswith("associativity"))
+    dense = _dense_basis_change(broken, rng)
+    assert _validate_message(dense) == _validate_reference(dense) is not None
+
+
+def test_validate_makes_as_many_products_on_t4_as_on_t8(monkeypatch):
+    # no loop over the dimension: the join and the fixed checks only
+    calls = Counter()
+    for name in ("matmul", "einsum"):
+        method = getattr(Field, name)
+        monkeypatch.setattr(Field, name, lambda self, *args, _m=method, _n=name: calls.update([_n]) or _m(self, *args))
+    counts = []
+    for n in (4, 8):
+        alg = build_triangular(ground_field_algebra(F), n)
+        calls.clear()
+        alg._validate()
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] and sum(counts[0].values()) > 0, counts
+
+
+def _workload_algebras(field):
+    """The algebras of the resolutions and ladder-towers workloads, on their
+    unpermuted bases."""
+    return _resolution_corpus(field) + [_cyclic_nakayama(n, loewy, field) for n, loewy in [(3, 2), (3, 3), (4, 3), (5, 4), (6, 5)]]
+
+
+def _ideal_span_reference(alg, ev):
+    """AeA as _ideal_span_rows spanned it before the join: every b_i (e b_j)
+    from one (d, d, d) x (d, d) contraction, the d^2 x d matrix to rref."""
+    f = alg.field
+    r = rref(f.einsum("iab,bj->ija", alg.left_mult, alg.left_mult_matrix(ev)).reshape(-1, alg.dim), f)
+    return r.matrix[: r.rank]
+
+
+@pytest.mark.parametrize("field, max_dim", [(F, 66), (Field(None), 12)], ids=["F101", "Q"])
+def test_ideal_span_rows_match_the_dense_contraction(field, max_dim):
+    # every proper sum of distinguished idempotents of every fixture and
+    # workload algebra (over Q those of the rational workload)
+    algebras = [load_fixture(name, field)[0] for name in fixture_names()]
+    algebras += _workload_algebras(field) if field.p is not None else [build_triangular(ground_field_algebra(field), 4)]
+    sums = 0
+    for alg in (a for a in algebras if a.dim <= max_dim):
+        es = np.stack(alg.prim_idempotents)
+        for mask in itertools.product((0, 1), repeat=len(es)):
+            if 0 < sum(mask) < len(es):
+                ev = field.normalize(field.asarray(mask) @ es)
+                got = _ideal_span_rows(alg, ev)
+                assert got.dtype == es.dtype and np.array_equal(got, _ideal_span_reference(alg, ev)), (alg, mask)
+                sums += 1
+    assert sums > (20 if field.p is None else 3000)
+
+
+@pytest.mark.parametrize("field, max_dim", [(F, 66), (Field(None), 12)], ids=["F101", "Q"])
+def test_trace_form_matches_the_dense_einsum(field, max_dim):
+    # every fixture and (F_101) workload algebra, their corners and quotients,
+    # and (F_101) the small ones in a dense basis
+    rng = np.random.default_rng(34)
+    algebras = [load_fixture(name, field)[0] for name in fixture_names()]
+    if field.p is not None:
+        algebras += _workload_algebras(field)
+    algebras = [a for a in _with_corners_and_quotients(algebras) if a.dim <= max_dim]
+    if field.p is not None:
+        algebras += [_dense_basis_change(a, rng) for a in algebras if a.dim <= 12]
+    for alg in algebras:
+        got = _trace_form(alg)
+        assert got.dtype == alg.mult.dtype and np.array_equal(got, field.einsum("iab,jba->ij", alg.left_mult, alg.left_mult)), alg
+    assert len(algebras) > (20 if field.p is None else 100)
 
 
 # -- quivers -----------------------------------------------------------------

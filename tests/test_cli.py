@@ -264,6 +264,51 @@ def test_explicit_idempotent_vector(capsys):
     capsys.readouterr()
 
 
+def test_idempotent_as_a_json_coefficient_vector(capsys):
+    # t2's basis is E[1,1], E[2,1], E[2,2], so [0,0,1] is e2, the default
+    assert main(["ladder", "--algebra", "t2", "--idempotent", "[0, 0, 1]"]) == 0
+    by_vector = capsys.readouterr().out
+    assert main(["ladder", "--algebra", "t2", "--idempotent", "e2"]) == 0
+    assert capsys.readouterr().out == by_vector
+
+
+@pytest.mark.parametrize(
+    "vector, message",
+    [
+        ("[0,1]", "idempotent vector has 2 coefficients, the algebra has dimension 3"),
+        ("[0,0,1.0]", "idempotent vector [0, 0, 1.0] must be a list of integer (or string) coefficients"),
+        ("[0,0,true]", "idempotent vector [0, 0, True] must be a list of integer (or string) coefficients"),
+        ("[0,0,[1]]", "idempotent vector [0, 0, [1]] must be a list of integer (or string) coefficients"),
+        ("[0,0", "bad idempotent vector '[0,0'"),
+        ("[1,1,1]", "element is not idempotent"),
+    ],
+    ids=["short", "float", "bool", "nested", "not-json", "not-idempotent"],
+)
+def test_bad_idempotent_vector_exits_2(capsys, vector, message):
+    assert main(["ladder", "--algebra", "t2", "--idempotent", vector]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+
+
+_FLOAT_SPECS = {
+    "mult": {"kind": "structure_constants", "mult": [[[1.9]]], "unit": [1], "prim_idempotents": [[1]]},
+    "unit": {"kind": "structure_constants", "mult": [[[1]]], "unit": [1.0], "prim_idempotents": [[1]]},
+    "prim_idempotents": {"kind": "structure_constants", "mult": [[[1]]], "unit": [1], "prim_idempotents": [[1.5]]},
+    "ideal": {"kind": "ideal_matrix", "base": "ground", "ideal": [[0.5]], "n": 2},
+    "ideals": {"kind": "ideal_matrix", "base": "ground", "ideals": [[[1]], [[0.5]]], "n": 3},
+}
+
+
+@pytest.mark.parametrize("key", list(_FLOAT_SPECS))
+def test_float_coefficients_exit_2(tmp_path, capsys, key):
+    # F_p would truncate 1.9 to 1 and accept the ground field
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(_FLOAT_SPECS[key]))
+    assert main(["gorenstein", "--algebra", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: '{key}' must be ") and "got" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -488,11 +488,7 @@ EINSUM_SPECS = [
     "i,iab->ab",
     "i,j,ijk->k",
     "ia,jb,ijk->abk",
-    "iab,bj->ija",
-    "iab,jba->ij",
-    "iab,jbc->ijac",
     "iab,rb->ira",
-    "ijk,kac->ijac",
     "ik,abk->abi",
     "ikm,jln->ijklmn",
     "is,iab->sab",
@@ -501,8 +497,10 @@ EINSUM_SPECS = [
     "s,sab->ab",
 ]
 # the two halves of the pairwise products in test_algebra's closure reference,
-# and test_modules' per-generator projective cover blocks
-REFERENCE_SPECS = ["ai,ijk->ajk", "bj,ajk->abk", "ar,abc,c->br"]
+# test_modules' per-generator projective cover blocks, and the dense
+# contractions the sparse joins and the module check replaced: the span of
+# AeA, the trace form and the two sides of the representation property
+REFERENCE_SPECS = ["ai,ijk->ajk", "bj,ajk->abk", "ar,abc,c->br", "iab,bj->ija", "iab,jba->ij", "iab,jbc->ijac", "ijk,kac->ijac"]
 
 # (a, b) shapes: broadcast stacks, vectors and empty inner or outer sizes
 MATMUL_SHAPES = [

@@ -672,11 +672,23 @@ def _fails_module_axioms_reference(a, action, f):
     return not f.equal(f.matmul(action[:, None], action[None]), f.einsum("ijk,kac->ijac", a.mult, action))
 
 
+def _module_message_reference(a, action, f):
+    """The message of the check on generators x basis as two 4-index
+    contractions, before it became two 2-D products; None if it passes."""
+    if not f.equal(f.einsum("i,iab->ab", a.unit, action), f.eye(action.shape[1])):
+        return "unit does not act as the identity"
+    acts = f.einsum("gi,iab->gab", a.generators()[1:], action)
+    diff = f.normalize(f.einsum("iab,jbc->ijac", acts, action) - f.einsum("ijk,kac->ijac", a.generator_products(), action))
+    bad = np.nonzero(diff)
+    return f"representation property fails at generator {bad[0][0]}, basis element {bad[1][0]}" if len(bad[0]) else None
+
+
 @pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
 def test_module_check_on_generators_matches_the_full_basis_check(field):
     # every single-entry mutant of every fixture pool (pools over algebras of
     # dimension at most 12 over Q): the check on generators x basis raises
-    # exactly when the full-basis check fails
+    # exactly when the full-basis check fails, with the message of the
+    # contractions it replaced
     mutants = raised = 0
     for name in RECOLLEMENT_FIXTURES:
         a = load_fixture(name, field)[0]
@@ -690,8 +702,9 @@ def test_module_check_on_generators_matches_the_full_basis_check(field):
                 act[idx] = field.normalize(act[idx] + field.one)
                 try:
                     Module(a, act)
-                except AlgebraError:
+                except AlgebraError as err:
                     fails = True
+                    assert str(err) == _module_message_reference(a, act, field), (name, m.dim, idx)
                 else:
                     fails = False
                 assert fails == _fails_module_axioms_reference(a, act, field), (name, m.dim, idx)
