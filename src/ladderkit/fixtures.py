@@ -121,6 +121,8 @@ def parse_idempotent(algebra: Algebra, spec) -> Idempotent:
             spec = json.loads(spec)
         except json.JSONDecodeError as exc:
             raise AlgebraError(f"bad idempotent vector {spec!r}: {exc}")
+        if not _is_list_of(_is_coefficient)(spec):
+            raise AlgebraError(f"idempotent vector {spec!r} must be a list of integer (or string) coefficients")
     if isinstance(spec, str):
         total = f.zeros(algebra.dim)
         for part in spec.split("+"):
@@ -132,8 +134,6 @@ def parse_idempotent(algebra: Algebra, spec) -> Idempotent:
                 raise AlgebraError(f"idempotent index {part} out of range (1..{len(algebra.prim_idempotents)})")
             total = f.normalize(total + algebra.prim_idempotents[idx])
         return Idempotent(algebra, total)
-    if not _is_list_of(_is_coefficient)(spec):
-        raise AlgebraError(f"idempotent vector {spec!r} must be a list of integer (or string) coefficients")
     if len(spec) != algebra.dim:
         raise AlgebraError(f"idempotent vector has {len(spec)} coefficients, the algebra has dimension {algebra.dim}")
     return Idempotent(algebra, f.asarray(spec))
