@@ -16,12 +16,13 @@ ideal AeA and form the trace form of the radical.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DIM_BOUND, Field, column_space_basis, in_span, kernel_basis, quotient_coordinates, rank, rref, solve_matrix, unit_rows
+from .linalg import DIM_BOUND, JOIN_PRODUCTS, Field, column_space_basis, in_span, kernel_basis, quotient_coordinates, rank, rref, solve_matrix, unit_rows
 
 __all__ = [
     "AlgebraError",
@@ -59,14 +60,6 @@ def _check_dim(field: Field, dim: int) -> None:
     """Reject an F_p algebra beyond DIM_BOUND, where int64 products could wrap."""
     if field.is_prime_field and dim > DIM_BOUND:
         raise AlgebraError(f"algebra dimension {dim} exceeds {DIM_BOUND}: int64 arithmetic over F_p is exact only up to there")
-
-
-# A sparse join below (associativity, the span of AeA, the trace form) forms
-# at most this many products at once.  The fixtures and workload algebras have
-# a few thousand and fit in one slice; a dense structure tensor is never
-# multiplied out whole (d^5 products for associativity).  Over F_p each product
-# is below p^2 < 2^30, so sums of a slice and a carried sum stay exact in int64.
-JOIN_PRODUCTS = 2**16
 
 
 def _join_slices(counts: np.ndarray):
@@ -382,7 +375,9 @@ def algebra_from_structure_constants(field: Field, mult, unit, prim_idempotents,
     return Algebra(field, mult, unit, prim_idempotents, labels)
 
 
+@functools.cache
 def ground_field_algebra(field: Field) -> Algebra:
+    """The field as a 1-dim algebra; one per field, built once and kept."""
     return Algebra(field, [[[1]]], [1], [[1]], labels=("1",))
 
 

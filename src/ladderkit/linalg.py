@@ -102,7 +102,10 @@ class Field:
     def asarray(self, data) -> np.ndarray:
         """Coerce nested lists / arrays of integers or Fractions into field form."""
         if self.p is not None:
-            return np.asarray(data, dtype=np.int64) % self.p
+            try:
+                return np.asarray(data, dtype=np.int64) % self.p
+            except OverflowError:  # Python ints beyond int64: reduce them first
+                return np.asarray(np.asarray(data, dtype=object) % self.p, dtype=np.int64)
         a = np.array(data, dtype=object, copy=True)
         flat = a.reshape(-1)
         if all(type(v) is Fraction for v in flat.tolist()):  # already field form: the copy is the result
@@ -135,6 +138,13 @@ class Field:
         if self.p is None:
             return _contract_q(lambda *nums: np.einsum(spec, *nums), ops)
         return np.einsum(spec, *ops) % self.p
+
+    def sparse_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Reduced a @ b for 2-D operands, computed from the nonzero entries
+        of a when it has few (see _sparse_product); exact as matmul is."""
+        if self.p is None:
+            return _contract_q(_sparse_product, (a, b))
+        return _sparse_product(a, b) % self.p
 
     def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
         if a.shape != b.shape:
@@ -172,6 +182,44 @@ def _contract_q(contract, ops) -> np.ndarray:
     else:
         vals = [Fraction(x, den) if x else _ZERO for x in c.ravel().tolist()]
     return np.array(vals, dtype=object).reshape(c.shape)
+
+
+# A sparse product gathers a row of b for each nonzero entry of a and sums
+# them per row of a; it runs when that costs less than the 2-D product's
+# a.size * b.shape[1] multiply-adds.  Measured against numpy's integer matmul,
+# a gathered entry costs about GATHER_COST multiply-adds (5 to 10, from a dense
+# a down to one nonzero in twenty), and the dozen numpy calls of one slice about
+# GATHER_OVERHEAD whatever its size: the gather lost on every product the
+# workloads make below 2^16 multiply-adds and broke even near 2^17.  Such
+# small products, and dense ones, take the 2-D product.
+GATHER_COST = 8
+GATHER_OVERHEAD = 2**17
+# A sparse product, or a sparse join over structure constants (associativity,
+# the span of AeA, the trace form), holds at most this many gathered entries or
+# products at once: the fixtures and workload algebras fit in one slice, and a
+# dense structure tensor is never multiplied out whole (d^5 products for
+# associativity).  Over F_p each product is below p^2 < 2^30, so sums of a
+# slice and a carried sum stay exact in int64.
+JOIN_PRODUCTS = 2**16
+
+
+def _sparse_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, unreduced.  When a is sparse enough, each nonzero a[i, r]
+    gathers the row b[r], scaled, and np.add.reduceat sums them per row i, at
+    most JOIN_PRODUCTS gathered entries at a time."""
+    if a.size * b.shape[1] <= GATHER_OVERHEAD:
+        return a @ b
+    nnz = np.count_nonzero(a)
+    if (a.size - GATHER_COST * nnz) * b.shape[1] <= GATHER_OVERHEAD:
+        return a @ b
+    rows, cols = np.nonzero(a)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    step = max(1, JOIN_PRODUCTS // max(1, b.shape[1]))
+    for s in range(0, nnz, step):
+        r, c = rows[s : s + step], cols[s : s + step]
+        first = np.flatnonzero(np.diff(r, prepend=-1))
+        out[r[first]] += np.add.reduceat(b[c] * a[r, c][:, None], first)
+    return out
 
 
 @dataclass(frozen=True)

@@ -102,15 +102,16 @@ class Module:
             raise AlgebraError("unit does not act as the identity")
         # x.(y.v) = (xy).v for the generators x after the unit and the basis y:
         # the x it holds for form a subalgebra containing 1, so all of A.  Both
-        # sides, [x, y, a, c], come from one 2-D product each
+        # sides, [x, y, a, c], come from one sparse product each: the nonzero
+        # entries of x's action and of the products xy gather rows of the action
         gens = self.algebra.generators()[1:]
         g, d, n = len(gens), self.algebra.dim, self.dim
         acts = f.einsum("gi,iab->gab", gens, self.action)
-        lhs = f.matmul(acts.reshape(g * n, n), self.action.transpose(1, 0, 2).reshape(n, d * n))
+        lhs = f.sparse_matmul(acts.reshape(g * n, n), self.action.transpose(1, 0, 2).reshape(n, d * n))
         lhs = lhs.reshape(g, n, d, n).transpose(0, 2, 1, 3)
-        rhs = f.matmul(self.algebra.generator_products().reshape(g * d, d), self.action.reshape(d, n * n)).reshape(g, d, n, n)
-        if not f.equal(lhs, rhs):
-            bad = np.nonzero(f.normalize(lhs - rhs))
+        rhs = f.sparse_matmul(self.algebra.generator_products().reshape(g * d, d), self.action.reshape(d, n * n)).reshape(g, d, n, n)
+        if not np.array_equal(lhs, rhs):  # entries are reduced: compare directly
+            bad = np.nonzero(lhs != rhs)
             raise AlgebraError(f"representation property fails at generator {bad[0][0]}, basis element {bad[1][0]}")
 
     def act_vector(self, x) -> np.ndarray:

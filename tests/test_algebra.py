@@ -30,7 +30,7 @@ from ladderkit.algebra import (
 from ladderkit.algebra import JOIN_PRODUCTS, _block_matrix_algebra, _ideal_span_rows, _trace_form
 from ladderkit.fixtures import fixture_names, load_fixture, parse_idempotent
 from ladderkit.linalg import DIM_BOUND, Field, in_span, kernel_basis, rank, rref, solve, solve_matrix
-from ladderkit.modules import _simple_classes
+from ladderkit.modules import _simple_classes, dual, regular_module, tensor_over
 from ladderkit.recollement import build_recollement
 from ladderkit.verify import RECOLLEMENT_FIXTURES
 
@@ -59,6 +59,16 @@ def test_ground_field_is_one_dimensional():
     k = ground_field_algebra(F)
     assert k.dim == 1
     assert np.array_equal(k.multiply(k.unit, k.unit), k.unit)
+
+
+def test_ground_field_algebra_is_kept_per_field():
+    # tensor products over a plain right module land in it: one per field
+    for field in (F, Field(5), Field(None)):
+        assert ground_field_algebra(field) is ground_field_algebra(Field(field.p))
+    assert ground_field_algebra(Field(5)) is not ground_field_algebra(F)
+    t2 = build_triangular(ground_field_algebra(F), 2)
+    reg = regular_module(t2)
+    assert tensor_over(dual(reg), reg)[0].algebra is ground_field_algebra(F)
 
 
 def test_full_matrix_units():

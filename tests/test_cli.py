@@ -309,6 +309,19 @@ def test_float_coefficients_exit_2(tmp_path, capsys, key):
     assert err.startswith(f"input error: '{key}' must be ") and "got" in err
 
 
+def test_integers_beyond_int64_are_reduced_mod_p(tmp_path, capsys):
+    # 10^23 = 91 mod 101 breaks the unit axiom; 101 * 10^21 + 1 = 1 is the ground field
+    path = tmp_path / "big.json"
+    spec = {"kind": "structure_constants", "mult": [[[10**23]]], "unit": [1], "prim_idempotents": [[1]]}
+    path.write_text(json.dumps(spec))
+    assert main(["gorenstein", "--algebra", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: unit fails unit*b_i = b_i\n"
+    spec["mult"] = [[[101 * 10**21 + 1]]]
+    path.write_text(json.dumps(spec))
+    assert main(["gorenstein", "--algebra", str(path)]) == 0
+    assert "Gorenstein: Yes(0)" in capsys.readouterr().out
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
 from ladderkit.algebra import preprojective_a2
+import ladderkit.linalg as linalg
 from ladderkit.linalg import (
+    JOIN_PRODUCTS,
     SMALL_RREF_CELLS,
     DimensionMismatch,
     Field,
@@ -55,6 +58,56 @@ def test_matmul_exact_at_largest_accepted_prime():
         row = f.asarray([[p - 1] * k])
         got = f.matmul(row, row.T)
         assert int(got[0, 0]) == sum((p - 1) * (p - 1) for _ in range(k)) % p
+
+
+def test_asarray_reduces_integers_beyond_int64():
+    # Python ints too wide for int64 are reduced mod p before the cast
+    big = 10**23
+    got = F101.asarray([[big, -big], [101 * 10**21 + 1, 5]])
+    assert got.dtype == np.int64 and got.tolist() == [[big % 101, -big % 101], [1, 5]]
+    assert F101.asarray([[[big]]]).tolist() == [[[91]]]
+    assert Q.asarray([big]).tolist() == [Fraction(big)]
+
+
+@pytest.mark.parametrize("field", [F101, Q], ids=["F101", "Q"])
+def test_sparse_matmul_matches_matmul(field, monkeypatch):
+    # operands from empty to dense, through the rule as it stands and, with
+    # its constants lowered, all through the gather in slices of 7 entries,
+    # which split rows between slices
+    rng = np.random.default_rng(29)
+    cases = []
+    for rows, inner, cols in [(0, 3, 4), (5, 0, 3), (4, 3, 0), (1, 1, 1), (9, 6, 5), (30, 12, 8), (12, 40, 3)]:
+        for density in (0.0, 0.05, 0.3, 1.0):
+            a = field.asarray(rng.integers(-5, 6, size=(rows, inner)) * (rng.random((rows, inner)) < density))
+            cases.append((a, field.asarray(rng.integers(-5, 6, size=(inner, cols)))))
+    for cost, overhead, join in ((linalg.GATHER_COST, linalg.GATHER_OVERHEAD, linalg.JOIN_PRODUCTS), (0, -1, 7)):
+        monkeypatch.setattr(linalg, "GATHER_COST", cost)
+        monkeypatch.setattr(linalg, "GATHER_OVERHEAD", overhead)
+        monkeypatch.setattr(linalg, "JOIN_PRODUCTS", join)
+        for a, b in cases:
+            got = field.sparse_matmul(a, b)
+            assert got.dtype == b.dtype and np.array_equal(got, field.matmul(a, b)), (a.shape, b.shape)
+
+
+def test_sparse_matmul_gathers_in_bounded_slices():
+    # a 2% dense (400, 400) operand times a (400, 2000) one: 3,200 rows of
+    # 2,000 entries to gather, 51 MB at once; in slices of JOIN_PRODUCTS
+    # entries the product holds its (400, 2000) result, the reduced copy and
+    # a slice's gathered, scaled and summed rows
+    rng = np.random.default_rng(30)
+    a = np.zeros((400, 400), dtype=np.int64)
+    for i in range(400):
+        a[i, rng.choice(400, 8, replace=False)] = rng.integers(1, 101, 8)
+    b = rng.integers(0, 101, size=(400, 2000))
+    tracemalloc.start()
+    try:
+        got = F101.sparse_matmul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * got.size + 4 * 8 * JOIN_PRODUCTS + 2**20, peak
+    want = np.stack([a[i, np.flatnonzero(a[i])] @ b[np.flatnonzero(a[i])] for i in range(400)]) % 101
+    assert np.array_equal(got, want)
 
 
 def _asarray_q_reference(data):

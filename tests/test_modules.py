@@ -2,19 +2,24 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ladderkit.linalg as linalg
 import ladderkit.modules as modules
 from ladderkit.algebra import (
+    Algebra,
     AlgebraError,
     FieldRestrictionError,
     Idempotent,
     QuiverPresentation,
     algebra_from_quiver,
+    algebra_from_structure_constants,
     algebra_radical_rows,
     build_triangular,
     dual_numbers_algebra,
@@ -25,7 +30,7 @@ from ladderkit.algebra import (
 )
 from ladderkit.fixtures import fixture_names, load_fixture, parse_idempotent
 from ladderkit.ladder import ladder_report
-from ladderkit.linalg import DimensionMismatch, Field, intersect_kernels, kernel_basis, rank, rref, solve, solve_matrix
+from ladderkit.linalg import JOIN_PRODUCTS, DimensionMismatch, Field, intersect_kernels, kernel_basis, rank, rref, solve, solve_matrix
 from ladderkit.modules import (
     Bimodule,
     HomBasis,
@@ -677,9 +682,26 @@ def _module_message_reference(a, action, f):
     contractions, before it became two 2-D products; None if it passes."""
     if not f.equal(f.einsum("i,iab->ab", a.unit, action), f.eye(action.shape[1])):
         return "unit does not act as the identity"
-    acts = f.einsum("gi,iab->gab", a.generators()[1:], action)
-    diff = f.normalize(f.einsum("iab,jbc->ijac", acts, action) - f.einsum("ijk,kac->ijac", a.generator_products(), action))
+    gens = a.generators()[1:]
+    acts = f.einsum("gi,iab->gab", gens, action)
+    prods = f.einsum("gi,ijk->gjk", gens, a.mult)
+    diff = f.normalize(f.einsum("iab,jbc->ijac", acts, action) - f.einsum("ijk,kac->ijac", prods, action))
     bad = np.nonzero(diff)
+    return f"representation property fails at generator {bad[0][0]}, basis element {bad[1][0]}" if len(bad[0]) else None
+
+
+def _module_message_products(a, action, f):
+    """The same message from the two 2-D products the check ran before it
+    gathered rows: (g n, n) @ (n, d n) and (g d, d) @ (d, n n).  It matches
+    _module_message_reference and is fast on large dense operands."""
+    if not f.equal(f.einsum("i,iab->ab", a.unit, action), f.eye(action.shape[1])):
+        return "unit does not act as the identity"
+    gens = a.generators()[1:]
+    g, d, n = len(gens), a.dim, action.shape[1]
+    acts = f.einsum("gi,iab->gab", gens, action)
+    lhs = f.matmul(acts.reshape(g * n, n), action.transpose(1, 0, 2).reshape(n, d * n)).reshape(g, n, d, n).transpose(0, 2, 1, 3)
+    rhs = f.matmul(f.einsum("gi,ijk->gjk", gens, a.mult).reshape(g * d, d), action.reshape(d, n * n)).reshape(g, d, n, n)
+    bad = np.nonzero(f.normalize(lhs - rhs))
     return f"representation property fails at generator {bad[0][0]}, basis element {bad[1][0]}" if len(bad[0]) else None
 
 
@@ -710,6 +732,142 @@ def test_module_check_on_generators_matches_the_full_basis_check(field):
                 assert fails == _fails_module_axioms_reference(a, act, field), (name, m.dim, idx)
                 mutants, raised = mutants + 1, raised + fails
     assert raised > mutants // 2 and mutants > (500 if field.p is None else 4000)
+
+
+def _permuted(alg, rng):
+    """alg in a seeded random order of its basis, as the resolutions workload builds it."""
+    p = rng.permutation(alg.dim)
+    return algebra_from_structure_constants(alg.field, alg.mult[np.ix_(p, p, p)], alg.unit[p], [e[p] for e in alg.prim_idempotents])
+
+
+def _tensor_modules(alg):
+    """The modules l(e(A)) = Ae (x)_{eAe} eA whose check is_stratifying runs, one per vertex e."""
+    out = []
+    for ei in alg.prim_idempotents:
+        rec = build_recollement(alg, Idempotent(alg, ei))
+        out.append(rec.functor_l().apply(rec.functor_e().apply(regular_module(alg)).module).module)
+    return out
+
+
+def _module_message(a, action):
+    try:
+        Module(a, action)
+    except AlgebraError as err:
+        return str(err)
+    return None
+
+
+def _rejecting_sides(a, action, f):
+    """Which side of the check has products at the cells where the two sides
+    differ, read off dense sums: at [x, y, u, v], x.(y.v) has products when
+    some (x.)[u, b] and (y.)[b, v] are nonzero, (xy).v when some (xy)_k and
+    (b_k.)[u, v] are.  A cell is "left" or "right" when only that side has
+    products there, else "both"."""
+    gens = a.generators()[1:]
+    acts, prods = f.einsum("gi,iab->gab", gens, action), f.einsum("gi,ijk->gjk", gens, a.mult)
+    nz = lambda x: (x != 0).astype(np.int64)  # noqa: E731
+    has_left = np.einsum("iab,jbc->ijac", nz(acts), nz(action)) > 0
+    has_right = np.einsum("ijk,kac->ijac", nz(prods), nz(action)) > 0
+    failing = f.normalize(f.einsum("iab,jbc->ijac", acts, action) - f.einsum("ijk,kac->ijac", prods, action)) != 0
+    parts = {"left": has_left & ~has_right, "right": has_right & ~has_left, "both": has_left & has_right}
+    return frozenset(name for name, part in parts.items() if (failing & part).any())
+
+
+def _gathers(a, m):
+    """Whether each side of m's check gathers rows rather than running the
+    2-D product, by the rule of linalg._sparse_product."""
+    gens = a.generators()[1:]
+    acts = m.field.einsum("gi,iab->gab", gens, m.action)
+    prods = m.field.einsum("gi,ijk->gjk", gens, a.mult)
+    return tuple(
+        (op.size - linalg.GATHER_COST * np.count_nonzero(op)) * cols > linalg.GATHER_OVERHEAD for op, cols in ((acts, a.dim * m.dim), (prods, m.dim**2))
+    )
+
+
+@pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
+def test_sparse_module_check_matches_the_contractions_on_tensor_modules(field):
+    # the l(e(A)) modules of the resolutions algebras over F_101 (t_2..t_4 over
+    # Q), in permuted bases, and a deterministic sample of their single-entry
+    # mutants: the check on the nonzero entries raises exactly the message of
+    # the 4-index contractions it replaced.  Over F_101 mutants are rejected
+    # at cells where only x.(y.v) has products and at cells where only (xy).v
+    # has; the few over Q are rejected where only (xy).v has or both have.
+    rng = np.random.default_rng(27)
+    algebras = [build_triangular(ground_field_algebra(field), n) for n in (range(2, 9) if field.p else range(2, 5))]
+    if field.p is not None:
+        algebras += [_linear_nakayama(n, loewy, field) for n, loewy in [(6, 2), (8, 2), (10, 2), (8, 3), (10, 3)]]
+    seen, gathered = Counter(), set()
+    mutants = rejected = 0
+    for alg in algebras:
+        alg = _permuted(alg, rng)
+        for m in _tensor_modules(alg):
+            assert m.dim and _module_message_reference(alg, m.action, field) is None
+            gathered.update(side for side, on in zip(("left", "right"), _gathers(alg, m)) if on)
+            for _ in range((12 if field.p else 30) if m.dim <= 12 else 3):
+                act = m.action.copy()
+                idx = tuple(int(rng.integers(k)) for k in act.shape)
+                act[idx] = field.normalize(act[idx] + field.one)
+                got = _module_message(alg, act)
+                assert got == _module_message_reference(alg, act, field), (alg, m.dim, idx)
+                if got is not None and got.startswith("representation"):
+                    seen[_rejecting_sides(alg, act, field)] += 1
+                mutants, rejected = mutants + 1, rejected + (got is not None)
+    assert rejected > mutants // 2 and mutants > (100 if field.p is None else 500)
+    if field.p is not None:  # the large tensor modules gather on both sides, and each side alone rejects
+        assert gathered == {"left", "right"}
+        assert {frozenset({"left"}), frozenset({"right"})} <= set(seen), seen
+
+
+def test_module_check_on_a_dense_basis_holds_few_products():
+    # t_8's regular module in a random dense basis: every operand of the
+    # check is dense, so each side runs as one 2-D product, holding its
+    # (g, d, n, n) result and the other side's; a gather of every nonzero's
+    # row at once would hold g n^2 d n = 25M entries
+    rng = np.random.default_rng(28)
+    t8 = build_triangular(K, 8)
+    d = t8.dim
+    t = F.asarray(rng.integers(0, F.p, size=(d, d)))
+    while rank(t, F) < d:
+        t = F.asarray(rng.integers(0, F.p, size=(d, d)))
+    tinv = solve_matrix(t, F.eye(d), F)
+    c = F.matmul(F.einsum("ia,jb,ijk->abk", t, t, t8.mult), tinv.T)
+    dense = Algebra(F, c, F.matmul(tinv, t8.unit), [F.matmul(tinv, e) for e in t8.prim_idempotents], _validate=False)
+    g = len(dense.generators()) - 1
+    cells = g * d**3
+    assert np.count_nonzero(dense.left_mult) > d**3 // 2 and g * d**4 > 100 * JOIN_PRODUCTS
+    m = Module(dense, dense.left_mult, _validate=False)
+    dense.generator_products()
+    tracemalloc.start()
+    try:
+        m._validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * cells + 16 * 8 * JOIN_PRODUCTS, peak
+    assert _module_message_products(dense, m.action, F) is None
+    # single-entry mutants, against the 2-D products (the 4-index
+    # contractions take seconds at this size)
+    for idx in [(0, 0, 0), (d - 1, 1, 2), (d // 2, d - 1, 0)]:
+        act = m.action.copy()
+        act[idx] = F.normalize(act[idx] + 1)
+        assert _module_message(dense, act) == _module_message_products(dense, act, F) is not None, idx
+
+
+def test_module_check_makes_as_many_products_on_t4_as_on_t8(monkeypatch):
+    # no loop over the dimension or the module: a fixed number of contractions
+    calls = Counter()
+    for name in ("matmul", "einsum", "sparse_matmul"):
+        method = getattr(Field, name)
+        monkeypatch.setattr(Field, name, lambda self, *args, _m=method, _n=name: calls.update([_n]) or _m(self, *args))
+    counts = []
+    for n in (4, 8):
+        m = regular_module(build_triangular(K, n))
+        m._validate()  # the algebra's generators and their products, computed once
+        calls.clear()
+        m._validate()
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] and counts[0]["sparse_matmul"] == 2, counts
+    assert all(_gathers(m.algebra, m))  # t_8's regular module gathers on both sides
 
 
 @pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
@@ -1056,8 +1214,6 @@ def test_cover_kept_and_its_kernel_computed_once(monkeypatch):
 
 def test_idempotent_split_rejects_incomplete_system():
     # an algebra built without validation whose idempotents miss part of the unit
-    from ladderkit.algebra import Algebra
-
     t2 = build_triangular(K, 2)
     broken = Algebra(F, t2.mult, t2.unit, t2.prim_idempotents[:1], _validate=False)
     reg = Module(broken, broken.left_mult, _validate=False)
