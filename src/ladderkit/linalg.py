@@ -144,7 +144,7 @@ class Field:
         of a when it has few (see _sparse_product); exact as matmul is."""
         if self.p is None:
             return _contract_q(_sparse_product, (a, b))
-        return _sparse_product(a, b) % self.p
+        return _sparse_product(a, b, self.p)
 
     def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
         if a.shape != b.shape:
@@ -203,22 +203,23 @@ GATHER_OVERHEAD = 2**17
 JOIN_PRODUCTS = 2**16
 
 
-def _sparse_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, unreduced.  When a is sparse enough, each nonzero a[i, r]
-    gathers the row b[r], scaled, and np.add.reduceat sums them per row i, at
-    most JOIN_PRODUCTS gathered entries at a time."""
-    if a.size * b.shape[1] <= GATHER_OVERHEAD:
-        return a @ b
-    nnz = np.count_nonzero(a)
-    if (a.size - GATHER_COST * nnz) * b.shape[1] <= GATHER_OVERHEAD:
-        return a @ b
+def _sparse_product(a: np.ndarray, b: np.ndarray, p: Optional[int] = None) -> np.ndarray:
+    """a @ b, reduced mod p when p is given.  When a is sparse enough, each
+    nonzero a[i, r] gathers the row b[r], scaled, and np.add.reduceat sums
+    them per row i, at most JOIN_PRODUCTS gathered entries at a time; only
+    the rows a slice wrote are reduced (int64 % costs more than the sums)."""
+    if a.size * b.shape[1] <= GATHER_OVERHEAD or (a.size - GATHER_COST * np.count_nonzero(a)) * b.shape[1] <= GATHER_OVERHEAD:
+        return a @ b if p is None else (a @ b) % p
     rows, cols = np.nonzero(a)
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
     step = max(1, JOIN_PRODUCTS // max(1, b.shape[1]))
-    for s in range(0, nnz, step):
+    for s in range(0, len(rows), step):
         r, c = rows[s : s + step], cols[s : s + step]
         first = np.flatnonzero(np.diff(r, prepend=-1))
-        out[r[first]] += np.add.reduceat(b[c] * a[r, c][:, None], first)
+        written = r[first]
+        out[written] += np.add.reduceat(b[c] * a[r, c][:, None], first)
+        if p is not None:
+            out[written] %= p
     return out
 
 
