@@ -92,8 +92,8 @@ def test_sparse_matmul_matches_matmul(field, monkeypatch):
 def test_sparse_matmul_gathers_in_bounded_slices():
     # a 2% dense (400, 400) operand times a (400, 2000) one: 3,200 rows of
     # 2,000 entries to gather, 51 MB at once; in slices of JOIN_PRODUCTS
-    # entries the product holds its (400, 2000) result, the reduced copy and
-    # a slice's gathered, scaled and summed rows
+    # entries the product holds its (400, 2000) result and a slice's
+    # gathered, scaled and summed rows
     rng = np.random.default_rng(30)
     a = np.zeros((400, 400), dtype=np.int64)
     for i in range(400):

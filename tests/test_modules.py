@@ -821,8 +821,8 @@ def test_sparse_module_check_matches_the_contractions_on_tensor_modules(field):
 def test_module_check_on_a_dense_basis_holds_few_products():
     # t_8's regular module in a random dense basis: every operand of the
     # check is dense, so each side runs as one 2-D product, holding its
-    # (g, d, n, n) result and the other side's; a gather of every nonzero's
-    # row at once would hold g n^2 d n = 25M entries
+    # (g, d, n, n) result, reduced, and the other side's; a gather of every
+    # nonzero's row at once would hold g n^2 d n = 25M entries
     rng = np.random.default_rng(28)
     t8 = build_triangular(K, 8)
     d = t8.dim
