@@ -133,14 +133,17 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if rep["status"] == "PASS" else EXIT_FAIL
 
 
-def _at_least_one(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,9 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_algebra:
             sp.add_argument("--algebra", required=True, help="fixture name or path to a JSON algebra spec")
             sp.add_argument("--idempotent", default=None, help="e<i>, e<i>+e<j>, or a JSON coefficient vector")
-        sp.add_argument("--max-steps", type=_at_least_one, default=12)
-        sp.add_argument("--cutoff", type=_at_least_one, default=8)
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--max-steps", type=_at_least(1), default=12)
+        sp.add_argument("--cutoff", type=_at_least(1), default=8)
+        sp.add_argument("--seed", type=_at_least(0), default=0)
         sp.add_argument("--prime", type=int, default=101)
         sp.add_argument("--json", default=None, help="write the JSON report to this path")
         sp.set_defaults(fn=fn)

@@ -588,14 +588,19 @@ def simples(a: Algebra) -> list[Module]:
 def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
     """Minimal projective cover: P -> M surjective with kernel inside rad(P).
 
-    Generators are accepted greedily whenever their image in top(M) is new;
-    each accepted generator contributes one indecomposable summand and one
-    simple to the top, so the induced map on tops is an isomorphism.
+    The candidate generators are the columns of the e_i.M, i-major; one is
+    accepted when its image w in top(M) is not in the submodule spanned by
+    the images accepted before it.  Each accepted generator contributes one
+    indecomposable summand and one simple to the top, so the induced map on
+    tops is an isomorphism.
 
-    The covered part of the top is a submodule, kept as rref rows with their
-    pivots.  An accepted w adds the submodule A.w, which contains w: its
-    rows are reduced against the covered rows and the residual's rref is
-    inserted in pivot order, giving the unique rref of the sum.
+    Two rank profiles find the accepted ones.  Every earlier candidate lies
+    in the covered submodule, so only the pivot columns w_1 < ... < w_P of
+    the laid-out images can be new.  Each w_j that is not new lies in the
+    span of the accepted ones before it, so A.{w_1..w_j} is what the
+    accepted generators up to w_j span; w_j is accepted exactly when the
+    block (b_r.w_j, r over the basis of A) holds a pivot of the second
+    profile.  Neither argument needs a basic or split algebra.
     The cover and the surjection's matrix are kept on m.
     """
     a, f = m.algebra, m.field
@@ -605,39 +610,20 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
         z = zero_module(a)
         m._cover = _Cover(z, f.zeros(0, 0))
         return z, ModuleMap(z, m, m._cover.surj, _validate=False)
-    top, proj = quotient_module(m, radical(m).matrix.T)
-    projectives = projective_indecomposables(a)
-    covered = f.zeros(0, top.dim)
-    pivots: list[int] = []
-    gens: list[tuple[int, np.ndarray]] = []
-    for i, e in enumerate(a.prim_idempotents):
-        if len(pivots) == top.dim:
-            break
-        cols = m.act_vector(e)
-        images = f.matmul(proj.matrix, cols)
-        for t in range(m.dim):
-            w = images[:, t]
-            if f.is_zero(w) or (pivots and f.equal(f.matmul(w[pivots], covered), w)):
-                continue
-            gens.append((i, cols[:, t]))
-            spanned = f.einsum("iab,rb->ira", top.action, w.reshape(1, -1)).reshape(-1, top.dim)
-            if pivots:
-                spanned = f.normalize(spanned - f.matmul(spanned[:, pivots], covered))
-            r = rref(spanned, f)
-            new, new_pivots = r.matrix[: r.rank], list(r.pivots)
-            if pivots:
-                covered = f.normalize(covered - f.matmul(covered[:, new_pivots], new))
-            covered = np.concatenate([covered, new])[np.argsort(pivots + new_pivots)]
-            pivots = sorted(pivots + new_pivots)
-            if len(pivots) == top.dim:
-                break
-    if len(pivots) != top.dim:
+    proj, _ = quotient_coordinates(radical(m).matrix.T, f)
+    cols, _ = _acting_layouts(m._acts(lambda a: np.stack(a.prim_idempotents)))
+    first = rref(f.matmul(proj, cols), f).pivots
+    # b_r.w_j is proj(b_r.v_j) for the lift v_j of w_j in M, laid out j-major
+    spans = f.matmul(proj, f.matmul(m.action, cols[:, list(first)])).transpose(1, 2, 0).reshape(proj.shape[0], -1)
+    r = rref(spans, f)
+    if r.rank != proj.shape[0]:
         raise AlgebraError("projective cover construction failed to cover the top")
-    summands = [projectives[i] for i, _ in gens]
-    cover = direct_sum(summands) if summands else zero_module(a)
+    gens = [first[j] for j in dict.fromkeys(c // a.dim for c in r.pivots)]  # columns of cols
+    projectives = projective_indecomposables(a)
+    cover = direct_sum([projectives[c // m.dim] for c in gens]) if gens else zero_module(a)
     # the generators come grouped by summand index i, one block of maps per group
-    groups = itertools.groupby(gens, key=lambda g: g[0])
-    blocks = [_maps_out_of_projective(m, i, np.stack([v for _, v in g], axis=1)).reshape(m.dim, -1) for i, g in groups]
+    groups = itertools.groupby(gens, key=lambda c: c // m.dim)
+    blocks = [_maps_out_of_projective(m, i, cols[:, list(g)]).reshape(m.dim, -1) for i, g in groups]
     mat = np.concatenate(blocks, axis=1) if blocks else f.zeros(m.dim, 0)
     surj = ModuleMap(cover, m, mat, _validate=False)
     m._cover = _Cover(cover, surj.matrix)
@@ -885,7 +871,10 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0) -> IsoResult:
     the idempotents on top and socle, see hom_profile); Yes with an
     invertible intertwiner as proof; ProbablyNo after the sampling budget.
     m and n may both be (A, B)-bimodules: a witness commutes with both actions.
+    The seed must be non-negative, whether or not the sampling is reached.
     """
+    if seed < 0:
+        raise ValueError(f"is_isomorphic needs a non-negative seed, got {seed}")
     if not m._over_same(n):
         raise AlgebraError("modules live over different algebras")
     f = m.field

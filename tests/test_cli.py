@@ -83,6 +83,15 @@ def test_counts_below_one_exit_2(argv, capsys):
     assert ("unrecognized arguments: --samples 0" if "--samples" in argv else "must be at least 1") in err
 
 
+@pytest.mark.parametrize("command", ["ladder", "harness"])
+def test_negative_seed_exit_2(command, capsys):
+    # the seed feeds numpy's generator, which takes no negative seed
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--algebra", "t3", "--seed", "-1"])
+    assert exc.value.code == EXIT_INPUT
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+
+
 # sha256 of `harness --algebra A --json` at the default seed and prime; these
 # reports are not covered by the verify-paper digest.  Update one only in a
 # change that alters the harness report on purpose and says so in CHANGES.md.

@@ -70,8 +70,9 @@ SRC = Path(modules.__file__).resolve().parent
 F = Field(101)
 K = ground_field_algebra(F)
 # rref calls of projective_cover(S^32) over k[x,y]/(x,y)^2: one for the
-# radical, one for the top and one per generator (deterministic)
-RREF_CALLS_KXY_OMEGA5 = 34
+# radical, one for the quotient coordinates of the top and one for each of
+# the two rank profiles, whatever the size of the top (deterministic)
+RREF_CALLS_KXY_OMEGA5 = 4
 
 
 def fraction_nullity(rows):
@@ -287,15 +288,15 @@ def test_projective_cover_matches_greedy_span_reference(field):
         _linear_nakayama(8, 3, field),
         _cyclic_nakayama(4, 3, field),
     ]
+    # the workloads' bases, where the idempotent columns are not coordinate vectors
+    perm_rng = np.random.default_rng(5)
+    permuted = [_permuted(build_triangular(k, 5), perm_rng), _permuted(_linear_nakayama(8, 3, field), perm_rng)]
     rng = np.random.default_rng(14)
     checked = repeated = mixed = 0
-    for alg in algebras:
+    for alg in algebras + permuted:
         for m in [regular_module(alg), *simples(alg), *(random_module(alg, rng) for _ in range(3))]:
             for _ in range(4):  # m, then its syzygies 1 to 3
-                cover, surj = projective_cover(m)
-                dim, mat = _projective_cover_reference(m)
-                assert cover.dim == dim and surj.matrix.dtype == mat.dtype, (alg, m)
-                assert np.array_equal(surj.matrix, mat), (alg, m)
+                cover, surj = _assert_cover_matches_reference(m)
                 checked += 1
                 indices = cover._summands or ()
                 repeated += len(set(indices)) < len(indices)
@@ -304,18 +305,75 @@ def test_projective_cover_matches_greedy_span_reference(field):
                 if m.dim == 0:
                     break
     assert checked > 150 and repeated > 10 and mixed > 10, (checked, repeated, mixed)
+    # a semisimple sum with every simple repeated: every nonzero candidate is
+    # new, so all of them survive the first rank profile and are accepted
+    for alg in permuted:
+        m = direct_sum([s for s in simples(alg) for _ in range(2)])
+        cover, _ = _assert_cover_matches_reference(m)
+        assert len(cover._summands) == m.dim == 2 * len(alg.prim_idempotents)
+
+
+def _assert_cover_matches_reference(m):
+    cover, surj = projective_cover(m)
+    dim, mat = _projective_cover_reference(m)
+    assert cover.dim == dim and surj.matrix.dtype == mat.dtype, m
+    assert np.array_equal(surj.matrix, mat), m
+    return cover, surj
+
+
+def _f49_algebras():
+    """F_49 = F_7[x]/(x^2 - 3) as a 2-dim F_7-algebra (3 is not a square mod
+    7), and F_49[eps]/(eps^2): one idempotent, End(S) = F_49 != F_7."""
+    f = Field(7)
+    out = []
+    for eps in (0, 1):
+        basis = [(a, b) for b in range(eps + 1) for a in range(2)]  # x^a eps^b
+        mult = np.zeros((len(basis),) * 3, dtype=np.int64)
+        for i, (a, b) in enumerate(basis):
+            for j, (c, d) in enumerate(basis):
+                if b + d <= eps:  # x^a x^c = x^(a+c), x^2 = 3
+                    mult[i, j, basis.index(((a + c) % 2, b + d))] = 3 if a + c == 2 else 1
+        unit = [1] + [0] * (len(basis) - 1)
+        out.append(algebra_from_structure_constants(f, mult, unit, [unit]))
+    return out
+
+
+def test_projective_cover_matches_reference_when_end_of_the_simple_is_larger():
+    """The rank-profile cover needs no split algebra: over F_49 and
+    F_49[eps]/(eps^2) as F_7-algebras the simple is 2-dim with End(S) = F_49,
+    so one generator covers a 2-dim top.  Same generators and surjection as
+    the reference on the regular module, A^3, the simple and seeded random
+    modules (over a local algebra these are free or 0), and over
+    F_49[eps]/(eps^2) on A + S and on A^2/A.(eps, x.eps), whose syzygy S
+    lies diagonally; then on their first three syzygies."""
+    rng = np.random.default_rng(7)
+    checked = 0
+    for alg in _f49_algebras():
+        reg = regular_module(alg)
+        (s,) = simples(alg)
+        assert s.dim == 2
+        mods = [reg, direct_sum([reg] * 3), s, *(random_module(alg, rng) for _ in range(3))]
+        if alg.dim == 4:  # basis 1, x, eps, x.eps
+            pair = direct_sum([reg, reg])
+            diagonal = module_span_rows(pair, pair.field.asarray([[0, 0, 1, 0, 0, 0, 0, 1]]))
+            mods += [direct_sum([reg, s]), quotient_module(pair, diagonal)[0]]
+        for m in mods:
+            for _ in range(4):  # m, then its syzygies 1 to 3
+                cover, surj = _assert_cover_matches_reference(m)
+                checked += 1
+                m = _syzygy(cover, surj)
+                if m.dim == 0:
+                    break
+    assert checked >= 23, checked
 
 
 def test_projective_cover_grows_the_top_without_a_closure(monkeypatch):
-    """Over k[x,y]/(x,y)^2 the fifth syzygy of the simple is S^32: its cover
-    reduces one 3-row residual per generator and closes no span."""
+    """Over k[x,y]/(x,y)^2 the n-th syzygy of the simple is S^(2^n).  The
+    cover of S^32 makes two rank profiles for its 32 generators and closes
+    no span, and the cover of S^8 makes as many rref calls as that of S^32."""
     from ladderkit import linalg
 
     kxy = _local_kxy(F)
-    m = simples(kxy)[0]
-    for _ in range(5):
-        m = _syzygy(*projective_cover(m))
-    assert m.dim == 32
     calls = {"rref": 0, "span": 0}
     real_rref, real_span = linalg.rref, modules.module_span_rows
 
@@ -330,8 +388,16 @@ def test_projective_cover_grows_the_top_without_a_closure(monkeypatch):
     monkeypatch.setattr(linalg, "rref", counting_rref)
     monkeypatch.setattr(modules, "rref", counting_rref)
     monkeypatch.setattr(modules, "module_span_rows", counting_span)
-    cover, surj = projective_cover(m)
-    assert calls == {"rref": RREF_CALLS_KXY_OMEGA5, "span": 0}
+    m, counts = simples(kxy)[0], {}
+    for n in range(6):  # the covers of Omega^0(S) .. Omega^5(S)
+        calls.update(rref=0, span=0)
+        cover, surj = projective_cover(m)
+        counts[n] = dict(calls)
+        if n < 5:
+            m = _syzygy(cover, surj)
+    assert m.dim == 32
+    assert counts[5] == {"rref": RREF_CALLS_KXY_OMEGA5, "span": 0}
+    assert counts[3] == counts[5]
     assert cover.dim == 96 and surj.is_surjective()
 
 
@@ -470,6 +536,17 @@ def test_is_isomorphic_basics():
     assert r.kind == "no" and "profile" in r.certificate
     s = simples(pp)[0]
     assert is_isomorphic(s, direct_sum([s, s]), seed=0).kind == "no"
+
+
+def test_is_isomorphic_rejects_a_negative_seed_before_any_work():
+    # numpy's generator takes no negative seed; t_3's regular module reaches
+    # the sampling, modules of different dimensions never do
+    t3 = build_triangular(K, 3)
+    reg = regular_module(t3)
+    for m, n in [(reg, reg), (reg, simples(t3)[0])]:
+        with pytest.raises(ValueError, match="non-negative seed, got -1"):
+            is_isomorphic(m, n, seed=-1)
+    assert is_isomorphic(reg, reg, seed=0).is_yes
 
 
 def test_hom_into_regular_duality_dim():
