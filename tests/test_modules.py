@@ -288,7 +288,7 @@ def test_projective_cover_matches_greedy_span_reference(field):
         _linear_nakayama(8, 3, field),
         _cyclic_nakayama(4, 3, field),
     ]
-    # the workloads' bases, where the idempotent columns are not coordinate vectors
+    # two workload algebras in a seeded random basis order, as the benchmark builds them
     perm_rng = np.random.default_rng(5)
     permuted = [_permuted(build_triangular(k, 5), perm_rng), _permuted(_linear_nakayama(8, 3, field), perm_rng)]
     rng = np.random.default_rng(14)
