@@ -284,7 +284,8 @@ def is_gorenstein_projective(m: Module, cutoff: int = 8) -> GPVerdict:
     is exact.  Verdict and reason are the full test's: id A = d, so a nonzero
     Ext^i(M, A) has i <= d and the first one is the same.  Otherwise the full
     test runs and a yes is cutoff-qualified.  A zero module is an exact yes.
-    Kept on m per cutoff, and on the kept arrays a pool module wraps.
+    Kept per cutoff with m's content in its algebra's table, so an equal
+    module, a pool module wrapped again among them, reads it back.
     """
     if cutoff not in m._gp_verdicts:
         m._gp_verdicts[cutoff] = _gp_verdict(m, cutoff)

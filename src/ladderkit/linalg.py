@@ -156,6 +156,17 @@ class Field:
     def is_zero(self, a: np.ndarray) -> bool:
         return bool(np.all(self.normalize(a) == 0))
 
+    def content_key(self, a: np.ndarray):
+        """Exact hashable key of the entries of a field-form array: two arrays
+        of one shape have equal keys exactly when they are equal.  Over F_p the
+        bytes of the reduced int64 entries, which np.frombuffer reads back
+        without a copy; over Q the numerators, then the denominators, as ints
+        (the bytes of an object array are its pointers)."""
+        if self.p is not None:
+            return np.asarray(a, dtype=np.int64).tobytes()
+        flat = a.ravel().tolist()
+        return tuple([x.numerator for x in flat]), tuple([x.denominator for x in flat])
+
 
 _ZERO = Fraction(0)
 

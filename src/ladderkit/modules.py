@@ -8,13 +8,25 @@ canonical basis, read off e_i.N out of a sum of projectives or a kept cover,
 else solved on the blocks e_j.N x e_i.M cut out by the idempotents; tensor
 products are quotients by balancing relations; projectivity is decided by
 projective-cover dimensions.
+
+What the engine derives from a module is kept by the module's content, per
+algebra: each algebra keeps one table from (dim, exact key of the action) to
+a record of arrays, ints and dicts, never a module.  A record holds the
+projective cover (summand indices and pi, then ker pi and a section), the id
+of the syzygy, the Hom bases out of the content keyed by the target's id, and
+Gorenstein-projective verdicts.  So a second module with an equal action
+reuses the first one's covers, its whole resolution chain and its Hom bases
+with no new elimination.  Modules built from a record (the A.e_i, pool
+modules, syzygies, covers) are held weakly: while a caller holds one, the same
+object comes back, otherwise the kept arrays are wrapped again.  Bimodules
+stay out of the table.
 """
 
 from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -75,7 +87,8 @@ class Module:
     """Left module over an algebra: one dim x dim action matrix per basis element."""
 
     _summands = None  # (i, ...) on a direct sum of the A.e_i
-    _cover = None  # _Cover, once projective_cover ran
+    _cover = None  # _Cover, once projective_cover ran on this module
+    _id = None  # of its content in the algebra's table, once looked up
 
     def __init__(self, algebra: Algebra, action: np.ndarray, _validate=True):
         self.algebra = algebra
@@ -87,7 +100,6 @@ class Module:
         self.action.setflags(write=False)
         self._split = None
         self._profile = None
-        self._gp_verdicts = {}  # cutoff -> GPVerdict, see is_gorenstein_projective
         if _validate:
             self._validate()
 
@@ -121,6 +133,11 @@ class Module:
     @property
     def field(self) -> Field:
         return self.algebra.field
+
+    @property
+    def _gp_verdicts(self) -> dict:
+        """cutoff -> GPVerdict (see is_gorenstein_projective), kept with the content."""
+        return _kept(self).gp_verdicts
 
     def idempotent_split(self) -> tuple:
         """One pair (U_i, P_i) per distinguished idempotent e_i, computed once.
@@ -334,10 +351,15 @@ def submodule(m: Module, incl_cols: np.ndarray) -> tuple[Module, ModuleMap]:
     coordinates are then read off those rows.  Raises DimensionMismatch for a
     basis that is not reduced and AlgebraError for one that is not invariant.
     """
+    sub = Module(m.algebra, _submodule_action(m, incl_cols), _validate=False)
+    return sub, ModuleMap(sub, m, incl_cols, _validate=False)
+
+
+def _submodule_action(m: Module, incl_cols: np.ndarray) -> np.ndarray:
+    """submodule's action, reduced, after its checks."""
     f = m.field
     if incl_cols.shape[1] == 0:
-        sub = zero_module(m.algebra)
-        return sub, ModuleMap(sub, m, f.zeros(m.dim, 0), _validate=False)
+        return f.zeros(m.algebra.dim, 0, 0)
     moved = _act_on_columns(m, incl_cols)
     coords = unit_rows(incl_cols)
     act = moved[:, coords]
@@ -347,8 +369,7 @@ def submodule(m: Module, incl_cols: np.ndarray) -> tuple[Module, ModuleMap]:
     rest[coords] = False
     if not f.equal(f.matmul(incl_cols[rest], act), moved[:, rest]):
         raise AlgebraError("subspace is not invariant under the action")
-    sub = Module(m.algebra, act, _validate=False)
-    return sub, ModuleMap(sub, m, incl_cols, _validate=False)
+    return act
 
 
 def _act_on_columns(m: Module, cols: np.ndarray) -> np.ndarray:
@@ -383,8 +404,8 @@ def hom_space(m: Module, n: Module) -> HomBasis:
     """Canonical basis of Hom(m, n), stacked in a HomBasis.
 
     Hom(A.e_i, N) = e_i.N (Lux & Szoke, Exp. Math. 12, 2003), so a sum P of
-    projective indecomposables needs no system, and a module with a kept
-    cover pi: P -> M has Hom(M, N) = {psi.sigma : psi in Hom(P, N),
+    projective indecomposables needs no system, and a module whose content
+    has a kept cover pi: P -> M has Hom(M, N) = {psi.sigma : psi in Hom(P, N),
     psi.ker(pi) = 0}, sigma a linear section.  Any other module solves
     X = sum_i V_i Y_i P_i (V_i a basis of e_i.N, P_i coordinates on e_i.M)
     under the generators beyond the idempotents, one batched product.
@@ -393,17 +414,32 @@ def hom_space(m: Module, n: Module) -> HomBasis:
     so the basis is the same unique one, the identity on the coordinates
     where some map has its last nonzero row-major entry, in increasing order
     of that coordinate (the pivots, read back through the reversal).
+    Between modules the basis is kept with m's content, keyed by n's; a
+    bimodule source solves each time.
     """
     if not m._over_same(n):
         raise AlgebraError("hom_space needs modules over the same algebra")
+    if isinstance(m, Bimodule):
+        matrices, positions = _hom_basis(m, n, None)
+    else:
+        kept = _kept(m)
+        target = _content_id(m.algebra, n)
+        if target not in kept.homs:
+            kept.homs[target] = _hom_basis(m, n, kept)
+        matrices, positions = kept.homs[target]
+    return HomBasis(m, n, matrices, positions)
+
+
+def _hom_basis(m, n, kept: Optional[_Kept]) -> tuple[np.ndarray, np.ndarray]:
+    """hom_space's (matrices, positions), kept m's record or None for a bimodule."""
     f = m.field
     size = n.dim * m.dim
-    empty = HomBasis(m, n, f.zeros(0, n.dim, m.dim), np.zeros(0, dtype=np.int64))
+    empty = _read_only(f.zeros(0, n.dim, m.dim)), _read_only(np.zeros(0, dtype=np.int64))
     if size == 0:
         return empty
-    free, covered = m._summands is not None, m._cover is not None
+    free, covered = m._summands is not None, kept is not None and kept.cover is not None
     if free or covered:  # Hom(P, N), P = m or its cover
-        stack = _free_hom_stack(m._summands if free else m._cover.module._summands, n)
+        stack = _free_hom_stack(m._summands if free else kept.cover[0], n)
     else:
         blocks = [
             f.einsum("na,bm->abnm", v, p).reshape(-1, n.dim, m.dim)
@@ -428,9 +464,12 @@ def hom_space(m: Module, n: Module) -> HomBasis:
     first = sum(1 for pc in r.pivots if pc < c)
     rows = r.matrix[first : r.rank, c:][::-1, ::-1]
     positions = np.array([size - 1 - (pc - c) for pc in r.pivots[first : r.rank]][::-1], dtype=np.int64)
-    matrices = np.ascontiguousarray(rows).reshape(-1, n.dim, m.dim)
-    matrices.setflags(write=False)
-    return HomBasis(m, n, matrices, positions)
+    return _read_only(np.ascontiguousarray(rows).reshape(-1, n.dim, m.dim)), _read_only(positions)
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
 
 
 def _free_hom_stack(summands: tuple, n: Module) -> np.ndarray:
@@ -505,36 +544,76 @@ def radical(m: Module) -> ModuleMap:
 
 @dataclass
 class _Kept:
-    """What an algebra keeps of one of its modules, A.e_i or a pool module
-    P_i/rad^k P_i: arrays, dicts and a weak reference to the module last
-    handed out, so nothing kept refers back to the algebra."""
+    """What an algebra keeps of one module content: its action (over F_p a
+    view of the content key's bytes), its cover, syzygy and Hom bases, and
+    weak references to the modules last handed out.  Arrays, ints and dicts
+    only, so nothing kept refers back to the algebra or to a module."""
 
+    id: int  # in the algebra's table
     action: np.ndarray
-    split: tuple
-    index: int  # i: the module is A.e_i, or a quotient of it
-    gp_verdicts: dict  # cutoff -> GPVerdict, see is_gorenstein_projective
+    index: Optional[int] = None  # i when the content is A.e_i's
+    split: Optional[tuple] = None  # a projective's or pool module's idempotent_split
     embedding: Optional[np.ndarray] = None  # A.e_i: columns into the regular module, elements of A
-    cover: Optional[tuple] = None  # a quotient: the surjection from A.e_i, its kernel and a section
+    cover: Optional[tuple] = None  # (summand indices of P, pi: P -> M)
+    kernel: Optional[np.ndarray] = None  # ker pi, on first use
+    section: Optional[np.ndarray] = None  # pi.sigma = 1, on first use
+    syzygy: Optional[int] = None  # id of Omega(M) = ker pi, on first use
+    homs: dict = field(default_factory=dict)  # target id -> hom_space's (matrices, positions)
+    gp_verdicts: dict = field(default_factory=dict)  # cutoff -> GPVerdict, see is_gorenstein_projective
     handed_out: Optional[weakref.ref] = None
+    cover_out: Optional[weakref.ref] = None  # the cover module last built
+
+
+def _table(a: Algebra) -> tuple[dict, list]:
+    """a's table of module contents: (dim, Field.content_key) -> id, and the
+    records by id."""
+    if "modules" not in a._derived:
+        a._derived["modules"] = {}, []
+    return a._derived["modules"]
+
+
+def _intern(a: Algebra, action: np.ndarray, *tag) -> _Kept:
+    """The record of this content in a's table, made when it is new; a tag
+    keeps a record apart from the content's own."""
+    f, (ids, records) = a.field, _table(a)
+    key = (action.shape[1], f.content_key(action), *tag)
+    if key not in ids:
+        # over F_p the key's bytes are the one copy kept
+        action = np.frombuffer(key[1], dtype=np.int64).reshape(action.shape) if f.is_prime_field else _read_only(action)
+        ids[key] = len(records)
+        records.append(_Kept(len(records), action))
+    return records[ids[key]]
+
+
+def _kept(m: Module) -> _Kept:
+    """The record of m's content, looked up once per module."""
+    if m._id is None:
+        m._id = _intern(m.algebra, m.action).id
+    return _table(m.algebra)[1][m._id]
+
+
+def _content_id(a: Algebra, m: Module) -> int:
+    """Id of m's content in a's table; a may be an equal algebra built apart."""
+    return _kept(m).id if m.algebra is a else _intern(a, m.action).id
 
 
 def _hand_out(a: Algebra, kept: _Kept) -> Module:
     """The module last handed out for kept while a caller holds it; else
     the kept arrays wrapped again, taken as they are: no copy or validation.
-    A quotient of A.e_i keeps its surjection from A.e_i as its cover."""
+    A content with a kept cover comes with it, unless it is A.e_i."""
     m = kept.handed_out() if kept.handed_out else None
     if m is None:
         m = Module.__new__(Module)
         m.algebra, m.action, m.dim, m._split, m._profile = a, kept.action, kept.action.shape[1], kept.split, None
-        m._gp_verdicts, m._summands = kept.gp_verdicts, (kept.index,) if kept.cover is None else None
-        if kept.cover is not None:
-            m._cover = _Cover(_hand_out(a, _projective_data(a)[kept.index]), *kept.cover)
+        m._summands, m._id = None if kept.index is None else (kept.index,), kept.id
+        if kept.cover is not None and kept.index is None:
+            m._cover = _Cover(_cover_module(a, kept), kept.cover[1], kept.kernel, kept.section)
         kept.handed_out = weakref.ref(m)
     return m
 
 
 def _projective_data(a: Algebra) -> list[_Kept]:
-    """One record per distinguished idempotent, built once per algebra."""
+    """The records of the A.e_i, one per distinguished idempotent, built once per algebra."""
     if "projectives" not in a._derived:
         reg = regular_module(a)
         data = []
@@ -542,7 +621,11 @@ def _projective_data(a: Algebra) -> list[_Kept]:
             cols = column_space_basis(a.right_mult_matrix(e), a.field)
             sub, _ = submodule(reg, cols)
             cols.setflags(write=False)
-            data.append(_Kept(sub.action, sub.idempotent_split(), i, {}, embedding=cols))
+            kept = _intern(a, sub.action)
+            if kept.index is not None:  # A.e_j's content too (isomorphic idempotents): a record of its own
+                kept = _intern(a, sub.action, i)
+            kept.index, kept.split, kept.embedding = i, sub.idempotent_split(), cols
+            data.append(kept)
         a._derived["projectives"] = data
     return a._derived["projectives"]
 
@@ -601,15 +684,22 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
     accepted generators up to w_j span; w_j is accepted exactly when the
     block (b_r.w_j, r over the basis of A) holds a pivot of the second
     profile.  Neither argument needs a basic or split algebra.
-    The cover and the surjection's matrix are kept on m.
+    The summands and the surjection's matrix are kept with m's content, and
+    the cover on m.
     """
+    if m._cover is None:
+        kept = _kept(m)
+        if kept.cover is None:
+            kept.cover = _compute_cover(m)
+        m._cover = _Cover(_cover_module(m.algebra, kept), kept.cover[1], kept.kernel, kept.section)
+    return m._cover.module, ModuleMap(m._cover.module, m, m._cover.surj, _validate=False)
+
+
+def _compute_cover(m: Module) -> tuple[tuple, np.ndarray]:
+    """projective_cover's summand indices and surjection, computed."""
     a, f = m.algebra, m.field
-    if m._cover is not None:
-        return m._cover.module, ModuleMap(m._cover.module, m, m._cover.surj, _validate=False)
     if m.dim == 0:
-        z = zero_module(a)
-        m._cover = _Cover(z, f.zeros(0, 0))
-        return z, ModuleMap(z, m, m._cover.surj, _validate=False)
+        return (), _read_only(f.zeros(0, 0))
     proj, _ = quotient_coordinates(radical(m).matrix.T, f)
     cols, _ = _acting_layouts(m._acts(lambda a: np.stack(a.prim_idempotents)))
     first = rref(f.matmul(proj, cols), f).pivots
@@ -619,20 +709,27 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
     if r.rank != proj.shape[0]:
         raise AlgebraError("projective cover construction failed to cover the top")
     gens = [first[j] for j in dict.fromkeys(c // a.dim for c in r.pivots)]  # columns of cols
-    projectives = projective_indecomposables(a)
-    cover = direct_sum([projectives[c // m.dim] for c in gens]) if gens else zero_module(a)
     # the generators come grouped by summand index i, one block of maps per group
     groups = itertools.groupby(gens, key=lambda c: c // m.dim)
     blocks = [_maps_out_of_projective(m, i, cols[:, list(g)]).reshape(m.dim, -1) for i, g in groups]
-    mat = np.concatenate(blocks, axis=1) if blocks else f.zeros(m.dim, 0)
-    surj = ModuleMap(cover, m, mat, _validate=False)
-    m._cover = _Cover(cover, surj.matrix)
-    return cover, surj
+    return tuple(c // m.dim for c in gens), _read_only(np.concatenate(blocks, axis=1))
+
+
+def _cover_module(a: Algebra, kept: _Kept) -> Module:
+    """The cover of kept's content, the one last built while a caller holds it."""
+    p = kept.cover_out() if kept.cover_out else None
+    if p is None:
+        projectives = projective_indecomposables(a)
+        summands = kept.cover[0]
+        p = direct_sum([projectives[i] for i in summands]) if summands else zero_module(a)
+        kept.cover_out = weakref.ref(p)
+    return p
 
 
 @dataclass
 class _Cover:
-    """A kept cover pi: P -> M: no ModuleMap, which would point back to M."""
+    """The cover pi: P -> M on M: no ModuleMap, which would point back to M.
+    The arrays are those kept with M's content."""
 
     module: Module
     surj: np.ndarray
@@ -641,22 +738,33 @@ class _Cover:
 
 
 def _cover_arrays(m: Module, section: bool = False) -> tuple:
-    """ker pi of m's kept cover and, if asked, a section sigma (pi.sigma = 1),
-    each computed once; both from one rref when both are new."""
-    c = m._cover
-    if section and c.section is None:
-        kernel, c.section = kernel_and_section(c.surj, m.field)
-        c.kernel = kernel if c.kernel is None else c.kernel
-    elif c.kernel is None:
-        c.kernel = kernel_basis(c.surj, m.field)
-    return c.kernel, c.section
+    """ker pi of the cover kept with m's content and, if asked, a section
+    sigma (pi.sigma = 1), each computed once; both from one rref when both
+    are new."""
+    kept = _kept(m)
+    surj = kept.cover[1]
+    if section and kept.section is None:
+        kernel, kept.section = kernel_and_section(surj, m.field)
+        kept.kernel = kernel if kept.kernel is None else kept.kernel
+    elif kept.kernel is None:
+        kept.kernel = kernel_basis(surj, m.field)
+    if m._cover is not None:
+        m._cover.kernel, m._cover.section = kept.kernel, kept.section
+    return kept.kernel, kept.section
 
 
 def cover_sequence(m: Module) -> tuple[ModuleMap, ModuleMap]:
-    """The inclusion of Omega(M) = ker pi into the cover P, and pi: P -> M."""
+    """The inclusion of Omega(M) = ker pi into the cover P, and pi: P -> M.
+    Omega(M) is found once per content and kept by its own content: a later
+    call hands out the module last handed out for it, or wraps its kept
+    action again."""
     cover, surj = projective_cover(m)
-    _, incl = submodule(cover, _cover_arrays(m)[0])
-    return incl, surj
+    kept = _kept(m)
+    kernel, _ = _cover_arrays(m)
+    if kept.syzygy is None:
+        kept.syzygy = _intern(m.algebra, _submodule_action(cover, kernel)).id
+    omega = _hand_out(m.algebra, _table(m.algebra)[1][kept.syzygy])
+    return ModuleMap(omega, cover, kernel, _validate=False), surj
 
 
 def is_projective(m: Module) -> bool:
@@ -920,8 +1028,12 @@ def serialize_module(m: Module) -> dict:
 
 
 def random_module(a: Algebra, rng: np.random.Generator, max_summands: int = 3) -> Module:
-    """Cokernel of a random map between random sums of projective
-    indecomposables; every finite-dimensional module arises this way."""
+    """Cokernel of a random map from a random sum Q1 of projective
+    indecomposables into the radical of another, Q0.  Every
+    finite-dimensional module arises this way, from a minimal presentation;
+    the cokernel keeps the top of Q0, so it is projective only when the map
+    is 0, over a local algebra too.  Where the radical is out of reach of
+    the field, the map goes into all of Q0."""
     projs = projective_indecomposables(a)
     f = a.field
     k0 = int(rng.integers(1, max_summands + 1))
@@ -930,11 +1042,15 @@ def random_module(a: Algebra, rng: np.random.Generator, max_summands: int = 3) -
     if k1 == 0:
         return q0
     q1 = direct_sum([projs[int(rng.integers(0, len(projs)))] for _ in range(k1)])
-    homs = hom_space(q1, q0)
+    try:
+        into = radical(q0)
+    except FieldRestrictionError:
+        into = ModuleMap(q0, q0, f.eye(q0.dim), _validate=False)
+    homs = hom_space(q1, into.source)
     if not len(homs):
         return q0
     coeff = rng.integers(0, f.p if f.is_prime_field else 7, size=len(homs))
-    mat = f.einsum("s,sab->ab", f.asarray(coeff), homs.matrices)
+    mat = f.matmul(into.matrix, f.einsum("s,sab->ab", f.asarray(coeff), homs.matrices))
     quot, _ = quotient_module(q0, column_space_basis(mat, f).T)
     return quot
 
@@ -962,7 +1078,8 @@ def _indecomposable_data(a: Algebra) -> tuple[dict, bool]:
     has a simple top, so is indecomposable; certified, they are all the
     indecomposables of the Nakayama algebra a, each once (Auslander, Reiten &
     Smalo, IV.2 and VI).  Where rad^k P_i = 0 the record is A.e_i's own; else
-    it keeps the quotient map P_i -> P_i/rad^k P_i as a cover.  Where J is
+    that of the quotient's content, which keeps the quotient map
+    P_i -> P_i/rad^k P_i as its cover unless it was covered before.  Where J is
     out of reach, the records are the A.e_i, labelled P<i>, uncertified."""
     if "pool" not in a._derived:
         projs = projective_indecomposables(a)
@@ -975,10 +1092,12 @@ def _indecomposable_data(a: Algebra) -> tuple[dict, bool]:
             for i in _simple_classes(a):
                 for k, cols in enumerate(layers[i][0][:-1], 1):
                     quot, proj = quotient_module(projs[i], cols.T)
-                    kernel, section = kernel_and_section(proj.matrix, a.field)
-                    for x in (kernel, section):
-                        x.setflags(write=False)
-                    data[f"P{i}/rad^{k}"] = _Kept(quot.action, quot.idempotent_split(), i, {}, cover=(proj.matrix, kernel, section))
+                    kept = _intern(a, quot.action)
+                    kept.split = quot.idempotent_split()
+                    if kept.cover is None:  # else the content was covered before: that cover stays
+                        kept.cover = (i,), proj.matrix
+                        kept.kernel, kept.section = map(_read_only, kernel_and_section(proj.matrix, a.field))
+                    data[f"P{i}/rad^{k}"] = kept
                 data[f"P{i}/rad^{len(layers[i][0])}"] = _projective_data(a)[i]
             uniserial = all(simple for _, simple in layers) and all(_radical_layers(p)[1] for p in projective_indecomposables(opposite(a)))
         a._derived["pool"] = data, uniserial

@@ -514,6 +514,26 @@ def test_gp_verdicts_kept_with_the_pool_arrays(monkeypatch):
     assert computed[n:] == [6] * n
 
 
+def test_gi_verdicts_kept_with_the_content_of_the_dual(monkeypatch):
+    """is_gorenstein_injective tests D(M), a new module on every call; its
+    verdict is kept with D(M)'s content over the opposite algebra, so a
+    second call on an equal module computes no Ext."""
+    import ladderkit.homological as hom
+    from ladderkit.modules import Module
+
+    alg, _ = load_fixture("t3", F)
+    assert spli_silp(alg, 8).gdim  # the test computes Ext^1 .. Ext^gdim
+    m = simples(alg)[1]
+    first = is_gorenstein_injective(m, 8)
+    calls = []
+    full = hom.ext_dims
+    monkeypatch.setattr(hom, "ext_dims", lambda *args: calls.append(args) or full(*args))
+    again = is_gorenstein_injective(Module(alg, m.action.copy()), 8)
+    assert calls == [] and again == first
+    is_gorenstein_injective(m, 6)  # another cutoff is a new verdict
+    assert calls
+
+
 def test_gdim_comparison_under_l_height_three():
     for name in ("preproj-a2", "m2k"):
         rec = rec_for(name)

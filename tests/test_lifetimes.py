@@ -9,16 +9,18 @@ import weakref
 import numpy as np
 import pytest
 
-from ladderkit.algebra import QuiverPresentation, algebra_from_quiver, build_triangular, ground_field_algebra, opposite
+from ladderkit.algebra import Algebra, QuiverPresentation, algebra_from_quiver, build_triangular, ground_field_algebra, opposite
 from ladderkit.fixtures import load_fixture, parse_idempotent
-from ladderkit.homological import is_stratifying, spli_silp
+from ladderkit.homological import is_stratifying, preservation_harness, spli_silp
 from ladderkit.ladder import ladder_report
 from ladderkit.linalg import Field
 from ladderkit.modules import (
     Module,
+    _table,
     cover_sequence,
     hom_profile,
     hom_space,
+    minimal_resolution,
     module_pool,
     projective_cover,
     projective_indecomposables,
@@ -26,7 +28,7 @@ from ladderkit.modules import (
     simples,
 )
 from ladderkit.recollement import build_recollement, check_axioms
-from ladderkit.verify import RECOLLEMENT_FIXTURES
+from ladderkit.verify import RECOLLEMENT_FIXTURES, run_suite
 
 F = Field(101)
 
@@ -138,3 +140,42 @@ def test_uncertified_pool_dies_without_collector(gc_off):
     refs = [weakref.ref(x) for x in (alg, opposite(alg), rec.gamma, *pool.modules.values())]
     del alg, rec, pool
     assert [r() for r in refs] == [None] * len(refs)
+
+
+def _alive(cls) -> list:
+    return [x for x in gc.get_objects() if type(x) is cls]
+
+
+@pytest.mark.parametrize("name", ["prop32-dual-numbers", "preproj-a2"])
+def test_periodic_resolutions_leave_nothing_without_collector(name, gc_off):
+    # Omega is periodic over these self-injective algebras, so syzygy chains
+    # close on contents already in the algebra's table; the table keeps
+    # arrays, ids and dicts, never a module, and every algebra and module the
+    # checks made dies with the last reference to it
+    before = {id(x) for x in _alive(Algebra)}
+    alg, default_e = load_fixture(name, F)
+    rec = build_recollement(alg, parse_idempotent(alg, default_e))
+    assert check_axioms(rec)["failures"] == []
+    preservation_harness(rec, ladder_report(rec, 12, 0), cutoff=6)
+    spli_silp(alg, 8)
+    pool = module_pool(alg)
+    res = minimal_resolution(simples(alg)[-1], 6)
+    assert len(res.terms) == 7 and len({id(p) for p in res.terms}) == 2  # the chain closed: its covers reused
+    records = [r for a in (alg, opposite(alg), rec.gamma) for r in _table(a)[1]]
+    values = [getattr(r, x.name) for r in records for x in dataclasses.fields(r)]
+    assert records and not any(isinstance(v, Module) for v in values)
+    algebras = [x for x in _alive(Algebra) if id(x) not in before]
+    refs = [weakref.ref(x) for x in (*algebras, *(m for m in _alive(Module) if any(m.algebra is a for a in algebras)))]
+    assert len(refs) > len(algebras) + 7
+    del alg, rec, pool, res, records, values, algebras
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_ground_field_table_does_not_grow_across_passes():
+    # ground_field_algebra(F) is built once per process, so its table would
+    # carry what one pass keys over the field into the next
+    k = ground_field_algebra(F)
+    run_suite(seed=0)
+    size = len(_table(k)[1])
+    run_suite(seed=0)
+    assert len(_table(k)[1]) == size

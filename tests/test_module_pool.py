@@ -15,6 +15,7 @@ from ladderkit.linalg import Field
 from ladderkit.modules import (
     Module,
     ModuleMap,
+    _hom_basis,
     hom_profile,
     hom_space,
     is_isomorphic,
@@ -81,8 +82,8 @@ def test_pool_modules_are_pairwise_non_isomorphic_and_keep_their_covers(name):
             # the kept-cover path gives the basis the solved path gives
             plain = Module(a, m.action.copy())
             for y in mods:
-                kept, solved = hom_space(m, y), hom_space(plain, y)
-                assert np.array_equal(kept.matrices, solved.matrices) and np.array_equal(kept.positions, solved.positions)
+                kept, solved = hom_space(m, y), _hom_basis(plain, y, None)  # the system, past the table
+                assert np.array_equal(kept.matrices, solved[0]) and np.array_equal(kept.positions, solved[1])
 
 
 def test_pool_rewraps_the_kept_arrays():
@@ -246,19 +247,6 @@ def test_pooled_axioms_catch_q_broken_on_an_unsampled_indecomposable(monkeypatch
     label = "P0/rad^1"  # the simple S_0: e S_0 = 0 and q(S_0) = S_0
     x = pool.modules[label]
     assert rec.functor_q().apply(x).module.dim == 1
-    # the sampling this replaces: 20 seed-0 trials, each drawing M over L, N
-    # over G and X over S, with q applied to M and to l(N), p to M and to
-    # r(N).  S_0 is a summand of none of them
-    rng = np.random.default_rng(0)
-    reached = set()
-    for _ in range(20):
-        m = random_module(rec.lam, rng, max_summands=2)
-        n = random_module(rec.gamma, rng, max_summands=2)
-        random_module(rec.sigma, rng, max_summands=2)
-        for y in (m, rec.functor_l().apply(n).module, rec.functor_r().apply(n).module):
-            if y.dim:
-                reached |= {k for k, v in _multiplicities(pool, y).items() if v}
-    assert label not in reached and len(reached) >= 3
 
     apply = SubquotientFunctor.apply
 

@@ -252,7 +252,7 @@ def _projective_cover_reference(m):
         f.einsum("ar,abc,c->br", modules._projective_data(a)[i].embedding, m.action, v) for i, v in gens
     ]
     mat = np.concatenate(blocks, axis=1) if blocks else f.zeros(m.dim, 0)
-    return sum(projectives[i].dim for i, _ in gens), mat
+    return tuple(i for i, _ in gens), mat
 
 
 def _linear_nakayama(n, loewy, field):
@@ -315,8 +315,9 @@ def test_projective_cover_matches_greedy_span_reference(field):
 
 def _assert_cover_matches_reference(m):
     cover, surj = projective_cover(m)
-    dim, mat = _projective_cover_reference(m)
-    assert cover.dim == dim and surj.matrix.dtype == mat.dtype, m
+    summands, mat = _projective_cover_reference(m)
+    dim = sum(projective_indecomposables(m.algebra)[i].dim for i in summands)
+    assert cover.dim == dim and (cover._summands or ()) == summands and surj.matrix.dtype == mat.dtype, m
     assert np.array_equal(surj.matrix, mat), m
     return cover, surj
 
@@ -343,7 +344,7 @@ def test_projective_cover_matches_reference_when_end_of_the_simple_is_larger():
     F_49[eps]/(eps^2) as F_7-algebras the simple is 2-dim with End(S) = F_49,
     so one generator covers a 2-dim top.  Same generators and surjection as
     the reference on the regular module, A^3, the simple and seeded random
-    modules (over a local algebra these are free or 0), and over
+    modules, and over
     F_49[eps]/(eps^2) on A + S and on A^2/A.(eps, x.eps), whose syzygy S
     lies diagonally; then on their first three syzygies."""
     rng = np.random.default_rng(7)
@@ -1219,14 +1220,20 @@ def test_hom_space_zero_module_and_zero_hom():
 
 
 def _bare(m):
-    """The same module without kept data: hom_space solves the linear system."""
+    """The same module without kept data on the object."""
     return Module(m.algebra, m.action, _validate=False)
 
 
+def _solved(m, n):
+    """hom_space's (matrices, positions) from the linear system, past the
+    algebra's table: a bare source with no record is never read off a cover."""
+    return modules._hom_basis(_bare(m), n, None)
+
+
 def _assert_shortcut_matches_system(m, n):
-    got, want = hom_space(m, n), hom_space(_bare(m), n)
-    assert got.matrices.dtype == want.matrices.dtype and got.matrices.shape == want.matrices.shape
-    assert np.array_equal(got.matrices, want.matrices) and np.array_equal(got.positions, want.positions)
+    got, (matrices, positions) = hom_space(m, n), _solved(m, n)
+    assert got.matrices.dtype == matrices.dtype and got.matrices.shape == matrices.shape
+    assert np.array_equal(got.matrices, matrices) and np.array_equal(got.positions, positions)
     return len(got)
 
 
@@ -1267,7 +1274,8 @@ def test_hom_shortcuts_match_the_linear_system(name, field):
 
 def test_cover_kept_and_its_kernel_computed_once(monkeypatch):
     """A second projective_cover returns the kept cover; minimal_resolution,
-    cover_sequence and hom_space share one kernel of each surjection."""
+    cover_sequence and hom_space share one kernel of each surjection, and a
+    syzygy with an earlier one's content reuses its cover and kernel."""
     calls = []
     real = modules.kernel_basis
     monkeypatch.setattr(modules, "kernel_basis", lambda a, f: calls.append(a.shape) or real(a, f))
@@ -1281,7 +1289,8 @@ def test_cover_kept_and_its_kernel_computed_once(monkeypatch):
     calls.clear()
     res = minimal_resolution(m, 3)
     steps = len(calls)
-    assert steps == len(res.terms) and res.terms[0] is cover
+    # one kernel per distinct syzygy: Omega^3 M has the content of Omega^2 M
+    assert steps == 3 and len(res.terms) == 4 and res.terms[0] is cover and res.terms[3] is res.terms[2]
     cover_sequence(m)
     hom_space(m, regular_module(alg))
     assert len(calls) == steps
@@ -1406,3 +1415,104 @@ def test_ladder_report_profiles_without_hom_systems_against_simples(monkeypatch)
     assert algebras and len(algebras) == len(set(algebras))
     simple_ids = {id(s) for _, tops in tops_calls for s in tops}
     assert hom_calls and not any(id(m) in simple_ids or id(n) in simple_ids for m, n in hom_calls)
+
+
+# -- the algebra's table of module contents ------------------------------------------
+
+
+def _table_algebras(field, seed):
+    """Every fixture, and workload algebras in a seeded random basis order."""
+    k, rng = ground_field_algebra(field), np.random.default_rng(seed)
+    workload = [build_triangular(k, 5), _linear_nakayama(8, 3, field), _cyclic_nakayama(4, 3, field), _local_kxy(field)]
+    return [load_fixture(name, field)[0] for name in fixture_names()] + [_permuted(a, rng) for a in workload]
+
+
+def _same_content(m):
+    """A new module object with m's action, as a sum of the same projectives if m is one."""
+    out = Module(m.algebra, m.action.copy(), _validate=False)
+    out._summands = m._summands  # part of the content's key
+    return out
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_table_serves_what_a_fresh_computation_gives(seed):
+    """Resolve simples and seeded random modules three steps deep, then ask
+    again on new objects of the same content: every cover (summands and pi),
+    syzygy and Hom basis then comes from the algebra's table, and equals the
+    table-free references."""
+    served = 0
+    for alg in _table_algebras(F, seed):
+        rng = np.random.default_rng(seed)
+        chain = []
+        for m in [*simples(alg), *(random_module(alg, rng, max_summands=2) for _ in range(2))]:
+            for _ in range(3):
+                chain.append(m)
+                m = cover_sequence(m)[0].source
+                if m.dim == 0:
+                    break
+        targets = [regular_module(alg), *simples(alg), *chain[:3]]
+        for m in chain:
+            for n in targets:
+                hom_space(m, n)
+        for m in chain:
+            again = _same_content(m)
+            kept = modules._kept(again)
+            assert kept.cover is not None and kept.syzygy is not None and kept is modules._kept(m)
+            cover, surj = projective_cover(again)
+            summands, mat = _projective_cover_reference(m)
+            assert cover._summands == summands and surj.matrix.dtype == mat.dtype and np.array_equal(surj.matrix, mat)
+            incl, _ = cover_sequence(again)
+            kernel = kernel_basis(surj.matrix, F)
+            assert np.array_equal(incl.matrix, kernel)
+            assert np.array_equal(incl.source.action, submodule(cover, kernel)[0].action)
+            for n in targets:
+                target = _same_content(n)
+                assert modules._content_id(alg, target) in kept.homs
+                got, want = hom_space(again, target), _hom_space_reference(m, n)
+                assert got.matrices.shape == (len(want), n.dim, m.dim)
+                assert all(np.array_equal(g, w) for g, w in zip(got.matrices, want))
+                assert [np.flatnonzero(w.reshape(-1))[-1] for w in want] == got.positions.tolist()
+                served += 1
+    assert served > 500, served
+
+
+def test_second_module_of_equal_content_resolves_without_elimination(monkeypatch):
+    """Two distinct Module objects with equal content: the second
+    minimal_resolution reads covers, kernels and syzygies off the table."""
+    alg, _ = load_fixture("prop32-dual-numbers", F)
+    m = random_module(alg, np.random.default_rng(4))
+    first = minimal_resolution(m, 4)
+    calls = []
+    real = linalg.rref
+    for mod in (linalg, modules):
+        monkeypatch.setattr(mod, "rref", lambda a, f: calls.append(a.shape) or real(a, f))
+    again = minimal_resolution(Module(alg, m.action.copy()), 4)
+    assert calls == []
+    assert [t.dim for t in again.terms] == [t.dim for t in first.terms] and len(first.terms) == 5
+    assert all(np.array_equal(d.matrix, e.matrix) for d, e in zip(first.differentials, again.differentials))
+
+
+@pytest.mark.parametrize("build", [_local_kxy, dual_numbers_algebra, lambda f: _f49_algebras()[1]], ids=["kxy", "dual-numbers", "F49-eps"])
+def test_random_modules_over_a_local_algebra_are_not_all_free(build):
+    """The map Q1 -> Q0 goes into rad(Q0), so the cokernel keeps Q0's top and
+    is projective only when the map is 0."""
+    alg = build(F)
+    rng = np.random.default_rng(0)
+    draws = [random_module(alg, rng) for _ in range(12)]
+    assert all(m.dim for m in draws)
+    assert sum(not is_projective(m) for m in draws) >= 3
+
+
+def test_hom_target_over_an_equal_algebra_built_apart_is_keyed_by_content():
+    """hom_space accepts a target over an equal algebra built apart: its
+    content is looked up in the source algebra's table, not by its id in its
+    own algebra's table, whose ids are given in another order."""
+    a, b = (load_fixture("t3", F)[0] for _ in range(2))
+    sa, sb = simples(a), simples(b)
+    for s in sb[::-1]:
+        hom_space(s, s)  # b's ids run in the reverse order
+    for x in sa:
+        for y, z in zip(sa, sb):
+            want, got = hom_space(x, y), hom_space(x, z)
+            assert got.target is z and np.array_equal(got.matrices, want.matrices) and np.array_equal(got.positions, want.positions)
+    assert [len(hom_space(x, z)) for x, z in zip(sa, sb)] == [1, 1, 1]
