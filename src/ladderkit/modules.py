@@ -719,9 +719,8 @@ def _cover_module(a: Algebra, kept: _Kept) -> Module:
     """The cover of kept's content, the one last built while a caller holds it."""
     p = kept.cover_out() if kept.cover_out else None
     if p is None:
-        projectives = projective_indecomposables(a)
-        summands = kept.cover[0]
-        p = direct_sum([projectives[i] for i in summands]) if summands else zero_module(a)
+        data, summands = _projective_data(a), kept.cover[0]
+        p = direct_sum([_hand_out(a, data[i]) for i in summands]) if summands else zero_module(a)
         kept.cover_out = weakref.ref(p)
     return p
 
