@@ -431,7 +431,7 @@ def hom_space(m: Module, n: Module) -> HomBasis:
 
 
 def _hom_basis(m, n, kept: Optional[_Kept]) -> tuple[np.ndarray, np.ndarray]:
-    """hom_space's (matrices, positions), kept m's record or None for a bimodule."""
+    """hom_space's (matrices, positions); kept is m's record, None for a bimodule source."""
     f = m.field
     size = n.dim * m.dim
     empty = _read_only(f.zeros(0, n.dim, m.dim)), _read_only(np.zeros(0, dtype=np.int64))
