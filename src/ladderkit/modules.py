@@ -10,16 +10,19 @@ products are quotients by balancing relations; projectivity is decided by
 projective-cover dimensions.
 
 What the engine derives from a module is kept by the module's content, per
-algebra: each algebra keeps one table from (dim, exact key of the action) to
-a record of arrays, ints and dicts, never a module.  A record holds the
-projective cover (summand indices and pi, then ker pi and a section), the id
-of the syzygy, the Hom bases out of the content keyed by the target's id, and
+algebra, and nowhere else: each algebra keeps one table from (dim, exact key
+of the action) to a record of arrays, ints, tuples and dicts, never a module.
+A record holds the idempotent split, the Hom profile, the projective cover
+(summand indices and pi, then ker pi and a section), the id of the syzygy,
+the Hom bases out of the content keyed by the target's id, and
 Gorenstein-projective verdicts.  So a second module with an equal action
-reuses the first one's covers, its whole resolution chain and its Hom bases
-with no new elimination.  Modules built from a record (the A.e_i, pool
-modules, syzygies, covers) are held weakly: while a caller holds one, the same
-object comes back, otherwise the kept arrays are wrapped again.  Bimodules
-stay out of the table.
+reuses the first one's split, profile, covers, its whole resolution chain and
+its Hom bases with no new elimination; a module itself holds only its
+algebra, action, dimension, summand indices and record id.  Modules built
+from a record (the A.e_i, pool modules, syzygies, covers) are held weakly:
+while a caller holds one, the same object comes back, otherwise the kept
+arrays are wrapped again.  A bimodule has a record of the same kind, in no
+table, for its split and profile.
 """
 
 from __future__ import annotations
@@ -87,7 +90,6 @@ class Module:
     """Left module over an algebra: one dim x dim action matrix per basis element."""
 
     _summands = None  # (i, ...) on a direct sum of the A.e_i
-    _cover = None  # _Cover, once projective_cover ran on this module
     _id = None  # of its content in the algebra's table, once looked up
 
     def __init__(self, algebra: Algebra, action: np.ndarray, _validate=True):
@@ -98,8 +100,6 @@ class Module:
             raise AlgebraError(f"action array has shape {self.action.shape}, need ({algebra.dim}, n, n)")
         self.dim = self.action.shape[1]
         self.action.setflags(write=False)
-        self._split = None
-        self._profile = None
         if _validate:
             self._validate()
 
@@ -140,18 +140,17 @@ class Module:
         return _kept(self).gp_verdicts
 
     def idempotent_split(self) -> tuple:
-        """One pair (U_i, P_i) per distinguished idempotent e_i, computed once.
+        """One pair (U_i, P_i) per distinguished idempotent e_i, computed once per content.
 
         U_i (dim x d_i) is a basis of e_i.M, the transposed nonzero rows of
         rref(E_i^T), so it is the identity on its pivot rows; P_i = E_i[pivots]
         (d_i x dim) gives coordinates on it, and E_i = U_i P_i.  When E_i is a
         coordinate projection (the usual case) that rref is read off directly.
         """
-        if self._split is None and self._summands is not None:
-            self._split = _free_split(self.algebra, self._summands)
-        if self._split is None:
-            self._split = _split_by(self.field, self.dim, [self.act_vector(e) for e in self.algebra.prim_idempotents])
-        return self._split
+        kept = _kept(self)
+        if kept.split is None:
+            kept.split = _split_by(self.field, self.dim, [self.act_vector(e) for e in self.algebra.prim_idempotents])
+        return kept.split
 
     def _acts(self, rows) -> np.ndarray:
         """The elements rows(algebra) acting, stacked (g, dim, dim)."""
@@ -227,10 +226,10 @@ class Bimodule:
     left_action[i] is the matrix of the i-th basis element of A acting on the
     left, the action of left_restrict(); right_action[j] is the matrix of
     x -> x.b_j, the action of right_restrict(), a left module over B^op.
-    Whatever a side keeps (its cover, split and profile) serves every later
-    reader of that side.  The validation checks both representation
-    properties and that the actions commute (on generator pairs, which
-    suffices by bilinearity).
+    What is derived from a side (its cover, split and profile) is kept with
+    that side's content, the bimodule's own split and profile on its record.
+    The validation checks both representation properties and that the
+    actions commute (on generator pairs, which suffices by bilinearity).
 
     As a module over A (x) B^op, its idempotents are the e_a (x) f_b, a-major,
     its further generators g (x) 1 and 1 (x) h, and its radical J(A) (x) B^op
@@ -238,8 +237,7 @@ class Bimodule:
     read off the two actions: the product algebra is never built.
     """
 
-    _summands = _cover = None  # never a kept sum of projectives, never covered
-    _split = _profile = None  # computed once, on first use
+    _summands = None  # never a kept sum of projectives
 
     def __init__(self, left: Algebra, right: Algebra, left_action, right_action, _validate=True):
         if left.field != right.field:
@@ -248,6 +246,7 @@ class Bimodule:
         self.left, self.right = left, right
         self._sides = (Module(left, left_action, _validate), Module(opposite(right), right_action, _validate))
         self.dim = self._sides[0 if left.dim else 1].dim
+        self._record = _Kept()
         if _validate:
             if self.left_action.shape[1] != self.right_action.shape[1]:
                 raise AlgebraError(
@@ -280,6 +279,7 @@ class Bimodule:
         """The same space as a (B^op, A^op)-bimodule, on the same two modules swapped."""
         out = Bimodule.__new__(Bimodule)
         out.left, out.right, out.dim, out._sides = self._sides[1].algebra, opposite(self.left), self.dim, self._sides[::-1]
+        out._record = _Kept()
         return out
 
     def _acts(self, rows) -> np.ndarray:
@@ -288,10 +288,10 @@ class Bimodule:
 
     def idempotent_split(self) -> tuple:
         """Module.idempotent_split over the e_a (x) f_b, acting as E_a F_b; computed once."""
-        if self._split is None:
+        if self._record.split is None:
             es, fs = np.split(self._acts(lambda a: np.stack(a.prim_idempotents)), [len(self.left.prim_idempotents)])
-            self._split = _split_by(self.field, self.dim, self.field.matmul(es[:, None], fs[None]).reshape(-1, self.dim, self.dim))
-        return self._split
+            self._record.split = _split_by(self.field, self.dim, self.field.matmul(es[:, None], fs[None]).reshape(-1, self.dim, self.dim))
+        return self._record.split
 
     def _class_indices(self) -> tuple:
         """Pairs (a, b) of the factors' class representatives, a-major: the S_a (x) S_b."""
@@ -452,7 +452,7 @@ def _hom_basis(m, n, kept: Optional[_Kept]) -> tuple[np.ndarray, np.ndarray]:
     if free:
         res = f.zeros(u, 0)
     elif covered:
-        kernel, section = _cover_arrays(m, section=True)
+        kernel, section = _cover_arrays(kept, f, section=True)
         res = f.matmul(stack, kernel).reshape(u, n.dim * kernel.shape[1])
         stack = f.matmul(stack, section)
     else:
@@ -545,14 +545,17 @@ def radical(m: Module) -> ModuleMap:
 @dataclass
 class _Kept:
     """What an algebra keeps of one module content: its action (over F_p a
-    view of the content key's bytes), its cover, syzygy and Hom bases, and
-    weak references to the modules last handed out.  Arrays, ints and dicts
-    only, so nothing kept refers back to the algebra or to a module."""
+    view of the content key's bytes), its split, profile, cover, syzygy and
+    Hom bases, and weak references to the modules last handed out.  Arrays,
+    ints, tuples and dicts only, so nothing kept refers back to the algebra
+    or to a module.  A bimodule's record sits in no table and keeps its
+    split and profile only."""
 
-    id: int  # in the algebra's table
-    action: np.ndarray
+    id: Optional[int] = None  # in the algebra's table
+    action: Optional[np.ndarray] = None
     index: Optional[int] = None  # i when the content is A.e_i's
-    split: Optional[tuple] = None  # a projective's or pool module's idempotent_split
+    split: Optional[tuple] = None  # idempotent_split, on first use
+    profile: Optional[tuple] = None  # hom_profile, on first use
     embedding: Optional[np.ndarray] = None  # A.e_i: columns into the regular module, elements of A
     cover: Optional[tuple] = None  # (summand indices of P, pi: P -> M)
     kernel: Optional[np.ndarray] = None  # ker pi, on first use
@@ -585,8 +588,10 @@ def _intern(a: Algebra, action: np.ndarray, *tag) -> _Kept:
     return records[ids[key]]
 
 
-def _kept(m: Module) -> _Kept:
-    """The record of m's content, looked up once per module."""
+def _kept(m) -> _Kept:
+    """The record of m's content, looked up once per module; a bimodule's own."""
+    if isinstance(m, Bimodule):
+        return m._record
     if m._id is None:
         m._id = _intern(m.algebra, m.action).id
     return _table(m.algebra)[1][m._id]
@@ -599,15 +604,12 @@ def _content_id(a: Algebra, m: Module) -> int:
 
 def _hand_out(a: Algebra, kept: _Kept) -> Module:
     """The module last handed out for kept while a caller holds it; else
-    the kept arrays wrapped again, taken as they are: no copy or validation.
-    A content with a kept cover comes with it, unless it is A.e_i."""
+    the kept arrays wrapped again, taken as they are: no copy or validation."""
     m = kept.handed_out() if kept.handed_out else None
     if m is None:
         m = Module.__new__(Module)
-        m.algebra, m.action, m.dim, m._split, m._profile = a, kept.action, kept.action.shape[1], kept.split, None
+        m.algebra, m.action, m.dim = a, kept.action, kept.action.shape[1]
         m._summands, m._id = None if kept.index is None else (kept.index,), kept.id
-        if kept.cover is not None and kept.index is None:
-            m._cover = _Cover(_cover_module(a, kept), kept.cover[1], kept.kernel, kept.section)
         kept.handed_out = weakref.ref(m)
     return m
 
@@ -624,7 +626,7 @@ def _projective_data(a: Algebra) -> list[_Kept]:
             kept = _intern(a, sub.action)
             if kept.index is not None:  # A.e_j's content too (isomorphic idempotents): a record of its own
                 kept = _intern(a, sub.action, i)
-            kept.index, kept.split, kept.embedding = i, sub.idempotent_split(), cols
+            kept.index, kept.embedding = i, cols
             data.append(kept)
         a._derived["projectives"] = data
     return a._derived["projectives"]
@@ -634,13 +636,6 @@ def projective_indecomposables(a: Algebra) -> list[Module]:
     """The modules A.e_i for the distinguished primitive idempotents, in a
     new list on each call, handed out from the records kept on the algebra."""
     return [_hand_out(a, kept) for kept in _projective_data(a)]
-
-
-def _free_split(a: Algebra, summands: tuple) -> tuple:
-    """idempotent_split of the sum of the A.e_i, i in summands: block
-    diagonal, as is the rref of a block-diagonal matrix."""
-    splits = [_projective_data(a)[i].split for i in summands]
-    return tuple(tuple(block_diag(a.field, [sp[j][k] for sp in splits]) for k in (0, 1)) for j in range(len(splits[0])))
 
 
 def simples_by_idempotent(a: Algebra) -> list[Module]:
@@ -684,15 +679,13 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
     accepted generators up to w_j span; w_j is accepted exactly when the
     block (b_r.w_j, r over the basis of A) holds a pivot of the second
     profile.  Neither argument needs a basic or split algebra.
-    The summands and the surjection's matrix are kept with m's content, and
-    the cover on m.
+    The summands and the surjection's matrix are kept with m's content.
     """
-    if m._cover is None:
-        kept = _kept(m)
-        if kept.cover is None:
-            kept.cover = _compute_cover(m)
-        m._cover = _Cover(_cover_module(m.algebra, kept), kept.cover[1], kept.kernel, kept.section)
-    return m._cover.module, ModuleMap(m._cover.module, m, m._cover.surj, _validate=False)
+    kept = _kept(m)
+    if kept.cover is None:
+        kept.cover = _compute_cover(m)
+    cover = _cover_module(m.algebra, kept)
+    return cover, ModuleMap(cover, m, kept.cover[1], _validate=False)
 
 
 def _compute_cover(m: Module) -> tuple[tuple, np.ndarray]:
@@ -725,30 +718,15 @@ def _cover_module(a: Algebra, kept: _Kept) -> Module:
     return p
 
 
-@dataclass
-class _Cover:
-    """The cover pi: P -> M on M: no ModuleMap, which would point back to M.
-    The arrays are those kept with M's content."""
-
-    module: Module
-    surj: np.ndarray
-    kernel: Optional[np.ndarray] = None  # ker pi, on first use
-    section: Optional[np.ndarray] = None  # pi.sigma = 1, on first use
-
-
-def _cover_arrays(m: Module, section: bool = False) -> tuple:
-    """ker pi of the cover kept with m's content and, if asked, a section
-    sigma (pi.sigma = 1), each computed once; both from one rref when both
-    are new."""
-    kept = _kept(m)
+def _cover_arrays(kept: _Kept, f: Field, section: bool = False) -> tuple:
+    """ker pi of kept's cover and, if asked, a section sigma (pi.sigma = 1),
+    each computed once; both from one rref when both are new."""
     surj = kept.cover[1]
     if section and kept.section is None:
-        kernel, kept.section = kernel_and_section(surj, m.field)
+        kernel, kept.section = kernel_and_section(surj, f)
         kept.kernel = kernel if kept.kernel is None else kept.kernel
     elif kept.kernel is None:
-        kept.kernel = kernel_basis(surj, m.field)
-    if m._cover is not None:
-        m._cover.kernel, m._cover.section = kept.kernel, kept.section
+        kept.kernel = kernel_basis(surj, f)
     return kept.kernel, kept.section
 
 
@@ -759,7 +737,7 @@ def cover_sequence(m: Module) -> tuple[ModuleMap, ModuleMap]:
     action again."""
     cover, surj = projective_cover(m)
     kept = _kept(m)
-    kernel, _ = _cover_arrays(m)
+    kernel, _ = _cover_arrays(kept, m.field)
     if kept.syzygy is None:
         kept.syzygy = _intern(m.algebra, _submodule_action(cover, kernel)).id
     omega = _hand_out(m.algebra, _table(m.algebra)[1][kept.syzygy])
@@ -943,15 +921,16 @@ class IsoResult:
 
 
 def hom_profile(m: Module) -> tuple:
-    """Isomorphism invariants of m, computed once: its dimension, the ranks
-    of the distinguished idempotents on it, and dim Hom to and from each
-    simple S_i (empty when the radical is out of reach of the field).  Those
+    """Isomorphism invariants of m, computed once per content: its dimension,
+    the ranks of the distinguished idempotents on it, and dim Hom to and from
+    each simple S_i (empty when the radical is out of reach of the field).  Those
     are ranks of e_i on top(M) and soc(M): e_i.X ~ Hom(A.e_i, X) = Hom(S_i, X)
     for semisimple X, and Hom between semisimples has symmetric dimension, so
     dim Hom(M, S_i) = dim e_i.M - dim e_i.rad(M), dim Hom(S_i, M) = dim e_i.soc(M).
     For an (A, B)-bimodule, rad(M) = J(A).M + M.J(B) and the S_i are the
     S_a (x) S_b: the profile is empty only where J(A) or J(B) is out of reach."""
-    if m._profile is None:
+    kept = _kept(m)
+    if kept.profile is None:
         f = m.field
         split = m.idempotent_split()  # P_i gives coordinates on e_i.M, so dim e_i.X = rank(P_i X)
         idem_dims = tuple(p.shape[0] for _, p in split)
@@ -964,8 +943,8 @@ def hom_profile(m: Module) -> tuple:
             rad, soc = column_space_basis(spans, f), kernel_basis(stacked, f)
             to_s = tuple(p.shape[0] - rank(f.matmul(p, rad), f) for p in coords)
             from_s = tuple(rank(f.matmul(p, soc), f) for p in coords)
-        m._profile = (m.dim, idem_dims, to_s, from_s)
-    return m._profile
+        kept.profile = (m.dim, idem_dims, to_s, from_s)
+    return kept.profile
 
 
 _ISO_TRIALS = 64  # random combinations of a Hom basis tried before "probably_no"
@@ -1092,7 +1071,6 @@ def _indecomposable_data(a: Algebra) -> tuple[dict, bool]:
                 for k, cols in enumerate(layers[i][0][:-1], 1):
                     quot, proj = quotient_module(projs[i], cols.T)
                     kept = _intern(a, quot.action)
-                    kept.split = quot.idempotent_split()
                     if kept.cover is None:  # else the content was covered before: that cover stays
                         kept.cover = (i,), proj.matrix
                         kept.kernel, kept.section = map(_read_only, kernel_and_section(proj.matrix, a.field))
@@ -1123,10 +1101,12 @@ class ModulePool:
 def module_pool(a: Algebra) -> ModulePool:
     """The modules of the records kept on a, handed out.  Certified, they are
     the indecomposables; else the duals D(<label>) of the opposite's records
-    follow, the socle layers of the injectives."""
+    follow, the socle layers of the injectives, but for the simples
+    D(P<i>/rad^1) ~ P<i>/rad^1, which are in the pool already."""
     records, certified = _indecomposable_data(a)
     modules = {label: _hand_out(a, kept) for label, kept in records.items()}
     if not certified:
         op = opposite(a)
-        modules |= {f"D({label})": dual(_hand_out(op, kept)) for label, kept in _indecomposable_data(op)[0].items()}
+        duals = _indecomposable_data(op)[0].items()
+        modules |= {f"D({label})": dual(_hand_out(op, kept)) for label, kept in duals if not label.endswith("/rad^1")}
     return ModulePool(modules, certified)

@@ -58,11 +58,11 @@ def test_recollement_command_where_not_certified(tmp_path, capsys):
 
 def test_recollement_command_on_a_quiver_spec_beyond_nakayama(tmp_path, capsys):
     # the path algebra of A_3 oriented 1 -> 2 <- 3 is not Nakayama: its pool
-    # holds 9 modules, each indecomposable, meeting all 6 classes
+    # holds 6 modules, every indecomposable once
     path = tmp_path / "a3.json"
     path.write_text(json.dumps({"kind": "quiver", "vertices": 3, "arrows": [[0, 1, "a"], [2, 1, "b"]]}))
     assert main(["recollement", "--algebra", str(path), "--idempotent", "e1"]) == 0
-    assert "9 middle pool modules, 1 corner indecomposables, 3 quotient indecomposables: PASS" in capsys.readouterr().out
+    assert "6 middle pool modules, 1 corner indecomposables, 3 quotient indecomposables: PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from ladderkit.ladder import ladder_report
 from ladderkit.linalg import Field
 from ladderkit.modules import (
     Module,
+    _kept,
     _table,
     cover_sequence,
     hom_profile,
@@ -51,7 +52,8 @@ def test_recollement_pass_dies_without_collector(name, gc_off):
     spli_silp(alg, 4)
     is_stratifying(rec, 4)
     # a rung keeps its idempotent split and profile as arrays and ints only,
-    # and its two one-sided modules, each with its cover, never the rung
+    # and its two one-sided modules, whose covers are kept with their
+    # contents, never the rung
     kept = (rung.idempotent_split(), hom_profile(rung))
     sides = [rung.left_restrict(), rung.right_restrict()]
     covers = [projective_cover(side)[0] for side in sides]
@@ -92,7 +94,8 @@ def test_projectives_rewrapped_from_cached_arrays(gc_off):
 
 
 def test_module_with_kept_cover_dies_without_collector(gc_off):
-    # the module keeps its cover and arrays, never a map pointing back to it
+    # the record of the module's content keeps its cover's arrays, never a
+    # module or a map pointing back to it
     t3 = build_triangular(ground_field_algebra(F), 3)
     reg = regular_module(t3)
     m = simples(t3)[0]
@@ -100,7 +103,7 @@ def test_module_with_kept_cover_dies_without_collector(gc_off):
     assert cover.dim > m.dim
     cover_sequence(m)
     hb = [hom_space(m, reg), hom_space(m, m)]
-    assert [len(h) for h in hb] == [0, 1] and m._cover.section is not None  # the kept-cover path
+    assert [len(h) for h in hb] == [0, 1] and _kept(m).section is not None  # the kept-cover path
     refs = [weakref.ref(m), weakref.ref(cover)]
     del m, cover, surj, hb
     assert [r() for r in refs] == [None, None]
@@ -109,8 +112,8 @@ def test_module_with_kept_cover_dies_without_collector(gc_off):
 @pytest.mark.parametrize("name", ["t3", "ideal-chain"])
 def test_module_pool_dies_without_collector(name, gc_off):
     # the algebra keeps the pool as records of arrays; a call hands out the
-    # modules still held, else wraps the arrays again, and a wrapped module
-    # keeps its cover, never a map pointing back to it
+    # modules still held, else wraps the arrays again; covers are kept with
+    # the records, never a map pointing back to a module
     alg, default_e = load_fixture(name, F)
     rec = build_recollement(alg, parse_idempotent(alg, default_e))
     assert check_axioms(rec)["failures"] == []

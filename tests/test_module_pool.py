@@ -16,10 +16,12 @@ from ladderkit.modules import (
     Module,
     ModuleMap,
     _hom_basis,
+    _kept,
     hom_profile,
     hom_space,
     is_isomorphic,
     module_pool,
+    projective_cover,
     projective_indecomposables,
     quotient_module,
     radical,
@@ -76,9 +78,9 @@ def test_pool_modules_are_pairwise_non_isomorphic_and_keep_their_covers(name):
         for m in mods:
             m._validate()
             if m._summands is None:  # P_i/rad^k P_i, k < length: its quotient map is its cover
-                cover = m._cover
-                ModuleMap(cover.module, m, cover.surj)  # validates
-                assert cover.module._summands is not None and cover.kernel.shape[1] == cover.module.dim - m.dim
+                kept, (cover, _) = _kept(m), projective_cover(m)
+                ModuleMap(cover, m, kept.cover[1])  # validates
+                assert cover._summands == kept.cover[0] and kept.kernel.shape[1] == cover.dim - m.dim
             # the kept-cover path gives the basis the solved path gives
             plain = Module(a, m.action.copy())
             for y in mods:
@@ -113,14 +115,17 @@ def test_pool_hands_out_the_held_modules(name):
 
 def test_pool_adds_the_duals_when_a_radical_layer_is_not_simple():
     # k[x, y]/(x, y)^2: rad P / rad^2 P = S^2, so P0 is not uniserial; the
-    # pool is P0/rad^k and the duals of the opposite's P0/rad^k
+    # pool is P0/rad^k and the duals of the opposite's P0/rad^k but the simple
+    # D(P0/rad^1), which is P0/rad^1 again
     kxy = _local_kxy(F)
     pool = module_pool(kxy)
-    assert not pool.certified and pool.to_json() == {"certified": False, "modules": 4}
-    assert list(pool.modules) == ["P0/rad^1", "P0/rad^2", "D(P0/rad^1)", "D(P0/rad^2)"]
-    assert [m.dim for m in pool.modules.values()] == [1, 3, 1, 3]
+    assert not pool.certified and pool.to_json() == {"certified": False, "modules": 3}
+    assert list(pool.modules) == ["P0/rad^1", "P0/rad^2", "D(P0/rad^2)"]
+    assert [m.dim for m in pool.modules.values()] == [1, 3, 3]
     for m in pool.modules.values():
         m._validate()
+    for x, y in itertools.combinations(pool.modules.values(), 2):
+        assert is_isomorphic(x, y).kind == "no"
 
 
 def test_pool_keeps_the_projectives_where_the_radical_is_out_of_reach():
@@ -152,16 +157,12 @@ def test_a3_pool_is_deterministic_and_meets_every_indecomposable():
     classes: list = []
     for m in pool.modules.values():
         m._validate()
-        same = [c for c in classes if is_isomorphic(m, c[0]).is_yes]
-        assert len(same) <= 1
-        if same:
-            same[0].append(m)
-        else:
-            classes.append([m])
+        assert not any(is_isomorphic(m, c).is_yes for c in classes)  # one module per class
+        classes.append(m)
     # Gabriel: one indecomposable per positive root of A_3, six in all
-    dim_vectors = sorted(tuple(hom_profile(c[0])[1]) for c in classes)
+    dim_vectors = sorted(tuple(hom_profile(c)[1]) for c in classes)
     assert dim_vectors == sorted([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)])
-    assert len(pool.modules) == 9
+    assert len(pool.modules) == 6
 
 
 @pytest.mark.parametrize("vertex", ["e1", "e2", "e3"])
@@ -169,9 +170,9 @@ def test_a3_recollements_pass_on_the_pool(vertex):
     a = _a3()
     rec = build_recollement(a, parse_idempotent(a, vertex))
     res = check_axioms(rec)
-    assert res["failures"] == [] and res["pools"]["middle"] == {"certified": False, "modules": 9}
+    assert res["failures"] == [] and res["pools"]["middle"] == {"certified": False, "modules": 6}
     harness = preservation_harness(rec, ladder_report(rec, 12, 0))
-    assert harness["status"] == "PASS" and harness["pools"]["middle"]["modules"] == 9
+    assert harness["status"] == "PASS" and harness["pools"]["middle"]["modules"] == 6
     lemmas = lemma_checks(rec)
     assert lemmas["status"] == "PASS" and all(c["ok"] for c in lemmas["checks"])
 

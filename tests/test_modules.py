@@ -30,7 +30,7 @@ from ladderkit.algebra import (
 )
 from ladderkit.fixtures import fixture_names, load_fixture, parse_idempotent
 from ladderkit.ladder import ladder_report
-from ladderkit.linalg import JOIN_PRODUCTS, DimensionMismatch, Field, intersect_kernels, kernel_basis, rank, rref, solve, solve_matrix
+from ladderkit.linalg import JOIN_PRODUCTS, DimensionMismatch, Field, block_diag, intersect_kernels, kernel_basis, rank, rref, solve, solve_matrix
 from ladderkit.modules import (
     Bimodule,
     HomBasis,
@@ -64,7 +64,7 @@ from ladderkit.modules import (
 )
 
 from ladderkit.recollement import build_recollement
-from ladderkit.verify import RECOLLEMENT_FIXTURES
+from ladderkit.verify import RECOLLEMENT_FIXTURES, run_suite
 
 SRC = Path(modules.__file__).resolve().parent
 F = Field(101)
@@ -1219,15 +1219,11 @@ def test_hom_space_zero_module_and_zero_hom():
 # -- Hom out of sums of projectives and kept covers ---------------------------------
 
 
-def _bare(m):
-    """The same module without kept data on the object."""
-    return Module(m.algebra, m.action, _validate=False)
-
-
 def _solved(m, n):
     """hom_space's (matrices, positions) from the linear system, past the
-    algebra's table: a bare source with no record is never read off a cover."""
-    return modules._hom_basis(_bare(m), n, None)
+    algebra's table: a source passed with no record and no summand indices
+    is never read off a cover."""
+    return modules._hom_basis(Module(m.algebra, m.action, _validate=False), n, None)
 
 
 def _assert_shortcut_matches_system(m, n):
@@ -1245,7 +1241,9 @@ def test_hom_shortcuts_match_the_linear_system(name, field):
     """Sums of projective indecomposables (shuffled, with repeats) and modules
     with a kept cover (projective or not: the regular module, simples, seeded
     random modules and their syzygies) give hom_space's basis of the linear
-    system, against every target, the zero module and Hom = 0 included."""
+    system, against every target, the zero module and Hom = 0 included.  The
+    split of a sum of projectives is the block diagonal of its summands'
+    splits, as is the rref of a block-diagonal matrix."""
     alg, _ = load_fixture(name, field)
     rng = np.random.default_rng(15)
     projs = projective_indecomposables(alg)
@@ -1254,7 +1252,9 @@ def test_hom_shortcuts_match_the_linear_system(name, field):
     free += projs
     for q in free:
         assert q._summands is not None
-        assert all(np.array_equal(u, v) and u.dtype == v.dtype for pair in zip(q.idempotent_split(), _bare(q).idempotent_split()) for u, v in zip(*pair))
+        splits = [projs[i].idempotent_split() for i in q._summands]
+        blocks = [tuple(block_diag(field, [sp[j][k] for sp in splits]) for k in (0, 1)) for j in range(len(projs))]
+        assert all(np.array_equal(u, v) and u.dtype == v.dtype for pair in zip(q.idempotent_split(), blocks, strict=True) for u, v in zip(*pair))
     covered = [regular_module(alg), *simples(alg), *(random_module(alg, rng) for _ in range(3))]
     for m in list(covered):
         for _ in range(2):
@@ -1264,7 +1264,7 @@ def test_hom_shortcuts_match_the_linear_system(name, field):
     covered = [m for m in covered if m.dim and m._summands is None]  # a random module may be its free q0
     for m in covered:
         projective_cover(m)
-        assert m._cover is not None
+        assert modules._kept(m).cover is not None
     z = zero_module(alg)
     projective_cover(z)
     targets = [z, regular_module(alg), *projs, *simples(alg), *(random_module(alg, rng) for _ in range(3))]
@@ -1294,8 +1294,8 @@ def test_cover_kept_and_its_kernel_computed_once(monkeypatch):
     cover_sequence(m)
     hom_space(m, regular_module(alg))
     assert len(calls) == steps
-    # kept arrays only: no ModuleMap on the module, which would point back to it
-    assert all(isinstance(x, (np.ndarray, type(None), Module)) for x in vars(m._cover).values())
+    # kept arrays only: no module or ModuleMap on the record, which would point back to one
+    assert not any(isinstance(x, (Module, ModuleMap)) for x in vars(modules._kept(m)).values())
 
 
 def test_idempotent_split_rejects_incomplete_system():
@@ -1361,7 +1361,7 @@ def test_hom_profile_matches_hom_space_reference(name, field):
     mods.append(zero_module(alg))
     for m in mods:
         assert hom_profile(m) == _hom_profile_reference(m)
-        assert hom_profile(m) is hom_profile(m)  # kept on the module
+        assert hom_profile(m) is hom_profile(m)  # kept with the content
     if field.p is None and name == "ideal-chain":
         return  # over Q, the projectives of its rungs' 66-dim enveloping algebras take seconds each
     rep = ladder_report(build_recollement(alg, parse_idempotent(alg, default_e)), 12, 0)
@@ -1430,7 +1430,7 @@ def _table_algebras(field, seed):
 def _same_content(m):
     """A new module object with m's action, as a sum of the same projectives if m is one."""
     out = Module(m.algebra, m.action.copy(), _validate=False)
-    out._summands = m._summands  # part of the content's key
+    out._summands = m._summands  # not in the content's key: set as direct_sum sets it
     return out
 
 
@@ -1490,6 +1490,59 @@ def test_second_module_of_equal_content_resolves_without_elimination(monkeypatch
     assert calls == []
     assert [t.dim for t in again.terms] == [t.dim for t in first.terms] and len(first.terms) == 5
     assert all(np.array_equal(d.matrix, e.matrix) for d, e in zip(first.differentials, again.differentials))
+
+
+def test_equal_content_reads_one_split_and_profile(monkeypatch):
+    """A second Module object with an equal action reads the idempotent split
+    and the Hom profile off the content's record: the same objects, with no
+    elimination.  A rung bimodule keeps both on a record of its own."""
+    alg, default_e = load_fixture("prop32-dual-numbers", F)
+    m = random_module(alg, np.random.default_rng(4))
+    rung = ladder_report(build_recollement(alg, parse_idempotent(alg, default_e)), 12, 0).r_rungs[-1].bimodule
+    calls = []
+    real = linalg.rref
+    for mod in (linalg, modules):
+        monkeypatch.setattr(mod, "rref", lambda a, f: calls.append(a.shape) or real(a, f))
+    split, profile = m.idempotent_split(), hom_profile(m)
+    assert calls  # the first profile eliminates
+    calls.clear()
+    again = Module(alg, m.action.copy())
+    assert again.idempotent_split() is split and hom_profile(again) is profile
+    assert calls == []
+    rung_split, rung_profile = rung.idempotent_split(), hom_profile(rung)
+    calls.clear()
+    assert rung.idempotent_split() is rung_split and hom_profile(rung) is rung_profile
+    assert calls == []
+
+
+def _leaves(x):
+    """x, or what a tuple, list or dict holds, all the way down."""
+    if isinstance(x, (tuple, list)):
+        return [y for v in x for y in _leaves(v)]
+    if isinstance(x, dict):
+        return [y for v in x.values() for y in _leaves(v)]
+    return [x]
+
+
+def test_a_suite_pass_keeps_nothing_derived_on_a_module(monkeypatch):
+    """Every Module made in a run_suite pass holds its algebra, action, dim,
+    summand indices and record id only; what is derived from it is on its
+    content's record, and no record holds a module or a map."""
+    made = []
+    init, hand_out = Module.__init__, modules._hand_out
+
+    def tracked_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Module, "__init__", tracked_init)
+    monkeypatch.setattr(modules, "_hand_out", lambda a, kept: made.append(hand_out(a, kept)) or made[-1])
+    run_suite(seed=0)
+    assert len(made) > 1000
+    assert all(vars(m).keys() <= {"algebra", "action", "dim", "_summands", "_id"} for m in made)
+    algebras = {id(m.algebra): m.algebra for m in made}.values()
+    values = [v for a in algebras for r in modules._table(a)[1] for v in _leaves(list(vars(r).values()))]
+    assert len(values) > 1000 and not any(isinstance(v, (Module, ModuleMap, Bimodule)) for v in values)
 
 
 @pytest.mark.parametrize("build", [_local_kxy, dual_numbers_algebra, lambda f: _f49_algebras()[1]], ids=["kxy", "dual-numbers", "F49-eps"])
