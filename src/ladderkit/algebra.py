@@ -16,7 +16,6 @@ ideal AeA and form the trace form of the radical.
 
 from __future__ import annotations
 
-import functools
 import weakref
 from dataclasses import dataclass
 
@@ -375,10 +374,15 @@ def algebra_from_structure_constants(field: Field, mult, unit, prim_idempotents,
     return Algebra(field, mult, unit, prim_idempotents, labels)
 
 
-@functools.cache
 def ground_field_algebra(field: Field) -> Algebra:
-    """The field as a 1-dim algebra; one per field, built once and kept."""
-    return Algebra(field, [[[1]]], [1], [[1]], labels=("1",))
+    """The field as a 1-dim algebra, built once per Field object and kept on
+    it: equal fields built apart build their own, so a run that builds its
+    field builds the same algebras each time."""
+    k = vars(field).get("_ground")
+    if k is None:
+        k = Algebra(field, [[[1]]], [1], [[1]], labels=("1",))
+        object.__setattr__(field, "_ground", k)  # Field is frozen; equality and hash read p alone
+    return k
 
 
 def dual_numbers_algebra(field: Field) -> Algebra:

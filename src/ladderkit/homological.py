@@ -1,9 +1,9 @@
 """Ext/Tor with cutoff, stratifying ideals, spli/silp, Gorenstein tests.
 
 All dimensions that are genuinely infinite suprema are reported as Bound
-values: Exact(n) when a syzygy vanished (so the value is known), otherwise
-AtLeast(cutoff + 1).  Cutoff-qualified verdicts carry their cutoff in the
-serialized reports.
+values: Exact(n) when a syzygy vanished within the cutoff (so the value is
+known), otherwise AtLeast(cutoff + 1).  Cutoff-qualified verdicts carry their
+cutoff in the serialized reports.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .linalg import Field, rref
 from .modules import (
     Module,
     ModulePool,
+    _walk_pd,
     dual,
     hom_into_regular,
     hom_space,
@@ -68,7 +69,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Bound:
-    """Exact(n) or AtLeast(n); Exact only when the computation terminated."""
+    """Exact(n) or AtLeast(n); Exact only when a zero syzygy was reached
+    within the cutoff.  A walk that proves pd infinite reports AtLeast(cutoff
+    + 1) too: the bound says what the cutoff shows, no more."""
 
     kind: str  # "exact" | "at_least"
     n: int
@@ -93,8 +96,13 @@ class Bound:
 
 
 def projective_dimension(m: Module, cutoff: int) -> Bound:
-    kind, n = minimal_resolution(m, cutoff).pd_bound()
-    return Bound(kind, n)
+    """Exact(pd m) when pd m <= cutoff, else AtLeast(cutoff + 1).
+
+    A lookup on the pd kept with each content of m's algebra, walked at most
+    cutoff syzygies deep on ids, one support block at a time, where it is
+    not known (modules._walk_pd); no resolution is built."""
+    v = _walk_pd(m, cutoff)
+    return Bound("exact", v) if v <= cutoff else Bound("at_least", cutoff + 1)
 
 
 def injective_dimension(m: Module, cutoff: int) -> Bound:

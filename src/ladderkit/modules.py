@@ -14,11 +14,13 @@ algebra, and nowhere else: each algebra keeps one table from (dim, exact key
 of the action) to a record of arrays, ints, tuples and dicts, never a module.
 A record holds the idempotent split, the Hom profile, the projective cover
 (summand indices and pi, then ker pi and a section), the id of the syzygy,
-the Hom bases out of the content keyed by the target's id, and
-Gorenstein-projective verdicts.  So a second module with an equal action
-reuses the first one's split, profile, covers, its whole resolution chain and
-its Hom bases with no new elimination; a module itself holds only its
-algebra, action, dimension, summand indices and record id.  Modules built
+the ids of its support blocks, its projective dimension as far as walked
+(pd is a walk on ids, one block at a time), the Hom bases out of the content
+keyed by the target's id, and Gorenstein-projective verdicts.  So a second
+module with an equal action reuses the first one's split, profile, covers,
+its whole resolution chain and its Hom bases with no new elimination; a
+module itself holds only its algebra, action, dimension, summand indices and
+record id.  Modules built
 from a record (the A.e_i, pool modules, syzygies, covers) are held weakly:
 while a caller holds one, the same object comes back, otherwise the kept
 arrays are wrapped again.  A bimodule has a record of the same kind, in no
@@ -28,6 +30,7 @@ table, for its split and profile.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -545,11 +548,11 @@ def radical(m: Module) -> ModuleMap:
 @dataclass
 class _Kept:
     """What an algebra keeps of one module content: its action (over F_p a
-    view of the content key's bytes), its split, profile, cover, syzygy and
-    Hom bases, and weak references to the modules last handed out.  Arrays,
-    ints, tuples and dicts only, so nothing kept refers back to the algebra
-    or to a module.  A bimodule's record sits in no table and keeps its
-    split and profile only."""
+    view of the content key's bytes), its split, profile, cover, syzygy,
+    support blocks, projective dimension and Hom bases, and weak references
+    to the modules last handed out.  Arrays, numbers, tuples and dicts only,
+    so nothing kept refers back to the algebra or to a module.  A bimodule's
+    record sits in no table and keeps its split and profile only."""
 
     id: Optional[int] = None  # in the algebra's table
     action: Optional[np.ndarray] = None
@@ -561,6 +564,8 @@ class _Kept:
     kernel: Optional[np.ndarray] = None  # ker pi, on first use
     section: Optional[np.ndarray] = None  # pi.sigma = 1, on first use
     syzygy: Optional[int] = None  # id of Omega(M) = ker pi, on first use
+    blocks: Optional[tuple] = None  # ids of the summands on the support's components, on first use
+    pd: Optional[float] = None  # as far as walked: an int, inf, or b + 0.5 for "more than b"
     homs: dict = field(default_factory=dict)  # target id -> hom_space's (matrices, positions)
     gp_verdicts: dict = field(default_factory=dict)  # cutoff -> GPVerdict, see is_gorenstein_projective
     handed_out: Optional[weakref.ref] = None
@@ -730,6 +735,22 @@ def _cover_arrays(kept: _Kept, f: Field, section: bool = False) -> tuple:
     return kept.kernel, kept.section
 
 
+def _cover_of(a: Algebra, kept: _Kept) -> tuple:
+    """kept.cover, computed on first use from the module handed out for it."""
+    if kept.cover is None:
+        kept.cover = _compute_cover(_hand_out(a, kept))
+    return kept.cover
+
+
+def _syzygy(a: Algebra, kept: _Kept) -> _Kept:
+    """The record of Omega(M) = ker pi for kept's content, found once."""
+    if kept.syzygy is None:
+        _cover_of(a, kept)
+        kernel, _ = _cover_arrays(kept, a.field)
+        kept.syzygy = _intern(a, _submodule_action(_cover_module(a, kept), kernel)).id
+    return _table(a)[1][kept.syzygy]
+
+
 def cover_sequence(m: Module) -> tuple[ModuleMap, ModuleMap]:
     """The inclusion of Omega(M) = ker pi into the cover P, and pi: P -> M.
     Omega(M) is found once per content and kept by its own content: a later
@@ -738,10 +759,77 @@ def cover_sequence(m: Module) -> tuple[ModuleMap, ModuleMap]:
     cover, surj = projective_cover(m)
     kept = _kept(m)
     kernel, _ = _cover_arrays(kept, m.field)
-    if kept.syzygy is None:
-        kept.syzygy = _intern(m.algebra, _submodule_action(cover, kernel)).id
-    omega = _hand_out(m.algebra, _table(m.algebra)[1][kept.syzygy])
+    omega = _hand_out(m.algebra, _syzygy(m.algebra, kept))
     return ModuleMap(omega, cover, kernel, _validate=False), surj
+
+
+def _blocks(a: Algebra, kept: _Kept) -> tuple:
+    """Ids of the summands of kept's content spanned by the connected
+    components of its support (the nonzero pattern of the action over every
+    basis element, symmetrised), by least basis vector; found once.  A
+    content whose cover has one summand has a simple top, so it is
+    indecomposable and its support is not scanned."""
+    if kept.blocks is None:
+        parts = _components(np.any(kept.action != 0, axis=0)) if len(_cover_of(a, kept)[0]) > 1 else ()
+        kept.blocks = tuple(_intern(a, kept.action[:, c][:, :, c]).id for c in parts) if len(parts) > 1 else (kept.id,)
+    return kept.blocks
+
+
+def _components(adj: np.ndarray) -> list[np.ndarray]:
+    """Vertex sets of the connected components of the graph adj | adj.T, by
+    least vertex: each vertex takes the least label next to it until none
+    changes."""
+    n = adj.shape[0]
+    adj = adj | adj.T | np.eye(n, dtype=bool)
+    labels = np.arange(n)
+    while True:
+        least = np.where(adj, labels, n).min(axis=1)
+        if np.array_equal(least, labels):
+            return [np.flatnonzero(labels == r) for r in np.flatnonzero(labels == np.arange(n))]
+        labels = least
+
+
+def _walk_pd(m: Module, budget: int) -> float:
+    """pd of m's content as far as budget syzygies reach: an int v <= budget,
+    else inf or c + 0.5 (c >= budget), which says only pd > c.
+
+    A walk on ids in the algebra's table: pd X = 0 when Omega(X) = 0, else 1
+    + the largest pd over the blocks of Omega(X), each walked with one step
+    less (Omega and pd are additive over direct sums).  A block on the
+    walk's path is a non-projective summand of one of its own syzygies, so
+    its pd is infinite (a finite pd drops by one with each syzygy), and so
+    is that of every record on the path.  Every value is kept on
+    its record; a "more than c" is walked again only for a larger budget.
+    The path is a list, not the call stack, so the budget may be any size."""
+    a = m.algebra
+    records, path = _table(a)[1], []  # frames [record, budget, ids of its syzygy's blocks left, largest pd so far]
+
+    def step(kept: _Kept, budget: int) -> Optional[float]:
+        """kept's value when its record or its syzygy gives it; else None, with its frame pushed."""
+        v = kept.pd
+        if isinstance(v, int) or (v is not None and v > budget):
+            return v if v <= budget or isinstance(v, float) else budget + 0.5
+        omega = _syzygy(a, kept)
+        if omega.action.shape[1] and budget:
+            path.append([kept, budget, iter(dict.fromkeys(_blocks(a, omega))), 0])
+            return None
+        kept.pd = 0.5 if omega.action.shape[1] else 0
+        return kept.pd
+
+    value = step(_kept(m), budget)
+    while path:
+        frame = path[-1]
+        if value is not None:
+            frame[3] = max(frame[3], value)
+        block = next(frame[2], None) if frame[3] != math.inf else None
+        if block is None:
+            path.pop()
+            value = frame[0].pd = 1 + frame[3]
+        elif any(block == f[0].id for f in path):
+            value = math.inf
+        else:
+            value = step(records[block], frame[1] - 1)
+    return value
 
 
 def is_projective(m: Module) -> bool:
@@ -751,25 +839,16 @@ def is_projective(m: Module) -> bool:
 
 @dataclass
 class Resolution:
-    """Minimal projective resolution up to a cutoff.
+    """Minimal projective resolution up to a cutoff, for Ext and Tor.
 
     differentials[0] maps terms[0] onto the target; differentials[i] maps
-    terms[i] into terms[i-1].  finished means the last syzygy vanished, so the
-    projective dimension is known exactly.
+    terms[i] into terms[i-1].  It stops early at the first zero syzygy.
     """
 
     target: Module
     terms: list
     differentials: list
     cutoff: int
-    finished: bool = False
-
-    def pd_bound(self) -> tuple[str, int]:
-        """('exact', n) or ('at_least', cutoff + 1)."""
-        if self.finished:
-            # the resolution stops at the first zero syzygy, so the terms are P_0 .. P_pd
-            return ("exact", len(self.terms) - 1)
-        return ("at_least", self.cutoff + 1)
 
 
 def minimal_resolution(m: Module, cutoff: int) -> Resolution:
@@ -778,7 +857,6 @@ def minimal_resolution(m: Module, cutoff: int) -> Resolution:
     diffs: list[ModuleMap] = []
     current = m
     incl_prev: Optional[ModuleMap] = None
-    finished = False
     for _ in range(cutoff + 1):
         incl, surj = cover_sequence(current)
         cover = surj.source
@@ -789,9 +867,8 @@ def minimal_resolution(m: Module, cutoff: int) -> Resolution:
             diffs.append(ModuleMap(cover, terms[-2], f.matmul(incl_prev.matrix, surj.matrix), _validate=False))
         incl_prev, current = incl, incl.source
         if current.dim == 0:
-            finished = True
             break
-    return Resolution(m, terms, diffs, cutoff, finished=finished)
+    return Resolution(m, terms, diffs, cutoff)
 
 
 # -- duality -------------------------------------------------------------------

@@ -62,9 +62,12 @@ def test_ground_field_is_one_dimensional():
 
 
 def test_ground_field_algebra_is_kept_per_field():
-    # tensor products over a plain right module land in it: one per field
+    # tensor products over a plain right module land in it: one per Field
+    # object, so an equal field built apart (one per run) builds its own
     for field in (F, Field(5), Field(None)):
-        assert ground_field_algebra(field) is ground_field_algebra(Field(field.p))
+        assert ground_field_algebra(field) is ground_field_algebra(field)
+        assert ground_field_algebra(Field(field.p)) is not ground_field_algebra(field)
+        assert ground_field_algebra(field).field is field
     assert ground_field_algebra(Field(5)) is not ground_field_algebra(F)
     t2 = build_triangular(ground_field_algebra(F), 2)
     reg = regular_module(t2)

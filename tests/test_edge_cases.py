@@ -19,6 +19,8 @@ from ladderkit.modules import (
 )
 from ladderkit.recollement import build_recollement, verify_canonical_sequences
 
+from test_pd_walk import pd_bound
+
 F = Field(101)
 
 
@@ -49,7 +51,7 @@ def test_zero_module_homological_invariants():
     assert dual(z).dim == 0
     assert radical(z).source.dim == 0
     res = minimal_resolution(z, 3)
-    assert res.pd_bound() == ("exact", 0)
+    assert pd_bound(res) == ("exact", 0)
     assert stable_hom_dim(z, z) == 0
     s = simples(t2)[0]
     assert len(hom_space(z, s)) == 0 and len(hom_space(s, z)) == 0

@@ -175,8 +175,8 @@ def test_periodic_resolutions_leave_nothing_without_collector(name, gc_off):
 
 
 def test_ground_field_table_does_not_grow_across_passes():
-    # ground_field_algebra(F) is built once per process, so its table would
-    # carry what one pass keys over the field into the next
+    # ground_field_algebra(F) lives as long as F, here the whole session, so
+    # its table would carry what one pass keys over the field into the next
     k = ground_field_algebra(F)
     run_suite(seed=0)
     size = len(_table(k)[1])

@@ -66,6 +66,8 @@ from ladderkit.modules import (
 from ladderkit.recollement import build_recollement
 from ladderkit.verify import RECOLLEMENT_FIXTURES, run_suite
 
+from test_pd_walk import finished, pd_bound
+
 SRC = Path(modules.__file__).resolve().parent
 F = Field(101)
 K = ground_field_algebra(F)
@@ -422,24 +424,24 @@ def test_is_projective():
 def test_minimal_resolution_projective_is_length_zero():
     t2 = build_triangular(K, 2)
     res = minimal_resolution(projective_indecomposables(t2)[0], 5)
-    assert res.finished
-    assert res.pd_bound() == ("exact", 0)
+    assert finished(res)
+    assert pd_bound(res) == ("exact", 0)
 
 
 def test_minimal_resolution_periodic_simple():
     dn = dual_numbers_algebra(F)
     s = simples(dn)[0]
     res = minimal_resolution(s, 5)
-    assert not res.finished
-    assert res.pd_bound() == ("at_least", 6)
+    assert not finished(res)
+    assert pd_bound(res) == ("at_least", 6)
     assert all(t.dim == 2 for t in res.terms)  # all syzygies 1-dim, covers 2-dim
 
 
 def test_minimal_resolution_t2_simples():
     t2 = build_triangular(K, 2)
     s1, s2 = simples(t2)
-    assert minimal_resolution(s1, 5).pd_bound() == ("exact", 1)
-    assert minimal_resolution(s2, 5).pd_bound() == ("exact", 0)
+    assert pd_bound(minimal_resolution(s1, 5)) == ("exact", 1)
+    assert pd_bound(minimal_resolution(s2, 5)) == ("exact", 0)
 
 
 def test_resolution_exactness():
