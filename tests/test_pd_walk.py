@@ -120,7 +120,8 @@ def test_walk_depth_does_not_grow_with_the_cutoff_once_it_closes(monkeypatch):
 
 
 def test_simple_top_contents_skip_the_support_scan(monkeypatch):
-    # every syzygy over a Nakayama algebra is uniserial: no scan, on Q too
+    # spli_silp walks indecomposables, whose syzygies over a Nakayama algebra
+    # are uniserial: no scan, on Q too
     scans = []
     real = modules._components
     monkeypatch.setattr(modules, "_components", lambda adj: scans.append(adj.shape) or real(adj))
