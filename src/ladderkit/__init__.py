@@ -83,9 +83,7 @@ from .homological import (
     Bound,
     GorensteinReport,
     GPVerdict,
-    ext_dim,
     ext_dims,
-    tor_dim,
     tor_dims,
     projective_dimension,
     injective_dimension,

@@ -1,5 +1,11 @@
 """Ext/Tor with cutoff, stratifying ideals, spli/silp, Gorenstein tests.
 
+Projective dimensions and the dimensions of Ext, Tor and stable Hom are
+read off the syzygy walk on the content ids of the module's algebra (see
+modules): pd by modules._walk_pd, the others by dimension shifting
+(modules._shift_dims) from kept Hom dimensions, with no resolution complex,
+differential or rank.
+
 All dimensions that are genuinely infinite suprema are reported as Bound
 values: Exact(n) when a syzygy vanished within the cutoff (so the value is
 known), otherwise AtLeast(cutoff + 1).  Cutoff-qualified verdicts carry their
@@ -12,21 +18,18 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .algebra import Algebra, AlgebraError, opposite
-from .linalg import Field, rref
+from .linalg import rref
 from .modules import (
     Module,
     ModulePool,
+    _shift_dims,
     _walk_pd,
     dual,
     hom_into_regular,
     hom_space,
     is_isomorphic,
-    minimal_resolution,
     module_pool,
-    projective_cover,
     projective_indecomposables,
     regular_module,
     simples,
@@ -49,9 +52,7 @@ __all__ = [
     "Bound",
     "GorensteinReport",
     "GPVerdict",
-    "ext_dim",
     "ext_dims",
-    "tor_dim",
     "tor_dims",
     "projective_dimension",
     "injective_dimension",
@@ -112,28 +113,11 @@ def injective_dimension(m: Module, cutoff: int) -> Bound:
 # -- Ext ------------------------------------------------------------------------
 
 
-def _homology_dims(dims: list[int], maps: list[np.ndarray], top: int, f: Field) -> list[int]:
-    """Homology dimensions 0 .. top of a complex with terms of dimension dims
-    and maps[j - 1] between terms j - 1 and j (either direction); terms past
-    the last are zero.  Each map is ranked once."""
-    ranks = [0] + [rref(d, f).rank for d in maps] + [0]
-    return [dims[i] - ranks[i] - ranks[i + 1] if i < len(dims) else 0 for i in range(top + 1)]
-
-
 def ext_dims(m: Module, n: Module, top: int) -> list[int]:
-    """Dimensions of Ext^0 .. Ext^top via a minimal projective resolution of m
-    and the induced Hom complex."""
-    f = m.field
-    res = minimal_resolution(m, top + 1)
-    bases = [hom_space(p, n) for p in res.terms]
-    # delta[j - 1]: Hom(P_{j-1}, n) -> Hom(P_j, n), j >= 1
-    deltas = [bases[j - 1].induced(bases[j], f, pre=res.differentials[j].matrix) for j in range(1, len(bases))]
-    return _homology_dims([len(b) for b in bases], deltas, top, f)
-
-
-def ext_dim(m: Module, n: Module, i: int) -> int:
-    """Exact dimension of Ext^i(m, n)."""
-    return ext_dims(m, n, i)[i]
+    """Dimensions of Ext^0 .. Ext^top(m, n), by dimension shifting along the
+    syzygies of m with F = dim Hom(-, n), where dim Hom(A.e_i, n) = dim e_i.n."""
+    split = n.idempotent_split()
+    return _shift_dims(m, top, lambda x: len(hom_space(x, n)), lambda i: split[i][0].shape[1])
 
 
 # -- Tor ------------------------------------------------------------------------
@@ -141,21 +125,13 @@ def ext_dim(m: Module, n: Module, i: int) -> int:
 
 def tor_dims(m_right: Module, n_left: Module, top: int) -> list[int]:
     """Dimensions of Tor_0 .. Tor_top; m_right is a right module (a Module
-    over the opposite algebra), n_left a left module over the same algebra."""
-    f = m_right.field
+    over the opposite algebra), n_left a left module over the same algebra.
+    By dimension shifting along the syzygies of n_left with F = dim m_right
+    (x) -, where m_right (x) A.e_i = m_right.e_i."""
     if not opposite(m_right.algebra).same_as(n_left.algebra):
         raise AlgebraError("Tor needs a right and a left module over the same algebra")
-    res = minimal_resolution(n_left, top + 1)
-    tens = [tensor_over(m_right, p) for p in res.terms]
-    # partial[j - 1]: M (x) P_j -> M (x) P_{j-1}, j >= 1
-    partials = [
-        tens[j][1].induced(f, op_right=res.differentials[j].matrix, target=tens[j - 1][1]) for j in range(1, len(tens))
-    ]
-    return _homology_dims([t.dim for t, _ in tens], partials, top, f)
-
-
-def tor_dim(m_right: Module, n_left: Module, i: int) -> int:
-    return tor_dims(m_right, n_left, i)[i]
+    split = m_right.idempotent_split()
+    return _shift_dims(n_left, top, lambda x: tensor_over(m_right, x)[0].dim, lambda i: split[i][0].shape[1])
 
 
 # -- stratifying ideals ------------------------------------------------------------
@@ -340,16 +316,14 @@ def is_gorenstein_injective(m: Module, cutoff: int = 8) -> GPVerdict:
 def stable_hom_dim(m: Module, n: Module) -> int:
     """dim of Hom(m, n) modulo maps factoring through a projective.
 
-    Maps factoring through any projective factor through the cover of n, so the
-    factoring subspace is the image of composition with the cover surjection.
-    """
-    f = m.field
-    hb = hom_space(m, n)
-    if not len(hb):
+    Those maps factor through the cover P of n, so they are the image of
+    Hom(m, P) in Hom(m, n), whose kernel is Hom(m, Omega n): the dimension is
+    h(m, n) - h(m, P) + h(m, Omega n), h = dim Hom, the first step of the
+    syzygy walk of n with F = dim Hom(m, -)."""
+    if not len(hom_space(m, n)):
         return 0
-    cover, surj = projective_cover(n)
-    hcov = hom_space(m, cover)
-    return len(hb) - rref(hcov.induced(hb, f, post=surj.matrix), f).rank
+    projs = projective_indecomposables(n.algebra)
+    return _shift_dims(n, 1, lambda x: len(hom_space(m, x)), lambda i: len(hom_space(m, projs[i])))[1]
 
 
 # -- Theorem-style harnesses ---------------------------------------------------------

@@ -6,25 +6,27 @@ is_isomorphic take it as a module over A (x) B^op read off those actions.
 Everything reduces to exact linear algebra.  Hom spaces come back in one
 canonical basis, read off e_i.N out of a sum of projectives or a kept cover,
 else solved on the blocks e_j.N x e_i.M cut out by the idempotents; tensor
-products are quotients by balancing relations; projectivity is decided by
-projective-cover dimensions.
+products are quotients by balancing relations; projectivity is read off the
+width of the kept projective cover.
 
 What the engine derives from a module is kept by the module's content, per
 algebra, and nowhere else: each algebra keeps one table from (dim, exact key
 of the action) to a record of arrays, ints, tuples and dicts, never a module.
 A record holds the idempotent split, the Hom profile, the projective cover
 (summand indices and pi, then ker pi and a section), the id of the syzygy,
-the ids of its support blocks, its projective dimension as far as walked
-(pd is a walk on ids, one block at a time), the Hom bases out of the content
-keyed by the target's id, and Gorenstein-projective verdicts.  So a second
-module with an equal action reuses the first one's split, profile, covers,
-its whole resolution chain and its Hom bases with no new elimination; a
-module itself holds only its algebra, action, dimension, summand indices and
-record id.  Modules built
-from a record (the A.e_i, pool modules, syzygies, covers) are held weakly:
-while a caller holds one, the same object comes back, otherwise the kept
-arrays are wrapped again.  A bimodule has a record of the same kind, in no
-table, for its split and profile.
+the ids of its support blocks, its projective dimension as far as walked,
+the Hom bases out of the content keyed by the target's id, and
+Gorenstein-projective verdicts.  Syzygies are walks on these ids, one
+support block at a time: pd (_walk_pd), and the Ext and Tor dimensions by
+dimension shifting (_shift_dims), which read kept Hom dimensions and build
+no resolution complex.  So a second module with an equal action reuses the
+first one's split, profile, covers, its whole syzygy chain and its Hom bases
+with no new elimination; a module itself holds only its algebra, action,
+dimension, summand indices and record id.  Modules built from a record (the
+A.e_i, pool modules, syzygies) are held weakly: while a caller holds one,
+the same object comes back, otherwise the kept arrays are wrapped again.  A
+cover module is built from its summand indices when asked for.  A bimodule
+has a record of the same kind, in no table, for its split and profile.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ __all__ = [
     "direct_sum",
     "submodule",
     "quotient_module",
-    "module_span_rows",
     "hom_space",
     "HomBasis",
     "radical",
@@ -330,22 +331,6 @@ def direct_sum(mods: Sequence[Module]) -> Module:
     return out
 
 
-def module_span_rows(m: Module, vectors: np.ndarray) -> np.ndarray:
-    """Row basis of the submodule generated by the given row vectors."""
-    f = m.field
-    if vectors.size == 0:
-        return f.zeros(0, m.dim)
-    r = rref(vectors.reshape(-1, m.dim), f)
-    rows = r.matrix[: r.rank]
-    while rows.shape[0]:
-        new = f.einsum("iab,rb->ira", m.action, rows).reshape(-1, m.dim)
-        r = rref(np.concatenate([rows, new], axis=0), f)
-        if r.rank == rows.shape[0]:
-            break
-        rows = r.matrix[: r.rank]
-    return rows
-
-
 def submodule(m: Module, incl_cols: np.ndarray) -> tuple[Module, ModuleMap]:
     """Module structure on an invariant subspace given by reduced columns.
 
@@ -569,7 +554,6 @@ class _Kept:
     homs: dict = field(default_factory=dict)  # target id -> hom_space's (matrices, positions)
     gp_verdicts: dict = field(default_factory=dict)  # cutoff -> GPVerdict, see is_gorenstein_projective
     handed_out: Optional[weakref.ref] = None
-    cover_out: Optional[weakref.ref] = None  # the cover module last built
 
 
 def _table(a: Algebra) -> tuple[dict, list]:
@@ -687,10 +671,9 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
     The summands and the surjection's matrix are kept with m's content.
     """
     kept = _kept(m)
-    if kept.cover is None:
-        kept.cover = _compute_cover(m)
+    _, surj = _cover_of(m.algebra, kept)
     cover = _cover_module(m.algebra, kept)
-    return cover, ModuleMap(cover, m, kept.cover[1], _validate=False)
+    return cover, ModuleMap(cover, m, surj, _validate=False)
 
 
 def _compute_cover(m: Module) -> tuple[tuple, np.ndarray]:
@@ -714,13 +697,9 @@ def _compute_cover(m: Module) -> tuple[tuple, np.ndarray]:
 
 
 def _cover_module(a: Algebra, kept: _Kept) -> Module:
-    """The cover of kept's content, the one last built while a caller holds it."""
-    p = kept.cover_out() if kept.cover_out else None
-    if p is None:
-        data, summands = _projective_data(a), kept.cover[0]
-        p = direct_sum([_hand_out(a, data[i]) for i in summands]) if summands else zero_module(a)
-        kept.cover_out = weakref.ref(p)
-    return p
+    """The cover of kept's content, built from the kept summand indices."""
+    data, summands = _projective_data(a), kept.cover[0]
+    return direct_sum([_hand_out(a, data[i]) for i in summands]) if summands else zero_module(a)
 
 
 def _cover_arrays(kept: _Kept, f: Field, section: bool = False) -> tuple:
@@ -832,14 +811,52 @@ def _walk_pd(m: Module, budget: int) -> float:
     return value
 
 
+def _shift_dims(m: Module, top: int, value, free) -> list[int]:
+    """d_0 .. d_top for an additive functor F, given by value(X) = F(X) for
+    a module X over m's algebra and free(i) = F(A.e_i): d_0 = F(M) and
+    d_i = F(Omega^i M) - F(P_{i-1}) + F(Omega^{i-1} M), P_{i-1} the cover of
+    Omega^{i-1} M.
+
+    For F = dim Hom(-, N) these are the dimensions of Ext^i(M, N), and for
+    F = dim X (x) - those of Tor_i(X, M): Hom(-, N) turns 0 -> Omega^i ->
+    P_{i-1} -> Omega^{i-1} -> 0 into an exact sequence ending in
+    Ext^1(Omega^{i-1} M, N) = Ext^i(M, N), and X (x) - into one beginning
+    with Tor_i(X, M) (dimension shifting, Weibel 2.4).  Omega^i M is a
+    multiset of support-block ids (_syzygy then _blocks, as in _walk_pd), so
+    a syzygy made of copies of one content costs one step; F is read once
+    per id, and the walk stops at the first zero syzygy."""
+    a, records, kept = m.algebra, _table(m.algebra)[1], _kept(m)
+    values = {kept.id: value(m)}
+
+    def f_of(i: int) -> int:
+        if i not in values:
+            values[i] = value(_hand_out(a, records[i]))
+        return values[i]
+
+    layer, previous = {kept.id: 1}, values[kept.id]
+    dims = [previous]
+    while layer and len(dims) <= top:
+        below, covers = {}, 0
+        for i, c in layer.items():
+            omega = _syzygy(a, records[i])
+            covers += c * sum(free(j) for j in records[i].cover[0])
+            for b in _blocks(a, omega) if omega.action.shape[1] else ():
+                below[b] = below.get(b, 0) + c
+        current = sum(c * f_of(b) for b, c in below.items())
+        dims.append(current - covers + previous)
+        layer, previous = below, current
+    return dims + [0] * (top + 1 - len(dims))
+
+
 def is_projective(m: Module) -> bool:
-    cover, _ = projective_cover(m)
-    return cover.dim == m.dim
+    """The kept cover pi: P -> M is an isomorphism: P is as wide as M."""
+    return _cover_of(m.algebra, _kept(m))[1].shape[1] == m.dim
 
 
 @dataclass
 class Resolution:
-    """Minimal projective resolution up to a cutoff, for Ext and Tor.
+    """Minimal projective resolution up to a cutoff, as complexes to look at;
+    the engine reads Ext and Tor off the syzygy walk instead (_shift_dims).
 
     differentials[0] maps terms[0] onto the target; differentials[i] maps
     terms[i] into terms[i-1].  It stops early at the first zero syzygy.

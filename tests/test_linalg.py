@@ -30,7 +30,9 @@ from ladderkit.linalg import (
     solve_matrix,
     unit_rows,
 )
-from ladderkit.modules import module_span_rows, random_module
+from ladderkit.modules import random_module
+
+from test_modules import module_span_rows
 
 F101 = Field(101)
 F5 = Field(5)
