@@ -137,10 +137,12 @@ class Algebra:
         return self.field.einsum("i,j,ijk->k", x, y, self.mult)
 
     def left_mult_matrix(self, x) -> np.ndarray:
-        return self.field.einsum("i,iab->ab", x, self.left_mult)
+        nz = np.flatnonzero(x)  # a vertex idempotent has one nonzero coordinate
+        return self.field.einsum("i,iab->ab", np.asarray(x)[nz], self.left_mult[nz])
 
     def right_mult_matrix(self, x) -> np.ndarray:
-        return self.field.einsum("i,iab->ab", x, self.right_mult)
+        nz = np.flatnonzero(x)
+        return self.field.einsum("i,iab->ab", np.asarray(x)[nz], self.right_mult[nz])
 
     def is_idempotent(self, x) -> bool:
         return self.field.equal(self.multiply(x, x), x)
@@ -255,10 +257,10 @@ class Algebra:
 
     def generators(self) -> np.ndarray:
         """A small generating set (as rows): the unit, the distinguished
-        idempotents and lifts of a basis of J/J^2, closed once (they generate
-        a basic algebra), then basis vectors added greedily until the
-        generated subalgebra is everything.  Generators are equivalent to the
-        full basis for intertwining conditions.  The same elements generate
+        idempotents and lifts of a basis of J/J^2, which generate a basic
+        algebra (A/J = k^n); otherwise they are closed once and basis vectors
+        added greedily until the generated subalgebra is everything.
+        Generators are equivalent to the full basis for intertwining conditions.  The same elements generate
         the opposite, so the set is kept in the store shared with it."""
         if "generators" not in self._shared:
             f = self.field
@@ -266,20 +268,25 @@ class Algebra:
             try:  # J's rows reduced against rref(J^2), then one rref
                 j = algebra_radical_rows(self)
                 squares = f.matmul(f.einsum("gi,iab->gab", j, self.left_mult), j.T)  # [a, :, b] = J_a.J_b
-                sq = rref(squares.transpose(0, 2, 1).reshape(len(j) ** 2, self.dim), f)
+                squares = squares.transpose(0, 2, 1).reshape(len(j) ** 2, self.dim)
+                sq = rref(squares[np.count_nonzero(squares, axis=1) > 0], f)  # zero products span nothing
                 top = rref(f.normalize(j - f.matmul(j[:, list(sq.pivots)], sq.matrix[: sq.rank])), f)
                 gens += list(top.matrix[: top.rank])
+                # A = span(e_i) + J (orthogonal idempotents are independent mod
+                # J), and lifts of a basis of J/J^2 generate J by Nakayama
+                basic = len(j) + len(self.prim_idempotents) == self.dim
             except FieldRestrictionError:  # p <= dim: the trace form is out of reach
-                pass
-            span = self._subalgebra_span(gens)
-            for v in f.eye(self.dim):
-                if span.shape[0] == self.dim:
-                    break
-                if not in_span(span, v, f):
-                    gens.append(v)
-                    span = self._subalgebra_span(gens)
-            if span.shape[0] != self.dim:
-                raise AlgebraError("generator search failed to exhaust the algebra")
+                basic = False
+            if not basic:
+                span = self._subalgebra_span(gens)
+                for v in f.eye(self.dim):
+                    if span.shape[0] == self.dim:
+                        break
+                    if not in_span(span, v, f):
+                        gens.append(v)
+                        span = self._subalgebra_span(gens)
+                if span.shape[0] != self.dim:
+                    raise AlgebraError("generator search failed to exhaust the algebra")
             self._shared["generators"] = f.asarray(np.stack(gens)) if gens else f.zeros(0, self.dim)
         return self._shared["generators"]
 

@@ -348,14 +348,21 @@ def _submodule_action(m: Module, incl_cols: np.ndarray) -> np.ndarray:
     f = m.field
     if incl_cols.shape[1] == 0:
         return f.zeros(m.algebra.dim, 0, 0)
-    moved = _act_on_columns(m, incl_cols)
     coords = unit_rows(incl_cols)
+    # unit vectors as columns (a coordinate subspace) restrict by a gather
+    unit_columns = np.count_nonzero(incl_cols) == incl_cols.shape[1]
+    moved = m.action[:, :, coords] if unit_columns else _act_on_columns(m, incl_cols)
     act = moved[:, coords]
     # incl_cols @ act equals moved on the coordinate rows by construction;
-    # every other row, a repeated unit row included, must be checked
+    # every other row, a repeated unit row included, must be checked: where
+    # unit columns vanish, moved must vanish too (entries are reduced)
     rest = np.ones(m.dim, dtype=bool)
     rest[coords] = False
-    if not f.equal(f.matmul(incl_cols[rest], act), moved[:, rest]):
+    if unit_columns:
+        invariant = not np.count_nonzero(moved[:, rest])
+    else:
+        invariant = f.equal(f.matmul(incl_cols[rest], act), moved[:, rest])
+    if not invariant:
         raise AlgebraError("subspace is not invariant under the action")
     return act
 
@@ -608,13 +615,13 @@ def _projective_data(a: Algebra) -> list[_Kept]:
     if "projectives" not in a._derived:
         reg = regular_module(a)
         data = []
-        for i, e in enumerate(a.prim_idempotents):
-            cols = column_space_basis(a.right_mult_matrix(e), a.field)
-            sub, _ = submodule(reg, cols)
+        # A.e_i is the image of x -> x.e_i: one split of the regular module by these actions
+        for i, (cols, _) in enumerate(_split_by(a.field, a.dim, [a.right_mult_matrix(e) for e in a.prim_idempotents])):
+            action = _submodule_action(reg, cols)
             cols.setflags(write=False)
-            kept = _intern(a, sub.action)
+            kept = _intern(a, action)
             if kept.index is not None:  # A.e_j's content too (isomorphic idempotents): a record of its own
-                kept = _intern(a, sub.action, i)
+                kept = _intern(a, action, i)
             kept.index, kept.embedding = i, cols
             data.append(kept)
         a._derived["projectives"] = data
@@ -951,7 +958,7 @@ def _balanced_tensor(f: Field, b: Algebra, right_action, left_action) -> TensorD
     relations suffice by bilinearity."""
     m = right_action.shape[1]
     n = left_action.shape[1]
-    gens = b.generators()
+    gens = b.generators()[1:]  # the unit's block is zero
     rm = f.einsum("gi,iab->gab", gens, right_action)
     ln = f.einsum("gi,iab->gab", gens, left_action)
     # one (m*n) x (m*n) block per generator; its columns are indexed by pure tensors (s, t)

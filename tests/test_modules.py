@@ -30,7 +30,7 @@ from ladderkit.algebra import (
 )
 from ladderkit.fixtures import fixture_names, load_fixture, parse_idempotent
 from ladderkit.ladder import ladder_report
-from ladderkit.linalg import JOIN_PRODUCTS, DimensionMismatch, Field, block_diag, intersect_kernels, kernel_basis, rank, rref, solve, solve_matrix
+from ladderkit.linalg import JOIN_PRODUCTS, DimensionMismatch, Field, block_diag, intersect_kernels, kernel_basis, quotient_coordinates, rank, rref, solve, solve_matrix
 from ladderkit.modules import (
     Bimodule,
     HomBasis,
@@ -640,6 +640,32 @@ def test_tensor_with_zero_module_has_empty_relations(field):
     out, td = tensor_over(regular_bimodule(t2), zero_module(t2))
     assert out.dim == 0
     assert td.proj.shape == (0, 0) and td.sect.shape == (0, 0)
+
+
+def _balanced_tensor_reference(f, b, right_action, left_action):
+    """_balanced_tensor with a relation block for every generator, the unit's
+    (kron(I, I) - kron(I, I) = 0) included."""
+    m, n, gens = right_action.shape[1], left_action.shape[1], b.generators()
+    rm = f.einsum("gi,iab->gab", gens, right_action)
+    ln = f.einsum("gi,iab->gab", gens, left_action)
+    rels = f.normalize(np.kron(rm, f.eye(n)[None]) - np.kron(f.eye(m)[None], ln))
+    return quotient_coordinates(rels.transpose(0, 2, 1).reshape(gens.shape[0] * m * n, m * n), f)
+
+
+@pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
+def test_balanced_tensor_without_the_unit_block_matches_the_full_relations(field, monkeypatch):
+    # every tensor_over of the functor l at each vertex of the fixtures and t_4
+    real, calls = modules._balanced_tensor, []
+    monkeypatch.setattr(modules, "_balanced_tensor", lambda *args: calls.append(args) or real(*args))
+    for alg in [load_fixture(name, field)[0] for name in fixture_names()] + [build_triangular(ground_field_algebra(field), 4)]:
+        if len(alg.prim_idempotents) > 1:
+            _tensor_modules(alg)
+    for f, b, right_action, left_action in calls:
+        td = real(f, b, right_action, left_action)
+        proj, sect = _balanced_tensor_reference(f, b, right_action, left_action)
+        assert f.content_key(td.proj) == f.content_key(proj) and td.proj.shape == proj.shape
+        assert f.content_key(td.sect) == f.content_key(sect) and td.sect.shape == sect.shape
+    assert len(calls) > 15
 
 
 def test_hom_basis_induced_matches_coordinate_loop():
@@ -1382,8 +1408,6 @@ def test_hom_profile_matches_hom_space_reference(name, field):
     for m in mods:
         assert hom_profile(m) == _hom_profile_reference(m)
         assert hom_profile(m) is hom_profile(m)  # kept with the content
-    if field.p is None and name == "ideal-chain":
-        return  # over Q, the projectives of its rungs' 66-dim enveloping algebras take seconds each
     rep = ladder_report(build_recollement(alg, parse_idempotent(alg, default_e)), 12, 0)
     rungs = rep.r_rungs + rep.l_rungs
     assert rungs
