@@ -100,8 +100,12 @@ class Field:
         return np.int64(1) if self.p is not None else Fraction(1)
 
     def asarray(self, data) -> np.ndarray:
-        """Coerce nested lists / arrays of integers or Fractions into field form."""
+        """Coerce nested lists / arrays of integers or Fractions into field form.
+        A float, and over F_p a Fraction that is not an integer, raises
+        ValueError: a cast would truncate it, and Fraction(0.1) is not 1/10."""
         if self.p is not None:
+            if not (isinstance(data, np.ndarray) and data.dtype == np.int64):
+                self._exact(np.asarray(data))
             try:
                 return np.asarray(data, dtype=np.int64) % self.p
             except OverflowError:  # Python ints beyond int64: reduce them first
@@ -110,9 +114,18 @@ class Field:
         flat = a.reshape(-1)
         if all(type(v) is Fraction for v in flat.tolist()):  # already field form: the copy is the result
             return a
-        for i, v in enumerate(flat):
+        for i, v in enumerate(self._exact(flat)):
             flat[i] = Fraction(v)
         return flat.reshape(a.shape)
+
+    def _exact(self, a: np.ndarray) -> np.ndarray:
+        """a, unless asarray refuses one of its entries."""
+        for v in a.reshape(-1).tolist() if a.dtype.kind in "fcO" else ():
+            if isinstance(v, (float, complex, np.inexact)):
+                raise ValueError(f"inexact entry {v!r}: give integers or Fractions")
+            if self.p is not None and isinstance(v, Fraction) and v.denominator != 1:
+                raise ValueError(f"entry {v} is not an integer: entries over F_{self.p} are integers")
+        return a
 
     def normalize(self, a: np.ndarray) -> np.ndarray:
         return a % self.p if self.p is not None else a
@@ -375,7 +388,7 @@ def unit_rows(basis: np.ndarray) -> np.ndarray:
 
     Every basis the engine builds is reduced: column_space_basis is the
     identity on its pivot rows, kernel_basis on its free rows, and so are
-    intersect_kernels and transposed rref rows.  Raises DimensionMismatch
+    transposed rref rows.  Raises DimensionMismatch
     when some column is the unit vector on no row.
     """
     unit = (basis == 1) & (np.count_nonzero(basis, axis=1) == 1)[:, None]
@@ -432,22 +445,6 @@ def block_diag(field: Field, blocks: list) -> np.ndarray:
         out[..., r : r + b.shape[-2], c : c + b.shape[-1]] = b
         r, c = r + b.shape[-2], c + b.shape[-1]
     return out
-
-
-def intersect_kernels(mats, ncols: int, field: Field) -> np.ndarray:
-    """Basis (as columns) of the common right null space of a list of matrices.
-
-    Computed incrementally: the kernel shrinks quickly, so later systems are
-    tiny even when the stacked system would be large.
-    """
-    basis = field.eye(ncols)
-    for m in mats:
-        if basis.shape[1] == 0:
-            break
-        restricted = field.matmul(m, basis)
-        k = kernel_basis(restricted, field)
-        basis = field.matmul(basis, k)
-    return basis
 
 
 def in_span(span_rows: np.ndarray, v: np.ndarray, field: Field) -> bool:

@@ -4,10 +4,9 @@ A left module is one action matrix per algebra basis element.  A bimodule
 stores its two one-sided actions, and hom_space, hom_profile and
 is_isomorphic take it as a module over A (x) B^op read off those actions.
 Everything reduces to exact linear algebra.  Hom spaces come back in one
-canonical basis, read off e_i.N out of a sum of projectives or a kept cover,
-else solved on the blocks e_j.N x e_i.M cut out by the idempotents; tensor
-products are quotients by balancing relations; projectivity is read off the
-width of the kept projective cover.
+canonical basis, read off e_i.N out of the kept projective cover (an A.e_i
+is its own); tensor products are quotients by balancing relations;
+projectivity is read off the width of the kept cover.
 
 What the engine derives from a module is kept by the module's content, per
 algebra, and nowhere else: each algebra keeps one table from (dim, exact key
@@ -22,11 +21,11 @@ dimension shifting (_shift_dims), which read kept Hom dimensions and build
 no resolution complex.  So a second module with an equal action reuses the
 first one's split, profile, covers, its whole syzygy chain and its Hom bases
 with no new elimination; a module itself holds only its algebra, action,
-dimension, summand indices and record id.  Modules built from a record (the
-A.e_i, pool modules, syzygies) are held weakly: while a caller holds one,
-the same object comes back, otherwise the kept arrays are wrapped again.  A
-cover module is built from its summand indices when asked for.  A bimodule
-has a record of the same kind, in no table, for its split and profile.
+dimension and record id.  Modules built from a record (the A.e_i, pool
+modules, syzygies) are held weakly: while a caller holds one, the same
+object comes back, otherwise the kept arrays are wrapped again.  A cover
+module is built from its summand indices when asked for.  A bimodule has a
+record of the same kind, in no table, for its split and profile.
 """
 
 from __future__ import annotations
@@ -93,7 +92,6 @@ __all__ = [
 class Module:
     """Left module over an algebra: one dim x dim action matrix per basis element."""
 
-    _summands = None  # (i, ...) on a direct sum of the A.e_i
     _id = None  # of its content in the algebra's table, once looked up
 
     def __init__(self, algebra: Algebra, action: np.ndarray, _validate=True):
@@ -241,8 +239,6 @@ class Bimodule:
     read off the two actions: the product algebra is never built.
     """
 
-    _summands = None  # never a kept sum of projectives
-
     def __init__(self, left: Algebra, right: Algebra, left_action, right_action, _validate=True):
         if left.field != right.field:
             raise AlgebraError("bimodule factors need a common field")
@@ -325,10 +321,7 @@ def direct_sum(mods: Sequence[Module]) -> Module:
     if not mods:
         raise AlgebraError("direct sum needs at least one summand")
     a = mods[0].algebra
-    out = Module(a, block_diag(a.field, [m.action for m in mods]), _validate=False)
-    if all(m._summands is not None for m in mods):
-        out._summands = tuple(i for m in mods for i in m._summands)
-    return out
+    return Module(a, block_diag(a.field, [m.action for m in mods]), _validate=False)
 
 
 def submodule(m: Module, incl_cols: np.ndarray) -> tuple[Module, ModuleMap]:
@@ -351,7 +344,7 @@ def _submodule_action(m: Module, incl_cols: np.ndarray) -> np.ndarray:
     coords = unit_rows(incl_cols)
     # unit vectors as columns (a coordinate subspace) restrict by a gather
     unit_columns = np.count_nonzero(incl_cols) == incl_cols.shape[1]
-    moved = m.action[:, :, coords] if unit_columns else _act_on_columns(m, incl_cols)
+    moved = m.action[:, :, coords] if unit_columns else f.matmul(m.action, incl_cols)
     act = moved[:, coords]
     # incl_cols @ act equals moved on the coordinate rows by construction;
     # every other row, a repeated unit row included, must be checked: where
@@ -365,22 +358,6 @@ def _submodule_action(m: Module, incl_cols: np.ndarray) -> np.ndarray:
     if not invariant:
         raise AlgebraError("subspace is not invariant under the action")
     return act
-
-
-def _act_on_columns(m: Module, cols: np.ndarray) -> np.ndarray:
-    """m.action @ cols.  On a sum of projective indecomposables the rows of
-    the summands A.e_i take i's kept action, one product per distinct i."""
-    f, k = m.field, cols.shape[1]
-    if m._summands is None:
-        return f.matmul(m.action, cols)
-    data = _projective_data(m.algebra)
-    ends = np.cumsum([data[i].action.shape[1] for i in m._summands])
-    out = np.empty((m.algebra.dim, m.dim, k), dtype=cols.dtype)
-    for i in dict.fromkeys(m._summands):
-        p = data[i].action
-        rows = np.concatenate([np.arange(end - p.shape[1], end) for end, j in zip(ends, m._summands) if j == i])
-        out[:, rows] = f.matmul(p[:, None], cols[rows].reshape(-1, p.shape[1], k)).reshape(p.shape[0], rows.size, k)
-    return out
 
 
 def quotient_module(m: Module, sub_rows: np.ndarray) -> tuple[Module, ModuleMap]:
@@ -398,61 +375,53 @@ def quotient_module(m: Module, sub_rows: np.ndarray) -> tuple[Module, ModuleMap]
 def hom_space(m: Module, n: Module) -> HomBasis:
     """Canonical basis of Hom(m, n), stacked in a HomBasis.
 
-    Hom(A.e_i, N) = e_i.N (Lux & Szoke, Exp. Math. 12, 2003), so a sum P of
-    projective indecomposables needs no system, and a module whose content
-    has a kept cover pi: P -> M has Hom(M, N) = {psi.sigma : psi in Hom(P, N),
-    psi.ker(pi) = 0}, sigma a linear section.  Any other module solves
-    X = sum_i V_i Y_i P_i (V_i a basis of e_i.N, P_i coordinates on e_i.M)
-    under the generators beyond the idempotents, one batched product.
+    Hom(A.e_i, N) = e_i.N (Lux & Szoke, Exp. Math. 12, 2003), so the kept
+    cover pi: P -> M gives Hom(M, N) = {psi.sigma : psi in Hom(P, N),
+    psi.ker(pi) = 0}, sigma a linear section; an A.e_i is its own cover.
+    A bimodule reads its left side's cover, under commutation with its
+    right side's generators.  Only where the cover is out of reach of the
+    field (_block_system) are the unknowns the blocks e_j.N <- e_i.M.
     One rref of [conditions | reversed basis matrices] ends every path: its
     rows past the condition pivots are the rref of the reversed Hom(m, n),
     so the basis is the same unique one, the identity on the coordinates
     where some map has its last nonzero row-major entry, in increasing order
     of that coordinate (the pivots, read back through the reversal).
     Between modules the basis is kept with m's content, keyed by n's; a
-    bimodule source solves each time.
+    bimodule source's is computed each time.
     """
     if not m._over_same(n):
         raise AlgebraError("hom_space needs modules over the same algebra")
     if isinstance(m, Bimodule):
-        matrices, positions = _hom_basis(m, n, None)
-    else:
-        kept = _kept(m)
-        target = _content_id(m.algebra, n)
-        if target not in kept.homs:
-            kept.homs[target] = _hom_basis(m, n, kept)
-        matrices, positions = kept.homs[target]
-    return HomBasis(m, n, matrices, positions)
+        return HomBasis(m, n, *_hom_basis(m, n))
+    homs, target = _kept(m).homs, _content_id(m.algebra, n)
+    if target not in homs:
+        homs[target] = _hom_basis(m, n)
+    return HomBasis(m, n, *homs[target])
 
 
-def _hom_basis(m, n, kept: Optional[_Kept]) -> tuple[np.ndarray, np.ndarray]:
-    """hom_space's (matrices, positions); kept is m's record, None for a bimodule source."""
-    f = m.field
-    size = n.dim * m.dim
+def _hom_basis(m, n) -> tuple[np.ndarray, np.ndarray]:
+    """hom_space's (matrices, positions)."""
+    f, size = m.field, n.dim * m.dim
     empty = _read_only(f.zeros(0, n.dim, m.dim)), _read_only(np.zeros(0, dtype=np.int64))
     if size == 0:
         return empty
-    free, covered = m._summands is not None, kept is not None and kept.cover is not None
-    if free or covered:  # Hom(P, N), P = m or its cover
-        stack = _free_hom_stack(m._summands if free else kept.cover[0], n)
-    else:
-        blocks = [
-            f.einsum("na,bm->abnm", v, p).reshape(-1, n.dim, m.dim)
-            for (v, _), (_, p) in zip(n.idempotent_split(), m.idempotent_split())
-        ]
-        stack = np.concatenate(blocks)  # (unknowns, n, m)
+    side, into = (m.left_restrict(), n.left_restrict()) if isinstance(m, Bimodule) else (m, n)
+    kept = _kept(side)
+    try:
+        summands, _ = _cover_of(side.algebra, kept)
+    except FieldRestrictionError:
+        stack, res = _block_system(m, n)
+    else:  # Hom(P, N): a.e_i |-> a.v on one summand, v a column of V_i
+        images = {i: _maps_out_of_projective(into, i, into.idempotent_split()[i][0]) for i in set(summands)}
+        stack = block_diag(f, [images[i] for i in summands]).transpose(1, 0, 2)
+        kernel, section = _cover_arrays(kept, f)
+        res = f.matmul(stack, kernel).reshape(stack.shape[0], n.dim * kernel.shape[1])
+        stack = f.matmul(stack, section)
+        if side is not m:  # a bimodule: psi.sigma commutes with its right side too
+            res = np.concatenate([res, _commutators(stack, m.right_restrict(), n.right_restrict(), Algebra.generators)], axis=1)
     u = stack.shape[0]
     if u == 0:
         return empty
-    if free:
-        res = f.zeros(u, 0)
-    elif covered:
-        kernel, section = _cover_arrays(kept, f, section=True)
-        res = f.matmul(stack, kernel).reshape(u, n.dim * kernel.shape[1])
-        stack = f.matmul(stack, section)
-    else:
-        am, bn = m._acts(Algebra.generators_beyond_idempotents), n._acts(Algebra.generators_beyond_idempotents)
-        res = f.normalize(f.matmul(stack[:, None], am[None]) - f.matmul(bn[None], stack[:, None])).reshape(u, -1)
     res = res[:, np.any(res != 0, axis=0)]  # drop conditions no unknown touches
     r = rref(np.concatenate([res, stack.reshape(u, -1)[:, ::-1]], axis=1), f)
     c = res.shape[1]
@@ -462,16 +431,25 @@ def _hom_basis(m, n, kept: Optional[_Kept]) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.ascontiguousarray(rows).reshape(-1, n.dim, m.dim)), _read_only(positions)
 
 
+def _block_system(m, n) -> tuple[np.ndarray, np.ndarray]:
+    """_hom_basis's unknowns X = sum_i V_i Y_i P_i (V_i a basis of e_i.N, P_i
+    coordinates on e_i.M) and their conditions, where _cover_of raises."""
+    splits = zip(n.idempotent_split(), m.idempotent_split())
+    stack = np.concatenate([m.field.einsum("na,bm->abnm", v, p).reshape(-1, n.dim, m.dim) for (v, _), (_, p) in splits])
+    return stack, _commutators(stack, m, n, Algebra.generators_beyond_idempotents)
+
+
+def _commutators(stack: np.ndarray, m, n, rows) -> np.ndarray:
+    """X.a - b.X for each map X of the stack and each element of rows(algebra),
+    acting as a on m and as b on n: one row of conditions per map."""
+    f = m.field
+    out = f.normalize(f.matmul(stack[:, None], m._acts(rows)[None]) - f.matmul(n._acts(rows)[None], stack[:, None]))
+    return out.reshape(stack.shape[0], math.prod(out.shape[1:]))
+
+
 def _read_only(x: np.ndarray) -> np.ndarray:
     x.setflags(write=False)
     return x
-
-
-def _free_hom_stack(summands: tuple, n: Module) -> np.ndarray:
-    """Basis of Hom(P, N), P the sum of the A.e_i, i in summands, stacked
-    (u, dim N, dim P): a.e_i |-> a.v on one summand, v a column of V_i."""
-    images = {i: _maps_out_of_projective(n, i, n.idempotent_split()[i][0]) for i in set(summands)}  # (dim N, dim e_i.N, dim A.e_i)
-    return block_diag(n.field, [images[i] for i in summands]).transpose(1, 0, 2)
 
 
 def _maps_out_of_projective(n: Module, i: int, vs: np.ndarray) -> np.ndarray:
@@ -605,7 +583,7 @@ def _hand_out(a: Algebra, kept: _Kept) -> Module:
     if m is None:
         m = Module.__new__(Module)
         m.algebra, m.action, m.dim = a, kept.action, kept.action.shape[1]
-        m._summands, m._id = None if kept.index is None else (kept.index,), kept.id
+        m._id = kept.id
         kept.handed_out = weakref.ref(m)
     return m
 
@@ -623,6 +601,9 @@ def _projective_data(a: Algebra) -> list[_Kept]:
             if kept.index is not None:  # A.e_j's content too (isomorphic idempotents): a record of its own
                 kept = _intern(a, action, i)
             kept.index, kept.embedding = i, cols
+            if kept.cover is None:  # A.e_i is its own cover: pi = 1, ker pi = 0
+                eye = _read_only(a.field.eye(cols.shape[1]))
+                kept.cover, kept.kernel, kept.section = ((i,), eye), _read_only(a.field.zeros(cols.shape[1], 0)), eye
             data.append(kept)
         a._derived["projectives"] = data
     return a._derived["projectives"]
@@ -709,22 +690,20 @@ def _cover_module(a: Algebra, kept: _Kept) -> Module:
     return direct_sum([_hand_out(a, data[i]) for i in summands]) if summands else zero_module(a)
 
 
-def _cover_arrays(kept: _Kept, f: Field, section: bool = False) -> tuple:
-    """ker pi of kept's cover and, if asked, a section sigma (pi.sigma = 1),
-    each computed once; both from one rref when both are new."""
-    surj = kept.cover[1]
-    if section and kept.section is None:
-        kernel, kept.section = kernel_and_section(surj, f)
-        kept.kernel = kernel if kept.kernel is None else kept.kernel
-    elif kept.kernel is None:
-        kept.kernel = kernel_basis(surj, f)
+def _cover_arrays(kept: _Kept, f: Field) -> tuple:
+    """ker pi of kept's cover and a section sigma (pi.sigma = 1), from one
+    rref, computed once."""
+    if kept.kernel is None:
+        kept.kernel, kept.section = kernel_and_section(kept.cover[1], f)
     return kept.kernel, kept.section
 
 
 def _cover_of(a: Algebra, kept: _Kept) -> tuple:
-    """kept.cover, computed on first use from the module handed out for it."""
+    """kept.cover, computed on first use from the module handed out for it;
+    the A.e_i come first, so an A.e_i's content keeps its own cover."""
     if kept.cover is None:
-        kept.cover = _compute_cover(_hand_out(a, kept))
+        _projective_data(a)
+        kept.cover = kept.cover or _compute_cover(_hand_out(a, kept))
     return kept.cover
 
 
@@ -956,9 +935,8 @@ class TensorData:
 def _balanced_tensor(f: Field, b: Algebra, right_action, left_action) -> TensorData:
     """Quotient of k^(m*n) by the span of (x.b (x) y) - (x (x) b.y); generator
     relations suffice by bilinearity."""
-    m = right_action.shape[1]
-    n = left_action.shape[1]
-    gens = b.generators()[1:]  # the unit's block is zero
+    m, n = right_action.shape[1], left_action.shape[1]
+    gens = b.generators()[2:]  # blocks are linear: the unit's is 0, so e_1's is minus the others'.
     rm = f.einsum("gi,iab->gab", gens, right_action)
     ln = f.einsum("gi,iab->gab", gens, left_action)
     # one (m*n) x (m*n) block per generator; its columns are indexed by pure tensors (s, t)

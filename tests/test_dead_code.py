@@ -1,12 +1,13 @@
 """Dead-code guard over the package sources, by static inspection only.
 
 Every module-level private function or class must be referred to somewhere
-in src/ outside its own definition, every name a module lists in a
-literal __all__ must be bound at its top level and read outside its own
-definition (in src/, tests/, demos/ or ladderbench/), every name a module
-imports must be read in it, every parameter of every function (other than
-self/cls) must be read in its body, and every defaulted parameter must be
-set by some call.
+in src/ outside its own definition, every public one must be read outside
+its own definition by src/, demos/ or ladderbench/, every name a module
+lists in a literal __all__ must be bound at its top level and read outside
+its own definition (in src/, tests/, demos/ or ladderbench/), every name a
+module imports must be read in it, every parameter of every function (other
+than self/cls) must be read in its body, and every defaulted parameter must
+be set by some call.
 """
 
 import ast
@@ -99,6 +100,21 @@ def test_all_entries_are_used():
             if total[name] - own == 0:
                 unused.append(f"{fname}:{name}")
     assert unused == []
+
+
+def test_public_definitions_are_read_outside_the_tests():
+    """Every public top-level function or class in src/ is read outside its
+    own definition by src/, demos/ or ladderbench/: code that only the
+    tests read belongs in the tests."""
+    readers = [*TREES.values(), *(tree for path, tree in USERS.items() if path.relative_to(ROOT).parts[0] != "tests")]
+    total = sum((_uses_in(tree) for tree in readers), Counter())
+    unread = []
+    for fname, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                if total[node.name] - _uses_in(node)[node.name] == 0:
+                    unread.append(f"{fname}:{node.name}")
+    assert unread == []
 
 
 def test_imports_are_used():

@@ -1,11 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from ladderkit.algebra import Idempotent, build_triangular, ground_field_algebra, opposite
+from ladderkit.algebra import Algebra, Idempotent, build_triangular, ground_field_algebra, opposite
 from ladderkit.fixtures import load_fixture, parse_idempotent
 from ladderkit.homological import ext_dims, spli_silp, stable_hom_dim, tor_dims
 from ladderkit.linalg import Field
 from ladderkit.modules import (
+    Module,
+    ModuleMap,
     dual,
     hom_space,
     is_injective,
@@ -13,6 +17,7 @@ from ladderkit.modules import (
     minimal_resolution,
     projective_cover,
     radical,
+    regular_module,
     simples,
     tensor_over,
     zero_module,
@@ -126,3 +131,39 @@ def test_conjugate_idempotent_rejected_with_clear_message():
     e = parse_idempotent(alg, [1, 1, 0])
     with pytest.raises(AlgebraError, match="distinguished primitive idempotents"):
         build_recollement(alg, e)
+
+
+@pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
+def test_inexact_entries_are_refused_not_truncated(field):
+    """A float is refused over F_p and Q alike (a cast truncates 2.5 to 2,
+    and Fraction(0.1) is 3602879701896397/2^55, not 1/10), and so is a
+    Fraction that is not an integer over F_p; integers, integral Fractions
+    and int64 arrays are read as before."""
+    for x in (2.5, 1.7, 1.0, np.float64(3.0), np.float32(1.0)):
+        for data in ([[1, x]], np.array([x, 1.0])):
+            with pytest.raises(ValueError, match="inexact entry"):
+                field.asarray(data)
+    half = Fraction(1, 2)
+    if field.p is None:
+        assert field.asarray([half, 2])[0] == half
+    else:
+        with pytest.raises(ValueError, match="not an integer"):
+            field.asarray([[0, half]])
+        assert field.asarray([half * 4, -1, 2**70]).tolist() == [2, field.p - 1, 2**70 % field.p]
+    ints = np.array([[3, -1]], dtype=np.int64)
+    assert field.asarray(ints).tolist() == field.asarray(ints.tolist()).tolist() == field.asarray([[Fraction(3), Fraction(-1)]]).tolist()
+    assert field.asarray([]).shape == (0,) and field.asarray(np.zeros((0, 3))).shape == (0, 3)
+    k = ground_field_algebra(field)
+    with pytest.raises(ValueError, match="inexact entry"):
+        Module(k, [[[1.0, 0.5], [0, 1.0]]])
+    with pytest.raises(ValueError, match="inexact entry"):
+        Algebra(field, [[[1.5]]], [1.0], [[1.0]])
+    m = regular_module(build_triangular(k, 2))
+    with pytest.raises(ValueError, match="inexact entry"):
+        ModuleMap(m, m, np.eye(m.dim))
+    assert ModuleMap(m, m, np.eye(m.dim, dtype=np.int64)).is_isomorphism()
+    if field.p is not None:
+        with pytest.raises(ValueError, match="not an integer"):
+            Algebra(field, [[[1]]], [1], [[half * 2 + half]])
+        with pytest.raises(ValueError, match="not an integer"):
+            Module(k, [[[half]]])

@@ -15,9 +15,11 @@ from ladderkit.ladder import (
     ladder_report,
 )
 from ladderkit.linalg import Field, rank
-from ladderkit.modules import Module, bimodules_isomorphic, hom_profile, hom_space, is_projective, projective_cover, regular_module
+from ladderkit.modules import Bimodule, Module, bimodules_isomorphic, hom_profile, hom_space, is_projective, projective_cover, regular_module
 from ladderkit.recollement import build_recollement
 from ladderkit.verify import EXPECTED_TOWERS, RECOLLEMENT_FIXTURES
+
+from test_modules import assert_hom_matches_block_system
 
 F = Field(101)
 
@@ -425,27 +427,32 @@ def test_rung_sides_are_kept_and_match_fresh_modules(name, field):
             for (u, p), (fu, fp) in zip(kept.idempotent_split(), fresh.idempotent_split(), strict=True):
                 assert np.array_equal(u, fu) and np.array_equal(p, fp)
             assert hom_profile(kept) == hom_profile(fresh)
-            projective_cover(kept)  # the kept side reads Hom off its cover, the fresh one solves
+            projective_cover(kept)  # the kept side reads Hom off its cover
             reg = regular_module(kept.algebra)
-            covered, solved = hom_space(kept, reg), modules._hom_basis(fresh, reg, None)  # the system, past the table
+            assert_hom_matches_block_system(kept, reg)
             assert modules._kept(fresh) is modules._kept(kept) and modules._kept(kept).cover is not None
-            assert np.array_equal(covered.matrices, solved[0]) and np.array_equal(covered.positions, solved[1])
 
 
 def test_towers_solve_no_hom_system_for_a_one_sided_source(monkeypatch):
     """Each side a tower tests for projectivity keeps its cover, so the next
-    rung's Hom and the cross-check read Hom off that cover; only the
-    isomorphism tests between rungs solve, with bimodule sources."""
+    rung's Hom and the cross-check read Hom off that cover; the isomorphism
+    tests between rungs read it off the cover of their left side.  No
+    source, one-sided or not, solves the system on the idempotent blocks."""
     sources = []
     full = modules.hom_space
 
     def traced(m, n):
-        sources.append((type(m), m._summands is None and modules._kept(m).cover is None))
-        return full(m, n)
+        out = full(m, n)
+        side = m.left_restrict() if isinstance(m, Bimodule) else m
+        sources.append((type(m), m.dim * n.dim == 0 or modules._kept(side).cover is not None))
+        return out
+
+    def refuse(m, n):
+        raise AssertionError("a tower solved the block system")
 
     monkeypatch.setattr(modules, "hom_space", traced)
     monkeypatch.setattr(ladder_mod, "hom_space", traced)
+    monkeypatch.setattr(modules, "_block_system", refuse)
     for name in RECOLLEMENT_FIXTURES:
         height_cross_check(ladder_report(rec_for(name), 12, 0))
-    assert (Module, False) in sources
-    assert (Module, True) not in sources
+    assert set(sources) == {(Module, True), (Bimodule, True)}

@@ -20,7 +20,6 @@ from ladderkit.linalg import (
     _rref_rows,
     block_diag,
     column_space_basis,
-    intersect_kernels,
     kernel_and_section,
     kernel_basis,
     quotient_coordinates,
@@ -32,7 +31,7 @@ from ladderkit.linalg import (
 )
 from ladderkit.modules import random_module
 
-from test_modules import module_span_rows
+from test_modules import intersect_kernels, module_span_rows
 
 F101 = Field(101)
 F5 = Field(5)

@@ -15,7 +15,6 @@ from ladderkit.linalg import Field
 from ladderkit.modules import (
     Module,
     ModuleMap,
-    _hom_basis,
     _kept,
     hom_profile,
     hom_space,
@@ -32,6 +31,8 @@ from ladderkit.homological import lemma_checks, preservation_harness
 from ladderkit.ladder import ladder_report
 from ladderkit.recollement import FunctorValue, SubquotientFunctor, build_recollement, check_axioms
 from ladderkit.verify import RECOLLEMENT_FIXTURES
+
+from test_modules import _is_sum_of_projectives, assert_hom_matches_block_system
 
 F = Field(101)
 
@@ -77,15 +78,13 @@ def test_pool_modules_are_pairwise_non_isomorphic_and_keep_their_covers(name):
             assert is_isomorphic(x, y).kind == "no"
         for m in mods:
             m._validate()
-            if m._summands is None:  # P_i/rad^k P_i, k < length: its quotient map is its cover
-                kept, (cover, _) = _kept(m), projective_cover(m)
-                ModuleMap(cover, m, kept.cover[1])  # validates
-                assert cover._summands == kept.cover[0] and kept.kernel.shape[1] == cover.dim - m.dim
-            # the kept-cover path gives the basis the solved path gives
-            plain = Module(a, m.action.copy())
+            # P_i/rad^k P_i, k < length: its quotient map is its cover; P_i is its own
+            kept, (cover, _) = _kept(m), projective_cover(m)
+            ModuleMap(cover, m, kept.cover[1])  # validates
+            assert _is_sum_of_projectives(cover, kept.cover[0]) and kept.kernel.shape[1] == cover.dim - m.dim
+            # the kept-cover path gives the reference's basis
             for y in mods:
-                kept, solved = hom_space(m, y), _hom_basis(plain, y, None)  # the system, past the table
-                assert np.array_equal(kept.matrices, solved[0]) and np.array_equal(kept.positions, solved[1])
+                assert_hom_matches_block_system(m, y)
 
 
 def test_pool_rewraps_the_kept_arrays():

@@ -30,7 +30,7 @@ from ladderkit.algebra import (
 )
 from ladderkit.fixtures import fixture_names, load_fixture, parse_idempotent
 from ladderkit.ladder import ladder_report
-from ladderkit.linalg import JOIN_PRODUCTS, DimensionMismatch, Field, block_diag, intersect_kernels, kernel_basis, quotient_coordinates, rank, rref, solve, solve_matrix
+from ladderkit.linalg import JOIN_PRODUCTS, DimensionMismatch, Field, block_diag, kernel_basis, quotient_coordinates, rank, rref, solve, solve_matrix
 from ladderkit.modules import (
     Bimodule,
     HomBasis,
@@ -91,6 +91,18 @@ def module_span_rows(m: Module, vectors: np.ndarray) -> np.ndarray:
             break
         rows = r.matrix[: r.rank]
     return rows
+
+
+def intersect_kernels(mats, ncols: int, field: Field) -> np.ndarray:
+    """Basis (as columns) of the common right null space of a list of
+    matrices, one kernel at a time: the kernel shrinks quickly, so later
+    systems are tiny even when the stacked system would be large."""
+    basis = field.eye(ncols)
+    for m in mats:
+        if basis.shape[1] == 0:
+            break
+        basis = field.matmul(basis, kernel_basis(field.matmul(m, basis), field))
+    return basis
 
 
 def fraction_nullity(rows):
@@ -316,7 +328,7 @@ def test_projective_cover_matches_greedy_span_reference(field):
             for _ in range(4):  # m, then its syzygies 1 to 3
                 cover, surj = _assert_cover_matches_reference(m)
                 checked += 1
-                indices = cover._summands or ()
+                indices = modules._kept(m).cover[0]
                 repeated += len(set(indices)) < len(indices)
                 mixed += len(set(indices)) > 1
                 m = _syzygy(cover, surj)
@@ -327,17 +339,23 @@ def test_projective_cover_matches_greedy_span_reference(field):
     # new, so all of them survive the first rank profile and are accepted
     for alg in permuted:
         m = direct_sum([s for s in simples(alg) for _ in range(2)])
-        cover, _ = _assert_cover_matches_reference(m)
-        assert len(cover._summands) == m.dim == 2 * len(alg.prim_idempotents)
+        _assert_cover_matches_reference(m)
+        assert len(modules._kept(m).cover[0]) == m.dim == 2 * len(alg.prim_idempotents)
 
 
 def _assert_cover_matches_reference(m):
     cover, surj = projective_cover(m)
     summands, mat = _projective_cover_reference(m)
-    dim = sum(projective_indecomposables(m.algebra)[i].dim for i in summands)
-    assert cover.dim == dim and (cover._summands or ()) == summands and surj.matrix.dtype == mat.dtype, m
-    assert np.array_equal(surj.matrix, mat), m
+    assert modules._kept(m).cover[0] == summands and _is_sum_of_projectives(cover, summands), m
+    assert surj.matrix.dtype == mat.dtype and np.array_equal(surj.matrix, mat), m
     return cover, surj
+
+
+def _is_sum_of_projectives(cover, summands) -> bool:
+    """cover is the direct sum of the A.e_i, i in summands, in that order."""
+    projs = projective_indecomposables(cover.algebra)
+    want = direct_sum([projs[i] for i in summands]) if summands else zero_module(cover.algebra)
+    return cover.dim == want.dim and np.array_equal(cover.action, want.action)
 
 
 def _f49_algebras():
@@ -988,25 +1006,6 @@ def test_module_check_makes_as_many_products_on_t4_as_on_t8(monkeypatch):
     assert all(_gathers(m.algebra, m))  # t_8's regular module gathers on both sides
 
 
-@pytest.mark.parametrize("field", [F, Field(None)], ids=["F101", "Q"])
-def test_action_on_columns_per_summand_matches_the_dense_product(field):
-    # sums of projectives in shuffled orders with repeated indices, against
-    # the dense product with the block-diagonal action
-    rng = np.random.default_rng(7)
-    for name in ("t3", "preproj-a2", "prop32-dual-numbers", "ideal-chain"):
-        a = load_fixture(name, field)[0]
-        if field.p is None and a.dim > 12:
-            continue
-        projs = projective_indecomposables(a)
-        for _ in range(3):
-            idx = [int(i) for i in rng.permutation([*range(len(projs)), *rng.integers(0, len(projs), size=2)])]
-            m = direct_sum([projs[i] for i in idx])
-            assert m._summands == tuple(idx)
-            cols = field.asarray(rng.integers(-3, 4, size=(m.dim, 4)))
-            got = modules._act_on_columns(m, cols)
-            assert got.dtype == cols.dtype and np.array_equal(got, field.matmul(m.action, cols)), (name, idx)
-
-
 def test_hom_from_projective_counts_idempotent_part():
     # dim Hom(P_i, M) equals the rank of e_i acting on M
     pp = preprojective_a2(F)
@@ -1256,20 +1255,42 @@ def test_hom_space_zero_module_and_zero_hom():
     assert _assert_same_hom_basis(s2, p1) == 1
 
 
-# -- Hom out of sums of projectives and kept covers ---------------------------------
+# -- Hom out of kept covers, against the system on the idempotent blocks -------------
 
 
-def _solved(m, n):
-    """hom_space's (matrices, positions) from the linear system, past the
-    algebra's table: a source passed with no record and no summand indices
-    is never read off a cover."""
-    return modules._hom_basis(Module(m.algebra, m.action, _validate=False), n, None)
+def block_system_hom(m, n) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for hom_space's (matrices, positions), for a module or a
+    bimodule source: the unknowns X = sum_i V_i Y_i P_i on the idempotent
+    blocks (V_i a basis of e_i.N, P_i coordinates on e_i.M) under the
+    generators beyond the idempotents, then the rref of [conditions |
+    reversed basis matrices], read back through the reversal.  It reads no
+    cover and no record but the idempotent splits."""
+    f = m.field
+    size = n.dim * m.dim
+    empty = f.zeros(0, n.dim, m.dim), np.zeros(0, dtype=np.int64)
+    if size == 0:
+        return empty
+    blocks = [f.einsum("na,bm->abnm", v, p).reshape(-1, n.dim, m.dim) for (v, _), (_, p) in zip(n.idempotent_split(), m.idempotent_split())]
+    stack = np.concatenate(blocks)
+    u = stack.shape[0]
+    if u == 0:
+        return empty
+    am, bn = m._acts(Algebra.generators_beyond_idempotents), n._acts(Algebra.generators_beyond_idempotents)
+    res = f.normalize(f.matmul(stack[:, None], am[None]) - f.matmul(bn[None], stack[:, None])).reshape(u, -1)
+    r = rref(np.concatenate([res, stack.reshape(u, -1)[:, ::-1]], axis=1), f)
+    c = res.shape[1]
+    first = sum(1 for pc in r.pivots if pc < c)
+    rows = r.matrix[first : r.rank, c:][::-1, ::-1]
+    positions = np.array([size - 1 - (pc - c) for pc in r.pivots[first : r.rank]][::-1], dtype=np.int64)
+    return np.ascontiguousarray(rows).reshape(-1, n.dim, m.dim), positions
 
 
-def _assert_shortcut_matches_system(m, n):
-    got, (matrices, positions) = hom_space(m, n), _solved(m, n)
+def assert_hom_matches_block_system(m, n) -> int:
+    """hom_space(m, n) has the bytes, dtype and positions of the reference."""
+    f, got = m.field, hom_space(m, n)
+    matrices, positions = block_system_hom(m, n)
     assert got.matrices.dtype == matrices.dtype and got.matrices.shape == matrices.shape
-    assert np.array_equal(got.matrices, matrices) and np.array_equal(got.positions, positions)
+    assert f.content_key(got.matrices) == f.content_key(matrices) and np.array_equal(got.positions, positions)
     return len(got)
 
 
@@ -1278,21 +1299,20 @@ def _assert_shortcut_matches_system(m, n):
     [(name, F) for name in RECOLLEMENT_FIXTURES] + [(name, Field(None)) for name in ("t2", "prop32-dual-numbers")],
 )
 def test_hom_shortcuts_match_the_linear_system(name, field):
-    """Sums of projective indecomposables (shuffled, with repeats) and modules
-    with a kept cover (projective or not: the regular module, simples, seeded
-    random modules and their syzygies) give hom_space's basis of the linear
-    system, against every target, the zero module and Hom = 0 included.  The
-    split of a sum of projectives is the block diagonal of its summands'
-    splits, as is the rref of a block-diagonal matrix."""
+    """Sums of projective indecomposables (shuffled, with repeats), whose
+    cover is computed, the A.e_i, which are their own covers, and modules
+    with a kept cover (the regular module, simples, seeded random modules
+    and their syzygies) give the reference's basis against every target,
+    the zero module and Hom = 0 included.  The split of a sum of projectives
+    is the block diagonal of its summands' splits, as is the rref of a
+    block-diagonal matrix."""
     alg, _ = load_fixture(name, field)
     rng = np.random.default_rng(15)
     projs = projective_indecomposables(alg)
-    free = [direct_sum([projs[i] for i in rng.permutation(len(projs))]) for _ in range(2)]
-    free.append(direct_sum([projs[int(i)] for i in rng.integers(0, len(projs), size=3)]))
-    free += projs
-    for q in free:
-        assert q._summands is not None
-        splits = [projs[i].idempotent_split() for i in q._summands]
+    orders = [list(rng.permutation(len(projs))) for _ in range(2)] + [list(rng.integers(0, len(projs), size=3))]
+    free = [direct_sum([projs[int(i)] for i in idx]) for idx in orders]
+    for q, idx in zip(free, orders):
+        splits = [projs[int(i)].idempotent_split() for i in idx]
         blocks = [tuple(block_diag(field, [sp[j][k] for sp in splits]) for k in (0, 1)) for j in range(len(projs))]
         assert all(np.array_equal(u, v) and u.dtype == v.dtype for pair in zip(q.idempotent_split(), blocks, strict=True) for u, v in zip(*pair))
     covered = [regular_module(alg), *simples(alg), *(random_module(alg, rng) for _ in range(3))]
@@ -1301,30 +1321,29 @@ def test_hom_shortcuts_match_the_linear_system(name, field):
             incl, _ = cover_sequence(m)
             m = incl.source
             covered.append(m)
-    covered = [m for m in covered if m.dim and m._summands is None]  # a random module may be its free q0
     for m in covered:
         projective_cover(m)
         assert modules._kept(m).cover is not None
     z = zero_module(alg)
     projective_cover(z)
     targets = [z, regular_module(alg), *projs, *simples(alg), *(random_module(alg, rng) for _ in range(3))]
-    dims = [_assert_shortcut_matches_system(m, n) for m in free + covered + [z] for n in targets]
+    dims = [assert_hom_matches_block_system(m, n) for m in free + projs + covered + [z] for n in targets]
     assert 0 in dims and max(dims) > 1
 
 
 def _same_cover(p, q) -> bool:
-    """Two cover modules with equal summand indices and equal action matrices."""
-    return p._summands == q._summands and np.array_equal(p.action, q.action)
+    """Two cover modules with equal action matrices."""
+    return p.dim == q.dim and np.array_equal(p.action, q.action)
 
 
 def test_cover_kept_and_its_kernel_computed_once(monkeypatch):
     """A second projective_cover builds the kept cover again, with equal
     summand indices and matrices; minimal_resolution, cover_sequence and
-    hom_space share one kernel of each surjection, and a syzygy with an
-    earlier one's content reuses its cover and kernel."""
+    hom_space share one kernel and section of each surjection, and a
+    syzygy with an earlier one's content reuses its cover and kernel."""
     calls = []
-    real = modules.kernel_basis
-    monkeypatch.setattr(modules, "kernel_basis", lambda a, f: calls.append(a.shape) or real(a, f))
+    real = modules.kernel_and_section
+    monkeypatch.setattr(modules, "kernel_and_section", lambda a, f: calls.append(a.shape) or real(a, f))
     alg, _ = load_fixture("prop32-dual-numbers", F)
     m = random_module(alg, np.random.default_rng(4))
     while is_projective(m):
@@ -1472,10 +1491,8 @@ def _table_algebras(field, seed):
 
 
 def _same_content(m):
-    """A new module object with m's action, as a sum of the same projectives if m is one."""
-    out = Module(m.algebra, m.action.copy(), _validate=False)
-    out._summands = m._summands  # not in the content's key: set as direct_sum sets it
-    return out
+    """A new module object with m's action."""
+    return Module(m.algebra, m.action.copy(), _validate=False)
 
 
 @pytest.mark.parametrize("seed", [5, 7])
@@ -1504,7 +1521,8 @@ def test_table_serves_what_a_fresh_computation_gives(seed):
             assert kept.cover is not None and kept.syzygy is not None and kept is modules._kept(m)
             cover, surj = projective_cover(again)
             summands, mat = _projective_cover_reference(m)
-            assert cover._summands == summands and surj.matrix.dtype == mat.dtype and np.array_equal(surj.matrix, mat)
+            assert kept.cover[0] == summands and _is_sum_of_projectives(cover, summands)
+            assert surj.matrix.dtype == mat.dtype and np.array_equal(surj.matrix, mat)
             incl, _ = cover_sequence(again)
             kernel = kernel_basis(surj.matrix, F)
             assert np.array_equal(incl.matrix, kernel)
@@ -1569,8 +1587,8 @@ def _leaves(x):
 
 
 def test_a_suite_pass_keeps_nothing_derived_on_a_module(monkeypatch):
-    """Every Module made in a run_suite pass holds its algebra, action, dim,
-    summand indices and record id only; what is derived from it is on its
+    """Every Module made in a run_suite pass holds its algebra, action, dim
+    and record id only; what is derived from it is on its
     content's record, and no record holds a module or a map."""
     made = []
     init, hand_out = Module.__init__, modules._hand_out
@@ -1583,7 +1601,7 @@ def test_a_suite_pass_keeps_nothing_derived_on_a_module(monkeypatch):
     monkeypatch.setattr(modules, "_hand_out", lambda a, kept: made.append(hand_out(a, kept)) or made[-1])
     run_suite(seed=0)
     assert len(made) > 1000
-    assert all(vars(m).keys() <= {"algebra", "action", "dim", "_summands", "_id"} for m in made)
+    assert all(vars(m).keys() <= {"algebra", "action", "dim", "_id"} for m in made)
     algebras = {id(m.algebra): m.algebra for m in made}.values()
     values = [v for a in algebras for r in modules._table(a)[1] for v in _leaves(list(vars(r).values()))]
     assert len(values) > 1000 and not any(isinstance(v, (Module, ModuleMap, Bimodule)) for v in values)
